@@ -1,22 +1,13 @@
 // bench_publish: epoch-publication cost vs stream length. Streams a long
 // synthetic feed tick by tick and records, per committed interval, the
-// snapshot-publish time (EngineStats::publish_ns) and the whole ingest
-// tick's latency, under two publish strategies:
+// snapshot-publish time (EngineStats::publish_ns), the whole ingest
+// tick's latency and the chunk accounting of the copy-on-write publish:
+// per-tick cost proportional to the tick's delta, flat in the epoch
+// count.
 //
-//   chunked    — copy-on-write chunk sharing (the default): per-tick cost
-//                proportional to the tick's delta, flat in the epoch count.
-//   full-copy  — EngineOptions::cow_publish=false rebuilds every chunk per
-//                publish (the pre-chunking cost model): grows linearly
-//                with the graph.
-//
-// A third pass measures batch ingest latency with the two-stage pipeline
-// (clustering of tick t+1 overlapping the serial commit of tick t)
-// against the strictly serial loop.
-//
-// A fourth pass re-streams with the set-intersection kernel pinned to
-// scalar (setops::ForceKernel) against the auto-dispatched tier, so the
-// JSON carries the per-tick ingest-ms delta the SIMD kernels buy on the
-// CommitInterval join path.
+// A second pass ingests the same stream as one IngestTicks batch (the
+// two-stage pipeline when --threads > 1) against the per-tick IngestText
+// loop of the first.
 //
 //   bench_publish [--threads N] [--repetitions N] [--json PATH]
 //
@@ -27,17 +18,15 @@
 #include "bench_common.h"
 #include "core/engine.h"
 #include "gen/corpus_generator.h"
-#include "util/setops.h"
 
 namespace stabletext {
 namespace bench {
 namespace {
 
-EngineOptions StreamOptions(size_t threads, bool cow_publish) {
+EngineOptions StreamOptions(size_t threads) {
   EngineOptions options;
   options.gap = 1;
   options.threads = threads;
-  options.cow_publish = cow_publish;
   options.clustering.pruning.rho_threshold = 0.2;
   options.clustering.pruning.min_pair_support = 5;
   options.affinity.theta = 0.1;
@@ -53,9 +42,8 @@ struct TickSample {
 
 // Streams `ticks` through a fresh engine, one IngestText per tick.
 std::vector<TickSample> RunStream(
-    const std::vector<std::vector<std::string>>& ticks, size_t threads,
-    bool cow_publish) {
-  Engine engine(StreamOptions(threads, cow_publish));
+    const std::vector<std::vector<std::string>>& ticks, size_t threads) {
+  Engine engine(StreamOptions(threads));
   std::vector<TickSample> samples;
   samples.reserve(ticks.size());
   for (const auto& posts : ticks) {
@@ -99,13 +87,12 @@ int main(int argc, char** argv) {
   using namespace stabletext::bench;
 
   BenchArgs args = ParseArgs(argc, argv, "BENCH_publish.json");
-  Header("epoch publication: O(delta) chunk sharing vs full copy",
+  Header("epoch publication: O(delta) chunk sharing",
          "streaming serving scenario (publish cost per committed tick)",
-         "long stream, chunked vs full-copy publish, pipelined ingest");
+         "long stream, chunked publish, pipelined batch ingest");
 
-  // Long enough that the graph spans many adjacency chunks: the chunked
-  // path's copied-chunk count stays flat at the gap window while the
-  // full-copy baseline rebuilds every chunk of a growing graph.
+  // Long enough that the graph spans many adjacency chunks: the
+  // copied-chunk count stays flat at the gap window while the graph grows.
   const uint32_t ticks_total = Pick<uint32_t>(256, 1024);
   CorpusGenOptions corpus;
   corpus.days = 7;
@@ -129,108 +116,53 @@ int main(int argc, char** argv) {
   }
 
   std::vector<TickSample> chunked;
-  std::vector<TickSample> full;
   for (int rep = 0; rep < args.repetitions; ++rep) {
-    auto c = RunStream(ticks, args.threads, /*cow_publish=*/true);
-    auto f = RunStream(ticks, args.threads, /*cow_publish=*/false);
+    auto c = RunStream(ticks, args.threads);
     if (rep == 0 ||
         MeanPublishUs(c, 0, c.size()) <
             MeanPublishUs(chunked, 0, chunked.size())) {
       chunked = std::move(c);
     }
-    if (rep == 0 ||
-        MeanPublishUs(f, 0, f.size()) <
-            MeanPublishUs(full, 0, full.size())) {
-      full = std::move(f);
-    }
   }
 
-  std::printf("%8s %16s %16s %14s %14s\n", "epoch", "publish_us(cow)",
-              "publish_us(full)", "shared", "copied");
+  std::printf("%8s %14s %14s %14s\n", "epoch", "publish_us", "shared",
+              "copied");
   for (size_t i = 0; i < chunked.size(); i += chunked.size() / 12 + 1) {
-    std::printf("%8zu %16.1f %16.1f %14zu %14zu\n", i + 1,
-                chunked[i].publish_ns / 1e3, full[i].publish_ns / 1e3,
-                chunked[i].shared_chunks, chunked[i].copied_chunks);
+    std::printf("%8zu %14.1f %14zu %14zu\n", i + 1,
+                chunked[i].publish_ns / 1e3, chunked[i].shared_chunks,
+                chunked[i].copied_chunks);
   }
   const size_t q = chunked.size() / 4;
-  const double cow_head = MeanPublishUs(chunked, 0, q);
-  const double cow_tail = MeanPublishUs(chunked, chunked.size() - q,
-                                        chunked.size());
-  const double full_head = MeanPublishUs(full, 0, q);
-  const double full_tail = MeanPublishUs(full, full.size() - q,
-                                         full.size());
-  std::printf(
-      "\npublish mean, first->last quartile: chunked %.1f -> %.1f us "
-      "(x%.2f), full copy %.1f -> %.1f us (x%.2f)\n",
-      cow_head, cow_tail, cow_head > 0 ? cow_tail / cow_head : 0,
-      full_head, full_tail, full_head > 0 ? full_tail / full_head : 0);
+  const double head = MeanPublishUs(chunked, 0, q);
+  const double tail = MeanPublishUs(chunked, chunked.size() - q,
+                                    chunked.size());
+  std::printf("\npublish mean, first->last quartile: %.1f -> %.1f us "
+              "(x%.2f)\n",
+              head, tail, head > 0 ? tail / head : 0);
 
-  // Batch ingest latency: strictly serial vs the two-stage pipeline.
-  double serial_ms = 0;
-  double pipelined_ms = 0;
+  // Batch ingest latency: one IngestTicks call for the whole stream.
+  double batch_ms = 0;
   for (int rep = 0; rep < args.repetitions; ++rep) {
-    {
-      EngineOptions opt = StreamOptions(args.threads, true);
-      opt.pipeline_ingest = false;
-      Engine engine(opt);
-      WallTimer timer;
-      auto r = engine.IngestTicks(ticks);
-      if (!r.ok()) std::exit(1);
-      const double ms = timer.ElapsedMillis();
-      serial_ms = rep == 0 ? ms : std::min(serial_ms, ms);
-    }
-    {
-      Engine engine(StreamOptions(args.threads, true));
-      WallTimer timer;
-      auto r = engine.IngestTicks(ticks);
-      if (!r.ok()) std::exit(1);
-      const double ms = timer.ElapsedMillis();
-      pipelined_ms = rep == 0 ? ms : std::min(pipelined_ms, ms);
-    }
+    Engine engine(StreamOptions(args.threads));
+    WallTimer timer;
+    auto r = engine.IngestTicks(ticks);
+    if (!r.ok()) std::exit(1);
+    const double ms = timer.ElapsedMillis();
+    batch_ms = rep == 0 ? ms : std::min(batch_ms, ms);
   }
+  const double stream_ms = MeanTickMs(chunked) * chunked.size();
   std::printf(
-      "batch ingest (%u ticks, %zu threads): serial %.0f ms, pipelined "
-      "%.0f ms%s\n",
-      ticks_total, args.threads, serial_ms, pipelined_ms,
+      "ingest (%u ticks, %zu threads): per-tick IngestText %.0f ms, "
+      "IngestTicks batch %.0f ms%s\n",
+      ticks_total, args.threads, stream_ms, batch_ms,
       args.threads > 1 ? "" : " (pipeline needs --threads > 1)");
-
-  // Intersection-kernel delta: same stream with the setops kernel pinned
-  // to scalar vs auto dispatch. The affinity join dominates the commit
-  // path, so the per-tick ingest delta is the SIMD kernels' end-to-end
-  // payoff (on CPUs without SSE/AVX2 both passes run scalar and the
-  // delta reads ~0).
-  std::vector<TickSample> kern_scalar;
-  std::vector<TickSample> kern_auto;
-  for (int rep = 0; rep < args.repetitions; ++rep) {
-    setops::ForceKernel(setops::Kernel::kScalar);
-    auto s = RunStream(ticks, args.threads, /*cow_publish=*/true);
-    setops::ForceKernel(setops::Kernel::kAuto);
-    auto a = RunStream(ticks, args.threads, /*cow_publish=*/true);
-    if (rep == 0 || MeanTickMs(s) < MeanTickMs(kern_scalar)) {
-      kern_scalar = std::move(s);
-    }
-    if (rep == 0 || MeanTickMs(a) < MeanTickMs(kern_auto)) {
-      kern_auto = std::move(a);
-    }
-  }
-  const double scalar_tick_ms = MeanTickMs(kern_scalar);
-  const double auto_tick_ms = MeanTickMs(kern_auto);
-  std::printf(
-      "intersection kernel (per-tick ingest mean): scalar %.3f ms, %s "
-      "%.3f ms (x%.2f)\n",
-      scalar_tick_ms, setops::KernelName(setops::ActiveKernel()),
-      auto_tick_ms, auto_tick_ms > 0 ? scalar_tick_ms / auto_tick_ms : 0);
 
   std::vector<std::string> per_tick;
   for (size_t i = 0; i < chunked.size(); ++i) {
     Json row;
     row.Put("epoch", i + 1)
-        .Put("publish_ns_cow", chunked[i].publish_ns)
-        .Put("publish_ns_full", full[i].publish_ns)
-        .Put("tick_ms_cow", chunked[i].tick_ms)
-        .Put("tick_ms_full", full[i].tick_ms)
-        .Put("tick_ms_setops_scalar", kern_scalar[i].tick_ms)
-        .Put("tick_ms_setops_auto", kern_auto[i].tick_ms)
+        .Put("publish_ns", chunked[i].publish_ns)
+        .Put("tick_ms", chunked[i].tick_ms)
         .Put("shared_chunks", chunked[i].shared_chunks)
         .Put("copied_chunks", chunked[i].copied_chunks);
     per_tick.push_back(row.ToString());
@@ -240,19 +172,12 @@ int main(int argc, char** argv) {
       .Put("ticks", ticks_total)
       .Put("posts_per_tick", corpus.posts_per_day)
       .Put("posts_per_tick_prev_reduced", kPrevReducedPostsPerTick)
-      .Put("tick_ms_mean_cow", MeanTickMs(chunked))
+      .Put("tick_ms_mean", MeanTickMs(chunked))
       .Put("threads", args.threads)
-      .Put("publish_us_cow_first_quartile", cow_head)
-      .Put("publish_us_cow_last_quartile", cow_tail)
-      .Put("publish_us_full_first_quartile", full_head)
-      .Put("publish_us_full_last_quartile", full_tail)
-      .Put("serial_ingest_ms", serial_ms)
-      .Put("pipelined_ingest_ms", pipelined_ms)
-      .Put("setops_kernel", setops::KernelName(setops::ActiveKernel()))
-      .Put("tick_ms_mean_setops_scalar", scalar_tick_ms)
-      .Put("tick_ms_mean_setops_auto", auto_tick_ms)
-      .Put("setops_tick_speedup",
-           auto_tick_ms > 0 ? scalar_tick_ms / auto_tick_ms : 0.0)
+      .Put("publish_us_first_quartile", head)
+      .Put("publish_us_last_quartile", tail)
+      .Put("stream_ingest_ms", stream_ms)
+      .Put("batch_ingest_ms", batch_ms)
       .Raw("per_tick", Json::Array(per_tick));
   WriteJsonFile(args.json_path, json.ToString());
   return 0;

@@ -8,12 +8,14 @@
 //
 // Flags: --threads N --repetitions N --json PATH (default BENCH_week.json)
 // record the perf trajectory; N-thread output is byte-identical to 1
-// thread (pipeline_parallel_test), so timings are comparable.
+// thread (pipeline_parallel_test), so timings are comparable. Each
+// repetition ingests the week with one Engine::IngestTicks call (the
+// two-stage pipeline when --threads > 1), then freezes it with Compact.
 
 #include <set>
 
 #include "bench_common.h"
-#include "core/pipeline.h"
+#include "core/engine.h"
 #include "gen/corpus_generator.h"
 #include "stable/brute_force_finder.h"
 
@@ -43,39 +45,37 @@ void Run(const bench::BenchArgs& args) {
   copt.micro_events = bench::Pick<uint32_t>(250, 500);
   CorpusGenerator gen(copt);
 
-  PipelineOptions popt;
-  popt.gap = 2;
-  popt.threads = args.threads;
-  popt.clustering.pruning.rho_threshold = 0.2;
-  popt.clustering.pruning.min_pair_support = 5;
-  popt.affinity.theta = 0.1;
+  EngineOptions options;
+  options.gap = 2;
+  options.threads = args.threads;
+  options.clustering.pruning.rho_threshold = 0.2;
+  options.clustering.pruning.min_pair_support = 5;
+  options.affinity.theta = 0.1;
 
-  // Pre-generate the posts so repetitions time the pipeline, not the
+  // Pre-generate the posts so repetitions time the engine, not the
   // corpus generator.
   std::vector<std::vector<std::string>> days(7);
   for (uint32_t day = 0; day < 7; ++day) days[day] = gen.GenerateDay(day);
 
   std::vector<double> seconds;
-  std::unique_ptr<StableClusterPipeline> pipeline;
+  std::unique_ptr<Engine> engine;
   for (int rep = 0; rep < args.repetitions; ++rep) {
-    auto p = std::make_unique<StableClusterPipeline>(popt);
+    auto e = std::make_unique<Engine>(options);
     WallTimer timer;
-    for (uint32_t day = 0; day < 7; ++day) {
-      if (!p->AddIntervalText(days[day]).ok()) return;
-    }
-    if (!p->BuildClusterGraph().ok()) return;
+    if (!e->IngestTicks(days).ok()) return;
+    if (!e->Compact().ok()) return;
     seconds.push_back(timer.ElapsedSeconds());
-    pipeline = std::move(p);  // Keep the last run for reporting.
+    engine = std::move(e);  // Keep the last run for reporting.
   }
   const double best = *std::min_element(seconds.begin(), seconds.end());
-  std::printf("pipeline (7 days) built in %.2fs (best of %d)\n\n", best,
+  std::printf("engine (7 days) built in %.2fs (best of %d)\n\n", best,
               args.repetitions);
 
   std::printf("%-6s %10s %14s %14s\n", "day", "clusters", "raw edges",
               "pruned edges");
   std::vector<std::string> day_json;
   for (uint32_t day = 0; day < 7; ++day) {
-    const IntervalResult& r = pipeline->interval_result(day);
+    const IntervalResult& r = engine->interval_result(day);
     std::printf("%-6u %10zu %14zu %14zu\n", day, r.clusters.size(),
                 r.graph_summary.raw_edge_count,
                 r.graph_summary.prune.surviving_edges);
@@ -89,25 +89,31 @@ void Run(const bench::BenchArgs& args) {
 
   // Full paths spanning the complete week (paper: 42 of them).
   size_t full_paths = 0;
-  const ClusterGraph* graph = pipeline->cluster_graph();
-  BruteForceFinder::ForEachPath(*graph, [&](const StablePath& p) {
+  const ClusterGraph& graph = engine->graph();
+  BruteForceFinder::ForEachPath(graph, [&](const StablePath& p) {
     if (p.length == 6) ++full_paths;
   });
   std::printf("\nfull paths spanning the week: %zu (paper: 42)\n",
               full_paths);
 
-  auto chains = pipeline->FindStableClusters(3, 0, FinderKind::kBfs);
+  Query full_week;
+  full_week.k = 3;
+  full_week.l = 0;
+  auto chains = engine->Query(full_week);
   if (chains.ok()) {
     std::printf("\ntop full-week stable clusters (Figure 16 analog):\n");
-    for (const StableClusterChain& chain : chains.value()) {
-      std::printf("%s\n", pipeline->RenderChain(chain).c_str());
+    for (const StableClusterChain& chain : chains.value().chains) {
+      std::printf("%s\n", engine->RenderChain(chain).c_str());
     }
   }
-  auto drift = pipeline->FindStableClusters(2, 3, FinderKind::kBfs);
+  Query length3;
+  length3.k = 2;
+  length3.l = 3;
+  auto drift = engine->Query(length3);
   if (drift.ok()) {
     std::printf("top length-3 stable clusters (Figures 4/15 analog):\n");
-    for (const StableClusterChain& chain : drift.value()) {
-      std::printf("%s\n", pipeline->RenderChain(chain).c_str());
+    for (const StableClusterChain& chain : drift.value().chains) {
+      std::printf("%s\n", engine->RenderChain(chain).c_str());
     }
   }
   std::printf(
@@ -131,10 +137,10 @@ void Run(const bench::BenchArgs& args) {
       .Put("posts_per_day_prev_reduced", kPrevReducedPostsPerDay)
       .Put("per_day_seconds_best", best / 7.0)
       .Put("full_week_paths", full_paths)
-      .Put("graph_nodes", graph->node_count())
-      .Put("graph_edges", graph->edge_count())
+      .Put("graph_nodes", graph.node_count())
+      .Put("graph_edges", graph.edge_count())
       .Raw("days", bench::Json::Array(day_json))
-      .Raw("io", bench::IoStatsJson(pipeline->io()));
+      .Raw("io", bench::IoStatsJson(engine->io()));
   bench::WriteJsonFile(args.json_path, out.ToString());
 }
 

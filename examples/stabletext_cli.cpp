@@ -67,7 +67,6 @@
 #include "cluster/cluster_io.h"
 #include "core/engine.h"
 #include "core/query_refiner.h"
-#include "core/sharded_engine.h"
 #include "gen/corpus_generator.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -102,9 +101,6 @@ struct CliArgs {
   Query query;
   uint32_t gap = 1;
   size_t threads = 1;
-  // --shards N: route ingest/query/serve/recover through a ShardedEngine
-  // with N hash-partitioned shards. 0 (default) = plain single engine.
-  uint32_t shards = 0;
   size_t readers = 2;
   bool per_tick = false;
   bool durable = false;
@@ -187,9 +183,6 @@ CliArgs ParseCliArgs(int argc, char** argv) {
     } else if (a == "--threads") {
       if (!numeric(&n)) return args;
       args.threads = static_cast<size_t>(std::max(1L, n));
-    } else if (a == "--shards") {
-      if (!numeric(&n)) return args;
-      args.shards = static_cast<uint32_t>(std::max(1L, n));
     } else if (a == "--diversify") {
       // P,S — prefix and suffix node counts (just P applies to both).
       const std::string spec = value();
@@ -248,51 +241,10 @@ CliArgs ParseCliArgs(int argc, char** argv) {
   return args;
 }
 
-// Builds the sharded engine for --shards N. Mirrors MakeEngine: with
-// --data-dir, construction routes through ShardedEngine::Recover and
-// resumes the fleet at its minimum common committed epoch.
-Result<std::unique_ptr<ShardedEngine>> MakeShardedEngine(
-    const CliArgs& args) {
-  ShardedEngineOptions options;
-  options.shards = std::max<uint32_t>(1, args.shards);
-  options.engine = DefaultEngineOptions(args.gap, args.threads);
-  if (!args.durable && args.data_dir.empty()) {
-    return std::make_unique<ShardedEngine>(options);
-  }
-  if (args.data_dir.empty()) {
-    return Status::InvalidArgument("--durable needs --data-dir DIR");
-  }
-  options.engine.durability.enabled = true;
-  options.engine.durability.dir = args.data_dir;
-  return ShardedEngine::Recover(std::move(options));
-}
-
 void PrintChains(const Engine& engine, const QueryResult& result) {
   for (const StableClusterChain& chain : result.chains) {
     std::printf("%s\n", engine.RenderChain(chain).c_str());
   }
-}
-
-void PrintChains(const ShardedEngine& engine,
-                 const ShardedQueryResult& result) {
-  for (size_t i = 0; i < result.chains.size(); ++i) {
-    std::printf("shard %u:\n%s\n", result.chain_shard[i],
-                engine.RenderChain(result.chains[i], result.chain_shard[i])
-                    .c_str());
-  }
-}
-
-// The measured threshold-merge early termination of one sharded query.
-void PrintMergeStats(const ShardMergeStats& merge) {
-  std::printf("merge: %llu chain(s) merged;",
-              static_cast<unsigned long long>(merge.paths_merged));
-  for (size_t s = 0; s < merge.paths_pulled.size(); ++s) {
-    std::printf(" shard %zu pulled %llu/%llu", s,
-                static_cast<unsigned long long>(merge.paths_pulled[s]),
-                static_cast<unsigned long long>(merge.paths_available[s]));
-  }
-  std::printf("; %u stream(s) early-terminated\n",
-              merge.early_terminations);
 }
 
 int CmdGen(int argc, char** argv) {
@@ -325,51 +277,10 @@ int CmdGen(int argc, char** argv) {
 
 // Streams the corpus through the engine tick by tick, printing a commit
 // line per interval — the serving-shaped ingest path.
-// ingest --shards N: the multi-writer path. Every tick fans out across
-// the shard fleet; the per-tick line reports the aggregate graph.
-int ShardedIngest(ShardedEngine& engine, const CliArgs& args) {
-  if (engine.interval_count() > 0) {
-    std::printf("recovered %llu committed interval(s) from %s\n",
-                static_cast<unsigned long long>(engine.interval_count()),
-                args.data_dir.c_str());
-  }
-  auto ingested = engine.IngestCorpusFile(
-      args.positional[0],
-      [&](uint32_t tick, const std::vector<std::string>& posts) {
-        const EngineStats stats = engine.stats();
-        std::printf(
-            "tick %2u committed across %u shard(s): %4zu posts, graph "
-            "now %zu nodes / %zu edges\n",
-            tick, engine.shard_count(), posts.size(), stats.clusters,
-            stats.edges);
-        return Status::OK();
-      });
-  if (!ingested.ok()) return Fail(ingested.status());
-  if (args.durable) {
-    const EngineStats stats = engine.stats();
-    std::printf(
-        "durability: %llu WAL bytes, %llu fsyncs, last checkpoint "
-        "%.1f ms (fleet aggregate)\n",
-        static_cast<unsigned long long>(stats.wal_bytes),
-        static_cast<unsigned long long>(stats.io.fsyncs),
-        stats.checkpoint_ns / 1e6);
-  }
-  return 0;
-}
-
 int CmdIngest(int argc, char** argv) {
   CliArgs args = ParseCliArgs(argc, argv);
   if (!args.status.ok()) return Fail(args.status);
   if (args.positional.empty()) return 2;
-  if (args.shards > 0) {
-    if (!args.save_path.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--save is per-graph and not supported with --shards"));
-    }
-    auto made = MakeShardedEngine(args);
-    if (!made.ok()) return Fail(made.status());
-    return ShardedIngest(*made.value(), args);
-  }
   auto made = MakeEngine(args);
   if (!made.ok()) return Fail(made.status());
   Engine& engine = *made.value();
@@ -412,45 +323,10 @@ int CmdIngest(int argc, char** argv) {
   return 0;
 }
 
-// query --shards N: scatter-gather with the threshold merge; prints the
-// merged top-k plus the measured early-termination counters.
-int ShardedQuery(ShardedEngine& engine, const CliArgs& args) {
-  if (!args.per_tick) {
-    auto ingested = engine.IngestCorpusFile(args.positional[0]);
-    if (!ingested.ok()) return Fail(ingested.status());
-    std::fprintf(stderr, "ingested %u interval(s) across %u shard(s)\n",
-                 ingested.value(), engine.shard_count());
-    auto result = engine.Query(args.query);
-    if (!result.ok()) return Fail(result.status());
-    PrintChains(engine, result.value());
-    PrintMergeStats(result.value().merge);
-    return 0;
-  }
-  auto ingested = engine.IngestCorpusFile(
-      args.positional[0],
-      [&](uint32_t tick, const std::vector<std::string>&) {
-        auto result = engine.Query(args.query);
-        if (!result.ok()) return result.status();
-        std::printf("tick %2u: top-%zu", tick, args.query.k);
-        for (const StableClusterChain& chain : result.value().chains) {
-          std::printf(" %s", chain.path.ToString().c_str());
-        }
-        std::printf("\n");
-        return Status::OK();
-      });
-  if (!ingested.ok()) return Fail(ingested.status());
-  return 0;
-}
-
 int CmdQuery(int argc, char** argv) {
   CliArgs args = ParseCliArgs(argc, argv);
   if (!args.status.ok()) return Fail(args.status);
   if (args.positional.empty()) return 2;
-  if (args.shards > 0) {
-    auto made = MakeShardedEngine(args);
-    if (!made.ok()) return Fail(made.status());
-    return ShardedQuery(*made.value(), args);
-  }
   auto made = MakeEngine(args);
   if (!made.ok()) return Fail(made.status());
   Engine& engine = *made.value();
@@ -491,10 +367,8 @@ void OnStopSignal(int) { g_stop = 1; }
 // serve --listen: the engine behind a net::Server. Ingest is paced by
 // --tick-ms so network clients overlap live epoch publishes; after the
 // corpus ends the process keeps serving until SIGTERM/SIGINT, then
-// drains gracefully. Works for Engine and ShardedEngine alike — the
-// server fronts both through its ServingBackend.
-template <typename EngineT>
-int ServeNetwork(EngineT& engine, const CliArgs& args) {
+// drains gracefully.
+int ServeNetwork(Engine& engine, const CliArgs& args) {
   auto hostport = net::ParseHostPort(args.listen);
   if (!hostport.ok()) return Fail(hostport.status());
 
@@ -562,8 +436,7 @@ int ServeNetwork(EngineT& engine, const CliArgs& args) {
 // fleet of reader threads queries nonstop. Readers are snapshot-isolated
 // — each answer comes from one committed epoch — so nothing here locks
 // or pauses around ingest.
-template <typename EngineT>
-int ServeLocal(EngineT& engine, const CliArgs& args) {
+int ServeLocal(Engine& engine, const CliArgs& args) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> failures{0};
@@ -631,13 +504,6 @@ int CmdServe(int argc, char** argv) {
   CliArgs args = ParseCliArgs(argc, argv);
   if (!args.status.ok()) return Fail(args.status);
   if (args.positional.empty()) return 2;
-  if (args.shards > 0) {
-    auto made = MakeShardedEngine(args);
-    if (!made.ok()) return Fail(made.status());
-    ShardedEngine& engine = *made.value();
-    return args.listen.empty() ? ServeLocal(engine, args)
-                               : ServeNetwork(engine, args);
-  }
   auto made = MakeEngine(args);
   if (!made.ok()) return Fail(made.status());
   Engine& engine = *made.value();
@@ -693,15 +559,6 @@ int CmdClient(int argc, char** argv) {
                 static_cast<unsigned long long>(s.queries_rejected));
     std::printf("queries failed:       %llu\n",
                 static_cast<unsigned long long>(s.queries_failed));
-    for (size_t i = 0; i < s.shards.size(); ++i) {
-      std::printf("shard %zu:              %llu clusters, %llu edges, "
-                  "%llu keywords, %llu resident bytes\n",
-                  i, static_cast<unsigned long long>(s.shards[i].clusters),
-                  static_cast<unsigned long long>(s.shards[i].edges),
-                  static_cast<unsigned long long>(s.shards[i].keywords),
-                  static_cast<unsigned long long>(
-                      s.shards[i].resident_bytes));
-    }
     std::printf("subscriptions active: %llu\n",
                 static_cast<unsigned long long>(s.subscriptions_active));
     std::printf("pushes sent:          %llu\n",
@@ -787,23 +644,6 @@ int CmdStats(int argc, char** argv) {
   CliArgs args = ParseCliArgs(argc, argv);
   if (!args.status.ok()) return Fail(args.status);
   if (args.positional.empty()) return 2;
-  if (args.shards > 0) {
-    auto made = MakeShardedEngine(args);
-    if (!made.ok()) return Fail(made.status());
-    ShardedEngine& engine = *made.value();
-    auto ingested = engine.IngestCorpusFile(args.positional[0]);
-    if (!ingested.ok()) return Fail(ingested.status());
-    PrintEngineStats(engine.stats());
-    const std::vector<EngineStats> per = engine.shard_stats();
-    for (size_t s = 0; s < per.size(); ++s) {
-      std::printf(
-          "shard %zu:        %zu clusters, %zu edges, %zu keywords, "
-          "%zu resident bytes\n",
-          s, per[s].clusters, per[s].edges, per[s].keywords,
-          per[s].resident_bytes);
-    }
-    return 0;
-  }
   auto made = MakeEngine(args);
   if (!made.ok()) return Fail(made.status());
   Engine& engine = *made.value();
@@ -823,24 +663,6 @@ int CmdRecover(int argc, char** argv) {
   }
   if (args.data_dir.empty()) return 2;
   args.durable = true;
-  if (args.shards > 0) {
-    auto made = MakeShardedEngine(args);
-    if (!made.ok()) return Fail(made.status());
-    ShardedEngine& engine = *made.value();
-    const EngineStats stats = engine.stats();
-    std::printf(
-        "recovered %llu interval(s) from %s across %u shard(s): "
-        "%zu clusters, %zu edges, %zu keywords\n",
-        static_cast<unsigned long long>(engine.interval_count()),
-        args.data_dir.c_str(), engine.shard_count(), stats.clusters,
-        stats.edges, stats.keywords);
-    if (engine.interval_count() == 0) return 0;
-    auto result = engine.Query(args.query);
-    if (!result.ok()) return Fail(result.status());
-    PrintChains(engine, result.value());
-    PrintMergeStats(result.value().merge);
-    return 0;
-  }
   auto made = MakeEngine(args);
   if (!made.ok()) return Fail(made.status());
   Engine& engine = *made.value();
@@ -923,23 +745,23 @@ const char* UsageFor(const std::string& cmd) {
   if (cmd == "gen")
     return "gen <out.corpus> [days] [posts_per_day] [micro_events] [seed]";
   if (cmd == "ingest")
-    return "ingest <corpus> [--gap N] [--threads N] [--shards N] "
+    return "ingest <corpus> [--gap N] [--threads N] "
            "[--save out.graph] [--data-dir DIR [--durable]]";
   if (cmd == "recover")
-    return "recover <data-dir> [--gap N] [--threads N] [--shards N] "
+    return "recover <data-dir> [--gap N] [--threads N] "
            "[--algo A] [--k N] [--l N]";
   if (cmd == "query")
     return "query <corpus> [--algo A] [--mode M] [--k N] [--l N] [--gap N] "
-           "[--threads N] [--shards N] [--diversify P,S] [--per-tick]";
+           "[--threads N] [--diversify P,S] [--per-tick]";
   if (cmd == "serve")
     return "serve <corpus> [--readers N] [--algo A] [--mode M] [--k N] "
-           "[--l N] [--gap N] [--threads N] [--shards N] "
+           "[--l N] [--gap N] [--threads N] "
            "[--listen HOST:PORT [--max-inflight N] [--tick-ms MS]]";
   if (cmd == "client")
     return "client <ping|query|stats|subscribe> --listen HOST:PORT "
            "[--algo A] [--mode M] [--k N] [--l N] [--render] [--deltas N]";
   if (cmd == "stats")
-    return "stats <corpus> [--gap N] [--threads N] [--shards N]";
+    return "stats <corpus> [--gap N] [--threads N]";
   if (cmd == "cluster") return "cluster <corpus> <out_prefix>";
   if (cmd == "refine") return "refine <corpus> <keyword> <day>";
   if (cmd == "topk")

@@ -7,9 +7,9 @@
 namespace stabletext {
 
 size_t KeywordIntersectionSize(const Cluster& a, const Cluster& b) {
-  // Dispatched kernel (util/setops.h): galloping for skewed sizes,
-  // SSE/AVX2 block compares otherwise, scalar fallback — all variants
-  // return identical counts (setops_test property sweep).
+  // Dispatched kernel (util/setops.h): galloping for skewed sizes, the
+  // scalar merge otherwise — both return identical counts (setops_test
+  // property sweep).
   return setops::IntersectionSize(a.keywords.data(), a.keywords.size(),
                                   b.keywords.data(), b.keywords.size());
 }
@@ -17,8 +17,7 @@ size_t KeywordIntersectionSize(const Cluster& a, const Cluster& b) {
 std::vector<KeywordId> KeywordIntersection(const Cluster& a,
                                            const Cluster& b) {
   std::vector<KeywordId> out(
-      std::min(a.keywords.size(), b.keywords.size()) +
-      setops::kIntersectIntoPad);
+      std::min(a.keywords.size(), b.keywords.size()));
   const size_t n =
       setops::IntersectInto(a.keywords.data(), a.keywords.size(),
                             b.keywords.data(), b.keywords.size(),

@@ -15,8 +15,8 @@
 namespace stabletext {
 
 /// Flat sorted keyword storage: cache-line aligned and padded to whole
-/// lines, so the SIMD intersection kernels (util/setops.h) stream it
-/// without splitting blocks across unnecessary line boundaries.
+/// lines, so the intersection kernels (util/setops.h) stream it from the
+/// start of a line.
 using KeywordArray = std::vector<KeywordId, CacheAlignedAllocator<KeywordId>>;
 
 /// \brief One keyword cluster: vertices plus their member edges.

@@ -117,82 +117,29 @@ Result<std::unique_ptr<Durability>> Durability::Open(
                             " has no checkpoint in " + options.dir);
   }
 
-  // Capped recovery rebases on the newest checkpoint the cap allows;
-  // uncapped recovery uses the newest outright.
-  const uint64_t cap = options.recover_epoch_cap;
-  uint64_t base_checkpoint = newest_checkpoint;
-  if (cap != 0) {
-    base_checkpoint = 0;
-    for (const uint64_t epoch : checkpoint_epochs) {
-      if (epoch <= cap) base_checkpoint = std::max(base_checkpoint, epoch);
-    }
-  }
-
-  recovered->checkpoint_epoch = base_checkpoint;
+  recovered->checkpoint_epoch = newest_checkpoint;
   recovered->blobs.clear();
-  if (base_checkpoint > 0) {
+  if (newest_checkpoint > 0) {
     ST_RETURN_IF_ERROR(
-        d->LoadCheckpoint(base_checkpoint, &recovered->blobs));
+        d->LoadCheckpoint(newest_checkpoint, &recovered->blobs));
   }
-  const std::string wal_path = d->WalPath(base_checkpoint);
+  const std::string wal_path = d->WalPath(newest_checkpoint);
   std::vector<std::string> tail;
   Status scan = WalScanAndTruncate(wal_path, &tail, &d->io_);
-  if (!scan.ok() && scan.code() != StatusCode::kNotFound) return scan;
-  if (scan.code() == StatusCode::kNotFound && cap != 0 &&
-      base_checkpoint < newest_checkpoint) {
-    // The two-generation retention promises this log exists whenever a
-    // newer checkpoint forced the rebase; its absence is lost state, not
-    // a fresh directory.
-    return Status::DataLoss("wal generation " +
-                            std::to_string(base_checkpoint) +
-                            " needed by recovery cap " +
-                            std::to_string(cap) + " is missing in " +
-                            options.dir);
-  }
-  // Apply the cap: keep only the records up to it, and make the on-disk
-  // log match what was replayed — a later append must follow the capped
-  // record, not a discarded one.
-  const size_t keep_records =
-      cap == 0 ? tail.size()
-               : std::min<size_t>(tail.size(),
-                                  cap > base_checkpoint
-                                      ? cap - base_checkpoint
-                                      : 0);
-  const bool rewrite = scan.ok() && keep_records < tail.size();
-  for (size_t i = 0; i < keep_records; ++i) {
-    recovered->blobs.push_back(tail[i]);
-  }
-  if (rewrite || scan.code() == StatusCode::kNotFound) {
-    // Rewrite (or start) the generation: Create truncates, then the kept
-    // records are re-appended so the durable log ends exactly at the
-    // replayed epoch.
+  if (scan.code() == StatusCode::kNotFound) {
     ST_RETURN_IF_ERROR(d->wal_.Create(wal_path, &d->faults_, &d->io_));
-    for (size_t i = 0; i < keep_records; ++i) {
-      ST_RETURN_IF_ERROR(
-          d->wal_.Append(tail[i].data(), tail[i].size()));
-    }
-    if (keep_records > 0) ST_RETURN_IF_ERROR(d->wal_.Sync());
   } else {
+    ST_RETURN_IF_ERROR(scan);
     ST_RETURN_IF_ERROR(
         d->wal_.OpenForAppend(wal_path, &d->faults_, &d->io_));
   }
-  if (cap != 0) {
-    // Generations newer than the base describe the discarded future;
-    // delete them so a later uncapped Open cannot resurrect it.
-    for (const uint64_t epoch : checkpoint_epochs) {
-      if (epoch > base_checkpoint) {
-        std::error_code ignore;
-        fs::remove(d->CheckpointPath(epoch), ignore);
-        fs::remove(d->WalPath(epoch), ignore);
-      }
-    }
-  }
-  d->wal_epoch_ = base_checkpoint;
-  // Keep the previous generation too (capped recovery of a sibling shard
-  // may need to rebase behind this one); prune everything older.
+  for (std::string& blob : tail) recovered->blobs.push_back(std::move(blob));
+  d->wal_epoch_ = newest_checkpoint;
+  // Keep the previous generation too (two-generation retention); prune
+  // everything older.
   uint64_t previous_checkpoint = 0;
   for (const uint64_t epoch : checkpoint_epochs) {
-    if (epoch < base_checkpoint) {
+    if (epoch < newest_checkpoint) {
       previous_checkpoint = std::max(previous_checkpoint, epoch);
     }
   }
@@ -323,8 +270,7 @@ Status Durability::WriteCheckpoint(
   ST_RETURN_IF_ERROR(FsyncDir(options_.dir, &faults_, &io_));
   // Rotate the log: records covered by the checkpoint are pruned by
   // starting a fresh generation. The generation we just rotated away
-  // from stays on disk (two-generation retention) so a capped recovery
-  // can rebase behind this checkpoint; its predecessor goes.
+  // from stays on disk (two-generation retention); its predecessor goes.
   const uint64_t previous_generation = wal_epoch_;
   ST_RETURN_IF_ERROR(wal_.Close());
   ST_RETURN_IF_ERROR(wal_.Create(WalPath(epoch), &faults_, &io_));

@@ -15,10 +15,7 @@
 //   wal-<E>          log of interval deltas for epochs > E
 // The newest TWO generations are kept; anything older is pruned after a
 // checkpoint rename lands (leftovers are harmless — Open picks the
-// highest valid checkpoint). Keeping the previous generation lets a
-// capped recovery (DurabilityOptions::recover_epoch_cap, the sharded
-// min-common-epoch truncation) fall back behind a checkpoint the cap
-// disallows.
+// highest valid checkpoint).
 //
 // Threading: a Durability object is owned by the engine's writer side;
 // LogCommit/WriteCheckpoint run only under Engine's writer_role_
@@ -62,17 +59,6 @@ struct DurabilityOptions {
   /// shared across the log and checkpoint paths, so a "crash" can land
   /// mid-record or mid-checkpoint.
   uint64_t fail_after_physical_ops = 0;
-  /// When non-zero, recovery stops at this committed-interval count even
-  /// if more durable state exists: Open() picks the newest checkpoint at
-  /// or below the cap, replays the log only up to it, physically rewrites
-  /// the log so the discarded records are gone, and deletes every newer
-  /// generation. ShardedEngine uses this to truncate shards that raced
-  /// ahead of a mid-tick crash back to the fleet's minimum common epoch;
-  /// the two-generation retention below guarantees a base checkpoint at
-  /// or below any cap within one checkpoint interval of the newest.
-  /// 0 (the default) recovers everything, the ordinary single-engine
-  /// behavior.
-  uint64_t recover_epoch_cap = 0;
 };
 
 /// \brief Owns the WAL and checkpoint files of one engine's directory.

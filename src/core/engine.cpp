@@ -176,16 +176,8 @@ Result<uint32_t> Engine::IngestDocuments(
   return IngestDocumentsLocked(documents);
 }
 
-Result<uint32_t> Engine::IngestDocumentsGlobal(
-    const std::vector<Document>& documents,
-    uint64_t global_document_count) {
-  AssumeRole role(writer_role_);
-  return IngestDocumentsLocked(documents, global_document_count);
-}
-
 Result<uint32_t> Engine::IngestDocumentsLocked(
-    const std::vector<Document>& documents,
-    uint64_t document_count_override) {
+    const std::vector<Document>& documents) {
   if (graph_.frozen()) {
     return Status::InvalidArgument(
         "engine is compacted; create a new engine to ingest");
@@ -195,7 +187,7 @@ Result<uint32_t> Engine::IngestDocumentsLocked(
   // would otherwise be unspecified).
   const size_t vocab_before = dict_.size();
   const auto interned = InternDocuments(documents);
-  auto r = IngestInterned(interned, dict_.size(), document_count_override);
+  auto r = IngestInterned(interned, dict_.size());
   if (!r.ok() && broken_.ok()) {
     // Clustering failed before anything was adopted: roll the interning
     // back so a failed tick leaves no trace in keyword-id assignment (a
@@ -209,16 +201,12 @@ Result<uint32_t> Engine::IngestDocumentsLocked(
 
 Result<std::shared_ptr<SnapshotInterval>> Engine::ClusterInterval(
     uint32_t interval, const std::vector<std::vector<KeywordId>>& interned,
-    size_t vocab_snapshot, uint64_t document_count_override) {
+    size_t vocab_snapshot) {
   auto slot = std::make_shared<SnapshotInterval>();
   slot->vocab_size = vocab_snapshot;
-  IntervalClustererOptions clustering = options_.clustering;
-  if (document_count_override != 0) {
-    clustering.document_count_override = document_count_override;
-  }
   // RunInterned never touches the dictionary (see IntervalClusterer):
   // this stage is safe on a worker while the previous interval commits.
-  IntervalClusterer clusterer(&dict_, clustering, &slot->io);
+  IntervalClusterer clusterer(&dict_, options_.clustering, &slot->io);
   auto result =
       clusterer.RunInterned(interval, interned, vocab_snapshot, pool_.get());
   if (!result.ok()) return result.status();
@@ -514,10 +502,9 @@ Status Engine::ReplayInterval(const std::string& blob) {
 
 Result<uint32_t> Engine::IngestInterned(
     const std::vector<std::vector<KeywordId>>& interned,
-    size_t vocab_snapshot, uint64_t document_count_override) {
+    size_t vocab_snapshot) {
   const uint32_t interval = static_cast<uint32_t>(slots_.size());
-  auto slot = ClusterInterval(interval, interned, vocab_snapshot,
-                              document_count_override);
+  auto slot = ClusterInterval(interval, interned, vocab_snapshot);
   if (!slot.ok()) return slot.status();
   return CommitInterval(std::move(slot).value());
 }
@@ -537,8 +524,7 @@ Result<uint32_t> Engine::IngestTicksLocked(
         "engine is compacted; create a new engine to ingest");
   }
   if (!broken_.ok()) return broken_;
-  const bool pipelined =
-      options_.pipeline_ingest && pool_ != nullptr && ticks.size() > 1;
+  const bool pipelined = pool_ != nullptr && ticks.size() > 1;
   if (!pipelined) {
     uint32_t ingested = 0;
     for (const auto& posts : ticks) {
@@ -818,9 +804,6 @@ void Engine::Publish() {
   snap->epoch = slots_.size();
   // Seal the adjacency delta: only chunks this tick touched are rebuilt;
   // every other chunk pointer is shared with the previous epoch's graph.
-  // The full-rebuild baseline (cow_publish=false) dirties everything
-  // first, restoring the old O(graph) publish for comparison.
-  if (!options_.cow_publish) graph_.MarkAllSealDirty();
   ClusterGraph::SealStats seal;
   snap->graph = std::make_shared<const ClusterGraph>(
       graph_.SealedCopy(!options_.lazy_renormalize, &seal));

@@ -23,9 +23,6 @@
 // counting, external sort, pruning, biconnected decomposition, and the
 // per-window affinity joins) fans out on a thread pool. Output is
 // deterministic across thread counts.
-//
-// The legacy batch facade (StableClusterPipeline in core/pipeline.h) is a
-// deprecated shim over this class.
 
 #ifndef STABLETEXT_CORE_ENGINE_H_
 #define STABLETEXT_CORE_ENGINE_H_
@@ -61,12 +58,6 @@ struct EngineOptions {
   size_t threads = 1;
   /// Query-cache knobs (entries_per_shard = 0 disables caching).
   QueryCacheOptions query_cache;
-  /// Chunk-shared copy-on-write publish: each committed interval seals
-  /// only the adjacency chunks it touched and shares the rest with the
-  /// previous epoch (O(delta) publish). false rebuilds every chunk per
-  /// publish — the old full-copy cost model, kept as the bench_publish
-  /// baseline. Results are byte-identical either way.
-  bool cow_publish = true;
   /// Lazy running-max renormalization for raw-intersection affinities:
   /// the graph stores raw weights and every snapshot carries the epoch's
   /// normalizer, applied at edge-read time (a rescale is O(1) instead of
@@ -75,11 +66,6 @@ struct EngineOptions {
   /// results either way; only measures without a (0, 1] range
   /// (kIntersection) are affected at all.
   bool lazy_renormalize = true;
-  /// Two-stage batch ingest (IngestTicks/IngestCorpusFile with
-  /// threads > 1): tokenization+clustering of interval t+1 runs on the
-  /// pool while the serial affinity-join/graph-extension of interval t
-  /// commits. Byte-identical to serial ingest at any thread count.
-  bool pipeline_ingest = true;
   /// Crash durability (WAL + checkpoints; see core/durability.h). When
   /// enabled the engine must be built with Engine::Recover — a plain
   /// constructor refuses to ingest, because it has no way to report a
@@ -154,18 +140,6 @@ class Engine {
   /// Same, for already-preprocessed documents.
   Result<uint32_t> IngestDocuments(const std::vector<Document>& documents);
 
-  /// IngestDocuments for one shard of a partitioned tick: `documents`
-  /// are this engine's partition, but the chi-squared/rho independence
-  /// tests run against `global_document_count` — the whole tick's n
-  /// across every shard — so partitioning a tick does not shift the
-  /// Section 3 statistics (see
-  /// IntervalClustererOptions::document_count_override). With
-  /// global_document_count == documents.size() this is exactly
-  /// IngestDocuments. Used by ShardedEngine.
-  Result<uint32_t> IngestDocumentsGlobal(
-      const std::vector<Document>& documents,
-      uint64_t global_document_count);
-
   /// Invoked after each corpus interval commits: the interval index and
   /// its raw posts. A non-OK return aborts the ingest.
   using TickCallback =
@@ -173,14 +147,13 @@ class Engine {
                            const std::vector<std::string>& posts)>;
 
   /// Ingests a batch of ticks (one interval per element) in order, with
-  /// the two-stage pipeline when options.threads > 1 and
-  /// options.pipeline_ingest: while interval t runs its serial
-  /// affinity-join/graph-extension/publish, interval t+1's tokenization
-  /// and clustering already execute on the worker pool — the
-  /// cross-interval overlap of the old batch pipeline, with results
-  /// byte-identical to one IngestText call per tick. Commit semantics
-  /// per tick match IngestText (each interval is queryable before
-  /// `on_tick` runs for it). Returns the number of intervals ingested.
+  /// the two-stage pipeline when options.threads > 1: while interval t
+  /// runs its serial affinity-join/graph-extension/publish, interval
+  /// t+1's tokenization and clustering already execute on the worker
+  /// pool, with results byte-identical to one IngestText call per tick.
+  /// Commit semantics per tick match IngestText (each interval is
+  /// queryable before `on_tick` runs for it). Returns the number of
+  /// intervals ingested.
   Result<uint32_t> IngestTicks(
       const std::vector<std::vector<std::string>>& ticks,
       const TickCallback& on_tick = nullptr);
@@ -280,12 +253,8 @@ class Engine {
   // double-assume).
   Result<uint32_t> IngestTextLocked(const std::vector<std::string>& posts)
       REQUIRES(writer_role_);
-  // document_count_override threads the tick-global n of a sharded
-  // ingest into the clustering statistics; 0 (every non-sharded path)
-  // keeps the local document count.
   Result<uint32_t> IngestDocumentsLocked(
-      const std::vector<Document>& documents,
-      uint64_t document_count_override = 0) REQUIRES(writer_role_);
+      const std::vector<Document>& documents) REQUIRES(writer_role_);
   Result<uint32_t> IngestTicksLocked(
       const std::vector<std::vector<std::string>>& ticks,
       const TickCallback& on_tick) REQUIRES(writer_role_);
@@ -305,7 +274,7 @@ class Engine {
   // the previous interval commits — hence no REQUIRES(writer_role_).
   Result<std::shared_ptr<SnapshotInterval>> ClusterInterval(
       uint32_t interval, const std::vector<std::vector<KeywordId>>& interned,
-      size_t vocab_snapshot, uint64_t document_count_override = 0);
+      size_t vocab_snapshot);
   // Stage B of a tick (serial): slot adoption, frontier joins, graph
   // extension, warm-online feed, snapshot publish.
   Result<uint32_t> CommitInterval(std::shared_ptr<SnapshotInterval> slot)
@@ -313,8 +282,7 @@ class Engine {
   // ClusterInterval + CommitInterval (the unpipelined tick).
   Result<uint32_t> IngestInterned(
       const std::vector<std::vector<KeywordId>>& interned,
-      size_t vocab_snapshot,
-      uint64_t document_count_override = 0) REQUIRES(writer_role_);
+      size_t vocab_snapshot) REQUIRES(writer_role_);
   // Joins the new interval's clusters against the gap window and extends
   // the graph in place (the incremental half of the old BuildClusterGraph).
   Status ExtendGraph(uint32_t interval) REQUIRES(writer_role_);

@@ -10,15 +10,12 @@ namespace {
 
 Result<IntervalResult> BuildFromTable(
     const IntervalClustererOptions& options, IoStats* stats,
-    uint32_t interval, CooccurrenceTable* table) {
-  if (options.document_count_override != 0) {
-    table->document_count = options.document_count_override;
-  }
+    uint32_t interval, const CooccurrenceTable& table) {
   IntervalResult result;
   result.interval = interval;
 
   GraphBuilder builder(options.pruning);
-  KeywordGraph graph = builder.Build(*table, &result.graph_summary);
+  KeywordGraph graph = builder.Build(table, &result.graph_summary);
 
   ClusterExtractorOptions extraction = options.extraction;
   extraction.biconnected.io_stats = stats;
@@ -39,7 +36,7 @@ Result<IntervalResult> IntervalClusterer::Run(
   }
   CooccurrenceTable table;
   ST_RETURN_IF_ERROR(counter.Finish(&table));
-  return BuildFromTable(options_, stats_, interval, &table);
+  return BuildFromTable(options_, stats_, interval, table);
 }
 
 Result<IntervalResult> IntervalClusterer::RunInterned(
@@ -54,7 +51,7 @@ Result<IntervalResult> IntervalClusterer::RunInterned(
   }
   CooccurrenceTable table;
   ST_RETURN_IF_ERROR(counter.Finish(&table, vocab_size));
-  return BuildFromTable(options_, stats_, interval, &table);
+  return BuildFromTable(options_, stats_, interval, table);
 }
 
 }  // namespace stabletext

@@ -18,15 +18,6 @@ struct IntervalClustererOptions {
   CooccurrenceCounterOptions counting;
   GraphPrunerOptions pruning;
   ClusterExtractorOptions extraction;
-  /// When non-zero, the chi-squared/rho statistics use this as the
-  /// interval's total document count n instead of the number of
-  /// documents this clusterer saw. A sharded engine feeds each shard
-  /// only its partition of a tick's documents but the independence
-  /// tests are defined against the tick-global n — without the
-  /// override, splitting a tick would change every edge's statistic.
-  /// 0 (the default) keeps the local count; single-engine behavior is
-  /// untouched.
-  uint64_t document_count_override = 0;
 };
 
 /// Everything produced for one interval (summary + clusters).

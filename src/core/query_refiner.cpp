@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "core/pipeline.h"
 #include "text/porter_stemmer.h"
 #include "util/strings.h"
 
 namespace stabletext {
-
-QueryRefiner::QueryRefiner(const StableClusterPipeline* pipeline)
-    : engine_(&pipeline->engine()) {}
 
 std::vector<Refinement> QueryRefiner::Suggest(const std::string& query,
                                               uint32_t interval,

@@ -14,8 +14,6 @@
 
 namespace stabletext {
 
-class StableClusterPipeline;
-
 /// One refinement suggestion.
 struct Refinement {
   std::string keyword;
@@ -34,9 +32,6 @@ class QueryRefiner {
   ///        engine — unlike Engine::Query it is not safe concurrently
   ///        with ingest.
   explicit QueryRefiner(const Engine* engine) : engine_(engine) {}
-
-  /// Deprecated: refine against the legacy pipeline shim's engine.
-  explicit QueryRefiner(const StableClusterPipeline* pipeline);
 
   /// Top refinements for `query` in `interval`: keywords sharing a cluster
   /// with the query keyword, scored by the correlation (edge weight) to

@@ -48,6 +48,7 @@ class BodyReader {
   }
 
   bool Done() const { return off_ == body_.size(); }
+  size_t remaining() const { return body_.size() - off_; }
 
  private:
   const std::string& body_;
@@ -65,6 +66,11 @@ void PutChain(std::string* out, const WireChain& chain) {
   PutPod<uint32_t>(out, chain.length);
   PutString(out, chain.rendered);
 }
+
+// Smallest encoding of one chain: node count, weight, length and the
+// rendered-text length, with no nodes and no text.
+constexpr size_t kMinChainBytes =
+    sizeof(uint32_t) + sizeof(double) + sizeof(uint32_t) + sizeof(uint32_t);
 
 bool GetChain(BodyReader* in, WireChain* chain) {
   uint32_t n = 0;
@@ -191,7 +197,8 @@ Status DecodeResultBody(const std::string& body, WireResult* result) {
   BodyReader in(body);
   uint8_t warm = 0;
   uint32_t n = 0;
-  if (!in.Get(&result->epoch) || !in.Get(&warm) || !in.Get(&n)) {
+  if (!in.Get(&result->epoch) || !in.Get(&warm) || !in.Get(&n) ||
+      n > in.remaining() / kMinChainBytes) {
     return Malformed("result");
   }
   result->warm_online = warm != 0;
@@ -219,7 +226,8 @@ Status DecodeDeltaBody(const std::string& body, WireDelta* delta) {
   BodyReader in(body);
   uint32_t n = 0;
   if (!in.Get(&delta->subscription_id) || !in.Get(&delta->epoch) ||
-      !in.Get(&delta->new_size) || !in.Get(&n)) {
+      !in.Get(&delta->new_size) || !in.Get(&n) ||
+      n > in.remaining() / (sizeof(uint32_t) + kMinChainBytes)) {
     return Malformed("delta");
   }
   delta->changes.resize(n);
@@ -247,13 +255,6 @@ std::string EncodeStatsBody(const WireStats& stats) {
   PutPod<uint64_t>(&body, stats.queries_rejected);
   PutPod<uint64_t>(&body, stats.queries_served);
   PutPod<uint64_t>(&body, stats.queries_failed);
-  PutPod<uint32_t>(&body, static_cast<uint32_t>(stats.shards.size()));
-  for (const WireShardStats& shard : stats.shards) {
-    PutPod<uint64_t>(&body, shard.clusters);
-    PutPod<uint64_t>(&body, shard.edges);
-    PutPod<uint64_t>(&body, shard.keywords);
-    PutPod<uint64_t>(&body, shard.resident_bytes);
-  }
   return body;
 }
 
@@ -266,22 +267,10 @@ Status DecodeStatsBody(const std::string& body, WireStats* stats) {
       !in.Get(&stats->query_cache_misses) ||
       !in.Get(&stats->subscriptions_active) ||
       !in.Get(&stats->pushes_sent) || !in.Get(&stats->queries_rejected) ||
-      !in.Get(&stats->queries_served) || !in.Get(&stats->queries_failed)) {
+      !in.Get(&stats->queries_served) || !in.Get(&stats->queries_failed) ||
+      !in.Done()) {
     return Malformed("stats");
   }
-  uint32_t shard_count = 0;
-  if (!in.Get(&shard_count) ||
-      shard_count > kMaxFramePayload / sizeof(WireShardStats)) {
-    return Malformed("stats");
-  }
-  stats->shards.resize(shard_count);
-  for (WireShardStats& shard : stats->shards) {
-    if (!in.Get(&shard.clusters) || !in.Get(&shard.edges) ||
-        !in.Get(&shard.keywords) || !in.Get(&shard.resident_bytes)) {
-      return Malformed("stats");
-    }
-  }
-  if (!in.Done()) return Malformed("stats");
   return Status::OK();
 }
 
@@ -361,13 +350,16 @@ Status DecodeU64Body(const std::string& body, uint64_t* value) {
 }
 
 Status ApplyDelta(std::vector<WireChain>* topk, const WireDelta& delta) {
-  topk->resize(delta.new_size);
+  if (delta.new_size > topk->size() + delta.changes.size()) {
+    return Status::Corruption("delta grows past its changed ranks");
+  }
   for (const auto& [rank, chain] : delta.changes) {
     if (rank >= delta.new_size) {
       return Status::Corruption("delta rank out of range");
     }
-    (*topk)[rank] = chain;
   }
+  topk->resize(delta.new_size);
+  for (const auto& [rank, chain] : delta.changes) (*topk)[rank] = chain;
   return Status::OK();
 }
 

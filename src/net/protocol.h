@@ -132,20 +132,6 @@ struct WireDelta {
   std::vector<std::pair<uint32_t, WireChain>> changes;  ///< (rank, entry).
 };
 
-/// Per-shard slice of a STATS_RESULT when the server fronts a
-/// ShardedEngine (empty for a single engine).
-struct WireShardStats {
-  uint64_t clusters = 0;
-  uint64_t edges = 0;
-  uint64_t keywords = 0;
-  uint64_t resident_bytes = 0;
-
-  friend bool operator==(const WireShardStats& a, const WireShardStats& b) {
-    return a.clusters == b.clusters && a.edges == b.edges &&
-           a.keywords == b.keywords && a.resident_bytes == b.resident_bytes;
-  }
-};
-
 /// STATS_RESULT body: the served engine's point-in-time stats plus the
 /// serving layer's admission/push counters.
 struct WireStats {
@@ -164,8 +150,6 @@ struct WireStats {
   /// Queries that errored or whose worker died mid-query (ReaderFleet
   /// failures + per-query error replies).
   uint64_t queries_failed = 0;
-  /// One entry per shard when serving a ShardedEngine; empty otherwise.
-  std::vector<WireShardStats> shards;
 };
 
 /// RETRY body: queue diagnostics at rejection time.
@@ -199,8 +183,10 @@ std::string EncodeU64Body(uint64_t value);
 Status DecodeU64Body(const std::string& body, uint64_t* value);
 
 /// Replaces `topk` with the state after `delta`: resize to new_size,
-/// overwrite changed ranks. kCorruption when a changed rank is out of
-/// range.
+/// overwrite changed ranks. kCorruption, with `topk` untouched, when a
+/// changed rank is out of range or new_size exceeds topk->size() +
+/// changes.size() (DiffTopK lists every rank at or beyond the old size,
+/// so a larger new_size cannot come from a well-formed delta).
 Status ApplyDelta(std::vector<WireChain>* topk, const WireDelta& delta);
 
 /// The rank-wise delta turning `last` into `now` (what the notifier

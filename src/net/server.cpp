@@ -10,14 +10,33 @@ namespace stabletext {
 namespace net {
 
 namespace {
+
 constexpr size_t kReadChunk = 16 * 1024;
+
+// Renders a QueryResult for the wire: paths, weights, lengths, plus
+// snapshot-rendered chain text when `flags` has kFlagRender.
+std::vector<WireChain> ToWireChains(const GraphSnapshot& snapshot,
+                                    const QueryResult& result,
+                                    uint8_t flags) {
+  std::vector<WireChain> out;
+  out.reserve(result.chains.size());
+  for (const StableClusterChain& chain : result.chains) {
+    WireChain wire;
+    wire.nodes = chain.path.nodes;
+    wire.weight = chain.path.weight;
+    wire.length = chain.path.length;
+    if (flags & kFlagRender) {
+      wire.rendered = snapshot.RenderChain(chain);
+    }
+    out.push_back(std::move(wire));
+  }
+  return out;
+}
+
 }  // namespace
 
 Server::Server(Engine* engine, ServerOptions options)
-    : backend_(MakeServingBackend(engine)), options_(std::move(options)) {}
-
-Server::Server(ShardedEngine* engine, ServerOptions options)
-    : backend_(MakeServingBackend(engine)), options_(std::move(options)) {}
+    : engine_(engine), options_(std::move(options)) {}
 
 Server::~Server() { Shutdown(); }
 
@@ -55,9 +74,9 @@ Status Server::Start() {
       worker_count, [this](size_t) { WorkerLoop(); });
   notifier_ = std::make_unique<ReaderFleet>(
       1, [this](size_t) { NotifierLoop(); });
-  backend_->SetPublishCallback(
-      [this](const std::shared_ptr<const ServingView>& view) {
-        OnPublish(view);
+  engine_->SetPublishCallback(
+      [this](const std::shared_ptr<const GraphSnapshot>& snap) {
+        OnPublish(snap);
       });
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { RunLoop(); });
@@ -88,7 +107,7 @@ void Server::Shutdown() {
   notifier_->Join();
   // Writer-side deregistration: the caller guarantees ingest is
   // quiescent across Shutdown (see the lifecycle note in the header).
-  backend_->SetPublishCallback(nullptr);
+  engine_->SetPublishCallback(nullptr);
   running_.store(false, std::memory_order_release);
 }
 
@@ -124,9 +143,13 @@ void Server::RunLoop() {
         drain_timer.ElapsedSeconds() * 1e3 >= options_.drain_timeout_ms;
     if (DrainComplete() || expired) {
       // Farewell: every connection gets a BYE after its drained
-      // responses and final deltas, then a bounded flush window.
-      for (auto& [id, conn] : connections_) {
-        AppendOut(conn.get(), EncodeFrame(MsgType::kBye, 0, ""));
+      // responses and final deltas, then a bounded flush window. A failed
+      // flush closes (erases) the connection, so iterate over ids, not
+      // the map.
+      const std::string bye = EncodeFrame(MsgType::kBye, 0, "");
+      for (const uint64_t id : ConnectionIds()) {
+        auto it = connections_.find(id);
+        if (it != connections_.end()) AppendOut(it->second.get(), bye);
       }
       WallTimer flush_timer;
       while (AnyPendingOutput() && flush_timer.ElapsedSeconds() < 1.0) {
@@ -136,10 +159,7 @@ void Server::RunLoop() {
       break;
     }
   }
-  std::vector<uint64_t> ids;
-  ids.reserve(connections_.size());
-  for (const auto& [id, conn] : connections_) ids.push_back(id);
-  for (const uint64_t id : ids) CloseConnection(id);
+  for (const uint64_t id : ConnectionIds()) CloseConnection(id);
   if (listen_fd_ >= 0) {
     loop_.Remove(listen_fd_);
     ::close(listen_fd_);
@@ -159,6 +179,13 @@ bool Server::DrainComplete() {
   }
   MutexLock lock(out_mu_);
   return outbound_.empty();
+}
+
+std::vector<uint64_t> Server::ConnectionIds() const {
+  std::vector<uint64_t> ids;
+  ids.reserve(connections_.size());
+  for (const auto& [id, conn] : connections_) ids.push_back(id);
+  return ids;
 }
 
 bool Server::AnyPendingOutput() const {
@@ -231,12 +258,12 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
   switch (frame.type) {
     case MsgType::kPing:
       Reply(conn, MsgType::kPong, frame.request_id,
-            EncodeU64Body(backend_->Pin()->epoch()));
+            EncodeU64Body(engine_->snapshot()->epoch));
       return;
     case MsgType::kStats: {
-      const EngineStats engine_stats = backend_->stats();
+      const EngineStats engine_stats = engine_->stats();
       WireStats stats;
-      stats.epoch = backend_->Pin()->epoch();
+      stats.epoch = engine_->snapshot()->epoch;
       stats.intervals = engine_stats.intervals;
       stats.clusters = engine_stats.clusters;
       stats.edges = engine_stats.edges;
@@ -251,7 +278,6 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
       stats.queries_served =
           queries_served_.load(std::memory_order_relaxed);
       stats.queries_failed = queries_failed();
-      stats.shards = backend_->shard_stats();
       Reply(conn, MsgType::kStatsResult, frame.request_id,
             EncodeStatsBody(stats));
       return;
@@ -360,9 +386,8 @@ void Server::WorkerLoop() {
     }
     if (options_.worker_test_hook) options_.worker_test_hook();
     // Pin the latest epoch for this query; the finder runs entirely on
-    // the pinned view, concurrent with ingest and the other workers.
-    const std::shared_ptr<const ServingView> view = backend_->Pin();
-    auto result = view->RunQuery(job.query, job.flags);
+    // the pinned snapshot, concurrent with ingest and the other workers.
+    auto result = RunQuery(engine_->snapshot(), job.query, job.flags);
     std::string frame;
     if (result.ok()) {
       frame = EncodeFrame(MsgType::kResult, job.request_id,
@@ -378,35 +403,47 @@ void Server::WorkerLoop() {
   }
 }
 
-void Server::OnPublish(const std::shared_ptr<const ServingView>& view) {
+Result<WireResult> Server::RunQuery(
+    const std::shared_ptr<const GraphSnapshot>& snap,
+    const FinderQuery& query, uint8_t flags) const {
+  auto result = engine_->QueryAt(snap, query);
+  ST_RETURN_IF_ERROR(result.status());
+  WireResult wire;
+  wire.epoch = result.value().epoch;
+  wire.warm_online = result.value().warm_online;
+  wire.chains = ToWireChains(*snap, result.value(), flags);
+  return wire;
+}
+
+void Server::OnPublish(const std::shared_ptr<const GraphSnapshot>& snap) {
   if (draining_.load(std::memory_order_acquire)) return;
   {
     MutexLock lock(snap_mu_);
-    snapshots_.push_back(view);
+    snapshots_.push_back(snap);
   }
   snap_cv_.NotifyOne();
 }
 
 void Server::NotifierLoop() {
   for (;;) {
-    std::shared_ptr<const ServingView> view;
+    std::shared_ptr<const GraphSnapshot> snap;
     {
       MutexLock lock(snap_mu_);
       while (!stop_notifier_ && snapshots_.empty()) snap_cv_.Wait(lock);
       if (snapshots_.empty()) return;  // stop_notifier_ and drained.
-      view = std::move(snapshots_.front());
+      snap = std::move(snapshots_.front());
       snapshots_.pop_front();
       notifier_busy_ = true;
     }
     // Every epoch is processed (never coalesced): subscribers see the
     // exact per-epoch delta sequence a serial replay would compute.
     for (const auto& sub : registry_.Snapshot()) {
-      auto result = view->RunQuery(sub->query, sub->flags);
+      auto result = RunQuery(snap, sub->query, sub->flags);
       if (!result.ok()) continue;  // Validated at SUBSCRIBE.
       std::vector<WireChain> now = std::move(result.value().chains);
       WireDelta delta = DiffTopK(sub->last, now);
       delta.subscription_id = sub->id;
-      delta.epoch = view->epoch();
+      delta.epoch = snap->epoch;
       sub->last = std::move(now);
       EnqueueOutbound(sub->connection_id,
                       EncodeFrame(MsgType::kDelta, 0,

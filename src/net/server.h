@@ -1,7 +1,6 @@
-// TCP serving layer in front of an Engine or a ShardedEngine (via
-// net/serving_backend.h): a poll-based event loop on one thread
-// (non-blocking sockets, no thread-per-connection), a worker pool built
-// on ReaderFleet executing admitted QUERY requests against pinned
+// TCP serving layer in front of an Engine: a poll-based event loop on one
+// thread (non-blocking sockets, no thread-per-connection), a worker pool
+// built on ReaderFleet executing admitted QUERY requests against pinned
 // epochs, and a notifier thread that turns every published epoch into
 // per-subscription DELTA pushes (net/subscription.h).
 //
@@ -40,7 +39,6 @@
 #include "core/engine.h"
 #include "net/event_loop.h"
 #include "net/protocol.h"
-#include "net/serving_backend.h"
 #include "net/subscription.h"
 #include "util/annotated_mutex.h"
 #include "util/status.h"
@@ -72,9 +70,6 @@ class Server {
   /// `engine` must outlive the server and must not be ingesting yet
   /// when Start() runs (see the lifecycle note above).
   Server(Engine* engine, ServerOptions options);
-  /// Same, fronting a sharded fleet: queries scatter-gather through the
-  /// threshold merge, STATS frames carry per-shard slices.
-  Server(ShardedEngine* engine, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -137,7 +132,10 @@ class Server {
   void RunLoop();
   void WorkerLoop();
   void NotifierLoop();
-  void OnPublish(const std::shared_ptr<const ServingView>& view);
+  void OnPublish(const std::shared_ptr<const GraphSnapshot>& snap);
+  // Answers `query` on the pinned `snap`, rendered for the wire.
+  Result<WireResult> RunQuery(const std::shared_ptr<const GraphSnapshot>& snap,
+                              const FinderQuery& query, uint8_t flags) const;
 
   // Loop-thread-affine handlers and helpers: REQUIRES(loop_.role) makes
   // "only the loop thread touches connection state" compile-checked.
@@ -160,10 +158,11 @@ class Server {
   void DrainOutbound() REQUIRES(loop_.role);
   bool DrainComplete();
   bool AnyPendingOutput() const REQUIRES(loop_.role);
+  // Ids of the open connections, for loops that may close some of them.
+  std::vector<uint64_t> ConnectionIds() const REQUIRES(loop_.role);
 
-  // The served engine, behind the backend abstraction (owned; the
-  // engine itself is borrowed and must outlive the server).
-  const std::unique_ptr<ServingBackend> backend_;
+  // The served engine (borrowed; must outlive the server).
+  Engine* const engine_;
   const ServerOptions options_;
 
   EventLoop loop_;
@@ -190,10 +189,10 @@ class Server {
   Mutex out_mu_;
   std::deque<Outbound> outbound_ GUARDED_BY(out_mu_);
 
-  // Published epoch views awaiting notifier processing.
+  // Published epochs awaiting notifier processing.
   Mutex snap_mu_;
   CondVar snap_cv_;
-  std::deque<std::shared_ptr<const ServingView>> snapshots_
+  std::deque<std::shared_ptr<const GraphSnapshot>> snapshots_
       GUARDED_BY(snap_mu_);
   bool notifier_busy_ GUARDED_BY(snap_mu_) = false;
   bool stop_notifier_ GUARDED_BY(snap_mu_) = false;

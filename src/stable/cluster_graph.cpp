@@ -139,28 +139,6 @@ void ClusterGraph::SortTouched() {
   touched_parents_.clear();
 }
 
-Status ClusterGraph::ScaleEdgeWeights(double factor) {
-  if (frozen_) {
-    return Status::InvalidArgument(
-        "cannot rescale a frozen cluster graph");
-  }
-  if (!(factor > 0)) {
-    return Status::InvalidArgument("scale factor must be positive");
-  }
-  for (auto& list : build_children_) {
-    for (ClusterGraphEdge& e : list) e.weight *= factor;
-    // Rounding can collapse two distinct weights into a tie, whose
-    // (weight desc, target asc) order differs from the pre-scale one;
-    // re-sort so the total order always holds.
-    std::sort(list.begin(), list.end(), ByWeightDesc);
-  }
-  for (auto& list : build_parents_) {
-    for (ClusterGraphEdge& e : list) e.weight *= factor;
-  }
-  MarkAllSealDirty();
-  return Status::OK();
-}
-
 void ClusterGraph::MarkAllSealDirty() {
   std::fill(seal_child_dirty_.begin(), seal_child_dirty_.end(), 1);
   std::fill(seal_parent_dirty_.begin(), seal_parent_dirty_.end(), 1);

@@ -177,12 +177,6 @@ class ClusterGraph {
   /// frozen graph. O(touched lists) per call.
   void SortTouched();
 
-  /// Multiplies every stored edge weight by `factor` (> 0), preserving
-  /// sort order. Build phase only (error once frozen). Superseded on the
-  /// engine's hot path by set_weight_scale (lazy renormalization); kept
-  /// for callers that materialize weights in place. Dirties every chunk.
-  Status ScaleEdgeWeights(double factor);
-
   /// Accepts weights outside (0, 1]: AddEdge then only requires a
   /// positive finite weight, and callers are expected to normalize at
   /// read time via set_weight_scale. Build phase only.
@@ -190,7 +184,7 @@ class ClusterGraph {
 
   /// Read-time weight scale: every EdgeSpan read returns
   /// min(stored * scale, 1.0). Updating the scale re-normalizes the whole
-  /// graph in O(1) — the lazy replacement for ScaleEdgeWeights.
+  /// graph in O(1), instead of rewriting every stored weight.
   void set_weight_scale(double scale) { weight_scale_ = scale; }
   double weight_scale() const { return weight_scale_; }
 
@@ -208,10 +202,6 @@ class ClusterGraph {
   /// copy. `stats`, when non-null, receives the shared/copied counts.
   ClusterGraph SealedCopy(bool materialize_scale = false,
                           SealStats* stats = nullptr);
-
-  /// Forces the next SealedCopy() to rebuild every chunk (the old
-  /// full-copy publish path, kept as a benchmark baseline).
-  void MarkAllSealDirty();
 
   /// True once SortChildren() has compacted the adjacency (or this graph
   /// was produced by SealedCopy()).
@@ -303,6 +293,9 @@ class ClusterGraph {
   // Refreshes the seal cache (sealed_* members) from the build-phase
   // state, rebuilding only dirty chunks. Returns chunk accounting.
   SealStats RefreshSeal(bool materialize_scale);
+
+  // Forces the next RefreshSeal() to rebuild every chunk.
+  void MarkAllSealDirty();
 
   // Marks node `n`'s chunk dirty in `flags` (growing it as needed).
   void MarkChunkDirty(std::vector<uint8_t>* flags, NodeId n);

@@ -21,7 +21,7 @@ namespace stabletext {
 
 /// \brief Minimal aligned allocator: every allocation starts on a cache
 /// line and is padded to whole cache lines, so flat sorted keyword
-/// arrays never split a SIMD block across an unnecessary line boundary.
+/// arrays start on a line boundary.
 template <typename T, size_t Alignment = 64>
 struct CacheAlignedAllocator {
   using value_type = T;

@@ -1,83 +1,11 @@
 #include "util/setops.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-// Compile-time SIMD off-switch (CMake option STABLETEXT_SIMD, default
-// ON). When off — or on a non-x86 target — only the scalar and galloping
-// tiers are compiled and dispatch never selects a vector kernel.
-#ifndef STABLETEXT_SIMD
-#define STABLETEXT_SIMD 1
-#endif
-
-#if STABLETEXT_SIMD && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define STABLETEXT_SETOPS_X86 1
-#include <immintrin.h>
-#else
-#define STABLETEXT_SETOPS_X86 0
-#endif
 
 namespace stabletext {
 namespace setops {
 
 namespace {
-
-std::atomic<Kernel> g_forced{Kernel::kAuto};
-
-#if STABLETEXT_SETOPS_X86
-bool CpuHasSse41() {
-  static const bool has = __builtin_cpu_supports("sse4.1");
-  return has;
-}
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
-// mask (one bit per matched 32-bit lane) -> byte shuffle that compacts
-// the matched lanes of an SSE register to the front. Unmatched tail
-// lanes shuffle in zeros; the caller advances by popcount and treats
-// them as scratch (hence kIntersectIntoPad).
-struct Compact4Table {
-  alignas(16) uint8_t bytes[16][16];
-  Compact4Table() {
-    for (int mask = 0; mask < 16; ++mask) {
-      int packed = 0;
-      for (int lane = 0; lane < 4; ++lane) {
-        if (mask & (1 << lane)) {
-          for (int byte = 0; byte < 4; ++byte) {
-            bytes[mask][4 * packed + byte] =
-                static_cast<uint8_t>(4 * lane + byte);
-          }
-          ++packed;
-        }
-      }
-      for (int k = 4 * packed; k < 16; ++k) bytes[mask][k] = 0x80;
-    }
-  }
-};
-const Compact4Table kCompact4;
-
-// mask -> lane permutation compacting matched AVX2 lanes to the front.
-struct Compact8Table {
-  alignas(32) uint32_t lanes[256][8];
-  Compact8Table() {
-    for (int mask = 0; mask < 256; ++mask) {
-      int packed = 0;
-      for (int lane = 0; lane < 8; ++lane) {
-        if (mask & (1 << lane)) {
-          lanes[mask][packed++] = static_cast<uint32_t>(lane);
-        }
-      }
-      for (; packed < 8; ++packed) lanes[mask][packed] = 0;
-    }
-  }
-};
-const Compact8Table kCompact8;
-#endif  // STABLETEXT_SETOPS_X86
 
 // Smallest index >= pos with arr[idx] >= key (or n): doubling search
 // from pos, then binary search inside the bracketed window.
@@ -97,38 +25,13 @@ size_t GallopLowerBound(const uint32_t* arr, size_t n, size_t pos,
       std::lower_bound(arr + prev + 1, arr + hi, key) - arr);
 }
 
-Kernel BestKernel() {
-#if STABLETEXT_SETOPS_X86
-  if (CpuHasAvx2()) return Kernel::kAvx2;
-  if (CpuHasSse41()) return Kernel::kSse;
-#endif
-  return Kernel::kScalar;
+// True when one set is at least kGallopRatio times the other: galloping
+// then beats the two-pointer merge.
+bool Skewed(size_t na, size_t nb) {
+  const size_t lo = na < nb ? na : nb;
+  const size_t hi = na < nb ? nb : na;
+  return hi >= lo * kGallopRatio;
 }
-
-// Degrades an unavailable request to the best tier at or below it.
-Kernel Clamp(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kAvx2:
-      if (KernelAvailable(Kernel::kAvx2)) return Kernel::kAvx2;
-      [[fallthrough]];
-    case Kernel::kSse:
-      if (KernelAvailable(Kernel::kSse)) return Kernel::kSse;
-      return Kernel::kScalar;
-    default:
-      return kernel;
-  }
-}
-
-// One-time STABLETEXT_SETOPS environment override, applied before main.
-struct EnvForce {
-  EnvForce() {
-    const char* env = std::getenv("STABLETEXT_SETOPS");
-    if (env != nullptr && env[0] != '\0') {
-      ForceKernel(ParseKernelName(env));
-    }
-  }
-};
-const EnvForce g_env_force;
 
 }  // namespace
 
@@ -208,240 +111,18 @@ size_t IntersectIntoGalloping(const uint32_t* a, size_t na,
   return n;
 }
 
-#if STABLETEXT_SETOPS_X86
-
-// 4-wide block kernel: compare an SSE register of a against all four
-// rotations of a register of b (16 pairwise compares), then advance the
-// block whose maximum is smaller — the vector analogue of the scalar
-// merge step. Elements are unique within a sorted set, so each matched
-// a-lane pairs with exactly one b element and popcount(mask) is exact.
-__attribute__((target("sse4.1"))) size_t IntersectionSizeSseImpl(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb) {
-  size_t i = 0, j = 0, count = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    __m128i eq = _mm_cmpeq_epi32(va, vb);
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));  // rot 1
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4E)));  // rot 2
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));  // rot 3
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
-    count += static_cast<size_t>(__builtin_popcount(mask));
-    const uint32_t amax = a[i + 3];
-    const uint32_t bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  return count + IntersectionSizeScalar(a + i, na - i, b + j, nb - j);
-}
-
-__attribute__((target("sse4.1"))) size_t IntersectIntoSseImpl(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb,
-    uint32_t* out) {
-  size_t i = 0, j = 0, n = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    __m128i eq = _mm_cmpeq_epi32(va, vb);
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4E)));
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
-    // Compact matched lanes to the front of the register and store; the
-    // store covers a whole register, which is why `out` carries
-    // kIntersectIntoPad slack beyond min(na, nb).
-    const __m128i shuf = _mm_load_si128(
-        reinterpret_cast<const __m128i*>(kCompact4.bytes[mask]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + n),
-                     _mm_shuffle_epi8(va, shuf));
-    n += static_cast<size_t>(__builtin_popcount(mask));
-    const uint32_t amax = a[i + 3];
-    const uint32_t bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  return n + IntersectIntoScalar(a + i, na - i, b + j, nb - j, out + n);
-}
-
-// 8-wide block kernel: a against all eight rotations of b (64 pairwise
-// compares per iteration).
-__attribute__((target("avx2"))) size_t IntersectionSizeAvx2Impl(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb) {
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  const __m256i rot2 = _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1);
-  const __m256i rot3 = _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2);
-  const __m256i rot4 = _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3);
-  const __m256i rot5 = _mm256_setr_epi32(5, 6, 7, 0, 1, 2, 3, 4);
-  const __m256i rot6 = _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5);
-  const __m256i rot7 = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
-  size_t i = 0, j = 0, count = 0;
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    __m256i eq = _mm256_cmpeq_epi32(va, vb);
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot1)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot2)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot3)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot4)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot5)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot6)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot7)));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    count += static_cast<size_t>(__builtin_popcount(mask));
-    const uint32_t amax = a[i + 7];
-    const uint32_t bmax = b[j + 7];
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  return count + IntersectionSizeScalar(a + i, na - i, b + j, nb - j);
-}
-
-__attribute__((target("avx2"))) size_t IntersectIntoAvx2Impl(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb,
-    uint32_t* out) {
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  const __m256i rot2 = _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1);
-  const __m256i rot3 = _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2);
-  const __m256i rot4 = _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3);
-  const __m256i rot5 = _mm256_setr_epi32(5, 6, 7, 0, 1, 2, 3, 4);
-  const __m256i rot6 = _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5);
-  const __m256i rot7 = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
-  size_t i = 0, j = 0, n = 0;
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    __m256i eq = _mm256_cmpeq_epi32(va, vb);
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot1)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot2)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot3)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot4)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot5)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot6)));
-    eq = _mm256_or_si256(
-        eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, rot7)));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    const __m256i perm = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kCompact8.lanes[mask]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + n),
-                        _mm256_permutevar8x32_epi32(va, perm));
-    n += static_cast<size_t>(__builtin_popcount(mask));
-    const uint32_t amax = a[i + 7];
-    const uint32_t bmax = b[j + 7];
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  return n + IntersectIntoScalar(a + i, na - i, b + j, nb - j, out + n);
-}
-
-#endif  // STABLETEXT_SETOPS_X86
-
-size_t IntersectionSizeSse(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb) {
-#if STABLETEXT_SETOPS_X86
-  if (CpuHasSse41()) return IntersectionSizeSseImpl(a, na, b, nb);
-#endif
-  return IntersectionSizeScalar(a, na, b, nb);
-}
-
-size_t IntersectionSizeAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                            size_t nb) {
-#if STABLETEXT_SETOPS_X86
-  if (CpuHasAvx2()) return IntersectionSizeAvx2Impl(a, na, b, nb);
-#endif
-  return IntersectionSizeScalar(a, na, b, nb);
-}
-
-size_t IntersectIntoSse(const uint32_t* a, size_t na, const uint32_t* b,
-                        size_t nb, uint32_t* out) {
-#if STABLETEXT_SETOPS_X86
-  if (CpuHasSse41()) return IntersectIntoSseImpl(a, na, b, nb, out);
-#endif
-  return IntersectIntoScalar(a, na, b, nb, out);
-}
-
-size_t IntersectIntoAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                         size_t nb, uint32_t* out) {
-#if STABLETEXT_SETOPS_X86
-  if (CpuHasAvx2()) return IntersectIntoAvx2Impl(a, na, b, nb, out);
-#endif
-  return IntersectIntoScalar(a, na, b, nb, out);
-}
-
 size_t IntersectionSize(const uint32_t* a, size_t na, const uint32_t* b,
                         size_t nb) {
   if (na == 0 || nb == 0) return 0;
-  Kernel kernel = g_forced.load(std::memory_order_relaxed);
-  if (kernel == Kernel::kAuto) {
-    const size_t lo = na < nb ? na : nb;
-    const size_t hi = na < nb ? nb : na;
-    kernel = hi >= lo * kGallopRatio ? Kernel::kGalloping : BestKernel();
-  }
-  switch (kernel) {
-    case Kernel::kGalloping:
-      return IntersectionSizeGalloping(a, na, b, nb);
-    case Kernel::kSse:
-      return IntersectionSizeSse(a, na, b, nb);
-    case Kernel::kAvx2:
-      return IntersectionSizeAvx2(a, na, b, nb);
-    case Kernel::kScalar:
-    case Kernel::kAuto:
-      break;
-  }
-  return IntersectionSizeScalar(a, na, b, nb);
+  return Skewed(na, nb) ? IntersectionSizeGalloping(a, na, b, nb)
+                        : IntersectionSizeScalar(a, na, b, nb);
 }
 
 size_t IntersectInto(const uint32_t* a, size_t na, const uint32_t* b,
                      size_t nb, uint32_t* out) {
   if (na == 0 || nb == 0) return 0;
-  Kernel kernel = g_forced.load(std::memory_order_relaxed);
-  if (kernel == Kernel::kAuto) {
-    const size_t lo = na < nb ? na : nb;
-    const size_t hi = na < nb ? nb : na;
-    kernel = hi >= lo * kGallopRatio ? Kernel::kGalloping : BestKernel();
-  }
-  switch (kernel) {
-    case Kernel::kGalloping:
-      return IntersectIntoGalloping(a, na, b, nb, out);
-    case Kernel::kSse:
-      return IntersectIntoSse(a, na, b, nb, out);
-    case Kernel::kAvx2:
-      return IntersectIntoAvx2(a, na, b, nb, out);
-    case Kernel::kScalar:
-    case Kernel::kAuto:
-      break;
-  }
-  return IntersectIntoScalar(a, na, b, nb, out);
+  return Skewed(na, nb) ? IntersectIntoGalloping(a, na, b, nb, out)
+                        : IntersectIntoScalar(a, na, b, nb, out);
 }
 
 bool ContainsSorted(const uint32_t* a, size_t n, uint32_t key) {
@@ -454,63 +135,6 @@ bool ContainsSorted(const uint32_t* a, size_t n, uint32_t key) {
     len -= half;
   }
   return a[lo] == key;
-}
-
-bool KernelAvailable(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kAuto:
-    case Kernel::kScalar:
-    case Kernel::kGalloping:
-      return true;
-    case Kernel::kSse:
-#if STABLETEXT_SETOPS_X86
-      return CpuHasSse41();
-#else
-      return false;
-#endif
-    case Kernel::kAvx2:
-#if STABLETEXT_SETOPS_X86
-      return CpuHasAvx2();
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-Kernel ActiveKernel() {
-  const Kernel forced = g_forced.load(std::memory_order_relaxed);
-  return forced == Kernel::kAuto ? BestKernel() : forced;
-}
-
-void ForceKernel(Kernel kernel) {
-  g_forced.store(kernel == Kernel::kAuto ? Kernel::kAuto : Clamp(kernel),
-                 std::memory_order_relaxed);
-}
-
-const char* KernelName(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kAuto:
-      return "auto";
-    case Kernel::kScalar:
-      return "scalar";
-    case Kernel::kGalloping:
-      return "galloping";
-    case Kernel::kSse:
-      return "sse";
-    case Kernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-Kernel ParseKernelName(const char* name) {
-  if (name == nullptr) return Kernel::kAuto;
-  if (std::strcmp(name, "scalar") == 0) return Kernel::kScalar;
-  if (std::strcmp(name, "galloping") == 0) return Kernel::kGalloping;
-  if (std::strcmp(name, "sse") == 0) return Kernel::kSse;
-  if (std::strcmp(name, "avx2") == 0) return Kernel::kAvx2;
-  return Kernel::kAuto;
 }
 
 }  // namespace setops

@@ -3,24 +3,14 @@
 // library: KeywordIntersectionSize / ClusterAffinity, the SimilarityJoin
 // candidate verification, and Cluster::Contains membership probes.
 //
-// Three kernel tiers behind one dispatched entry point:
-//   scalar     — branchy two-pointer merge; the reference everything
-//                else must match byte-for-byte.
+// Two kernels behind one dispatched entry point:
+//   scalar     — branchy two-pointer merge; the reference the other
+//                kernel must match byte-for-byte.
 //   galloping  — doubling search of the larger set, for skewed size
 //                ratios (|large| / |small| >= kGallopRatio).
-//   sse / avx2 — 4- / 8-wide all-pairs block compares (unaligned loads,
-//                scalar tails), selected at runtime from CPUID.
 //
-// All variants return identical results on identical inputs — sizes,
-// contents and output order — enforced by tests/setops_test.cpp the
-// same way pipeline_parallel_test enforces thread-count invariance.
-//
-// Compile-time off-switch: configure with -DSTABLETEXT_SIMD=OFF (CMake
-// option) to strip the vectorized paths entirely; dispatch then resolves
-// to scalar/galloping only. Runtime override: setops::ForceKernel() or
-// the STABLETEXT_SETOPS environment variable (scalar | galloping | sse |
-// avx2 | auto), with silent fallback to the best available tier when the
-// requested one is not supported by the build or the CPU.
+// Both return identical results on identical inputs — sizes, contents
+// and output order — enforced by tests/setops_test.cpp.
 
 #ifndef STABLETEXT_UTIL_SETOPS_H_
 #define STABLETEXT_UTIL_SETOPS_H_
@@ -31,33 +21,18 @@
 namespace stabletext {
 namespace setops {
 
-/// Kernel tiers, in increasing preference order for balanced inputs.
-enum class Kernel : uint8_t {
-  kAuto = 0,   ///< Dispatch: galloping for skewed sizes, else best SIMD.
-  kScalar,     ///< Two-pointer merge.
-  kGalloping,  ///< Doubling search of the larger set.
-  kSse,        ///< 4-wide SSE4.1 block compare.
-  kAvx2,       ///< 8-wide AVX2 block compare.
-};
-
-/// Size ratio at or above which kAuto prefers galloping over the block
-/// kernels (the smaller set's elements are then rare in the larger one,
-/// so searching beats scanning).
+/// Size ratio at or above which dispatch prefers galloping over the
+/// scalar merge (the smaller set's elements are then rare in the larger
+/// one, so searching beats scanning).
 inline constexpr size_t kGallopRatio = 32;
-
-/// Output slack IntersectInto requires: the vector kernels store whole
-/// registers, so `out` must have room for min(na, nb) +
-/// kIntersectIntoPad elements. Slots past the returned size hold
-/// scratch, never touched input memory.
-inline constexpr size_t kIntersectIntoPad = 8;
 
 /// |a ∩ b| for two strictly-ascending sorted arrays. Dispatched.
 size_t IntersectionSize(const uint32_t* a, size_t na, const uint32_t* b,
                         size_t nb);
 
 /// Writes a ∩ b (ascending) to `out` and returns its size. `out` must
-/// have room for min(na, nb) + kIntersectIntoPad elements and must not
-/// alias the inputs. Dispatched.
+/// have room for min(na, nb) elements and must not alias the inputs.
+/// Dispatched.
 size_t IntersectInto(const uint32_t* a, size_t na, const uint32_t* b,
                      size_t nb, uint32_t* out);
 
@@ -65,47 +40,17 @@ size_t IntersectInto(const uint32_t* a, size_t na, const uint32_t* b,
 bool ContainsSorted(const uint32_t* a, size_t n, uint32_t key);
 
 // ---------------------------------------------------------------------
-// Direct per-kernel entry points (property tests and bench_setops; the
-// SIMD variants fall back to scalar when the tier is unavailable — gate
-// on KernelAvailable() to measure what you think you measure).
+// Direct per-kernel entry points (property tests).
 
 size_t IntersectionSizeScalar(const uint32_t* a, size_t na,
                               const uint32_t* b, size_t nb);
 size_t IntersectionSizeGalloping(const uint32_t* a, size_t na,
                                  const uint32_t* b, size_t nb);
-size_t IntersectionSizeSse(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb);
-size_t IntersectionSizeAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                            size_t nb);
 
 size_t IntersectIntoScalar(const uint32_t* a, size_t na, const uint32_t* b,
                            size_t nb, uint32_t* out);
 size_t IntersectIntoGalloping(const uint32_t* a, size_t na,
                               const uint32_t* b, size_t nb, uint32_t* out);
-size_t IntersectIntoSse(const uint32_t* a, size_t na, const uint32_t* b,
-                        size_t nb, uint32_t* out);
-size_t IntersectIntoAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                         size_t nb, uint32_t* out);
-
-// ---------------------------------------------------------------------
-// Dispatch control / introspection.
-
-/// True if `kernel` is compiled in and supported by this CPU.
-bool KernelAvailable(Kernel kernel);
-
-/// The tier kAuto resolves to for balanced (non-skewed) inputs.
-Kernel ActiveKernel();
-
-/// Overrides dispatch for this process (tests, benches, the
-/// STABLETEXT_SETOPS env var at startup). kAuto restores the default.
-/// An unavailable kernel silently degrades to the best available tier.
-void ForceKernel(Kernel kernel);
-
-const char* KernelName(Kernel kernel);
-
-/// Parses "scalar" | "galloping" | "sse" | "avx2" | "auto"; returns
-/// kAuto for anything else.
-Kernel ParseKernelName(const char* name);
 
 }  // namespace setops
 }  // namespace stabletext

@@ -70,11 +70,10 @@ TEST(AffinityTest, WeightedJaccardValues) {
       ClusterAffinity(a, a, AffinityMeasure::kWeightedJaccard), 1.0);
 }
 
-// Cluster sizes at the SIMD register boundaries (16 and 32 elements, ±1):
-// the affinity values must not depend on whether the intersection kernel
-// takes the vector path, the scalar tail, or both. Compares the dispatched
-// result against a hand-maintained merge count.
-TEST(AffinityTest, SimdRegisterBoundarySizes) {
+// Cluster sizes around 16 and 32 elements (±1): the dispatched
+// intersection and every affinity derived from it must match a
+// hand-maintained merge count.
+TEST(AffinityTest, SizesAround16And32) {
   Rng rng(160032);
   for (size_t na : {15u, 16u, 17u, 31u, 32u, 33u}) {
     for (size_t nb : {15u, 16u, 17u, 31u, 32u, 33u}) {

@@ -1,9 +1,8 @@
 // Chunked copy-on-write epoch publication: the invariants behind the
 // O(delta) publish path. Untouched adjacency chunks must be shared by
 // pointer across epochs, pinned old epochs must stay byte-stable while
-// the writer keeps committing, lazy read-time renormalization must equal
-// the eager materialized baseline byte-for-byte for every finder, and the
-// chunk-shared publish must answer exactly like the old full-copy path.
+// the writer keeps committing, and lazy read-time renormalization must
+// equal the eager materialized baseline byte-for-byte for every finder.
 
 #include <gtest/gtest.h>
 
@@ -248,33 +247,6 @@ TEST(ChunkedPublishTest, LazyRenormalizationMatchesEagerTa) {
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_EQ(PathsFingerprint(l.value()), PathsFingerprint(e.value()));
   EXPECT_FALSE(l.value().chains.empty());
-}
-
-// The chunk-shared publish answers exactly like the old full-copy path
-// (cow_publish=false, the bench_publish baseline).
-TEST(ChunkedPublishTest, CowPublishMatchesFullCopyBaseline) {
-  const auto days = GenerateDays(6);
-  EngineOptions cow_opt = TestOptions();
-  EngineOptions full_opt = TestOptions();
-  full_opt.cow_publish = false;
-  Engine cow(cow_opt);
-  Engine full(full_opt);
-  for (uint32_t day = 0; day < days.size(); ++day) {
-    ASSERT_TRUE(cow.IngestText(days[day]).ok());
-    ASSERT_TRUE(full.IngestText(days[day]).ok());
-    EXPECT_EQ(GraphFingerprint(*cow.snapshot()->graph),
-              GraphFingerprint(*full.snapshot()->graph))
-        << "tick " << day;
-    auto c = cow.Query(MakeQuery(FinderAlgorithm::kBfs, 4, 2));
-    auto f = full.Query(MakeQuery(FinderAlgorithm::kBfs, 4, 2));
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(f.ok());
-    EXPECT_EQ(PathsFingerprint(c.value()), PathsFingerprint(f.value()));
-  }
-  // The baseline rebuilds everything: no chunk is ever shared.
-  EXPECT_EQ(full.stats().shared_chunk_count, 0u);
-  EXPECT_EQ(full.stats().copied_chunk_count,
-            2 * full.snapshot()->graph->chunk_count());
 }
 
 // An epoch-0 (empty) snapshot answers every algorithm in the registry

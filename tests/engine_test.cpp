@@ -1,9 +1,10 @@
 // Engine API: incremental ingest ≡ batch build. Intervals ingested one at
 // a time with interleaved queries must leave the engine in a state
-// byte-identical to ingesting everything up front (and to the legacy
-// batch pipeline shim), for every algorithm in the registry and for 1 and
-// 4 worker threads. Plus lifecycle validation, registry reachability (TA,
-// brute-force, online, diversified) and the corpus-file ingest contract.
+// byte-identical to ingesting everything up front (and to a pipelined
+// IngestTicks batch frozen by Compact), for every algorithm in the
+// registry and for 1 and 4 worker threads. Plus lifecycle validation,
+// registry reachability (TA, brute-force, online, diversified) and the
+// corpus-file ingest contract.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/pipeline.h"
 #include "gen/corpus_generator.h"
 #include "stable/diversify.h"
 #include "storage/temp_dir.h"
@@ -120,17 +120,17 @@ TEST(EngineEquivalenceTest, IncrementalMatchesBatchAllAlgorithms) {
       ASSERT_TRUE(batch.IngestText(days[day]).ok());
     }
 
-    // Legacy facade: the deprecated shim must agree too.
-    StableClusterPipeline shim(TestOptions(/*gap=*/1, threads));
-    for (uint32_t day = 0; day < kDays; ++day) {
-      ASSERT_TRUE(shim.AddIntervalText(days[day]).ok());
-    }
-    ASSERT_TRUE(shim.BuildClusterGraph().ok());
+    // One IngestTicks batch (pipelined when threads > 1), then frozen.
+    Engine compacted(TestOptions(/*gap=*/1, threads));
+    auto ingested = compacted.IngestTicks(days);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    EXPECT_EQ(ingested.value(), kDays);
+    ASSERT_TRUE(compacted.Compact().ok());
 
     EXPECT_EQ(GraphFingerprint(incremental.graph()),
               GraphFingerprint(batch.graph()));
     EXPECT_EQ(GraphFingerprint(incremental.graph()),
-              GraphFingerprint(*shim.cluster_graph()));
+              GraphFingerprint(compacted.graph()));
 
     for (const FinderAlgorithm algorithm :
          {FinderAlgorithm::kBfs, FinderAlgorithm::kDfs,
@@ -158,17 +158,15 @@ TEST(EngineEquivalenceTest, IncrementalMatchesBatchAllAlgorithms) {
     EXPECT_EQ(PathsFingerprint(inc_norm.value()),
               PathsFingerprint(bat_norm.value()));
 
-    // And the shim's answers are the engine's answers.
-    auto shim_chains = shim.FindStableClusters(4, 2, FinderKind::kBfs);
-    auto engine_chains = incremental.Query(MakeQuery(
-        FinderAlgorithm::kBfs, 4, 2));
-    ASSERT_TRUE(shim_chains.ok());
-    ASSERT_TRUE(engine_chains.ok());
-    ASSERT_EQ(shim_chains.value().size(),
-              engine_chains.value().chains.size());
-    for (size_t i = 0; i < shim_chains.value().size(); ++i) {
-      EXPECT_EQ(shim_chains.value()[i].path.nodes,
-                engine_chains.value().chains[i].path.nodes);
+    // And the frozen engine answers like the live ones.
+    for (const FinderAlgorithm algorithm :
+         {FinderAlgorithm::kBfs, FinderAlgorithm::kDfs}) {
+      auto frozen = compacted.Query(MakeQuery(algorithm, 4, 2));
+      auto live = incremental.Query(MakeQuery(algorithm, 4, 2));
+      ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+      ASSERT_TRUE(live.ok());
+      EXPECT_EQ(PathsFingerprint(frozen.value()),
+                PathsFingerprint(live.value()));
     }
   }
 }
@@ -383,20 +381,6 @@ TEST(EngineTest, IngestCorpusFileReturnsIntervalCount) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value(), 3u);
   EXPECT_EQ(engine.interval_count(), 3u);
-
-  // The deprecated shim reports the same count through Result<uint32_t>.
-  StableClusterPipeline shim(TestOptions(1, 1));
-  auto shim_loaded = shim.AddCorpusFile(std::filesystem::path(path));
-  ASSERT_TRUE(shim_loaded.ok());
-  EXPECT_EQ(shim_loaded.value(), 3u);
-
-  // The shim keeps the historical strict validation the engine relaxed:
-  // an out-of-range l is an error, not an empty answer.
-  ASSERT_TRUE(shim.BuildClusterGraph().ok());
-  EXPECT_EQ(shim.FindStableClusters(3, 10).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(shim.FindNormalizedStableClusters(3, 10).status().code(),
-            StatusCode::kInvalidArgument);
 
   EXPECT_EQ(engine.IngestCorpusFile(dir.FilePath("missing.txt"))
                 .status()

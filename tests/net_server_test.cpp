@@ -1,11 +1,13 @@
-// Network serving layer: protocol codec round-trips, byte-identical
-// answers through the TCP path, exact per-epoch subscription deltas
-// against a serial replay, deterministic admission-control shedding, and
-// graceful-shutdown flushing. Built to run under ThreadSanitizer (the CI
-// tsan job): the server's loop/worker/notifier threads, the engine's
-// writer and the test's client threads all overlap here.
+// Network serving layer: protocol codec round-trips and hostile-input
+// bounds, byte-identical answers through the TCP path, exact per-epoch
+// subscription deltas against a serial replay, deterministic
+// admission-control shedding, and graceful-shutdown flushing. Built to
+// run under ThreadSanitizer (the CI tsan job): the server's
+// loop/worker/notifier threads, the engine's writer and the test's client
+// threads all overlap here.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -74,8 +76,25 @@ Query MakeQuery(FinderAlgorithm algorithm, size_t k, uint32_t l) {
   return q;
 }
 
-// The server's own wire rendering of a direct Engine::QueryAt answer —
-// the reference the TCP path must match byte for byte.
+// The wire rendering of a QueryResult: paths, weights, lengths, plus
+// snapshot-rendered chain text under kFlagRender.
+std::vector<WireChain> ToWireChains(const GraphSnapshot& snapshot,
+                                    const QueryResult& result,
+                                    uint8_t flags) {
+  std::vector<WireChain> out;
+  for (const StableClusterChain& chain : result.chains) {
+    WireChain wire;
+    wire.nodes = chain.path.nodes;
+    wire.weight = chain.path.weight;
+    wire.length = chain.path.length;
+    if (flags & kFlagRender) wire.rendered = snapshot.RenderChain(chain);
+    out.push_back(std::move(wire));
+  }
+  return out;
+}
+
+// A direct Engine::QueryAt answer rendered for the wire — the reference
+// the TCP path must match byte for byte.
 WireResult DirectAnswer(const Engine& engine,
                         const std::shared_ptr<const GraphSnapshot>& snap,
                         const Query& query, uint8_t flags) {
@@ -95,6 +114,73 @@ bool SameChains(const std::vector<WireChain>& a,
     if (a[i] != b[i]) return false;
   }
   return true;
+}
+
+template <typename T>
+void AppendPod(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// Holds every query worker (ServerOptions::worker_test_hook) until
+// released.
+struct Latch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return released; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+// Releases a latch on scope exit. Declared after the server, it runs
+// before ~Server joins the latched workers, so a failed assertion
+// cannot hang the test.
+struct ReleaseOnExit {
+  Latch* latch;
+  ~ReleaseOnExit() { latch->Release(); }
+};
+
+// Writes all of `bytes` to a blocking test socket.
+void SendAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const IoOutcome io =
+        WriteSome(fd, bytes.data() + off, bytes.size() - off);
+    ASSERT_TRUE(io.ok);
+    off += static_cast<size_t>(io.n);
+  }
+}
+
+// Reads from a blocking test socket until `reader` yields one frame; a
+// torn stream or a hang-up is a fatal failure.
+void ReadFrame(int fd, FrameReader* reader, Frame* frame) {
+  for (;;) {
+    const Status s = reader->Next(frame);
+    if (s.ok()) return;
+    ASSERT_EQ(s.code(), StatusCode::kNotFound) << s.ToString();
+    ASSERT_TRUE(WaitReadable(fd, 30000).ok());
+    char buf[4096];
+    const IoOutcome io = ReadSome(fd, buf, sizeof(buf));
+    ASSERT_TRUE(io.ok);
+    ASSERT_NE(io.n, 0) << "server hung up";
+    reader->Feed(buf, static_cast<size_t>(io.n));
+  }
+}
+
+// Closes `fd` with SO_LINGER {1, 0}: the peer sees a reset, not a FIN.
+void ResetClose(int fd) {
+  const linger abort_close{1, 0};
+  EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_close,
+                         sizeof(abort_close)),
+            0);
+  ::close(fd);
 }
 
 // --------------------------------------------------------------- codec
@@ -260,6 +346,60 @@ TEST(NetProtocolTest, DiffTopKThenApplyDeltaReproducesTarget) {
   bad.changes = {{5, entry(1, 2, 0.1)}};
   std::vector<WireChain> state;
   EXPECT_EQ(ApplyDelta(&state, bad).code(), StatusCode::kCorruption);
+}
+
+// A RESULT or DELTA body announcing ~4G chains in a few bytes is
+// corruption, not a 4G-element allocation: a count larger than the
+// remaining bytes could hold is rejected before anything is sized.
+TEST(NetProtocolTest, InflatedChainCountIsCorruption) {
+  std::string result_body;
+  AppendPod<uint64_t>(&result_body, 1);  // epoch
+  AppendPod<uint8_t>(&result_body, 0);   // warm_online
+  AppendPod<uint32_t>(&result_body, 0xFFFFFFFFu);
+  ASSERT_EQ(result_body.size(), 13u);
+  WireResult result;
+  EXPECT_EQ(DecodeResultBody(result_body, &result).code(),
+            StatusCode::kCorruption);
+
+  std::string delta_body;
+  AppendPod<uint64_t>(&delta_body, 1);  // subscription_id
+  AppendPod<uint64_t>(&delta_body, 2);  // epoch
+  AppendPod<uint32_t>(&delta_body, 1);  // new_size
+  AppendPod<uint32_t>(&delta_body, 0xFFFFFFFFu);
+  WireDelta delta;
+  EXPECT_EQ(DecodeDeltaBody(delta_body, &delta).code(),
+            StatusCode::kCorruption);
+
+  // The bound is exact: as many empty chains as the bytes hold decode.
+  WireResult two_empty;
+  two_empty.chains = {WireChain{}, WireChain{}};
+  ASSERT_TRUE(DecodeResultBody(EncodeResultBody(two_empty), &result).ok());
+  EXPECT_EQ(result.chains.size(), 2u);
+}
+
+// ApplyDelta validates before it resizes: DiffTopK lists every rank at
+// or beyond the old size, so new_size can exceed the old size by at most
+// the number of changes. A hostile new_size leaves the top-k untouched.
+TEST(NetProtocolTest, ApplyDeltaRejectsGrowthBeyondItsChanges) {
+  WireChain chain;
+  chain.nodes = {1, 2};
+  chain.weight = 0.5;
+  chain.length = 1;
+  std::vector<WireChain> topk(2, chain);
+
+  WireDelta hostile;
+  hostile.new_size = 0xFFFFFFFFu;
+  EXPECT_EQ(ApplyDelta(&topk, hostile).code(), StatusCode::kCorruption);
+  EXPECT_EQ(topk.size(), 2u);
+
+  WireDelta grow;
+  grow.changes = {{2, chain}};
+  grow.new_size = 4;  // One past old size + changes.
+  EXPECT_EQ(ApplyDelta(&topk, grow).code(), StatusCode::kCorruption);
+  EXPECT_EQ(topk.size(), 2u);
+  grow.new_size = 3;
+  ASSERT_TRUE(ApplyDelta(&topk, grow).ok());
+  EXPECT_EQ(topk.size(), 3u);
 }
 
 // ------------------------------------------------------- query serving
@@ -458,18 +598,14 @@ TEST(NetServerTest, OverloadShedsDeterministically) {
   Engine engine(TestOptions());
   ASSERT_TRUE(engine.IngestText(Days()[0]).ok());
 
-  std::mutex latch_mu;
-  std::condition_variable latch_cv;
-  bool released = false;
+  auto latch = std::make_shared<Latch>();
   ServerOptions options;
   options.workers = 2;
   options.max_inflight = 4;
   options.queue_depth = 64;
-  options.worker_test_hook = [&] {
-    std::unique_lock<std::mutex> lock(latch_mu);
-    latch_cv.wait(lock, [&] { return released; });
-  };
+  options.worker_test_hook = [latch] { latch->Wait(); };
   net::Server server(&engine, options);
+  ReleaseOnExit release_on_exit{latch.get()};
   ASSERT_TRUE(server.Start().ok());
 
   auto fd = ConnectTcp("127.0.0.1", server.port());
@@ -484,13 +620,7 @@ TEST(NetServerTest, OverloadShedsDeterministically) {
   for (int i = 0; i < kTotal; ++i) {
     burst += EncodeFrame(MsgType::kQuery, 100 + i, body);
   }
-  size_t off = 0;
-  while (off < burst.size()) {
-    const IoOutcome io =
-        WriteSome(fd.value(), burst.data() + off, burst.size() - off);
-    ASSERT_TRUE(io.ok);
-    off += static_cast<size_t>(io.n);
-  }
+  ASSERT_NO_FATAL_FAILURE(SendAll(fd.value(), burst));
 
   // Collect the 16 RETRYs while the workers are still parked, then
   // release them for the 4 RESULTs.
@@ -498,20 +628,9 @@ TEST(NetServerTest, OverloadShedsDeterministically) {
   int results = 0;
   int retries = 0;
   std::map<uint64_t, int> seen_ids;
-  for (int received = 0; received < kTotal;) {
+  for (int received = 0; received < kTotal; ++received) {
     Frame frame;
-    Status s = reader.Next(&frame);
-    if (s.code() == StatusCode::kNotFound) {
-      ASSERT_TRUE(WaitReadable(fd.value(), 30000).ok());
-      char buf[4096];
-      const IoOutcome io = ReadSome(fd.value(), buf, sizeof(buf));
-      ASSERT_TRUE(io.ok);
-      ASSERT_NE(io.n, 0) << "server hung up mid-burst";
-      reader.Feed(buf, static_cast<size_t>(io.n));
-      continue;
-    }
-    ASSERT_TRUE(s.ok()) << "torn frame: " << s.ToString();
-    ++received;
+    ASSERT_NO_FATAL_FAILURE(ReadFrame(fd.value(), &reader, &frame));
     ++seen_ids[frame.request_id];
     if (frame.type == MsgType::kResult) {
       ++results;
@@ -523,11 +642,8 @@ TEST(NetServerTest, OverloadShedsDeterministically) {
     } else {
       FAIL() << "unexpected frame type";
     }
-    if (retries == kTotal - static_cast<int>(options.max_inflight) &&
-        !released) {
-      std::lock_guard<std::mutex> lock(latch_mu);
-      released = true;
-      latch_cv.notify_all();
+    if (retries == kTotal - static_cast<int>(options.max_inflight)) {
+      latch->Release();
     }
   }
   EXPECT_EQ(results, static_cast<int>(options.max_inflight));
@@ -588,6 +704,64 @@ TEST(NetServerTest, GracefulShutdownFlushesDeltasThenByes) {
   auto after = client.NextPush(/*timeout_ms=*/5000, &is_bye);
   EXPECT_FALSE(after.ok());
   EXPECT_FALSE(is_bye);
+}
+
+// Graceful shutdown while clients reset their sockets (SO_LINGER {1, 0}
+// then close) under a drain held open by latched workers: a connection
+// that dies during the farewell BYE pass is closed — and erased —
+// mid-pass, which must not disturb the pass. The healthy client still
+// gets its BYE and every admitted query is accounted for.
+TEST(NetServerTest, ShutdownSurvivesResetClients) {
+  Engine engine(TestOptions());
+  ASSERT_TRUE(engine.IngestText(Days()[0]).ok());
+
+  auto latch = std::make_shared<Latch>();
+  ServerOptions options;
+  options.workers = 2;
+  options.worker_test_hook = [latch] { latch->Wait(); };
+  net::Server server(&engine, options);
+  ReleaseOnExit release_on_exit{latch.get()};
+  ASSERT_TRUE(server.Start().ok());
+
+  Client healthy;
+  ASSERT_TRUE(
+      healthy.Connect("127.0.0.1", server.port(), /*attempts=*/5).ok());
+  ASSERT_TRUE(healthy.Ping().ok());
+
+  // Each raw client sends a QUERY (admitted, then parked on the latch)
+  // followed by a PING; frames of one connection are handled in order,
+  // so the PONG proves the query was admitted, not shed.
+  constexpr int kResetClients = 6;
+  const std::string query = EncodeFrame(
+      MsgType::kQuery, 1,
+      EncodeQueryBody(MakeQuery(FinderAlgorithm::kBfs, 3, 2), 0));
+  const std::string ping = EncodeFrame(MsgType::kPing, 2, "");
+  std::vector<int> fds;
+  for (int i = 0; i < kResetClients; ++i) {
+    auto fd = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    fds.push_back(fd.value());
+    ASSERT_NO_FATAL_FAILURE(SendAll(fd.value(), query + ping));
+    FrameReader reader;
+    Frame frame;
+    ASSERT_NO_FATAL_FAILURE(ReadFrame(fd.value(), &reader, &frame));
+    ASSERT_EQ(frame.type, MsgType::kPong);
+  }
+
+  // Shut down with the drain held open, reset every raw client, then
+  // let the workers finish so the drain completes into the farewell.
+  std::thread closer([&] { server.Shutdown(); });
+  for (const int fd : fds) ResetClose(fd);
+  latch->Release();
+
+  bool is_bye = false;
+  auto push = healthy.NextPush(/*timeout_ms=*/30000, &is_bye);
+  EXPECT_TRUE(push.ok()) << push.status().ToString();
+  EXPECT_TRUE(is_bye);
+  closer.join();
+  EXPECT_FALSE(server.running());
+  EXPECT_EQ(server.queries_served() + server.queries_failed(),
+            static_cast<uint64_t>(kResetClients));
 }
 
 // PING and STATS stay responsive and consistent through the serving

@@ -1,15 +1,18 @@
-// Parallel-pipeline determinism: 1-thread and N-thread runs must produce
-// byte-identical cluster and stable-path output. Keyword ids are interned
-// on the submitting thread and join results stitched in interval order, so
-// nothing downstream may depend on worker scheduling. A tight sort budget
-// additionally forces spilled runs through the pooled run-generation path.
+// Parallel-pipeline determinism: 1-thread and N-thread engines must
+// produce byte-identical cluster and stable-path output. With threads > 1
+// IngestTicks overlaps interval t+1's clustering with interval t's commit;
+// keyword ids are interned on the submitting thread and join results
+// stitched in interval order, so nothing downstream may depend on worker
+// scheduling. A tight sort budget additionally forces spilled runs
+// through the pooled run-generation path.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "core/pipeline.h"
+#include "core/engine.h"
 #include "gen/corpus_generator.h"
 #include "util/strings.h"
 
@@ -29,8 +32,8 @@ CorpusGenOptions SmallCorpus() {
   return opt;
 }
 
-PipelineOptions BaseOptions(size_t threads) {
-  PipelineOptions opt;
+EngineOptions BaseOptions(size_t threads) {
+  EngineOptions opt;
   opt.gap = 2;
   opt.threads = threads;
   opt.clustering.pruning.rho_threshold = 0.2;
@@ -39,73 +42,80 @@ PipelineOptions BaseOptions(size_t threads) {
   return opt;
 }
 
-// Renders everything observable about a finished pipeline: per-interval
-// cluster sets (keywords as text), graph shape, and top-k stable chains.
-std::string Fingerprint(const StableClusterPipeline& pipeline) {
+// Renders everything observable about a compacted engine: per-interval
+// cluster sets (keywords as text) and the graph's edges.
+std::string Fingerprint(const Engine& engine) {
   std::string out;
-  for (uint32_t i = 0; i < pipeline.interval_count(); ++i) {
-    const IntervalResult& r = pipeline.interval_result(i);
+  for (uint32_t i = 0; i < engine.interval_count(); ++i) {
+    const IntervalResult& r = engine.interval_result(i);
     out += StringPrintf("interval %u: %zu clusters, %zu pruned edges\n", i,
                         r.clusters.size(),
                         r.graph_summary.prune.surviving_edges);
     for (const Cluster& c : r.clusters) {
-      out += "  " + c.ToString(pipeline.dict(), 64) + "\n";
+      out += "  " + c.ToString(engine.dict(), 64) + "\n";
     }
   }
-  const ClusterGraph* graph = pipeline.cluster_graph();
-  out += StringPrintf("graph: %zu nodes, %zu edges\n", graph->node_count(),
-                      graph->edge_count());
-  for (NodeId v = 0; v < graph->node_count(); ++v) {
-    for (const ClusterGraphEdge& e : graph->Children(v)) {
+  const ClusterGraph& graph = engine.graph();
+  out += StringPrintf("graph: %zu nodes, %zu edges\n", graph.node_count(),
+                      graph.edge_count());
+  for (NodeId v = 0; v < graph.node_count(); ++v) {
+    for (const ClusterGraphEdge& e : graph.Children(v)) {
       out += StringPrintf("  %u -> %u %.9f\n", v, e.target, e.weight);
     }
   }
   return out;
 }
 
-std::string ChainFingerprint(const StableClusterPipeline& pipeline) {
+// The rendered top-k chains of a bfs full-path, a dfs l=3 and a
+// normalized bfs lmin=2 query.
+std::string ChainFingerprint(const Engine& engine) {
   std::string out;
-  auto full = pipeline.FindStableClusters(5, 0, FinderKind::kBfs);
-  EXPECT_TRUE(full.ok());
-  for (const StableClusterChain& chain : full.value()) {
-    out += pipeline.RenderChain(chain, 16);
-  }
-  auto dfs = pipeline.FindStableClusters(4, 3, FinderKind::kDfs);
-  EXPECT_TRUE(dfs.ok());
-  for (const StableClusterChain& chain : dfs.value()) {
-    out += pipeline.RenderChain(chain, 16);
-  }
-  auto norm = pipeline.FindNormalizedStableClusters(4, 2);
-  EXPECT_TRUE(norm.ok());
-  for (const StableClusterChain& chain : norm.value()) {
-    out += pipeline.RenderChain(chain, 16);
+  for (const auto& [algorithm, mode, k, l] :
+       {std::tuple{FinderAlgorithm::kBfs, FinderMode::kKlStable, 5, 0},
+        std::tuple{FinderAlgorithm::kDfs, FinderMode::kKlStable, 4, 3},
+        std::tuple{FinderAlgorithm::kBfs, FinderMode::kNormalized, 4, 2}}) {
+    Query query;
+    query.algorithm = algorithm;
+    query.mode = mode;
+    query.k = k;
+    query.l = l;
+    auto r = engine.Query(query);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) continue;
+    for (const StableClusterChain& chain : r.value().chains) {
+      out += engine.RenderChain(chain, 16);
+    }
   }
   return out;
 }
 
 struct RunOutput {
-  std::string pipeline;
+  std::string engine;
   std::string chains;
 };
 
 RunOutput RunWithThreads(size_t threads, size_t sort_memory_bytes) {
   CorpusGenerator gen(SmallCorpus());
-  PipelineOptions popt = BaseOptions(threads);
-  popt.clustering.counting.sort_memory_bytes = sort_memory_bytes;
-  StableClusterPipeline pipeline(popt);
+  EngineOptions opt = BaseOptions(threads);
+  opt.clustering.counting.sort_memory_bytes = sort_memory_bytes;
+  std::vector<std::vector<std::string>> ticks;
   for (uint32_t day = 0; day < 6; ++day) {
-    EXPECT_TRUE(pipeline.AddIntervalText(gen.GenerateDay(day)).ok());
+    ticks.push_back(gen.GenerateDay(day));
   }
-  EXPECT_TRUE(pipeline.BuildClusterGraph().ok());
-  return RunOutput{Fingerprint(pipeline), ChainFingerprint(pipeline)};
+  Engine engine(opt);
+  auto ingested = engine.IngestTicks(ticks);
+  EXPECT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_TRUE(engine.Compact().ok());
+  return RunOutput{Fingerprint(engine), ChainFingerprint(engine)};
 }
 
 TEST(PipelineParallelTest, ThreadCountDoesNotChangeOutput) {
   const RunOutput sequential = RunWithThreads(1, 32 << 20);
-  ASSERT_FALSE(sequential.pipeline.empty());
+  ASSERT_FALSE(sequential.engine.empty());
+  ASSERT_FALSE(sequential.chains.empty());
   for (const size_t threads : {2u, 4u, 8u}) {
     const RunOutput parallel = RunWithThreads(threads, 32 << 20);
-    EXPECT_EQ(sequential.pipeline, parallel.pipeline)
+    EXPECT_EQ(sequential.engine, parallel.engine)
         << "threads=" << threads;
     EXPECT_EQ(sequential.chains, parallel.chains)
         << "threads=" << threads;
@@ -117,17 +127,11 @@ TEST(PipelineParallelTest, SpilledSortRunsAreDeterministicToo) {
   // pooled run-generation + loser-tree merge path.
   const RunOutput sequential = RunWithThreads(1, 64 << 10);
   const RunOutput parallel = RunWithThreads(4, 64 << 10);
-  EXPECT_EQ(sequential.pipeline, parallel.pipeline);
+  EXPECT_EQ(sequential.engine, parallel.engine);
   EXPECT_EQ(sequential.chains, parallel.chains);
   // And the budget itself must not change the answer either.
   const RunOutput roomy = RunWithThreads(4, 32 << 20);
-  EXPECT_EQ(sequential.pipeline, roomy.pipeline);
-}
-
-TEST(PipelineParallelTest, ParallelErrorsSurfaceAtBuild) {
-  PipelineOptions popt = BaseOptions(4);
-  StableClusterPipeline pipeline(popt);
-  EXPECT_FALSE(pipeline.BuildClusterGraph().ok());  // No intervals.
+  EXPECT_EQ(sequential.engine, roomy.engine);
 }
 
 }  // namespace

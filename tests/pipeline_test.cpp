@@ -1,13 +1,14 @@
 // End-to-end integration: synthetic corpus with planted events -> Section 3
 // clusters -> cluster graph -> stable clusters. Ground truth: the planted
 // events must be recovered as clusters and as stable paths; query
-// refinement must surface co-event keywords.
+// refinement must surface co-event keywords. Every case drives the one
+// public front door: Engine ingest, Compact, then Query.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "core/pipeline.h"
+#include "core/engine.h"
 #include "core/query_refiner.h"
 #include "gen/corpus_generator.h"
 #include "storage/temp_dir.h"
@@ -28,8 +29,8 @@ CorpusGenOptions TestCorpusOptions(uint32_t days) {
   return opt;
 }
 
-PipelineOptions TestPipelineOptions(uint32_t gap = 1) {
-  PipelineOptions opt;
+EngineOptions TestEngineOptions(uint32_t gap = 1) {
+  EngineOptions opt;
   opt.gap = gap;
   // The paper's rho threshold; a support floor compensates for the small
   // corpus (800 posts/day vs BlogScope's ~200k), where chance
@@ -39,6 +40,22 @@ PipelineOptions TestPipelineOptions(uint32_t gap = 1) {
   opt.clustering.pruning.min_pair_support = 8;
   opt.affinity.theta = 0.1;
   return opt;
+}
+
+// Top-k stable clusters on the engine's latest epoch: length l (0 =
+// full) in kl-stable mode, minimum length l in normalized mode.
+Result<std::vector<StableClusterChain>> FindStable(
+    const Engine& engine, size_t k, uint32_t l,
+    FinderAlgorithm algorithm = FinderAlgorithm::kBfs,
+    FinderMode mode = FinderMode::kKlStable) {
+  Query query;
+  query.algorithm = algorithm;
+  query.mode = mode;
+  query.k = k;
+  query.l = l;
+  auto r = engine.Query(query);
+  if (!r.ok()) return r.status();
+  return std::move(r).value().chains;
 }
 
 // True if some cluster in `result` contains all `stems` (already stemmed).
@@ -65,33 +82,33 @@ class PipelineIntegrationTest : public ::testing::Test {
     CorpusGenOptions copt = TestCorpusOptions(7);
     copt.script = EventScript::PaperWeek();
     CorpusGenerator gen(copt);
-    pipeline_ = new StableClusterPipeline(TestPipelineOptions(2));
+    engine_ = new Engine(TestEngineOptions(2));
     for (uint32_t day = 0; day < 7; ++day) {
-      ASSERT_TRUE(pipeline_->AddIntervalText(gen.GenerateDay(day)).ok());
+      ASSERT_TRUE(engine_->IngestText(gen.GenerateDay(day)).ok());
     }
-    ASSERT_TRUE(pipeline_->BuildClusterGraph().ok());
+    ASSERT_TRUE(engine_->Compact().ok());
   }
   static void TearDownTestSuite() {
-    delete pipeline_;
-    pipeline_ = nullptr;
+    delete engine_;
+    engine_ = nullptr;
   }
-  static StableClusterPipeline* pipeline_;
+  static Engine* engine_;
 };
 
-StableClusterPipeline* PipelineIntegrationTest::pipeline_ = nullptr;
+Engine* PipelineIntegrationTest::engine_ = nullptr;
 
 TEST_F(PipelineIntegrationTest, RecoversSingleDayEventClusters) {
   // Figure 1 analog: the stem-cell event on day 2 forms a cluster with
   // its (stemmed) keywords; it is absent on other days.
-  const KeywordDict& dict = pipeline_->dict();
-  EXPECT_TRUE(HasClusterWith(pipeline_->interval_result(2), dict,
+  const KeywordDict& dict = engine_->dict();
+  EXPECT_TRUE(HasClusterWith(engine_->interval_result(2), dict,
                              {"stem", "cell", "amniot"}));
-  EXPECT_FALSE(HasClusterWith(pipeline_->interval_result(1), dict,
+  EXPECT_FALSE(HasClusterWith(engine_->interval_result(1), dict,
                               {"stem", "cell", "amniot"}));
   // Figure 2 analog: Beckham on day 6 only.
-  EXPECT_TRUE(HasClusterWith(pipeline_->interval_result(6), dict,
+  EXPECT_TRUE(HasClusterWith(engine_->interval_result(6), dict,
                              {"beckham", "galaxi", "madrid"}));
-  EXPECT_FALSE(HasClusterWith(pipeline_->interval_result(5), dict,
+  EXPECT_FALSE(HasClusterWith(engine_->interval_result(5), dict,
                               {"beckham", "galaxi", "madrid"}));
 }
 
@@ -100,7 +117,7 @@ TEST_F(PipelineIntegrationTest, BackgroundNoiseDoesNotFormGiantClusters) {
   // largest cluster should be event-scale, not noise-scale.
   for (uint32_t day = 0; day < 7; ++day) {
     size_t largest = 0;
-    for (const Cluster& c : pipeline_->interval_result(day).clusters) {
+    for (const Cluster& c : engine_->interval_result(day).clusters) {
       largest = std::max(largest, c.keywords.size());
     }
     EXPECT_LE(largest, 40u) << "day " << day;
@@ -110,10 +127,10 @@ TEST_F(PipelineIntegrationTest, BackgroundNoiseDoesNotFormGiantClusters) {
 TEST_F(PipelineIntegrationTest, FullWeekEventYieldsFullLengthStablePath) {
   // Figure 16 analog: the Somalia event persists all 7 days, so a full
   // path (length 6) whose clusters all contain "somalia" must exist.
-  auto chains = pipeline_->FindStableClusters(5, 0, FinderKind::kBfs);
+  auto chains = FindStable(*engine_, 5, 0);
   ASSERT_TRUE(chains.ok());
   ASSERT_FALSE(chains.value().empty());
-  const KeywordDict& dict = pipeline_->dict();
+  const KeywordDict& dict = engine_->dict();
   const KeywordId somalia = dict.Lookup("somalia");
   ASSERT_NE(somalia, kInvalidKeyword);
   bool found = false;
@@ -133,10 +150,10 @@ TEST_F(PipelineIntegrationTest, FullWeekEventYieldsFullLengthStablePath) {
 TEST_F(PipelineIntegrationTest, GapEventSurvivesViaGapEdges) {
   // Figure 4 analog: fa-cup is active on day 0 and days 3-4 with a
   // 2-day gap; with g = 2 a stable path across the gap must exist.
-  const KeywordDict& dict = pipeline_->dict();
+  const KeywordDict& dict = engine_->dict();
   const KeywordId liverpool = dict.Lookup("liverpool");
   ASSERT_NE(liverpool, kInvalidKeyword);
-  auto chains = pipeline_->FindStableClusters(200, 3, FinderKind::kBfs);
+  auto chains = FindStable(*engine_, 200, 3);
   ASSERT_TRUE(chains.ok());
   bool crosses_gap = false;
   for (const StableClusterChain& chain : chains.value()) {
@@ -155,10 +172,10 @@ TEST_F(PipelineIntegrationTest, GapEventSurvivesViaGapEdges) {
 TEST_F(PipelineIntegrationTest, TopicDriftTrackedAcrossChain) {
   // Figure 15 analog: an iphone chain spanning days 3..6 whose early
   // clusters mention macworld and late clusters mention the lawsuit.
-  const KeywordDict& dict = pipeline_->dict();
+  const KeywordDict& dict = engine_->dict();
   const KeywordId iphon = dict.Lookup("iphon");
   ASSERT_NE(iphon, kInvalidKeyword);
-  auto chains = pipeline_->FindStableClusters(400, 3, FinderKind::kBfs);
+  auto chains = FindStable(*engine_, 400, 3);
   ASSERT_TRUE(chains.ok());
   const KeywordId macworld = dict.Lookup("macworld");
   const KeywordId lawsuit = dict.Lookup("lawsuit");
@@ -180,8 +197,8 @@ TEST_F(PipelineIntegrationTest, TopicDriftTrackedAcrossChain) {
 }
 
 TEST_F(PipelineIntegrationTest, BfsAndDfsAgreeOnThePipelineGraph) {
-  auto bfs = pipeline_->FindStableClusters(5, 3, FinderKind::kBfs);
-  auto dfs = pipeline_->FindStableClusters(5, 3, FinderKind::kDfs);
+  auto bfs = FindStable(*engine_, 5, 3, FinderAlgorithm::kBfs);
+  auto dfs = FindStable(*engine_, 5, 3, FinderAlgorithm::kDfs);
   ASSERT_TRUE(bfs.ok());
   ASSERT_TRUE(dfs.ok());
   ASSERT_EQ(bfs.value().size(), dfs.value().size());
@@ -191,7 +208,8 @@ TEST_F(PipelineIntegrationTest, BfsAndDfsAgreeOnThePipelineGraph) {
 }
 
 TEST_F(PipelineIntegrationTest, NormalizedQueryRuns) {
-  auto chains = pipeline_->FindNormalizedStableClusters(3, 2);
+  auto chains = FindStable(*engine_, 3, 2, FinderAlgorithm::kBfs,
+                           FinderMode::kNormalized);
   ASSERT_TRUE(chains.ok());
   for (const StableClusterChain& chain : chains.value()) {
     EXPECT_GE(chain.path.length, 2u);
@@ -200,7 +218,7 @@ TEST_F(PipelineIntegrationTest, NormalizedQueryRuns) {
 }
 
 TEST_F(PipelineIntegrationTest, QueryRefinementSurfacesEventKeywords) {
-  QueryRefiner refiner(pipeline_);
+  QueryRefiner refiner(engine_);
   // Day 6, query "beckham": co-event keywords must surface.
   auto suggestions = refiner.Suggest("beckham", 6);
   ASSERT_FALSE(suggestions.empty());
@@ -219,27 +237,12 @@ TEST_F(PipelineIntegrationTest, QueryRefinementSurfacesEventKeywords) {
 }
 
 TEST_F(PipelineIntegrationTest, RenderChainMentionsKeywords) {
-  auto chains = pipeline_->FindStableClusters(1, 0, FinderKind::kBfs);
+  auto chains = FindStable(*engine_, 1, 0);
   ASSERT_TRUE(chains.ok());
   ASSERT_FALSE(chains.value().empty());
-  const std::string text = pipeline_->RenderChain(chains.value()[0]);
+  const std::string text = engine_->RenderChain(chains.value()[0]);
   EXPECT_NE(text.find("stable cluster"), std::string::npos);
   EXPECT_NE(text.find("interval"), std::string::npos);
-}
-
-TEST(PipelineTest, ApiValidation) {
-  StableClusterPipeline pipeline;
-  EXPECT_FALSE(pipeline.BuildClusterGraph().ok());  // No intervals.
-  EXPECT_FALSE(pipeline.FindStableClusters(5, 0).ok());  // No graph.
-  ASSERT_TRUE(pipeline.AddIntervalText({"apple iphone launch today",
-                                        "apple iphone touchscreen"})
-                  .ok());
-  ASSERT_TRUE(pipeline.AddIntervalText({"apple iphone lawsuit cisco",
-                                        "apple iphone cisco trademark"})
-                  .ok());
-  ASSERT_TRUE(pipeline.BuildClusterGraph().ok());
-  EXPECT_FALSE(pipeline.BuildClusterGraph().ok());  // Double build.
-  EXPECT_FALSE(pipeline.AddIntervalText({"too late"}).ok());
 }
 
 // Every affinity measure must produce a valid cluster graph (weights in
@@ -252,25 +255,24 @@ TEST_P(PipelineAffinityTest, BuildsValidGraphAndAnswers) {
   copt.posts_per_day = 400;
   copt.script = EventScript::PaperWeek();
   CorpusGenerator gen(copt);
-  PipelineOptions popt = TestPipelineOptions(1);
-  popt.affinity.measure = GetParam();
+  EngineOptions opt = TestEngineOptions(1);
+  opt.affinity.measure = GetParam();
   if (GetParam() == AffinityMeasure::kIntersection) {
-    popt.affinity.theta = 1.5;  // Raw counts: "share > 1 keyword".
+    opt.affinity.theta = 1.5;  // Raw counts: "share > 1 keyword".
   }
-  StableClusterPipeline pipeline(popt);
+  Engine engine(opt);
   for (uint32_t day = 0; day < 4; ++day) {
-    ASSERT_TRUE(pipeline.AddIntervalText(gen.GenerateDay(day)).ok());
+    ASSERT_TRUE(engine.IngestText(gen.GenerateDay(day)).ok());
   }
-  ASSERT_TRUE(pipeline.BuildClusterGraph().ok());
-  const ClusterGraph* graph = pipeline.cluster_graph();
-  ASSERT_NE(graph, nullptr);
-  for (NodeId v = 0; v < graph->node_count(); ++v) {
-    for (const ClusterGraphEdge& e : graph->Children(v)) {
+  ASSERT_TRUE(engine.Compact().ok());
+  const ClusterGraph& graph = engine.graph();
+  for (NodeId v = 0; v < graph.node_count(); ++v) {
+    for (const ClusterGraphEdge& e : graph.Children(v)) {
       ASSERT_GT(e.weight, 0.0);
       ASSERT_LE(e.weight, 1.0);
     }
   }
-  auto chains = pipeline.FindStableClusters(3, 2, FinderKind::kBfs);
+  auto chains = FindStable(engine, 3, 2);
   ASSERT_TRUE(chains.ok());
   for (const auto& chain : chains.value()) {
     EXPECT_EQ(chain.path.length, 2u);
@@ -292,7 +294,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(PipelineTest, AddCorpusFileMatchesAddIntervalText) {
+TEST(PipelineTest, IngestCorpusFileMatchesIngestText) {
   TempDir dir;
   CorpusGenOptions copt = TestCorpusOptions(3);
   copt.posts_per_day = 200;
@@ -300,11 +302,11 @@ TEST(PipelineTest, AddCorpusFileMatchesAddIntervalText) {
   const std::string path = dir.FilePath("corpus.txt");
   ASSERT_TRUE(gen.GenerateToFile(path).ok());
 
-  StableClusterPipeline from_file(TestPipelineOptions());
-  ASSERT_TRUE(from_file.AddCorpusFile(path).ok());
-  StableClusterPipeline from_text(TestPipelineOptions());
+  Engine from_file(TestEngineOptions());
+  ASSERT_TRUE(from_file.IngestCorpusFile(path).ok());
+  Engine from_text(TestEngineOptions());
   for (uint32_t day = 0; day < 3; ++day) {
-    ASSERT_TRUE(from_text.AddIntervalText(gen.GenerateDay(day)).ok());
+    ASSERT_TRUE(from_text.IngestText(gen.GenerateDay(day)).ok());
   }
   ASSERT_EQ(from_file.interval_count(), from_text.interval_count());
   for (uint32_t day = 0; day < 3; ++day) {

@@ -32,11 +32,10 @@ CorpusGenOptions TestCorpus() {
   return opt;
 }
 
-EngineOptions TestOptions(size_t threads, bool pipeline) {
+EngineOptions TestOptions(size_t threads) {
   EngineOptions opt;
   opt.gap = 1;
   opt.threads = threads;
-  opt.pipeline_ingest = pipeline;
   opt.clustering.pruning.rho_threshold = 0.2;
   opt.clustering.pruning.min_pair_support = 5;
   opt.affinity.theta = 0.1;
@@ -99,7 +98,7 @@ TEST(PipelinedIngestTest, PipelinedMatchesSerialAt124Threads) {
   const auto days = GenerateWeek();
 
   // Reference: strictly serial, one IngestText call per tick.
-  Engine reference(TestOptions(/*threads=*/1, /*pipeline=*/false));
+  Engine reference(TestOptions(/*threads=*/1));
   std::string reference_trace;
   for (uint32_t day = 0; day < kDays; ++day) {
     ASSERT_TRUE(reference.IngestText(days[day]).ok());
@@ -110,7 +109,7 @@ TEST(PipelinedIngestTest, PipelinedMatchesSerialAt124Threads) {
 
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE(StringPrintf("threads=%zu", threads));
-    Engine pipelined(TestOptions(threads, /*pipeline=*/true));
+    Engine pipelined(TestOptions(threads));
     std::string trace;
     auto ingested = pipelined.IngestTicks(
         days, [&](uint32_t tick, const std::vector<std::string>& posts) {
@@ -152,7 +151,7 @@ TEST(PipelinedIngestTest, InterleavedQueriesSeeCommittedEpochsOnly) {
   const auto days = GenerateWeek();
   const Query q = MakeQuery(FinderAlgorithm::kBfs, 3, 2);
 
-  Engine reference(TestOptions(1, false));
+  Engine reference(TestOptions(1));
   std::vector<std::string> expected;
   for (uint32_t day = 0; day < kDays; ++day) {
     ASSERT_TRUE(reference.IngestText(days[day]).ok());
@@ -161,7 +160,7 @@ TEST(PipelinedIngestTest, InterleavedQueriesSeeCommittedEpochsOnly) {
     expected.push_back(PathsFingerprint(r.value()));
   }
 
-  Engine pipelined(TestOptions(/*threads=*/2, /*pipeline=*/true));
+  Engine pipelined(TestOptions(/*threads=*/2));
   uint32_t ticks_seen = 0;
   auto ingested = pipelined.IngestTicks(
       days, [&](uint32_t tick, const std::vector<std::string>&) {
@@ -180,7 +179,7 @@ TEST(PipelinedIngestTest, InterleavedQueriesSeeCommittedEpochsOnly) {
 
 TEST(PipelinedIngestTest, LifecycleAndErrors) {
   const auto days = GenerateWeek();
-  Engine engine(TestOptions(2, true));
+  Engine engine(TestOptions(2));
 
   // Empty batch: trivially zero ticks.
   auto none = engine.IngestTicks({});
@@ -204,7 +203,7 @@ TEST(PipelinedIngestTest, LifecycleAndErrors) {
   // same committed sequence (days 0, 1, 3).
   ASSERT_TRUE(engine.IngestText(days[3]).ok());
   EXPECT_EQ(engine.interval_count(), 3u);
-  Engine serial(TestOptions(1, false));
+  Engine serial(TestOptions(1));
   ASSERT_TRUE(serial.IngestText(days[0]).ok());
   ASSERT_TRUE(serial.IngestText(days[1]).ok());
   ASSERT_TRUE(serial.IngestText(days[3]).ok());
