@@ -87,7 +87,7 @@ void TaAblations() {
   std::printf("\n");
 }
 
-void PruningStageAblations() {
+void PruningAblations() {
   CorpusGenOptions copt;
   copt.days = 1;
   copt.posts_per_day = bench::Pick<uint32_t>(2000, 20000);
@@ -146,6 +146,6 @@ int main() {
       "Sections 3, 4.3, 4.4 (design choices)", "see per-table settings");
   stabletext::DfsAblations();
   stabletext::TaAblations();
-  stabletext::PruningStageAblations();
+  stabletext::PruningAblations();
   return 0;
 }

@@ -5,10 +5,6 @@
 // per-tick cost proportional to the tick's delta, flat in the epoch
 // count.
 //
-// A second pass ingests the same stream as one IngestTicks batch (the
-// two-stage pipeline when --threads > 1) against the per-tick IngestText
-// loop of the first.
-//
 //   bench_publish [--threads N] [--repetitions N] [--json PATH]
 //
 // Emits BENCH_publish.json.
@@ -89,7 +85,7 @@ int main(int argc, char** argv) {
   BenchArgs args = ParseArgs(argc, argv, "BENCH_publish.json");
   Header("epoch publication: O(delta) chunk sharing",
          "streaming serving scenario (publish cost per committed tick)",
-         "long stream, chunked publish, pipelined batch ingest");
+         "long stream, chunked publish");
 
   // Long enough that the graph spans many adjacency chunks: the
   // copied-chunk count stays flat at the gap window while the graph grows.
@@ -140,22 +136,9 @@ int main(int argc, char** argv) {
               "(x%.2f)\n",
               head, tail, head > 0 ? tail / head : 0);
 
-  // Batch ingest latency: one IngestTicks call for the whole stream.
-  double batch_ms = 0;
-  for (int rep = 0; rep < args.repetitions; ++rep) {
-    Engine engine(StreamOptions(args.threads));
-    WallTimer timer;
-    auto r = engine.IngestTicks(ticks);
-    if (!r.ok()) std::exit(1);
-    const double ms = timer.ElapsedMillis();
-    batch_ms = rep == 0 ? ms : std::min(batch_ms, ms);
-  }
   const double stream_ms = MeanTickMs(chunked) * chunked.size();
-  std::printf(
-      "ingest (%u ticks, %zu threads): per-tick IngestText %.0f ms, "
-      "IngestTicks batch %.0f ms%s\n",
-      ticks_total, args.threads, stream_ms, batch_ms,
-      args.threads > 1 ? "" : " (pipeline needs --threads > 1)");
+  std::printf("ingest (%u ticks, %zu threads): %.0f ms\n", ticks_total,
+              args.threads, stream_ms);
 
   std::vector<std::string> per_tick;
   for (size_t i = 0; i < chunked.size(); ++i) {
@@ -177,7 +160,6 @@ int main(int argc, char** argv) {
       .Put("publish_us_first_quartile", head)
       .Put("publish_us_last_quartile", tail)
       .Put("stream_ingest_ms", stream_ms)
-      .Put("batch_ingest_ms", batch_ms)
       .Raw("per_tick", Json::Array(per_tick));
   WriteJsonFile(args.json_path, json.ToString());
   return 0;

@@ -9,8 +9,9 @@
 // Flags: --threads N --repetitions N --json PATH (default BENCH_week.json)
 // record the perf trajectory; N-thread output is byte-identical to 1
 // thread (pipeline_parallel_test), so timings are comparable. Each
-// repetition ingests the week with one Engine::IngestTicks call (the
-// two-stage pipeline when --threads > 1), then freezes it with Compact.
+// repetition ingests the week with one Engine::IngestTicks call (with
+// --threads > 1 the pool fans out the work inside each tick), then
+// freezes it with Compact.
 
 #include <set>
 

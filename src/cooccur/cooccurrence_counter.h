@@ -40,17 +40,16 @@ class CooccurrenceCounter {
   Status Add(const Document& doc);
 
   /// Adds one document given its distinct keyword ids, ascending. Used by
-  /// the parallel pipeline (interning already happened on the submitting
-  /// thread); never touches the dictionary.
+  /// the engine, which interns on its writer thread before counting;
+  /// never touches the dictionary.
   Status AddInterned(const std::vector<KeywordId>& sorted_ids);
 
-  /// Finishes the pass: sorts the pair file and aggregates into *out.
-  /// The counter cannot be reused afterwards.
+  /// Finishes the pass: sorts the pair file and aggregates into *out,
+  /// sizing the unary table to the dictionary's current size. The
+  /// counter cannot be reused afterwards.
   Status Finish(CooccurrenceTable* out);
 
-  /// Same, sizing the unary table to `keyword_count` instead of the
-  /// dictionary's current size (which may have grown past this interval's
-  /// snapshot while other intervals were interning).
+  /// Same, sizing the unary table to an explicit `keyword_count`.
   Status Finish(CooccurrenceTable* out, size_t keyword_count);
 
   uint64_t document_count() const { return emitter_.document_count(); }

@@ -9,7 +9,7 @@
 // single hottest allocation site of the counting pass.
 //
 // Concurrency contract: Intern() requires external serialization (the
-// pipeline interns on the submitting thread, in document order, so ids are
+// engine interns on its writer thread, in document order, so ids are
 // deterministic across thread counts). Lookup()/Word() are safe to call
 // concurrently from many threads once ingest is quiescent.
 

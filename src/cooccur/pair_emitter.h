@@ -47,8 +47,8 @@ class PairEmitter {
 
   /// Emits pairs for a document whose keywords are already interned.
   /// `sorted_ids` must be distinct and ascending. This is the path the
-  /// parallel pipeline uses: interning happens deterministically on the
-  /// submitting thread, emission on a worker.
+  /// engine uses: interning happens first, in document order, on the
+  /// writer thread.
   Status EmitIds(const std::vector<KeywordId>& sorted_ids);
 
   /// Documents processed so far.

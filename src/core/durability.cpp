@@ -184,6 +184,12 @@ Status Durability::LoadCheckpoint(uint64_t epoch,
     return Status::Corruption("checkpoint " + path + " claims epoch " +
                               std::to_string(stored_epoch));
   }
+  // The header is not covered by the CRC: bound the claimed size by the
+  // data pages actually on disk before allocating for it.
+  if (payload_bytes > (file.PageCount() - 1) * kCheckpointPageSize) {
+    return Status::Corruption(
+        "checkpoint payload size overruns the file in " + path);
+  }
   std::string payload;
   payload.reserve(payload_bytes);
   for (uint64_t page_no = 1; payload.size() < payload_bytes; ++page_no) {

@@ -62,6 +62,7 @@ class ByteReader {
     return true;
   }
   bool AtEnd() const { return offset_ == data_.size(); }
+  size_t remaining() const { return data_.size() - offset_; }
 
  private:
   const std::string& data_;
@@ -170,52 +171,8 @@ Result<uint32_t> Engine::IngestTextLocked(
   return IngestDocumentsLocked(TokenizePosts(interval, posts));
 }
 
-Result<uint32_t> Engine::IngestDocuments(
-    const std::vector<Document>& documents) {
-  AssumeRole role(writer_role_);
-  return IngestDocumentsLocked(documents);
-}
-
 Result<uint32_t> Engine::IngestDocumentsLocked(
     const std::vector<Document>& documents) {
-  if (graph_.frozen()) {
-    return Status::InvalidArgument(
-        "engine is compacted; create a new engine to ingest");
-  }
-  if (!broken_.ok()) return broken_;
-  // Interning first, vocab snapshot second (argument evaluation order
-  // would otherwise be unspecified).
-  const size_t vocab_before = dict_.size();
-  const auto interned = InternDocuments(documents);
-  auto r = IngestInterned(interned, dict_.size());
-  if (!r.ok() && broken_.ok()) {
-    // Clustering failed before anything was adopted: roll the interning
-    // back so a failed tick leaves no trace in keyword-id assignment (a
-    // later successful ingest must be byte-identical to one on an engine
-    // that never saw the failed tick). Mid-commit failures keep the
-    // words — the adopted slot's watermark already covers them.
-    dict_.TruncateTo(vocab_before);
-  }
-  return r;
-}
-
-Result<std::shared_ptr<SnapshotInterval>> Engine::ClusterInterval(
-    uint32_t interval, const std::vector<std::vector<KeywordId>>& interned,
-    size_t vocab_snapshot) {
-  auto slot = std::make_shared<SnapshotInterval>();
-  slot->vocab_size = vocab_snapshot;
-  // RunInterned never touches the dictionary (see IntervalClusterer):
-  // this stage is safe on a worker while the previous interval commits.
-  IntervalClusterer clusterer(&dict_, options_.clustering, &slot->io);
-  auto result =
-      clusterer.RunInterned(interval, interned, vocab_snapshot, pool_.get());
-  if (!result.ok()) return result.status();
-  slot->result = std::move(result).value();
-  return slot;
-}
-
-Result<uint32_t> Engine::CommitInterval(
-    std::shared_ptr<SnapshotInterval> slot) {
   if (graph_.frozen()) {
     return Status::InvalidArgument(
         "engine is compacted; create a new engine to ingest");
@@ -228,14 +185,27 @@ Result<uint32_t> Engine::CommitInterval(
         "failures");
   }
   const uint32_t interval = static_cast<uint32_t>(slots_.size());
-  if (slot->result.interval != interval) {
-    // The slot was tokenized and clustered as a different interval —
-    // another ingest ran between the pipeline stages (e.g. from an
-    // on_tick callback). Refuse rather than commit misaligned data.
-    return Status::InvalidArgument(
-        "interval committed out of order: the engine ingested out of "
-        "band while a pipelined batch was in flight");
+  const size_t vocab_before = dict_.size();
+  const auto interned = InternDocuments(documents);
+  auto slot = std::make_shared<SnapshotInterval>();
+  slot->vocab_size = dict_.size();
+  IntervalClusterer clusterer(&dict_, options_.clustering, &slot->io);
+  auto result = clusterer.RunInterned(interval, interned, pool_.get());
+  if (!result.ok()) {
+    // Clustering failed before anything was adopted: roll the interning
+    // back so a failed tick leaves no trace in keyword-id assignment (a
+    // later successful ingest must be byte-identical to one on an engine
+    // that never saw the failed tick).
+    dict_.TruncateTo(vocab_before);
+    return result.status();
   }
+  slot->result = std::move(result).value();
+  return CommitInterval(std::move(slot));
+}
+
+Result<uint32_t> Engine::CommitInterval(
+    std::shared_ptr<SnapshotInterval> slot) {
+  const uint32_t interval = static_cast<uint32_t>(slots_.size());
   io_ += slot->io;
   for (const Cluster& cluster : slot->result.clusters) {
     clusters_bytes_ +=
@@ -373,6 +343,12 @@ Status Engine::ReplayInterval(const std::string& blob) {
     return Status::Corruption(std::string("interval delta: ") + what);
   };
   ByteReader r(blob);
+  // Every count below is checked against the bytes left before it sizes
+  // anything: a CRC-valid record with an absurd count is Corruption, not
+  // a length_error or an allocation of the count.
+  auto fits = [&r](uint64_t count, size_t min_encoded_bytes) {
+    return count <= r.remaining() / min_encoded_bytes;
+  };
   uint32_t interval = 0;
   if (!r.U32(&interval)) return corrupt("truncated header");
   if (interval != slots_.size()) {
@@ -383,6 +359,9 @@ Status Engine::ReplayInterval(const std::string& blob) {
   if (!r.U64(&vocab_before) || !r.U64(&vocab_after) ||
       vocab_after < vocab_before) {
     return corrupt("bad vocabulary watermarks");
+  }
+  if (!fits(vocab_after - vocab_before, sizeof(uint32_t))) {
+    return corrupt("keyword count exceeds the record");
   }
   if (vocab_before != dict_.size()) {
     return corrupt("vocabulary watermark mismatch");
@@ -413,12 +392,21 @@ Status Engine::ReplayInterval(const std::string& blob) {
       !r.U64(&res.biconnected.spilled_entries) || !r.U64(&cluster_count)) {
     return corrupt("truncated interval summary");
   }
+  // A cluster encodes at least its two u32 counts; a keyword is a u32;
+  // an edge (member or adjacency) is two u32 ids and an f64 weight.
+  constexpr size_t kEdgeBytes = 2 * sizeof(uint32_t) + sizeof(double);
+  if (!fits(cluster_count, 2 * sizeof(uint32_t))) {
+    return corrupt("cluster count exceeds the record");
+  }
   res.clusters.reserve(cluster_count);
   for (uint64_t j = 0; j < cluster_count; ++j) {
     Cluster cluster;
     cluster.interval = interval;
     uint32_t kw_count = 0;
     if (!r.U32(&kw_count)) return corrupt("truncated cluster");
+    if (!fits(kw_count, sizeof(uint32_t))) {
+      return corrupt("cluster keyword count exceeds the record");
+    }
     cluster.keywords.resize(kw_count);
     for (uint32_t i = 0; i < kw_count; ++i) {
       if (!r.U32(&cluster.keywords[i])) return corrupt("truncated cluster");
@@ -428,6 +416,9 @@ Status Engine::ReplayInterval(const std::string& blob) {
     }
     uint32_t member_edges = 0;
     if (!r.U32(&member_edges)) return corrupt("truncated cluster");
+    if (!fits(member_edges, kEdgeBytes)) {
+      return corrupt("cluster edge count exceeds the record");
+    }
     cluster.edges.resize(member_edges);
     for (uint32_t i = 0; i < member_edges; ++i) {
       if (!r.U32(&cluster.edges[i].u) || !r.U32(&cluster.edges[i].v) ||
@@ -440,73 +431,28 @@ Status Engine::ReplayInterval(const std::string& blob) {
   if (!ReadIoStats(&r, &slot->io)) return corrupt("truncated io stats");
   uint64_t edge_count = 0;
   if (!r.U64(&edge_count)) return corrupt("truncated edge count");
-  struct ReplayEdge {
-    NodeId from;
-    NodeId to;
-    double weight;
-  };
-  std::vector<ReplayEdge> edges;
-  edges.reserve(edge_count);
-  for (uint64_t i = 0; i < edge_count; ++i) {
-    ReplayEdge e;
+  if (!fits(edge_count, kEdgeBytes)) {
+    return corrupt("adjacency edge count exceeds the record");
+  }
+  std::vector<IntervalEdge> edges(edge_count);
+  for (IntervalEdge& e : edges) {
     if (!r.U32(&e.from) || !r.U32(&e.to) || !r.F64(&e.weight)) {
       return corrupt("truncated adjacency edge");
     }
-    edges.push_back(e);
   }
   if (!r.AtEnd()) return corrupt("trailing bytes");
 
-  // Adopt — the mirror of CommitInterval/ExtendGraph, with the logged
-  // deltas standing in for clustering and the affinity joins. Warm
-  // online state is deliberately not rebuilt (it is reader-visible
-  // cache, recreated on demand).
+  // Adopt — the mirror of CommitInterval, with the logged deltas
+  // standing in for clustering and the affinity joins. Warm online state
+  // is deliberately not rebuilt (it is reader-visible cache, recreated
+  // on demand).
   io_ += slot->io;
   for (const Cluster& cluster : res.clusters) {
     clusters_bytes_ +=
         sizeof(Cluster) + cluster.keywords.size() * sizeof(KeywordId);
   }
-  const uint64_t cluster_total = res.clusters.size();
   slots_.push_back(std::move(slot));
-  const uint32_t added = graph_.AddInterval();
-  assert(added == interval);
-  (void)added;
-  node_of_.emplace_back();
-  node_of_.back().reserve(cluster_total);
-  for (uint64_t j = 0; j < cluster_total; ++j) {
-    node_of_.back().push_back(graph_.AddNode(interval));
-  }
-  const bool needs_normalization =
-      options_.affinity.measure == AffinityMeasure::kIntersection;
-  if (needs_normalization) {
-    double tick_max = 0;
-    for (const ReplayEdge& e : edges) {
-      tick_max = std::max(tick_max, e.weight);
-    }
-    if (tick_max > running_max_affinity_) {
-      if (running_max_affinity_ > 0) online_rescale_needed_ = true;
-      running_max_affinity_ = tick_max;
-      graph_.set_weight_scale(1.0 / running_max_affinity_);
-    }
-    for (const ReplayEdge& e : edges) {
-      ST_RETURN_IF_ERROR(graph_.AddEdge(e.from, e.to, e.weight));
-    }
-  } else {
-    for (const ReplayEdge& e : edges) {
-      ST_RETURN_IF_ERROR(
-          graph_.AddEdge(e.from, e.to, std::min(e.weight, 1.0)));
-    }
-  }
-  graph_.SortTouched();
-  return Status::OK();
-}
-
-Result<uint32_t> Engine::IngestInterned(
-    const std::vector<std::vector<KeywordId>>& interned,
-    size_t vocab_snapshot) {
-  const uint32_t interval = static_cast<uint32_t>(slots_.size());
-  auto slot = ClusterInterval(interval, interned, vocab_snapshot);
-  if (!slot.ok()) return slot.status();
-  return CommitInterval(std::move(slot).value());
+  return GrowGraph(interval, cluster_count, edges);
 }
 
 Result<uint32_t> Engine::IngestTicks(
@@ -519,77 +465,13 @@ Result<uint32_t> Engine::IngestTicks(
 Result<uint32_t> Engine::IngestTicksLocked(
     const std::vector<std::vector<std::string>>& ticks,
     const TickCallback& on_tick) {
-  if (graph_.frozen()) {
-    return Status::InvalidArgument(
-        "engine is compacted; create a new engine to ingest");
-  }
-  if (!broken_.ok()) return broken_;
-  const bool pipelined = pool_ != nullptr && ticks.size() > 1;
-  if (!pipelined) {
-    uint32_t ingested = 0;
-    for (const auto& posts : ticks) {
-      auto r = IngestTextLocked(posts);
-      if (!r.ok()) return r.status();
-      ++ingested;
-      if (on_tick != nullptr) {
-        ST_RETURN_IF_ERROR(on_tick(r.value(), posts));
-      }
-    }
-    return ingested;
-  }
-
-  // Two-stage pipeline. The caller thread owns every dictionary access
-  // (tokenize+intern interval t+1, then commit interval t, in that
-  // order), so interning for t+1 finishes before commit t publishes —
-  // the snapshot's keyword table is capped at the committed interval's
-  // vocab watermark to stay byte-identical to serial ingest. Stage A
-  // (clustering) runs on the pool and never touches writer state.
-  struct StageA {
-    Result<std::shared_ptr<SnapshotInterval>> slot =
-        Status::Internal("clustering stage never ran");
-    std::future<void> done;
-  };
-  auto launch = [&](uint32_t interval, const std::vector<std::string>& posts)
-      -> std::unique_ptr<StageA> {
-    auto interned = std::make_shared<std::vector<std::vector<KeywordId>>>(
-        InternDocuments(TokenizePosts(interval, posts)));
-    const size_t vocab = dict_.size();
-    auto stage = std::make_unique<StageA>();
-    StageA* raw = stage.get();
-    raw->done = pool_->Submit([this, raw, interned, interval, vocab] {
-      raw->slot = ClusterInterval(interval, *interned, vocab);
-    });
-    return stage;
-  };
-
-  const uint32_t base = static_cast<uint32_t>(slots_.size());
   uint32_t ingested = 0;
-  std::unique_ptr<StageA> inflight = launch(base, ticks[0]);
-  for (size_t t = 0; t < ticks.size(); ++t) {
-    std::unique_ptr<StageA> stage = std::move(inflight);
-    pool_->Wait(stage->done);
-    if (!stage->slot.ok()) {
-      RollbackInterning();
-      return stage->slot.status();
-    }
-    if (t + 1 < ticks.size()) {
-      inflight = launch(base + static_cast<uint32_t>(t) + 1, ticks[t + 1]);
-    }
-    // Serial commit of tick t overlaps tick t+1's clustering.
-    auto committed = CommitInterval(std::move(stage->slot).value());
-    if (!committed.ok()) {
-      if (inflight != nullptr) pool_->Wait(inflight->done);
-      RollbackInterning();
-      return committed.status();
-    }
+  for (const auto& posts : ticks) {
+    auto r = IngestTextLocked(posts);
+    if (!r.ok()) return r.status();
     ++ingested;
     if (on_tick != nullptr) {
-      Status s = on_tick(committed.value(), ticks[t]);
-      if (!s.ok()) {
-        if (inflight != nullptr) pool_->Wait(inflight->done);
-        RollbackInterning();
-        return s;
-      }
+      ST_RETURN_IF_ERROR(on_tick(r.value(), posts));
     }
   }
   return ingested;
@@ -624,31 +506,8 @@ Result<uint32_t> Engine::IngestCorpusFile(const std::filesystem::path& path,
   return IngestTicksLocked(ticks, on_tick);
 }
 
-// Abort path of a pipelined batch: a tick ahead of the failure may
-// already have interned its words. Roll the dictionary back to the last
-// committed interval's watermark so an aborted batch leaves keyword-id
-// assignment exactly where a serial run would — a later ingest then
-// stays byte-identical to the unpipelined engine. (A mid-commit failure
-// keeps the words: the adopted slot's watermark covers them, and the
-// engine is broken anyway.)
-void Engine::RollbackInterning() {
-  if (broken_.ok()) {
-    dict_.TruncateTo(slots_.empty() ? 0 : slots_.back()->vocab_size);
-  }
-}
-
 Status Engine::ExtendGraph(uint32_t interval) {
-  const uint32_t added = graph_.AddInterval();
-  assert(added == interval);
-  (void)added;
   const auto& clusters = slots_[interval]->result.clusters;
-  node_of_.emplace_back();
-  node_of_.back().reserve(clusters.size());
-  for (uint32_t j = 0; j < clusters.size(); ++j) {
-    node_of_.back().push_back(graph_.AddNode(interval));
-  }
-  if (interval == 0) return Status::OK();
-
   // Affinity joins between the new interval and the gap-window frontier.
   // Window intervals are independent, so they fan out; per-interval match
   // lists land in fixed slots and are stitched in ascending interval
@@ -697,18 +556,29 @@ Status Engine::ExtendGraph(uint32_t interval) {
     }
   }
 
-  struct RawEdge {
-    NodeId from;
-    NodeId to;
-    double affinity;
-  };
-  std::vector<RawEdge> raw;
+  // The new interval's nodes are created by GrowGraph, dense and in
+  // cluster order from the current node count.
+  const NodeId first_new = static_cast<NodeId>(graph_.node_count());
+  std::vector<IntervalEdge> edges;
   for (const JoinJob& job : jobs) {
     for (const AffinityMatch& match : job.matches) {
-      raw.push_back(RawEdge{node_of_[job.iv][match.left],
-                            node_of_[interval][match.right],
-                            match.affinity});
+      edges.push_back(IntervalEdge{node_of_[job.iv][match.left],
+                                   first_new + match.right,
+                                   match.affinity});
     }
+  }
+  return GrowGraph(interval, clusters.size(), edges);
+}
+
+Status Engine::GrowGraph(uint32_t interval, size_t cluster_count,
+                         const std::vector<IntervalEdge>& edges) {
+  const uint32_t added = graph_.AddInterval();
+  assert(added == interval);
+  (void)added;
+  node_of_.emplace_back();
+  node_of_.back().reserve(cluster_count);
+  for (size_t j = 0; j < cluster_count; ++j) {
+    node_of_.back().push_back(graph_.AddNode(interval));
   }
 
   // Measures without a (0, 1] range (raw intersection counts) are
@@ -717,12 +587,12 @@ Status Engine::ExtendGraph(uint32_t interval) {
   // read applies the shared scale 1/max, so a growing maximum updates one
   // double instead of rewriting O(E) edges. At any point every edge is
   // normalized by the same constant, so path rankings are unaffected.
-  const bool needs_normalization =
+  const bool raw_weights =
       options_.affinity.measure == AffinityMeasure::kIntersection;
-  if (needs_normalization) {
+  if (raw_weights) {
     double tick_max = 0;
-    for (const RawEdge& e : raw) {
-      tick_max = std::max(tick_max, e.affinity);
+    for (const IntervalEdge& e : edges) {
+      tick_max = std::max(tick_max, e.weight);
     }
     if (tick_max > running_max_affinity_) {
       if (running_max_affinity_ > 0) {
@@ -733,14 +603,10 @@ Status Engine::ExtendGraph(uint32_t interval) {
       running_max_affinity_ = tick_max;
       graph_.set_weight_scale(1.0 / running_max_affinity_);
     }
-    for (const RawEdge& e : raw) {
-      ST_RETURN_IF_ERROR(graph_.AddEdge(e.from, e.to, e.affinity));
-    }
-  } else {
-    for (const RawEdge& e : raw) {
-      ST_RETURN_IF_ERROR(
-          graph_.AddEdge(e.from, e.to, std::min(e.affinity, 1.0)));
-    }
+  }
+  for (const IntervalEdge& e : edges) {
+    ST_RETURN_IF_ERROR(graph_.AddEdge(
+        e.from, e.to, raw_weights ? e.weight : std::min(e.weight, 1.0)));
   }
   graph_.SortTouched();
   return Status::OK();
@@ -809,12 +675,11 @@ void Engine::Publish() {
       graph_.SealedCopy(!options_.lazy_renormalize, &seal));
   snap->intervals = slots_;
   // The keyword table is append-only: completed chunks are shared with
-  // every earlier snapshot; only the partial tail chunk is copied. The
-  // table is capped at the committed interval's vocab watermark — with
-  // pipelined ingest the dictionary may already hold the next interval's
-  // words.
-  const size_t vocab =
-      slots_.empty() ? dict_.size() : slots_.back()->vocab_size;
+  // every earlier snapshot; only the partial tail chunk is copied. Every
+  // tick interns and commits in one call, so the dictionary is exactly
+  // the last committed interval's vocabulary.
+  const size_t vocab = dict_.size();
+  assert(slots_.empty() || slots_.back()->vocab_size == vocab);
   constexpr size_t kChunk = SnapshotWords::kChunkWords;
   while ((word_chunks_.size() + 1) * kChunk <= vocab) {
     auto chunk = std::make_shared<std::vector<std::string>>();

@@ -137,32 +137,26 @@ class Engine {
   /// Returns the interval index.
   Result<uint32_t> IngestText(const std::vector<std::string>& posts);
 
-  /// Same, for already-preprocessed documents.
-  Result<uint32_t> IngestDocuments(const std::vector<Document>& documents);
-
   /// Invoked after each corpus interval commits: the interval index and
   /// its raw posts. A non-OK return aborts the ingest.
   using TickCallback =
       std::function<Status(uint32_t interval,
                            const std::vector<std::string>& posts)>;
 
-  /// Ingests a batch of ticks (one interval per element) in order, with
-  /// the two-stage pipeline when options.threads > 1: while interval t
-  /// runs its serial affinity-join/graph-extension/publish, interval
-  /// t+1's tokenization and clustering already execute on the worker
-  /// pool, with results byte-identical to one IngestText call per tick.
-  /// Commit semantics per tick match IngestText (each interval is
-  /// queryable before `on_tick` runs for it). Returns the number of
-  /// intervals ingested.
+  /// Ingests a batch of ticks (one interval per element) in order: a
+  /// plain loop of IngestText commits, so each interval is queryable
+  /// before `on_tick` runs for it. The first failing tick or callback
+  /// ends the batch; the intervals committed before it stay committed.
+  /// Returns the number of intervals ingested.
   Result<uint32_t> IngestTicks(
       const std::vector<std::vector<std::string>>& ticks,
       const TickCallback& on_tick = nullptr);
 
-  /// Streams a whole corpus file (CorpusWriter format; intervals must be
-  /// contiguous from the engine's next interval) tick by tick through
-  /// IngestTicks (pipelined when configured). Returns the number of
-  /// intervals ingested. `on_tick`, when non-null, runs after each
-  /// committed interval (per-tick reporting, interleaved queries).
+  /// Reads a whole corpus file (CorpusWriter format; intervals must be
+  /// contiguous from the engine's next interval) and commits it tick by
+  /// tick through IngestTicks. Returns the number of intervals ingested.
+  /// `on_tick`, when non-null, runs after each committed interval
+  /// (per-tick reporting, interleaved queries).
   Result<uint32_t> IngestCorpusFile(const std::filesystem::path& path,
                                     const TickCallback& on_tick = nullptr);
 
@@ -230,7 +224,9 @@ class Engine {
       NO_THREAD_SAFETY_ANALYSIS {
     return slots_[i]->result;
   }
-  const KeywordDict& dict() const { return dict_; }
+  const KeywordDict& dict() const NO_THREAD_SAFETY_ANALYSIS {
+    return dict_;
+  }
   const ClusterGraph& graph() const NO_THREAD_SAFETY_ANALYSIS {
     return graph_;
   }
@@ -253,39 +249,42 @@ class Engine {
   // double-assume).
   Result<uint32_t> IngestTextLocked(const std::vector<std::string>& posts)
       REQUIRES(writer_role_);
+  // The one tick path: intern, cluster (Section 3), then CommitInterval.
+  // A clustering failure rolls interning back and leaves no trace.
   Result<uint32_t> IngestDocumentsLocked(
       const std::vector<Document>& documents) REQUIRES(writer_role_);
   Result<uint32_t> IngestTicksLocked(
       const std::vector<std::vector<std::string>>& ticks,
       const TickCallback& on_tick) REQUIRES(writer_role_);
   // Pool-parallel tokenization of raw posts (document order preserved).
-  // No REQUIRES: touches only unguarded state (options_, pool_), so the
-  // pipelined stage-A lambda may call it off the writer role.
   std::vector<Document> TokenizePosts(
       uint32_t interval, const std::vector<std::string>& posts);
   // Serial keyword interning in document order (dictionary ids must be
-  // assigned exactly as a sequential run would assign them). dict_ is
-  // deliberately outside writer_role_ (see its comment below).
+  // assigned exactly as a sequential run would assign them).
   std::vector<std::vector<KeywordId>> InternDocuments(
-      const std::vector<Document>& documents);
-  // Stage A of a tick: the Section 3 clustering of `interned` as interval
-  // `interval`. Pure with respect to writer state (never touches the
-  // dictionary or graph), so the pipeline may run it on the pool while
-  // the previous interval commits — hence no REQUIRES(writer_role_).
-  Result<std::shared_ptr<SnapshotInterval>> ClusterInterval(
-      uint32_t interval, const std::vector<std::vector<KeywordId>>& interned,
-      size_t vocab_snapshot);
-  // Stage B of a tick (serial): slot adoption, frontier joins, graph
-  // extension, warm-online feed, snapshot publish.
+      const std::vector<Document>& documents) REQUIRES(writer_role_);
+  // Commits a clustered interval: slot adoption, frontier joins, graph
+  // extension, warm-online feed, WAL record, snapshot publish.
   Result<uint32_t> CommitInterval(std::shared_ptr<SnapshotInterval> slot)
       REQUIRES(writer_role_);
-  // ClusterInterval + CommitInterval (the unpipelined tick).
-  Result<uint32_t> IngestInterned(
-      const std::vector<std::vector<KeywordId>>& interned,
-      size_t vocab_snapshot) REQUIRES(writer_role_);
+  // A new edge of the cluster graph, by node id. Stored weight: raw for
+  // measures without a (0, 1] range, the affinity itself otherwise.
+  struct IntervalEdge {
+    NodeId from;
+    NodeId to;
+    double weight;
+  };
   // Joins the new interval's clusters against the gap window and extends
   // the graph in place (the incremental half of the old BuildClusterGraph).
   Status ExtendGraph(uint32_t interval) REQUIRES(writer_role_);
+  // The graph-extension tail shared by commit and replay: appends
+  // interval `interval` with `cluster_count` nodes (recorded in
+  // node_of_), updates the running-max scale, adds `edges` and re-sorts
+  // the touched adjacency. Edges reference the new nodes by the ids they
+  // are about to get (node_count() + cluster index).
+  Status GrowGraph(uint32_t interval, size_t cluster_count,
+                   const std::vector<IntervalEdge>& edges)
+      REQUIRES(writer_role_);
   // Feeds interval `interval`'s nodes and parent edges into the warm
   // online finder. Writer-side.
   Status FeedOnline(uint32_t interval) REQUIRES(writer_role_);
@@ -297,9 +296,6 @@ class Engine {
   Status AdvanceWarmOnline(uint32_t interval) REQUIRES(writer_role_);
   // Builds and atomically publishes the snapshot for the current state.
   void Publish() REQUIRES(writer_role_);
-  // Rolls the dictionary back to the last committed interval's vocab
-  // watermark after an aborted pipelined batch (IngestTicksLocked).
-  void RollbackInterning() REQUIRES(writer_role_);
   // Serializes committed interval `interval`'s delta — new keywords
   // since the previous watermark, clusters, per-tick I/O, and its
   // adjacency edges at stored weights — into the blob ReplayInterval
@@ -309,9 +305,10 @@ class Engine {
   std::string SerializeIntervalDelta(uint32_t interval) const
       REQUIRES(writer_role_);
   // Replays one serialized delta: re-interns the words (validating id
-  // assignment), adopts the slot, extends the graph with the logged
-  // edges and re-derives the running-max scale. The write-side mirror
-  // of CommitInterval minus durability, warm-online and publish.
+  // assignment and every count against the bytes left), adopts the slot
+  // and hands the logged edges to GrowGraph — the same tail the commit
+  // runs, so a replayed graph matches by construction. The write-side
+  // mirror of CommitInterval minus durability, warm-online and publish.
   Status ReplayInterval(const std::string& blob) REQUIRES(writer_role_);
 
   // The writer-thread capability: held (via AssumeRole) by whichever
@@ -320,12 +317,7 @@ class Engine {
   ThreadRole writer_role_;
 
   EngineOptions options_;
-  // Deliberately NOT guarded by writer_role_: with pipelined ingest the
-  // stage-A lambda interns interval t+1's words on the caller thread
-  // while CommitInterval(t) runs, and ClusterInterval reads it from pool
-  // workers. Its own contract (append-only ids, single interning thread)
-  // is enforced by IngestTicks' structure, not by a capability.
-  KeywordDict dict_;
+  KeywordDict dict_ GUARDED_BY(writer_role_);
   IoStats io_ GUARDED_BY(writer_role_);
   std::vector<std::shared_ptr<const SnapshotInterval>> slots_
       GUARDED_BY(writer_role_);

@@ -32,25 +32,19 @@ struct IntervalResult {
 class IntervalClusterer {
  public:
   /// \param dict shared dictionary (ids stable across intervals); must
-  ///        outlive the clusterer.
+  ///        outlive the clusterer and not grow while it runs.
   IntervalClusterer(KeywordDict* dict,
                     IntervalClustererOptions options = {},
                     IoStats* stats = nullptr)
       : dict_(dict), options_(options), stats_(stats) {}
 
-  /// Clusters the documents of interval `interval`.
-  Result<IntervalResult> Run(uint32_t interval,
-                             const std::vector<Document>& documents) const;
-
-  /// Same, for documents already interned to sorted keyword-id sets.
-  /// Never touches the dictionary, so it is safe to run on a worker
-  /// thread while later intervals intern. `vocab_size` is the dictionary
-  /// size snapshot taken when this interval was submitted (keeps the
-  /// unary table identical to a sequential run). `sort_pool` may be null.
+  /// Clusters the documents of interval `interval`, already interned to
+  /// sorted keyword-id sets through the shared dictionary (which sizes
+  /// the unary table and is only read). `sort_pool` may be null.
   Result<IntervalResult> RunInterned(
       uint32_t interval,
       const std::vector<std::vector<KeywordId>>& documents,
-      size_t vocab_size, ThreadPool* sort_pool) const;
+      ThreadPool* sort_pool) const;
 
  private:
   KeywordDict* dict_;

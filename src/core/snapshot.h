@@ -100,11 +100,10 @@ struct EngineStats {
 struct SnapshotInterval {
   IntervalResult result;
   IoStats io;
-  /// Dictionary size when this interval was interned: the keyword-table
-  /// watermark its epoch publishes. With pipelined ingest the dictionary
-  /// may already contain the *next* interval's words at publish time;
-  /// capping the snapshot here keeps epochs byte-identical to serial
-  /// ingest.
+  /// Dictionary size once this interval was interned: the keyword-table
+  /// watermark its epoch publishes. The WAL delta logs the words between
+  /// the previous interval's watermark and this one, so replay re-interns
+  /// exactly the ids the original run assigned.
   size_t vocab_size = 0;
 };
 

@@ -1,8 +1,8 @@
-// Fixed-size thread pool used to parallelize per-interval work (Section 3
-// counting passes are independent across intervals) and external-sort run
-// generation. Waiting helpers let a blocked submitter execute queued tasks
-// itself, so nested submission (an interval task spawning sort-run tasks)
-// cannot deadlock the fixed worker set.
+// Fixed-size thread pool used to parallelize the work inside one ingest
+// tick: tokenization chunks, external-sort run generation and the
+// gap-window affinity joins. Waiting helpers let a blocked submitter
+// execute queued tasks itself, so the writer thread helps instead of
+// idling and nested submission cannot deadlock the fixed worker set.
 
 #ifndef STABLETEXT_UTIL_THREAD_POOL_H_
 #define STABLETEXT_UTIL_THREAD_POOL_H_

@@ -7,8 +7,10 @@
 // same query answers. The sweep advances the injected fault budget one
 // physical op at a time over a 64-tick ingest until a run completes
 // cleanly, so every boundary the workload crosses is a kill point. Plus
-// WAL torn-tail/corrupt-record unit tests and the durability lifecycle
-// contract (Recover-only construction, DataLoss on vanished checkpoints).
+// WAL torn-tail/corrupt-record unit tests, the durability lifecycle
+// contract (Recover-only construction, DataLoss on vanished checkpoints)
+// and hostile counts (WAL records, checkpoint headers) that must come
+// back as Corruption instead of sizing an allocation.
 
 #include <gtest/gtest.h>
 
@@ -279,6 +281,77 @@ TEST(CrashRecoveryTest, VanishedCheckpointIsDataLossNotSilentTruncation) {
   auto recovered = Engine::Recover(DurableOptions(dir.path(), 0));
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+}
+
+// An interval delta for interval 0 with no keywords whose cluster count
+// (or, with no clusters, adjacency edge count) promises far more entries
+// than the record holds.
+std::string OvercountedDelta(uint64_t cluster_count, uint64_t edge_count) {
+  std::string blob;
+  auto put = [&blob](auto v) {
+    blob.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{0});                                // interval
+  put(uint64_t{0});                                // vocab watermark before
+  put(uint64_t{0});                                // vocab watermark after
+  for (int i = 0; i < 12; ++i) put(uint64_t{0});  // graph/biconnected stats
+  put(cluster_count);
+  if (cluster_count == 0) {
+    for (int i = 0; i < 11; ++i) put(uint64_t{0});  // IoStats
+    put(edge_count);
+  }
+  return blob;
+}
+
+// Recovery must treat a checksum-valid record with an absurd count as
+// corruption, never size an allocation by it.
+TEST(CrashRecoveryTest, OvercountedWalRecordIsCorruption) {
+  constexpr uint64_t kHuge = uint64_t{1} << 62;
+  for (const auto& [clusters, edges] :
+       {std::pair<uint64_t, uint64_t>{kHuge, 0}, {0, kHuge}}) {
+    SCOPED_TRACE(StringPrintf("clusters=%llu edges=%llu",
+                              static_cast<unsigned long long>(clusters),
+                              static_cast<unsigned long long>(edges)));
+    TempDir dir("durable");
+    {
+      WalWriter writer;
+      ASSERT_TRUE(
+          writer.Create(dir.FilePath("wal-0"), nullptr, nullptr).ok());
+      const std::string blob = OvercountedDelta(clusters, edges);
+      ASSERT_TRUE(writer.Append(blob.data(), blob.size()).ok());
+      ASSERT_TRUE(writer.Close().ok());
+    }
+    auto recovered = Engine::Recover(DurableOptions(dir.path(), 0));
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+  }
+}
+
+// The checkpoint header's payload size precedes the CRC check; a size
+// the file cannot hold must be refused before anything is allocated.
+TEST(CrashRecoveryTest, OversizedCheckpointPayloadIsCorruption) {
+  const auto ticks = GenerateTicks();
+  TempDir dir("durable");
+  EngineOptions opt = DurableOptions(dir.path(), 0);
+  opt.durability.checkpoint_interval = 2;
+  {
+    auto created = Engine::Recover(opt);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE(created.value()->IngestText(ticks[0]).ok());
+    ASSERT_TRUE(created.value()->IngestText(ticks[1]).ok());
+  }
+  // Header layout: 8-byte magic, u64 epoch, u64 payload_bytes, u32 crc.
+  {
+    std::fstream f(dir.FilePath("checkpoint-2"),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    const uint64_t huge = 0x7fffffffffffffffULL;
+    f.seekp(16);
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  Status status = Status::OK();
+  ASSERT_NO_THROW(status = Engine::Recover(opt).status());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 
 // The sweep. For every fault budget B = 1, 2, 3, ... the writer is

@@ -1,10 +1,10 @@
 // Engine API: incremental ingest ≡ batch build. Intervals ingested one at
 // a time with interleaved queries must leave the engine in a state
-// byte-identical to ingesting everything up front (and to a pipelined
-// IngestTicks batch frozen by Compact), for every algorithm in the
-// registry and for 1 and 4 worker threads. Plus lifecycle validation,
-// registry reachability (TA, brute-force, online, diversified) and the
-// corpus-file ingest contract.
+// byte-identical to ingesting everything up front (and to an IngestTicks
+// batch frozen by Compact), for every algorithm in the registry and for 1
+// and 4 worker threads. Plus lifecycle validation, registry reachability
+// (TA, brute-force, online, diversified), the IngestTicks batch contract
+// (per-tick callbacks, aborts) and the corpus-file ingest contract.
 
 #include <gtest/gtest.h>
 
@@ -120,7 +120,7 @@ TEST(EngineEquivalenceTest, IncrementalMatchesBatchAllAlgorithms) {
       ASSERT_TRUE(batch.IngestText(days[day]).ok());
     }
 
-    // One IngestTicks batch (pipelined when threads > 1), then frozen.
+    // One IngestTicks batch, then frozen.
     Engine compacted(TestOptions(/*gap=*/1, threads));
     auto ingested = compacted.IngestTicks(days);
     ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();

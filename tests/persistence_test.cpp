@@ -307,9 +307,10 @@ TEST(KeywordDictTest, TruncateToRestoresIdAssignment) {
   EXPECT_EQ(dict.Intern("delta"), 4u);
 }
 
-// An aborted pipelined batch rolls interning back with TruncateTo; the
-// WAL watermarks must line up so a later commit — and a recovery replay
-// of it — reproduces keyword ids exactly.
+// An aborted batch leaves keyword-id assignment exactly where its last
+// committed tick left it (interning that never committed is rolled back
+// with TruncateTo); the WAL watermarks must line up so a later commit —
+// and a recovery replay of it — reproduces keyword ids exactly.
 TEST(KeywordDictTest, TruncateToRollbackSurvivesDurableRecovery) {
   auto posts = [](std::initializer_list<const char*> texts) {
     std::vector<std::string> out;
@@ -326,7 +327,7 @@ TEST(KeywordDictTest, TruncateToRollbackSurvivesDurableRecovery) {
   TempDir dir("durable");
   EngineOptions opt;
   opt.gap = 1;
-  opt.threads = 2;  // Pipelined batches are the rollback path.
+  opt.threads = 2;
   opt.clustering.pruning.min_pair_support = 2;
   opt.clustering.pruning.rho_threshold = 0.05;
   opt.affinity.theta = 0.05;
@@ -340,8 +341,8 @@ TEST(KeywordDictTest, TruncateToRollbackSurvivesDurableRecovery) {
     auto created = Engine::Recover(opt);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     Engine& engine = *created.value();
-    // Abort the batch after tick 1 commits: tick 2's words are already
-    // interned by the pipeline and must be rolled back.
+    // Abort the batch after tick 1 commits: none of tick 2's words may
+    // reach the dictionary or the log.
     auto r = engine.IngestTicks(ticks, [](uint32_t interval,
                                           const std::vector<std::string>&) {
       return interval >= 1 ? Status::Internal("abort batch")

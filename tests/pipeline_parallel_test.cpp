@@ -1,10 +1,10 @@
 // Parallel-pipeline determinism: 1-thread and N-thread engines must
 // produce byte-identical cluster and stable-path output. With threads > 1
-// IngestTicks overlaps interval t+1's clustering with interval t's commit;
-// keyword ids are interned on the submitting thread and join results
-// stitched in interval order, so nothing downstream may depend on worker
-// scheduling. A tight sort budget additionally forces spilled runs
-// through the pooled run-generation path.
+// each tick fans tokenization, sort-run generation and the gap-window
+// joins out on the pool; keyword ids are interned on the writer thread
+// and join results stitched in interval order, so nothing downstream may
+// depend on worker scheduling. A tight sort budget additionally forces
+// spilled runs through the pooled run-generation path.
 
 #include <gtest/gtest.h>
 

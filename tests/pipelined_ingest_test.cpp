@@ -1,9 +1,11 @@
-// Two-stage pipelined batch ingest (IngestTicks): interval t+1's
-// tokenization+clustering overlaps interval t's serial commit. The
-// contract under test is byte-identity — graph, per-tick epochs, keyword
-// watermarks and every algorithm's answers must match a serial
-// one-tick-at-a-time ingest at 1, 2 and 4 worker threads. Runs in the
-// ThreadSanitizer CI job.
+// Batch ingest (IngestTicks): a batch of ticks commits one interval at a
+// time, each tick fanning tokenization and clustering out on the worker
+// pool. The contract under test is byte-identity — graph, per-tick
+// epochs, keyword watermarks and every algorithm's answers must match a
+// serial one-IngestText-per-tick ingest at 1, 2 and 4 worker threads —
+// plus the batch lifecycle: on_tick sees each committed epoch, an on_tick
+// error keeps the committed prefix, and a compacted engine refuses
+// batches. Runs in the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
 
@@ -84,9 +86,7 @@ Query MakeQuery(FinderAlgorithm algorithm, size_t k, uint32_t l) {
 }
 
 // Per-tick trace of the serving-visible state: epoch, graph shape and
-// the keyword watermark. With pipelined ingest the dictionary already
-// holds the next interval's words at publish time; the published
-// watermark must hide that.
+// the keyword watermark.
 std::string TickTrace(const Engine& engine, uint32_t tick) {
   const EngineStats stats = engine.stats();
   return StringPrintf("tick=%u epoch=%u clusters=%zu edges=%zu kw=%zu\n",
@@ -109,25 +109,24 @@ TEST(PipelinedIngestTest, PipelinedMatchesSerialAt124Threads) {
 
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE(StringPrintf("threads=%zu", threads));
-    Engine pipelined(TestOptions(threads));
+    Engine batch(TestOptions(threads));
     std::string trace;
-    auto ingested = pipelined.IngestTicks(
+    auto ingested = batch.IngestTicks(
         days, [&](uint32_t tick, const std::vector<std::string>& posts) {
           EXPECT_EQ(posts.size(), days[tick].size());
-          trace += TickTrace(pipelined, tick);
+          trace += TickTrace(batch, tick);
           return Status::OK();
         });
     ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
     EXPECT_EQ(ingested.value(), kDays);
     EXPECT_EQ(trace, reference_trace);
-    EXPECT_EQ(GraphFingerprint(*pipelined.snapshot()->graph),
-              reference_graph);
+    EXPECT_EQ(GraphFingerprint(*batch.snapshot()->graph), reference_graph);
 
     for (const FinderAlgorithm algorithm :
          {FinderAlgorithm::kBfs, FinderAlgorithm::kDfs,
           FinderAlgorithm::kOnline, FinderAlgorithm::kBruteForce}) {
       SCOPED_TRACE(FinderAlgorithmName(algorithm));
-      auto p = pipelined.Query(MakeQuery(algorithm, 4, 2));
+      auto p = batch.Query(MakeQuery(algorithm, 4, 2));
       auto r = reference.Query(MakeQuery(algorithm, 4, 2));
       ASSERT_TRUE(p.ok()) << p.status().ToString();
       ASSERT_TRUE(r.ok());
@@ -136,7 +135,7 @@ TEST(PipelinedIngestTest, PipelinedMatchesSerialAt124Threads) {
     }
     Query normalized = MakeQuery(FinderAlgorithm::kBfs, 4, 2);
     normalized.mode = FinderMode::kNormalized;
-    auto pn = pipelined.Query(normalized);
+    auto pn = batch.Query(normalized);
     auto rn = reference.Query(normalized);
     ASSERT_TRUE(pn.ok());
     ASSERT_TRUE(rn.ok());
@@ -144,14 +143,13 @@ TEST(PipelinedIngestTest, PipelinedMatchesSerialAt124Threads) {
   }
 }
 
-// Queries interleaved through on_tick see exactly the per-epoch answers
-// of a serial run — the pipeline never lets interval t+1's half-built
-// state leak into epoch t.
+// Queries issued from on_tick see the epoch of the tick that just
+// committed, with the answers a one-IngestText-per-tick run gives there.
 TEST(PipelinedIngestTest, InterleavedQueriesSeeCommittedEpochsOnly) {
   const auto days = GenerateWeek();
   const Query q = MakeQuery(FinderAlgorithm::kBfs, 3, 2);
 
-  Engine reference(TestOptions(1));
+  Engine reference(TestOptions(/*threads=*/1));
   std::vector<std::string> expected;
   for (uint32_t day = 0; day < kDays; ++day) {
     ASSERT_TRUE(reference.IngestText(days[day]).ok());
@@ -160,11 +158,12 @@ TEST(PipelinedIngestTest, InterleavedQueriesSeeCommittedEpochsOnly) {
     expected.push_back(PathsFingerprint(r.value()));
   }
 
-  Engine pipelined(TestOptions(/*threads=*/2));
+  Engine engine(TestOptions(/*threads=*/2));
   uint32_t ticks_seen = 0;
-  auto ingested = pipelined.IngestTicks(
-      days, [&](uint32_t tick, const std::vector<std::string>&) {
-        auto r = pipelined.Query(q);
+  auto ingested = engine.IngestTicks(
+      days, [&](uint32_t tick, const std::vector<std::string>& posts) {
+        EXPECT_EQ(posts.size(), days[tick].size());
+        auto r = engine.Query(q);
         EXPECT_TRUE(r.ok());
         if (r.ok()) {
           EXPECT_EQ(r.value().epoch, tick + 1);
@@ -174,49 +173,46 @@ TEST(PipelinedIngestTest, InterleavedQueriesSeeCommittedEpochsOnly) {
         return Status::OK();
       });
   ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(ingested.value(), kDays);
   EXPECT_EQ(ticks_seen, kDays);
 }
 
 TEST(PipelinedIngestTest, LifecycleAndErrors) {
   const auto days = GenerateWeek();
-  Engine engine(TestOptions(2));
+  Engine engine(TestOptions(/*threads=*/2));
 
   // Empty batch: trivially zero ticks.
   auto none = engine.IngestTicks({});
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none.value(), 0u);
 
-  // An on_tick error aborts the batch after the committed tick; the
-  // engine stays healthy and continues ingesting — and the aborted batch
-  // leaves no trace: the pipeline had already interned tick 2's words
-  // when the abort hit, so they must be rolled back or every later
-  // keyword id diverges from a serial engine.
+  // An on_tick error ends the batch after the tick it reported on: the
+  // committed prefix stays, the engine stays healthy and keeps
+  // ingesting, and nothing of the unsent ticks leaks into keyword ids.
   auto aborted = engine.IngestTicks(
-      days, [&](uint32_t tick, const std::vector<std::string>&) {
+      days, [](uint32_t tick, const std::vector<std::string>&) {
         return tick == 1 ? Status::IOError("stop here") : Status::OK();
       });
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kIOError);
   EXPECT_EQ(engine.interval_count(), 2u);  // Ticks 0 and 1 committed.
-  // Continue with a tick the aborted batch never saw, then compare the
-  // whole serving state byte-for-byte against a serial engine fed the
-  // same committed sequence (days 0, 1, 3).
+  // Continue with a tick the aborted batch never reached, then compare
+  // the serving state byte-for-byte against a serial engine fed the same
+  // committed sequence (days 0, 1, 3).
   ASSERT_TRUE(engine.IngestText(days[3]).ok());
   EXPECT_EQ(engine.interval_count(), 3u);
-  Engine serial(TestOptions(1));
+  Engine serial(TestOptions(/*threads=*/1));
   ASSERT_TRUE(serial.IngestText(days[0]).ok());
   ASSERT_TRUE(serial.IngestText(days[1]).ok());
   ASSERT_TRUE(serial.IngestText(days[3]).ok());
   EXPECT_EQ(engine.stats().keywords, serial.stats().keywords);
   EXPECT_EQ(GraphFingerprint(*engine.snapshot()->graph),
             GraphFingerprint(*serial.snapshot()->graph));
-  {
-    auto p = engine.Query(MakeQuery(FinderAlgorithm::kBfs, 3, 2));
-    auto s = serial.Query(MakeQuery(FinderAlgorithm::kBfs, 3, 2));
-    ASSERT_TRUE(p.ok());
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(PathsFingerprint(p.value()), PathsFingerprint(s.value()));
-  }
+  auto p = engine.Query(MakeQuery(FinderAlgorithm::kBfs, 3, 2));
+  auto s = serial.Query(MakeQuery(FinderAlgorithm::kBfs, 3, 2));
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(PathsFingerprint(p.value()), PathsFingerprint(s.value()));
 
   // A compacted engine refuses batches like it refuses single ticks.
   ASSERT_TRUE(engine.Compact().ok());
