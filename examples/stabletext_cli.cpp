@@ -446,7 +446,7 @@ int ServeLocal(Engine& engine, const CliArgs& args) {
     // Rotate the requested query with a different *algorithm* (same
     // k/l) so the fleet exercises both the warm streaming path and cold
     // finder runs. Rotating online configurations instead would thrash
-    // the single warm-online slot and force a full replay per tick.
+    // the single warm-online slot and force a full sweep per tick.
     Query alt = args.query;
     alt.algorithm = args.query.algorithm == FinderAlgorithm::kBfs
                         ? FinderAlgorithm::kDfs

@@ -2,7 +2,7 @@
 // arrive one interval at a time (as from the BlogScope crawler); every
 // tick is committed with Engine::IngestText and the current top-k stable
 // clusters are re-reported immediately with an online Query — no batch
-// rebuild, no barrier. The warm streaming finder inside the engine only
+// rebuild, no barrier. The warm BFS interval sweep inside the engine only
 // touches the g+1-interval window per tick (Section 4.6), so each
 // report costs the marginal work of the newest interval.
 //

@@ -596,7 +596,7 @@ Status Engine::GrowGraph(uint32_t interval, size_t cluster_count,
     }
     if (tick_max > running_max_affinity_) {
       if (running_max_affinity_ > 0) {
-        // The warm online finder holds paths built from the old scale;
+        // The warm online sweep holds paths built from the old scale;
         // rebuild it at the new scale before the next publish.
         online_rescale_needed_ = true;
       }
@@ -612,37 +612,12 @@ Status Engine::GrowGraph(uint32_t interval, size_t cluster_count,
   return Status::OK();
 }
 
-Status Engine::FeedOnline(uint32_t interval) {
-  online_->BeginInterval();
-  for (size_t j = 0; j < graph_.IntervalNodes(interval).size(); ++j) {
-    auto node = online_->AddNode();
-    if (!node.ok()) return node.status();
-  }
-  for (NodeId c : graph_.IntervalNodes(interval)) {
-    for (const ClusterGraphEdge& pe : graph_.Parents(c)) {
-      ST_RETURN_IF_ERROR(online_->AddEdge(pe.target, c, pe.weight));
-    }
-  }
-  return online_->EndInterval();
-}
-
-void Engine::ResetOnlineFinder(size_t k, uint32_t l) {
-  OnlineFinderOptions opts;
-  opts.k = k;
-  opts.l = l;
-  opts.gap = options_.gap;
-  online_ = std::make_unique<OnlineStableFinder>(opts);
-  online_k_ = k;
-  online_l_ = l;
-  online_fed_ = 0;
-}
-
 Status Engine::AdvanceWarmOnline(uint32_t interval) {
   if (online_ != nullptr && online_rescale_needed_) {
     // Weights were rescaled: the warm paths are at the old scale. Rebuild
-    // from interval 0 at the current scale (one replay, then marginal
+    // from interval 0 at the current scale (one full sweep, then marginal
     // cost again).
-    ResetOnlineFinder(online_k_, online_l_);
+    online_ = std::make_unique<IntervalSweep>(online_->k(), online_->l());
   }
   online_rescale_needed_ = false;
   // Adopt a reader's requested configuration (set when an online query
@@ -652,15 +627,14 @@ Status Engine::AdvanceWarmOnline(uint32_t interval) {
   if (hint != 0) {
     const size_t k = static_cast<size_t>(hint >> 32);
     const uint32_t l = static_cast<uint32_t>(hint & 0xffffffffULL);
-    if (online_ == nullptr || online_k_ != k || online_l_ != l) {
-      ResetOnlineFinder(k, l);
+    if (online_ == nullptr || online_->k() != k || online_->l() != l) {
+      online_ = std::make_unique<IntervalSweep>(k, l);
     }
   }
   if (online_ == nullptr) return Status::OK();
-  for (uint32_t iv = online_fed_; iv <= interval; ++iv) {
-    ST_RETURN_IF_ERROR(FeedOnline(iv));
+  for (uint32_t iv = online_->next_interval(); iv <= interval; ++iv) {
+    ST_RETURN_IF_ERROR(online_->Advance(graph_, iv));
   }
-  online_fed_ = interval + 1;
   return Status::OK();
 }
 
@@ -718,10 +692,10 @@ void Engine::Publish() {
     word_tail_.reset();
   }
   snap->words.total = vocab;
-  if (online_ != nullptr && online_fed_ == snap->epoch) {
+  if (online_ != nullptr && online_->next_interval() == snap->epoch) {
     snap->has_online = true;
-    snap->online_k = online_k_;
-    snap->online_l = online_l_;
+    snap->online_k = online_->k();
+    snap->online_l = online_->l();
     snap->online_topk = online_->TopK();
   }
   snap->compacted = graph_.frozen();

@@ -5,7 +5,7 @@
 // (Section 3), affinity-joins the new clusters against the gap-window
 // frontier (Section 4.1), extends the cluster graph in place, and then
 // publishes an immutable GraphSnapshot (chunked CSR adjacency + interval
-// metadata + warm streaming-finder state) with an atomic shared_ptr swap.
+// metadata + the warm online sweep's top-k) with an atomic shared_ptr swap.
 // Publishing is O(delta): only the adjacency chunks the tick touched are
 // sealed; every untouched chunk is shared by shared_ptr with the previous
 // epoch, and raw-intersection weights renormalize lazily through a
@@ -39,9 +39,9 @@
 #include "core/interval_clusterer.h"
 #include "core/query_cache.h"
 #include "core/snapshot.h"
+#include "stable/bfs_finder.h"
 #include "stable/cluster_graph.h"
 #include "stable/finder.h"
-#include "stable/online_finder.h"
 #include "util/annotated_mutex.h"
 #include "util/thread_pool.h"
 
@@ -200,12 +200,12 @@ class Engine {
   /// Freezes the writer's cluster graph into immutable CSR adjacency and
   /// publishes a final snapshot. Idempotent; Ingest* fails afterwards.
   ///
-  /// Post-compact online semantics (defined): warm streaming-finder
-  /// state survives into the final snapshot only if it is caught up with
-  /// the final epoch; a post-compact online query for any other (k, l)
-  /// replays the frozen graph through the registry — identical paths,
-  /// replay cost — and can no longer be warmed (there are no further
-  /// ingests to consume the warm-up hint).
+  /// Post-compact online semantics (defined): the warm sweep's top-k
+  /// survives into the final snapshot only if the sweep is caught up
+  /// with the final epoch; a post-compact online query for any other
+  /// (k, l) runs the BFS sweep over the frozen graph through the
+  /// registry — identical paths, full sweep cost — and can no longer be
+  /// warmed (there are no further ingests to consume the warm-up hint).
   Status Compact();
 
   /// True once Compact() has been called. Reader-safe (reads the
@@ -264,7 +264,7 @@ class Engine {
   std::vector<std::vector<KeywordId>> InternDocuments(
       const std::vector<Document>& documents) REQUIRES(writer_role_);
   // Commits a clustered interval: slot adoption, frontier joins, graph
-  // extension, warm-online feed, WAL record, snapshot publish.
+  // extension, warm-online sweep step, WAL record, snapshot publish.
   Result<uint32_t> CommitInterval(std::shared_ptr<SnapshotInterval> slot)
       REQUIRES(writer_role_);
   // A new edge of the cluster graph, by node id. Stored weight: raw for
@@ -285,14 +285,8 @@ class Engine {
   Status GrowGraph(uint32_t interval, size_t cluster_count,
                    const std::vector<IntervalEdge>& edges)
       REQUIRES(writer_role_);
-  // Feeds interval `interval`'s nodes and parent edges into the warm
-  // online finder. Writer-side.
-  Status FeedOnline(uint32_t interval) REQUIRES(writer_role_);
-  // Replaces the warm online finder with a fresh (k, l) instance that
-  // will be fed from interval 0.
-  void ResetOnlineFinder(size_t k, uint32_t l) REQUIRES(writer_role_);
-  // Creates/advances the warm online finder up to `interval` (consuming
-  // any reader hint), writer-side.
+  // Creates/advances the warm online sweep through `interval` over
+  // graph_ (consuming any reader hint), writer-side.
   Status AdvanceWarmOnline(uint32_t interval) REQUIRES(writer_role_);
   // Builds and atomically publishes the snapshot for the current state.
   void Publish() REQUIRES(writer_role_);
@@ -369,18 +363,17 @@ class Engine {
   // Repeated-query absorber; internally synchronized (sharded).
   mutable std::unique_ptr<QueryCache> cache_;
 
-  // Warm streaming-finder state (Section 4.6), owned by the writer. A
-  // reader's online query that misses the published warm state stores its
-  // (k, l) here (lock-free hint); the next ingest adopts it, and from
-  // then on every tick pays only the marginal Section 4.6 work while the
-  // published snapshot carries the materialized top-k. 0 = no hint.
+  // Warm online state (Section 4.6), owned by the writer: one BFS
+  // IntervalSweep for one (k, l), advanced over graph_ as intervals
+  // commit. It holds annotations for the g+1-interval window only, never
+  // a copy of the graph. A reader's online query that misses the
+  // published warm state stores its (k, l) here (lock-free hint); the
+  // next ingest adopts it, and from then on every tick pays only the
+  // marginal sweep step while the published snapshot carries the
+  // materialized top-k. 0 = no hint.
   mutable std::atomic<uint64_t> online_hint_{0};
-  std::unique_ptr<OnlineStableFinder> online_ GUARDED_BY(writer_role_);
-  size_t online_k_ GUARDED_BY(writer_role_) = 0;
-  uint32_t online_l_ GUARDED_BY(writer_role_) = 0;
-  // Intervals already fed.
-  uint32_t online_fed_ GUARDED_BY(writer_role_) = 0;
-  // Set when a weight rescale invalidated the warm finder's paths; the
+  std::unique_ptr<IntervalSweep> online_ GUARDED_BY(writer_role_);
+  // Set when a weight rescale invalidated the warm sweep's paths; the
   // next ingest rebuilds it from scratch at the new scale.
   bool online_rescale_needed_ GUARDED_BY(writer_role_) = false;
   // Non-OK after an ingest failed mid-commit: the writer state holds a

@@ -82,9 +82,10 @@ Result<QueryResult> QuerySnapshot(const GraphSnapshot& snapshot,
       ST_ASSIGN_OR_RETURN(out.chains, snapshot.ToChains(out.finder.paths));
       return out;
     }
-    // Cold: fall through to the registry replay below (identical paths,
-    // full replay cost). Engine records a warm-up hint so the writer can
-    // serve this configuration from its warm state after the next tick.
+    // Cold: fall through to the registry's batch BFS below (identical
+    // paths, full sweep cost). Engine records a warm-up hint so the
+    // writer can serve this configuration from its warm state after the
+    // next tick.
   }
   auto r = RunFinder(*snapshot.graph, query);
   if (!r.ok()) return r.status();

@@ -5,7 +5,7 @@
 // are rebuilt; every untouched chunk is shared by shared_ptr with the
 // previous epoch, so publishing costs O(delta), not O(graph)), bundles it
 // with the interval metadata a query answer needs (clusters, keyword
-// table) and the warm streaming-finder state, and publishes the bundle
+// table) and the warm online sweep's top-k, and publishes the bundle
 // with an atomic shared_ptr swap. Readers pin an epoch by grabbing the
 // pointer (the only query-path synchronization; C++17 shared_ptr atomics
 // use a briefly held pooled lock, never the writer's tick), and nothing
@@ -50,8 +50,8 @@ struct QueryResult {
   /// Monotone across queries on one Engine; constant for a pinned
   /// snapshot.
   uint64_t epoch = 0;
-  /// True when the answer came from the snapshot's warm streaming-finder
-  /// state (Section 4.6) instead of a finder run.
+  /// True when the answer came from the snapshot's warm online state
+  /// (Section 4.6) instead of a finder run.
   bool warm_online = false;
 };
 
@@ -145,10 +145,10 @@ struct GraphSnapshot {
   /// Keyword id -> string, for rendering without touching the (growing)
   /// writer-side dictionary.
   SnapshotWords words;
-  /// Warm streaming-finder state (Section 4.6) at this epoch: the top-k
-  /// for one (k, l) configuration, maintained incrementally by the
-  /// writer. Queries matching the configuration are answered from here
-  /// without running a finder.
+  /// Warm online state (Section 4.6) at this epoch: the top-k of the
+  /// writer's BFS IntervalSweep for one (k, l) configuration, advanced
+  /// one interval per commit. Queries matching the configuration are
+  /// answered from here without running a finder.
   bool has_online = false;
   size_t online_k = 0;
   uint32_t online_l = 0;

@@ -5,33 +5,134 @@
 
 namespace stabletext {
 
-namespace {
+size_t IntervalSweep::Annotation::MemoryBytes() const {
+  size_t bytes = sizeof(*this);
+  for (const auto& h : heaps) bytes += h.MemoryBytes();
+  return bytes;
+}
 
-// Per-node annotation: heaps_[x] holds the top-k paths of length x ending
-// at the node. In full-path mode a single heap is kept (x == interval),
-// the "reduces the computation by a factor of l" special case of
-// Section 4.2.
-struct NodeAnnotation {
-  std::vector<TopKHeap<>> heaps;  // Index = path length; [0] unused.
-  uint32_t min_length = 0;        // Full mode: the single valid length.
-  bool full_mode = false;
+TopKHeap<>* IntervalSweep::HeapFor(Annotation& a, uint32_t interval,
+                                   uint32_t length) const {
+  if (full_paths_) {
+    return length == interval && !a.heaps.empty() ? &a.heaps[0] : nullptr;
+  }
+  if (length == 0 || length >= a.heaps.size()) return nullptr;
+  return &a.heaps[length];
+}
 
-  TopKHeap<>* HeapFor(uint32_t length) {
-    if (full_mode) {
-      return length == min_length && !heaps.empty() ? &heaps[0] : nullptr;
+IntervalSweep::Annotation& IntervalSweep::Of(const ClusterGraph& graph,
+                                             NodeId n) {
+  const uint32_t interval = graph.Interval(n);
+  assert(interval >= window_begin_ &&
+         interval - window_begin_ < window_.size());
+  // Node ids are assigned in increasing order, so every interval's node
+  // list is sorted and the annotation index is the node's rank in it.
+  const std::vector<NodeId>& nodes = graph.IntervalNodes(interval);
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), n);
+  return window_[interval - window_begin_][it - nodes.begin()];
+}
+
+Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
+  if (interval != next_interval_) {
+    return Status::InvalidArgument(
+        "intervals must be swept in order from 0");
+  }
+  if (interval >= graph.interval_count()) {
+    return Status::InvalidArgument("interval outside the graph");
+  }
+  if (interval == 0) {
+    gap_ = graph.gap();
+  } else if (graph.gap() != gap_) {
+    return Status::InvalidArgument("graph gap changed mid-sweep");
+  }
+  const uint32_t i = interval;
+  const std::vector<NodeId>& nodes = graph.IntervalNodes(i);
+  if (i > 0) {
+    // Read the g+1 window from disk (the only annotations ever needed).
+    for (const IntervalAnnotations& w : window_) {
+      cost_.io.page_reads += w.size();
     }
-    if (length == 0 || length >= heaps.size()) return nullptr;
-    return &heaps[length];
+    cost_.io.page_reads += nodes.size();
   }
 
-  size_t MemoryBytes() const {
-    size_t bytes = sizeof(*this);
-    for (const auto& h : heaps) bytes += h.MemoryBytes();
-    return bytes;
+  IntervalAnnotations& built = window_.emplace_back(nodes.size());
+  for (Annotation& a : built) {
+    if (!full_paths_) {
+      a.heaps.assign(std::min(l_, i) + 1, TopKHeap<>(k_));
+    } else if (i >= 1) {
+      a.heaps.assign(1, TopKHeap<>(k_));
+    }
   }
-};
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    const NodeId c = nodes[j];
+    for (const ClusterGraphEdge& pe : graph.Parents(c)) {
+      const NodeId p = pe.target;
+      const uint32_t parent_interval = graph.Interval(p);
+      const uint32_t len = i - parent_interval;
+      // Bare edge as a path of length len.
+      {
+        StablePath path;
+        path.nodes = {p, c};
+        path.weight = pe.weight;
+        path.length = len;
+        ++cost_.heap_offers;
+        if (TopKHeap<>* h = HeapFor(built[j], i, len)) h->Offer(path);
+        if (len == l_) {
+          ++cost_.heap_offers;
+          global_.Offer(path);
+        }
+      }
+      // An edge spanning l or more intervals ends no longer subpath.
+      if (len >= l_) continue;
+      // Extensions of subpaths ending at p.
+      Annotation& parent = Of(graph, p);
+      for (uint32_t x = 1; x <= l_ - len; ++x) {
+        const TopKHeap<>* src = HeapFor(parent, parent_interval, x);
+        if (src == nullptr) continue;
+        for (const StablePath& pi : src->paths()) {
+          StablePath extended = pi;
+          extended.nodes.push_back(c);
+          extended.weight += pe.weight;
+          extended.length += len;
+          ++cost_.heap_offers;
+          if (TopKHeap<>* h = HeapFor(built[j], i, extended.length)) {
+            h->Offer(extended);
+          }
+          if (extended.length == l_) {
+            ++cost_.heap_offers;
+            global_.Offer(extended);
+          }
+        }
+      }
+    }
+  }
+  // Save the interval's annotations to disk (line 17 of Algorithm 2).
+  if (i > 0) cost_.io.page_writes += nodes.size();
 
-}  // namespace
+  ++next_interval_;
+  // Interval i+1 reads [i-g, i]; older annotations are never read again.
+  while (window_.size() > size_t{gap_} + 1) {
+    window_.pop_front();
+    ++window_begin_;
+  }
+  return Status::OK();
+}
+
+std::vector<size_t> IntervalSweep::WindowAnnotationBytes() const {
+  std::vector<size_t> bytes;
+  for (const IntervalAnnotations& w : window_) {
+    for (const Annotation& a : w) bytes.push_back(a.MemoryBytes());
+  }
+  return bytes;
+}
+
+size_t IntervalSweep::FrontierBytes() const {
+  size_t bytes = global_.MemoryBytes();
+  if (!window_.empty()) {
+    for (const Annotation& a : window_.back()) bytes += a.MemoryBytes();
+  }
+  return bytes;
+}
 
 Result<StableFinderResult> BfsStableFinder::Find(
     const ClusterGraph& graph) const {
@@ -42,134 +143,38 @@ Result<StableFinderResult> BfsStableFinder::Find(
   if (l < 1 || l > m - 1) {
     return Status::InvalidArgument("path length l out of range");
   }
-  const bool full_mode = (l == m - 1);
-  const size_t k = options_.k;
-  const uint32_t g = graph.gap();
-
-  std::vector<NodeAnnotation> ann(graph.node_count());
-  for (NodeId nid = 0; nid < graph.node_count(); ++nid) {
-    NodeAnnotation& a = ann[nid];
-    const uint32_t i = graph.Interval(nid);
-    a.full_mode = full_mode;
-    if (full_mode) {
-      a.min_length = i;
-      if (i >= 1) a.heaps.assign(1, TopKHeap<>(k));
-    } else {
-      const uint32_t max_len = std::min(l, i);
-      a.heaps.assign(max_len + 1, TopKHeap<>(k));
-    }
-  }
-
-  TopKHeap<> global(k);
-
-  // chunk_of[node] = chunk index within the current window, or -1.
-  std::vector<int> chunk_of(graph.node_count(), -1);
-
+  IntervalSweep sweep(options_.k, l, /*full_paths=*/l == m - 1);
+  ST_RETURN_IF_ERROR(sweep.Advance(graph, 0));
   for (uint32_t i = 1; i < m; ++i) {
-    // The window: intervals [i-g-1, i-1] — every possible parent interval.
-    const uint32_t window_begin = i >= g + 1 ? i - g - 1 : 0;
-
-    // Partition window nodes into chunks that fit the memory budget
-    // (block-nested-loop fallback of Section 4.2). With an unlimited
-    // budget there is exactly one chunk.
-    std::vector<NodeId> window_nodes;
-    size_t window_bytes = 0;
-    for (uint32_t iv = window_begin; iv < i; ++iv) {
-      for (NodeId nid : graph.IntervalNodes(iv)) {
-        window_nodes.push_back(nid);
-        window_bytes += ann[nid].MemoryBytes();
+    // Block-nested-loop fallback of Section 4.2: partition the window
+    // into chunks that fit the memory budget (one chunk when unlimited).
+    // Each parent edge is extended exactly once, whichever chunk holds
+    // its parent, and TopKHeap's strict total order makes the answer
+    // independent of offer order. So the step runs once and the
+    // partition decides only the accounting: the passes, one re-read of
+    // interval i per extra pass, and the largest chunk resident at once.
+    size_t chunks = 0;
+    size_t acc = 0;
+    size_t largest = 0;
+    for (size_t bytes : sweep.WindowAnnotationBytes()) {
+      if (chunks == 0 ||
+          (acc + bytes > options_.memory_budget_bytes && acc > 0)) {
+        ++chunks;
+        acc = 0;
       }
+      acc += bytes;
+      largest = std::max(largest, acc);
     }
-    int chunk_count = 0;
-    {
-      size_t acc = 0;
-      for (NodeId nid : window_nodes) {
-        const size_t bytes = ann[nid].MemoryBytes();
-        if (chunk_count == 0 ||
-            (acc + bytes > options_.memory_budget_bytes && acc > 0)) {
-          ++chunk_count;
-          acc = 0;
-        }
-        acc += bytes;
-        chunk_of[nid] = chunk_count - 1;
-      }
-      if (chunk_count == 0) chunk_count = 1;  // Empty window.
-    }
-    result.passes = std::max(result.passes, static_cast<size_t>(chunk_count));
-
-    // Bytes of the current interval's annotations (built during the pass).
-    auto interval_bytes = [&](uint32_t iv) {
-      size_t bytes = 0;
-      for (NodeId nid : graph.IntervalNodes(iv)) {
-        bytes += ann[nid].MemoryBytes();
-      }
-      return bytes;
-    };
-
-    for (int chunk = 0; chunk < chunk_count; ++chunk) {
-      // Read this chunk of window annotations (sequential I/O), plus one
-      // sequential read per current-interval node.
-      size_t chunk_bytes = 0;
-      for (NodeId nid : window_nodes) {
-        if (chunk_of[nid] == chunk) {
-          ++result.io.page_reads;
-          chunk_bytes += ann[nid].MemoryBytes();
-        }
-      }
-      result.io.page_reads += graph.IntervalNodes(i).size();
-
-      for (NodeId c : graph.IntervalNodes(i)) {
-        for (const ClusterGraphEdge& pe : graph.Parents(c)) {
-          const NodeId p = pe.target;
-          if (chunk_of[p] != chunk) continue;
-          const uint32_t len = i - graph.Interval(p);
-          // Bare edge as a path of length len.
-          {
-            StablePath path;
-            path.nodes = {p, c};
-            path.weight = pe.weight;
-            path.length = len;
-            ++result.heap_offers;
-            if (TopKHeap<>* h = ann[c].HeapFor(len)) h->Offer(path);
-            if (len == l) {
-              ++result.heap_offers;
-              global.Offer(path);
-            }
-          }
-          // Extensions of subpaths ending at p.
-          const uint32_t x_hi = l - len;
-          for (uint32_t x = 1; x <= x_hi; ++x) {
-            TopKHeap<>* src = ann[p].HeapFor(x);
-            if (src == nullptr) continue;
-            for (const StablePath& pi : src->paths()) {
-              StablePath extended = pi;
-              extended.nodes.push_back(c);
-              extended.weight += pe.weight;
-              extended.length += len;
-              ++result.heap_offers;
-              if (TopKHeap<>* h = ann[c].HeapFor(extended.length)) {
-                h->Offer(extended);
-              }
-              if (extended.length == l) {
-                ++result.heap_offers;
-                global.Offer(extended);
-              }
-            }
-          }
-        }
-      }
-
-      const size_t live = chunk_bytes + interval_bytes(i) +
-                          global.MemoryBytes();
-      result.peak_memory_bytes = std::max(result.peak_memory_bytes, live);
-    }
-
-    // Save the interval's annotations to disk (line 17 of Algorithm 2).
-    result.io.page_writes += graph.IntervalNodes(i).size();
-    for (NodeId nid : window_nodes) chunk_of[nid] = -1;
+    chunks = std::max<size_t>(chunks, 1);  // Empty window.
+    ST_RETURN_IF_ERROR(sweep.Advance(graph, i));
+    result.passes = std::max(result.passes, chunks);
+    result.io.page_reads += (chunks - 1) * graph.IntervalNodes(i).size();
+    result.peak_memory_bytes =
+        std::max(result.peak_memory_bytes, largest + sweep.FrontierBytes());
   }
-
-  result.paths = global.paths();
+  result.io += sweep.cost().io;
+  result.heap_offers = sweep.cost().heap_offers;
+  result.paths = sweep.TopK();
   return result;
 }
 

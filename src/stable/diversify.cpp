@@ -42,19 +42,4 @@ std::vector<StablePath> DiversifyPaths(const std::vector<StablePath>& ranked,
   return out;
 }
 
-Result<StableFinderResult> FindDiversifiedStableClusters(
-    const ClusterGraph& graph, const BfsFinderOptions& finder_options,
-    const DiversifyOptions& diversify_options,
-    size_t candidate_multiplier) {
-  BfsFinderOptions enlarged = finder_options;
-  enlarged.k = std::max<size_t>(1, finder_options.k) *
-               std::max<size_t>(1, candidate_multiplier);
-  auto result = BfsStableFinder(enlarged).Find(graph);
-  if (!result.ok()) return result.status();
-  StableFinderResult out = std::move(result).value();
-  out.paths =
-      DiversifyPaths(out.paths, finder_options.k, diversify_options);
-  return out;
-}
-
 }  // namespace stabletext

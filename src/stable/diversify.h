@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "stable/bfs_finder.h"
 #include "stable/finder.h"
 
 namespace stabletext {
@@ -38,16 +37,6 @@ std::vector<StablePath> DiversifyPaths(const std::vector<StablePath>& ranked,
 /// True if `a` and `b` share a constrained prefix or suffix.
 bool PathsConflict(const StablePath& a, const StablePath& b,
                    const DiversifyOptions& options);
-
-/// Convenience: runs the BFS finder with an enlarged internal k
-/// (candidate_multiplier * k) and diversifies the result. The selection
-/// is exact whenever the diversified top-k is contained in the enlarged
-/// candidate ranking (increase the multiplier for highly redundant
-/// graphs).
-Result<StableFinderResult> FindDiversifiedStableClusters(
-    const ClusterGraph& graph, const BfsFinderOptions& finder_options,
-    const DiversifyOptions& diversify_options,
-    size_t candidate_multiplier = 8);
 
 }  // namespace stabletext
 

@@ -9,7 +9,6 @@
 #include "stable/diversify.h"
 #include "stable/normalized_bfs_finder.h"
 #include "stable/normalized_dfs_finder.h"
-#include "stable/online_finder.h"
 #include "stable/ta_finder.h"
 
 namespace stabletext {
@@ -72,41 +71,6 @@ Result<StableFinderResult> RunBruteForce(const ClusterGraph& graph,
   return result;
 }
 
-// Replays the graph interval by interval through the streaming finder —
-// the same code path Engine feeds incrementally, so a batch caller can
-// cross-check the online answer against bfs/dfs on any static graph.
-Result<StableFinderResult> RunOnline(const ClusterGraph& graph,
-                                     const FinderQuery& query) {
-  const uint32_t m = graph.interval_count();
-  StableFinderResult result;
-  if (m < 2) return result;
-  const uint32_t l = query.l == 0 ? m - 1 : query.l;
-  if (l < 1 || l > m - 1) {
-    return Status::InvalidArgument("path length l out of range");
-  }
-  OnlineFinderOptions options;
-  options.k = query.k;
-  options.l = l;
-  options.gap = graph.gap();
-  OnlineStableFinder finder(options);
-  for (uint32_t i = 0; i < m; ++i) {
-    finder.BeginInterval();
-    for (size_t j = 0; j < graph.IntervalNodes(i).size(); ++j) {
-      auto node = finder.AddNode();
-      if (!node.ok()) return node.status();
-    }
-    for (NodeId c : graph.IntervalNodes(i)) {
-      for (const ClusterGraphEdge& pe : graph.Parents(c)) {
-        ST_RETURN_IF_ERROR(finder.AddEdge(pe.target, c, pe.weight));
-      }
-    }
-    ST_RETURN_IF_ERROR(finder.EndInterval());
-  }
-  result.paths = finder.TopK();
-  result.io = finder.io();
-  return result;
-}
-
 }  // namespace
 
 const std::vector<FinderInfo>& FinderRegistry() {
@@ -116,7 +80,9 @@ const std::vector<FinderInfo>& FinderRegistry() {
       {FinderAlgorithm::kTa, "ta", true, false, &RunTa},
       {FinderAlgorithm::kBruteForce, "brute-force", true, true,
        &RunBruteForce},
-      {FinderAlgorithm::kOnline, "online", true, false, &RunOnline},
+      // A cold online query is the kl-stable BFS sweep the engine keeps
+      // warm (IntervalSweep); only the warm answer skips the run.
+      {FinderAlgorithm::kOnline, "online", true, false, &RunBfs},
   };
   return registry;
 }

@@ -48,7 +48,9 @@ enum class FinderAlgorithm {
   kDfs,         ///< Depth-first (Algorithm 3, Section 4.3).
   kTa,          ///< Threshold algorithm (Section 4.4); full paths, g = 0.
   kBruteForce,  ///< Exhaustive enumeration (testing oracle).
-  kOnline,      ///< Streaming sweep (Section 4.6), replayed per interval.
+  /// Online (Section 4.6): the BFS interval sweep, which the engine
+  /// keeps warm across ingests for one (k, l); a cold query runs BFS.
+  kOnline,
 };
 
 /// What the query ranks by.

@@ -101,7 +101,11 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(5u, 4u, 3u, 0u, size_t{2}, 1u),
         std::make_tuple(6u, 3u, 2u, 1u, size_t{5}, 4u),
         std::make_tuple(6u, 3u, 1u, 0u, size_t{10}, 0u),
-        std::make_tuple(7u, 2u, 2u, 2u, size_t{3}, 5u)),
+        std::make_tuple(7u, 2u, 2u, 2u, size_t{3}, 5u),
+        // Edges spanning more than l intervals (l < g+1): the step must
+        // skip extending them rather than loop on l - len.
+        std::make_tuple(4u, 5u, 2u, 1u, size_t{3}, 1u),
+        std::make_tuple(5u, 3u, 2u, 2u, size_t{4}, 2u)),
     [](const auto& info) {
       const auto& p = info.param;
       return "m" + std::to_string(std::get<0>(p)) + "n" +

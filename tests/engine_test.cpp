@@ -199,20 +199,23 @@ TEST(EngineEquivalenceTest, TaMatchesOracleOnGapZero) {
   }
 }
 
-// The warm online cache fed across ingests must equal a cold batch BFS
-// at every tick, not just the last one.
+// The warm online sweep advanced across ingests must equal a cold batch
+// BFS at every tick, not just the last one. l = 1 on a gap-1 graph has
+// edges longer than l, which the step must skip.
 TEST(EngineEquivalenceTest, OnlineWarmCacheMatchesBfsEveryTick) {
   const auto days = GenerateWeek();
-  Engine engine(TestOptions(/*gap=*/1, /*threads=*/1));
-  for (uint32_t day = 0; day < kDays; ++day) {
-    ASSERT_TRUE(engine.IngestText(days[day]).ok());
-    auto online = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 4, 2));
-    auto bfs = engine.Query(MakeQuery(FinderAlgorithm::kBfs, 4, 2));
-    ASSERT_TRUE(online.ok()) << online.status().ToString();
-    ASSERT_TRUE(bfs.ok());
-    EXPECT_EQ(PathsFingerprint(online.value()),
-              PathsFingerprint(bfs.value()))
-        << "tick " << day;
+  for (const uint32_t l : {2u, 1u}) {
+    Engine engine(TestOptions(/*gap=*/1, /*threads=*/1));
+    for (uint32_t day = 0; day < kDays; ++day) {
+      ASSERT_TRUE(engine.IngestText(days[day]).ok());
+      auto online = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 4, l));
+      auto bfs = engine.Query(MakeQuery(FinderAlgorithm::kBfs, 4, l));
+      ASSERT_TRUE(online.ok()) << online.status().ToString();
+      ASSERT_TRUE(bfs.ok());
+      EXPECT_EQ(PathsFingerprint(online.value()),
+                PathsFingerprint(bfs.value()))
+          << "l " << l << " tick " << day;
+    }
   }
 }
 
@@ -284,7 +287,7 @@ TEST(EngineTest, ValidationAndUnsupportedCombinations) {
 }
 
 // The post-compact online contract (previously undefined: a stale warm
-// OnlineStableFinder could outlive the freeze): warm state survives into
+// online finder could outlive the freeze): warm state survives into
 // the final snapshot only when caught up with the final epoch, so a
 // post-compact online query — same configuration or any other — answers
 // exactly like a replay of the frozen graph, i.e. like BFS.

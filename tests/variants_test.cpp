@@ -5,6 +5,7 @@
 
 #include "stable/brute_force_finder.h"
 #include "stable/diversify.h"
+#include "stable/finder.h"
 #include "stable/normalized_literal_finder.h"
 #include "test_helpers.h"
 
@@ -60,13 +61,17 @@ TEST(DiversifyTest, GreedySelectionSkipsConflicts) {
 
 TEST(DiversifyTest, EndToEndResultsAreConflictFreeAndRanked) {
   ClusterGraph graph = MakeRandomGraph(6, 10, 3, 1, 77);
-  BfsFinderOptions fopt;
-  fopt.k = 5;
-  fopt.l = 3;
-  DiversifyOptions dopt;
-  auto result =
-      FindDiversifiedStableClusters(graph, fopt, dopt);
+  FinderQuery query;
+  query.algorithm = FinderAlgorithm::kBfs;
+  query.k = 5;
+  query.l = 3;
+  query.diversify_prefix = 2;
+  query.diversify_suffix = 2;
+  auto result = RunFinder(graph, query);
   ASSERT_TRUE(result.ok());
+  DiversifyOptions dopt;
+  dopt.prefix_nodes = 2;
+  dopt.suffix_nodes = 2;
   const auto& paths = result.value().paths;
   EXPECT_LE(paths.size(), 5u);
   for (size_t i = 0; i < paths.size(); ++i) {
