@@ -445,13 +445,11 @@ void Server::NotifierLoop() {
       delta.subscription_id = sub->id;
       delta.epoch = snap->epoch;
       sub->last = std::move(now);
-      // Counted before the frame is queued: the loop thread may flush it
-      // at once, and a client that has read the push must see it counted.
-      pushes_sent_.fetch_add(1, std::memory_order_relaxed);
       EnqueueOutbound(sub->connection_id,
                       EncodeFrame(MsgType::kDelta, 0,
                                   EncodeDeltaBody(delta)),
                       /*completes_query=*/false);
+      pushes_sent_.fetch_add(1, std::memory_order_relaxed);
     }
     {
       MutexLock lock(snap_mu_);

@@ -84,9 +84,11 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
       }
       // An edge spanning l or more intervals ends no longer subpath.
       if (len >= l_) continue;
-      // Extensions of subpaths ending at p.
+      // Extensions of subpaths ending at p. A path ending at p is at
+      // most Interval(p) long, which bounds the loop however large l is.
       Annotation& parent = Of(graph, p);
-      for (uint32_t x = 1; x <= l_ - len; ++x) {
+      const uint32_t x_hi = std::min(l_ - len, parent_interval);
+      for (uint32_t x = 1; x <= x_hi; ++x) {
         const TopKHeap<>* src = HeapFor(parent, parent_interval, x);
         if (src == nullptr) continue;
         for (const StablePath& pi : src->paths()) {

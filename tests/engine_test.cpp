@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -330,6 +334,35 @@ TEST(EngineTest, CompactDefinesPostCompactOnlineBehavior) {
   EXPECT_FALSE(engine.IngestText({"too late"}).ok());
   EXPECT_TRUE(engine.snapshot()->graph->frozen());
   EXPECT_EQ(engine.snapshot()->epoch, 4u);
+}
+
+// A reader's online length is not bounded by the stream: the warm sweep
+// it asks for must cost what the graph holds, not what l says, or one
+// remote query with a huge l would stall the writer.
+TEST(EngineTest, HugeOnlineLengthDoesNotStallIngest) {
+  const auto days = GenerateWeek();
+  Engine engine(TestOptions(/*gap=*/1, /*threads=*/1));
+  ASSERT_TRUE(engine.IngestText(days[0]).ok());
+  ASSERT_TRUE(engine.IngestText(days[1]).ok());
+  auto r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, UINT32_MAX));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().chains.empty());
+
+  auto ingest = std::async(std::launch::async,
+                           [&] { return engine.IngestText(days[2]); });
+  if (ingest.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // The writer is wedged; the future's destructor would wait forever.
+    ADD_FAILURE() << "IngestText did not return within 60 s";
+    std::abort();
+  }
+  ASSERT_TRUE(ingest.get().ok());
+  // The hint was adopted: the sweep ran with the huge l.
+  EXPECT_TRUE(engine.snapshot()->has_online);
+  EXPECT_EQ(engine.snapshot()->online_l, UINT32_MAX);
+  r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, UINT32_MAX));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().chains.empty());
 }
 
 TEST(EngineTest, DiversifiedQueryRespectsAffixConstraints) {
