@@ -762,14 +762,15 @@ Result<QueryResult> Engine::QueryAt(
       query.diversify_prefix > 0 || query.diversify_suffix > 0;
   if (query.algorithm == FinderAlgorithm::kOnline &&
       query.mode == FinderMode::kKlStable && !diversify &&
-      !out.warm_online && query.l != 0 && snap->epoch >= 2 &&
+      !out.warm_online && query.l != 0 && query.l < snap->epoch &&
       snap_is_latest) {
     // Cold online query: ask the writer to keep this configuration warm
     // from the next tick on (lock-free; last writer wins). Not for
     // l = 0 ("full length") queries — their effective l changes every
     // epoch, so warming one value would force a full replay per tick —
-    // and not from stale pinned snapshots, which must not evict the
-    // configuration serving live readers.
+    // not for l >= epoch, which answers empty, and not from stale pinned
+    // snapshots, which must not evict the configuration serving live
+    // readers.
     const uint64_t hint = PackOnlineHint(query.k, query.l);
     if (hint != 0) {
       online_hint_.store(hint, std::memory_order_relaxed);

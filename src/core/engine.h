@@ -367,8 +367,9 @@ class Engine {
   // IntervalSweep for one (k, l), advanced over graph_ as intervals
   // commit. It holds annotations for the g+1-interval window only, never
   // a copy of the graph. A reader's online query that misses the
-  // published warm state stores its (k, l) here (lock-free hint); the
-  // next ingest adopts it, and from then on every tick pays only the
+  // published warm state and has 1 <= l < epoch (any other l answers
+  // empty or changes per epoch) stores its (k, l) here (lock-free hint);
+  // the next ingest adopts it, and from then on every tick pays only the
   // marginal sweep step while the published snapshot carries the
   // materialized top-k. 0 = no hint.
   mutable std::atomic<uint64_t> online_hint_{0};

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "stable/normalized.h"
+
 namespace stabletext {
 
 size_t IntervalSweep::Annotation::MemoryBytes() const {
@@ -63,6 +65,11 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
       a.heaps.assign(1, TopKHeap<>(k_));
     }
   }
+  auto offer_global = [&](const StablePath& path) {
+    if (path.length < lmin_ || path.length > l_) return;
+    ++cost_.heap_offers;
+    global_.Offer(path);
+  };
   for (size_t j = 0; j < nodes.size(); ++j) {
     const NodeId c = nodes[j];
     for (const ClusterGraphEdge& pe : graph.Parents(c)) {
@@ -77,10 +84,7 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
         path.length = len;
         ++cost_.heap_offers;
         if (TopKHeap<>* h = HeapFor(built[j], i, len)) h->Offer(path);
-        if (len == l_) {
-          ++cost_.heap_offers;
-          global_.Offer(path);
-        }
+        offer_global(path);
       }
       // An edge spanning l or more intervals ends no longer subpath.
       if (len >= l_) continue;
@@ -92,6 +96,9 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
         const TopKHeap<>* src = HeapFor(parent, parent_interval, x);
         if (src == nullptr) continue;
         for (const StablePath& pi : src->paths()) {
+          if (theorem1_pruning_ && Theorem1Reducible(pi, graph, lmin_)) {
+            continue;  // Extensions dominated by the reduced suffix's.
+          }
           StablePath extended = pi;
           extended.nodes.push_back(c);
           extended.weight += pe.weight;
@@ -100,10 +107,7 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
           if (TopKHeap<>* h = HeapFor(built[j], i, extended.length)) {
             h->Offer(extended);
           }
-          if (extended.length == l_) {
-            ++cost_.heap_offers;
-            global_.Offer(extended);
-          }
+          offer_global(extended);
         }
       }
     }
@@ -141,11 +145,16 @@ Result<StableFinderResult> BfsStableFinder::Find(
   const uint32_t m = graph.interval_count();
   StableFinderResult result;
   if (m < 2) return result;
-  const uint32_t l = options_.l == 0 ? m - 1 : options_.l;
+  const bool normalized = options_.mode == FinderMode::kNormalized;
+  const uint32_t l = options_.l == 0 && !normalized ? m - 1 : options_.l;
   if (l < 1 || l > m - 1) {
-    return Status::InvalidArgument("path length l out of range");
+    return Status::InvalidArgument(normalized ? "lmin out of range"
+                                              : "path length l out of range");
   }
-  IntervalSweep sweep(options_.k, l, /*full_paths=*/l == m - 1);
+  IntervalSweep sweep =
+      normalized ? IntervalSweep::Normalized(options_.k, l,
+                                             options_.theorem1_pruning)
+                 : IntervalSweep(options_.k, l, /*full_paths=*/l == m - 1);
   ST_RETURN_IF_ERROR(sweep.Advance(graph, 0));
   for (uint32_t i = 1; i < m; ++i) {
     // Block-nested-loop fallback of Section 4.2: partition the window

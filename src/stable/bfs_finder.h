@@ -5,18 +5,28 @@
 // of annotations in memory; a global heap H accumulates the top-k paths of
 // length exactly l.
 //
-// The per-interval step is IntervalSweep, and it serves both settings of
-// the paper. Batch BFS (Section 4.2) advances a sweep over every interval
-// of a finished graph. The online setting (Section 4.6) is the same sweep
-// advanced as intervals arrive: a node's heaps are computed once, when its
-// interval arrives, and never revisited, so appending interval m+1 costs
-// exactly the last step of the batch run and no past work is redone. The
-// global top-k grows monotonically. The engine keeps one such sweep warm
-// over its growing graph and publishes its top-k with every epoch.
+// The per-interval step is IntervalSweep, and it serves both problems of
+// the paper. Problem 1 (kl-stable) is Algorithm 2 as above. Problem 2
+// (normalized, Section 4.5) is the same sweep with two changes: node heaps
+// are bounded by path length only ("the algorithm seeking normalized
+// stable clusters needs to maintain paths of all lengths"), and the global
+// heap ranks every path of length >= lmin by stability. The per-(node,
+// length) weight-optimal substructure keeps that ranking exact; Theorem 1
+// pruning (stable/normalized.h) is an option.
+//
+// It also serves both settings. Batch BFS (Section 4.2) advances a sweep
+// over every interval of a finished graph. The online setting (Section
+// 4.6) is the same sweep advanced as intervals arrive: a node's heaps are
+// computed once, when its interval arrives, and never revisited, so
+// appending interval m+1 costs exactly the last step of the batch run and
+// no past work is redone. The global top-k grows monotonically. The engine
+// keeps one kl-stable sweep warm over its growing graph and publishes its
+// top-k with every epoch.
 
 #ifndef STABLETEXT_STABLE_BFS_FINDER_H_
 #define STABLETEXT_STABLE_BFS_FINDER_H_
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -30,26 +40,35 @@ namespace stabletext {
 /// \brief Algorithm 2's per-interval step over a ClusterGraph.
 ///
 /// Advance(graph, i) integrates interval i: every node of i gets its heaps
-/// from its parents' heaps, and new length-l paths are offered to the
-/// global top-k. Parents and the gap are read from the graph; the sweep
+/// from its parents' heaps, and new paths of a sought length (exactly l,
+/// or >= lmin) are offered to the global top-k. Parents and the gap are read from the graph; the sweep
 /// keeps no copy of nodes or edges. It holds annotations only for the
 /// g+1-interval window plus the interval being built, so its resident
 /// bytes are bounded by the window, not by the stream. After Advance(i),
 /// TopK() is what batch BFS returns on intervals [0, i].
 class IntervalSweep {
  public:
+  /// Problem 1: the top-k paths of length exactly l, by weight.
   /// \param full_paths Section 4.2's l = m-1 special case: one heap per
   ///   node (paths from interval 0 only), "reducing the computation by a
   ///   factor of l". Exact only when l is the graph's last interval.
   IntervalSweep(size_t k, uint32_t l, bool full_paths = false)
-      : k_(k), l_(l), full_paths_(full_paths), global_(k) {}
+      : IntervalSweep(k, l, l, /*normalized=*/false, false, full_paths) {}
+
+  /// Problem 2: the top-k paths of length >= lmin, by stability. With
+  /// `theorem1_pruning`, Theorem-1-reducible paths are not extended.
+  static IntervalSweep Normalized(size_t k, uint32_t lmin,
+                                  bool theorem1_pruning) {
+    return IntervalSweep(k, lmin, UINT32_MAX, /*normalized=*/true,
+                         theorem1_pruning, /*full_paths=*/false);
+  }
 
   /// Integrates interval `interval` of `graph`. Intervals must arrive in
   /// order from 0, over graphs with one gap; anything else is
   /// InvalidArgument.
   Status Advance(const ClusterGraph& graph, uint32_t interval);
 
-  /// Current top-k paths of length exactly l, best first.
+  /// Current top-k paths (length exactly l, or >= lmin), best first.
   const std::vector<StablePath>& TopK() const { return global_.paths(); }
 
   /// Accumulated cost: io (one window read per step, one read and one
@@ -70,6 +89,24 @@ class IntervalSweep {
   uint32_t next_interval() const { return next_interval_; }
 
  private:
+  // The global heap's order: weight for Problem 1, stability for
+  // Problem 2.
+  struct GlobalOrder {
+    bool by_stability;
+    bool operator()(const StablePath& a, const StablePath& b) const {
+      return by_stability ? PathMoreStable()(a, b) : PathBetter()(a, b);
+    }
+  };
+
+  IntervalSweep(size_t k, uint32_t lmin, uint32_t l, bool normalized,
+                bool theorem1_pruning, bool full_paths)
+      : k_(k),
+        lmin_(lmin),
+        l_(l),
+        theorem1_pruning_(theorem1_pruning),
+        full_paths_(full_paths),
+        global_(k, GlobalOrder{normalized}) {}
+
   // heaps[x] holds the top-k paths of length x ending at the node
   // ([0] unused); full-path mode keeps one heap, for length == interval.
   struct Annotation {
@@ -87,21 +124,30 @@ class IntervalSweep {
   Annotation& Of(const ClusterGraph& graph, NodeId n);
 
   size_t k_;
+  // The global heap takes paths of length in [lmin_, l_]; node heaps keep
+  // lengths up to l_ (unbounded in normalized mode).
+  uint32_t lmin_;
   uint32_t l_;
+  bool theorem1_pruning_;
   bool full_paths_;
   uint32_t gap_ = 0;
   uint32_t next_interval_ = 0;
   // window_[j] annotates interval window_begin_ + j.
   std::deque<IntervalAnnotations> window_;
   uint32_t window_begin_ = 0;
-  TopKHeap<> global_;
+  TopKHeap<GlobalOrder> global_;
   StableFinderResult cost_;
 };
 
 /// Options for BfsStableFinder.
 struct BfsFinderOptions {
+  FinderMode mode = FinderMode::kKlStable;
   size_t k = 5;       ///< Paths sought.
-  uint32_t l = 0;     ///< Path length; 0 means full paths (m-1).
+  /// kKlStable: path length, 0 means full paths (m-1).
+  /// kNormalized: minimum path length lmin.
+  uint32_t l = 0;
+  /// kNormalized: Theorem 1 prefix pruning (stable/normalized.h).
+  bool theorem1_pruning = false;
   /// Bytes of window memory available. When the g+1-interval window does
   /// not fit, the finder falls back to block-nested-loop passes over the
   /// window exactly as Section 4.2 describes ("Mreq/M passes will be
@@ -109,15 +155,15 @@ struct BfsFinderOptions {
   size_t memory_budget_bytes = MemoryTracker::kUnlimited;
 };
 
-/// \brief Breadth-first kl-stable-cluster finder (Section 4.2).
+/// \brief Breadth-first stable-cluster finder (Sections 4.2 and 4.5).
 class BfsStableFinder {
  public:
   explicit BfsStableFinder(BfsFinderOptions options = {})
       : options_(options) {}
 
-  /// Finds the top-k paths of length l (or full length when options.l==0).
-  /// Single forward pass over intervals; I/O and memory are accounted in
-  /// the result.
+  /// Finds the top-k paths of length l (full length when options.l == 0),
+  /// or of length >= lmin by stability in normalized mode. Single forward
+  /// pass over intervals; I/O and memory are accounted in the result.
   Result<StableFinderResult> Find(const ClusterGraph& graph) const;
 
  private:

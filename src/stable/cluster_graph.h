@@ -253,6 +253,15 @@ class ClusterGraph {
     return Interval(b) - Interval(a);
   }
 
+  /// Weight of the edge (a, b); -1 when absent. A graph has at most one
+  /// edge per ordered pair.
+  double EdgeWeight(NodeId a, NodeId b) const {
+    for (const ClusterGraphEdge& e : Children(a)) {
+      if (e.target == b) return e.weight;
+    }
+    return -1;
+  }
+
   /// Maximum out-degree (the d of Section 4.4's cost analysis).
   size_t MaxOutDegree() const;
 

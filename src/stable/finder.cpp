@@ -7,7 +7,6 @@
 #include "stable/cluster_graph.h"
 #include "stable/dfs_finder.h"
 #include "stable/diversify.h"
-#include "stable/normalized_bfs_finder.h"
 #include "stable/normalized_dfs_finder.h"
 #include "stable/ta_finder.h"
 
@@ -17,16 +16,11 @@ namespace {
 
 Result<StableFinderResult> RunBfs(const ClusterGraph& graph,
                                   const FinderQuery& query) {
-  if (query.mode == FinderMode::kNormalized) {
-    NormalizedFinderOptions options;
-    options.k = query.k;
-    options.lmin = query.l;
-    options.theorem1_pruning = query.theorem1_pruning;
-    return NormalizedBfsFinder(options).Find(graph);
-  }
   BfsFinderOptions options;
+  options.mode = query.mode;
   options.k = query.k;
   options.l = query.l;
+  options.theorem1_pruning = query.theorem1_pruning;
   options.memory_budget_bytes = query.memory_budget_bytes;
   return BfsStableFinder(options).Find(graph);
 }

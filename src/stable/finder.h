@@ -44,7 +44,7 @@ struct StableFinderResult {
 
 /// Which traversal answers a query.
 enum class FinderAlgorithm {
-  kBfs,         ///< Interval sweep (Algorithm 2, Section 4.2).
+  kBfs,         ///< Interval sweep (Algorithm 2, Sections 4.2 and 4.5).
   kDfs,         ///< Depth-first (Algorithm 3, Section 4.3).
   kTa,          ///< Threshold algorithm (Section 4.4); full paths, g = 0.
   kBruteForce,  ///< Exhaustive enumeration (testing oracle).

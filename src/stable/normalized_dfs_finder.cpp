@@ -145,15 +145,9 @@ Result<StableFinderResult> NormalizedDfsFinder::Find(
     ++result.io.random_seeks;
     if (!stack.empty() && stack.back().node != kInvalidNode) {
       const NodeId parent = stack.back().node;
-      // Recover the entry edge weight from the adjacency list.
-      double w = 0;
-      for (const ClusterGraphEdge& ce : graph.Children(parent)) {
-        if (ce.target == finished.node) {
-          w = ce.weight;
-          break;
-        }
-      }
-      update(parent, ClusterGraphEdge{finished.node, w});
+      update(parent, ClusterGraphEdge{
+                         finished.node,
+                         graph.EdgeWeight(parent, finished.node)});
     }
   }
 

@@ -14,7 +14,7 @@
 
 #include "stable/cluster_graph.h"
 #include "stable/finder.h"
-#include "stable/normalized_bfs_finder.h"
+#include "stable/normalized.h"
 #include "stable/topk_heap.h"
 
 namespace stabletext {

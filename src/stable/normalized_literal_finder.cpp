@@ -8,40 +8,19 @@ namespace stabletext {
 
 namespace {
 
-// Weight of edge (a, b) in the graph; -1 when absent.
-double EdgeWeight(const ClusterGraph& graph, NodeId a, NodeId b) {
-  for (const ClusterGraphEdge& e : graph.Children(a)) {
-    if (e.target == b) return e.weight;
-  }
-  return -1;
-}
-
-// Applies Theorem 1 repeatedly: strips the longest reducible prefix.
-// Returns the (possibly reduced) path.
+// Applies Theorem 1 repeatedly: strips the first reducible prefix until
+// none is left. Returns the (possibly reduced) path.
 StablePath Theorem1Reduce(StablePath path, const ClusterGraph& graph,
                           uint32_t lmin) {
-  bool changed = true;
-  while (changed && path.nodes.size() >= 3) {
-    changed = false;
-    double prefix_weight = 0;
-    for (size_t split = 1; split + 1 < path.nodes.size(); ++split) {
-      prefix_weight += EdgeWeight(graph, path.nodes[split - 1],
-                                  path.nodes[split]);
-      const uint32_t prefix_len = graph.Interval(path.nodes[split]) -
-                                  graph.Interval(path.nodes.front());
-      const uint32_t curr_len = path.length - prefix_len;
-      if (curr_len < lmin) break;
-      const double curr_weight = path.weight - prefix_weight;
-      if (prefix_weight * static_cast<double>(curr_len) <=
-          curr_weight * static_cast<double>(prefix_len)) {
-        path.nodes.erase(path.nodes.begin(),
-                         path.nodes.begin() + static_cast<long>(split));
-        path.weight = curr_weight;
-        path.length = curr_len;
-        changed = true;
-        break;
-      }
-    }
+  double prefix_weight = 0;
+  while (const size_t split =
+             Theorem1Split(path, graph, lmin, &prefix_weight)) {
+    const uint32_t prefix_len = graph.Interval(path.nodes[split]) -
+                                graph.Interval(path.nodes.front());
+    path.nodes.erase(path.nodes.begin(),
+                     path.nodes.begin() + static_cast<long>(split));
+    path.weight -= prefix_weight;
+    path.length -= prefix_len;
   }
   return path;
 }

@@ -1,5 +1,5 @@
 // The *literal* Section 4.5 algorithm for normalized stable clusters,
-// kept alongside the exact NormalizedBfsFinder as a faithful-ablation
+// kept alongside the exact normalized BFS sweep as a faithful-ablation
 // implementation:
 //
 //  - smallpaths(c, x): ALL paths of length x < lmin ending at c (no
@@ -23,7 +23,7 @@
 
 #include "stable/cluster_graph.h"
 #include "stable/finder.h"
-#include "stable/normalized_bfs_finder.h"
+#include "stable/normalized.h"
 
 namespace stabletext {
 

@@ -357,12 +357,25 @@ TEST(EngineTest, HugeOnlineLengthDoesNotStallIngest) {
     std::abort();
   }
   ASSERT_TRUE(ingest.get().ok());
-  // The hint was adopted: the sweep ran with the huge l.
-  EXPECT_TRUE(engine.snapshot()->has_online);
-  EXPECT_EQ(engine.snapshot()->online_l, UINT32_MAX);
+  // An l at or past the epoch answers empty, so it stores no hint: the
+  // next snapshot carries no warm state for it.
+  EXPECT_FALSE(engine.snapshot()->has_online);
   r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, UINT32_MAX));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.value().chains.empty());
+  EXPECT_FALSE(r.value().warm_online);
+
+  // A valid l still warms the sweep from the next tick on.
+  r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, 2));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().warm_online);
+  ASSERT_TRUE(engine.IngestText(days[3]).ok());
+  EXPECT_TRUE(engine.snapshot()->has_online);
+  EXPECT_EQ(engine.snapshot()->online_k, 3u);
+  EXPECT_EQ(engine.snapshot()->online_l, 2u);
+  r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, 2));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().warm_online);
 }
 
 TEST(EngineTest, DiversifiedQueryRespectsAffixConstraints) {

@@ -1,18 +1,38 @@
 // Section 4.5 (normalized stable clusters): exact equality with the
 // stability oracle for both the BFS and DFS variants, Theorem 1 itself as a
-// property test, and the pruning option's top-1 guarantee.
+// property test, and the pruning option's top-1 guarantee. Normalized BFS
+// is the interval sweep of Algorithm 2 in normalized mode, so it also
+// honours the memory budget and keeps only the g+1-interval window.
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "stable/bfs_finder.h"
 #include "stable/brute_force_finder.h"
-#include "stable/normalized_bfs_finder.h"
-#include "stable/normalized_dfs_finder.h"
+#include "stable/finder.h"
+#include "stable/normalized.h"
 #include "test_helpers.h"
 
 namespace stabletext {
 namespace {
+
+// A normalized query (top-k by stability, length >= lmin) through the
+// registry.
+Result<StableFinderResult> Normalized(
+    const ClusterGraph& graph, size_t k, uint32_t lmin,
+    bool theorem1_pruning = false,
+    FinderAlgorithm algorithm = FinderAlgorithm::kBfs,
+    size_t memory_budget_bytes = MemoryTracker::kUnlimited) {
+  FinderQuery query;
+  query.algorithm = algorithm;
+  query.mode = FinderMode::kNormalized;
+  query.k = k;
+  query.l = lmin;
+  query.theorem1_pruning = theorem1_pruning;
+  query.memory_budget_bytes = memory_budget_bytes;
+  return RunFinder(graph, query);
+}
 
 TEST(NormalizedBfsTest, RanksByStabilityNotWeight) {
   // Two-hop path of weight 1.0 (stability 0.5) vs one-hop edge of weight
@@ -29,10 +49,7 @@ TEST(NormalizedBfsTest, RanksByStabilityNotWeight) {
   ASSERT_TRUE(g.AddEdge(a, d, 0.9).ok());
   g.SortChildren();
 
-  NormalizedFinderOptions opt;
-  opt.k = 2;
-  opt.lmin = 1;
-  auto result = NormalizedBfsFinder(opt).Find(g);
+  auto result = Normalized(g, /*k=*/2, /*lmin=*/1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().paths.size(), 2u);
   EXPECT_EQ(result.value().paths[0].nodes, (std::vector<NodeId>{a, d}));
@@ -42,10 +59,7 @@ TEST(NormalizedBfsTest, RanksByStabilityNotWeight) {
 
 TEST(NormalizedBfsTest, LminFiltersShortPaths) {
   ClusterGraph g = MakeRandomGraph(5, 4, 2, 0, 3);
-  NormalizedFinderOptions opt;
-  opt.k = 20;
-  opt.lmin = 3;
-  auto result = NormalizedBfsFinder(opt).Find(g);
+  auto result = Normalized(g, /*k=*/20, /*lmin=*/3);
   ASSERT_TRUE(result.ok());
   for (const StablePath& p : result.value().paths) {
     EXPECT_GE(p.length, 3u);
@@ -61,11 +75,8 @@ TEST_P(NormalizedSweepTest, BothVariantsMatchBruteForce) {
   const auto [m, n, d, g, k, lmin] = GetParam();
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     ClusterGraph graph = MakeRandomGraph(m, n, d, g, seed * 61 + 11);
-    NormalizedFinderOptions opt;
-    opt.k = k;
-    opt.lmin = lmin;
-    auto bfs = NormalizedBfsFinder(opt).Find(graph);
-    auto dfs = NormalizedDfsFinder(opt).Find(graph);
+    auto bfs = Normalized(graph, k, lmin);
+    auto dfs = Normalized(graph, k, lmin, false, FinderAlgorithm::kDfs);
     ASSERT_TRUE(bfs.ok());
     ASSERT_TRUE(dfs.ok());
     const auto expected = BruteForceFinder::TopKByStability(graph, k, lmin);
@@ -90,7 +101,10 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(5u, 3u, 2u, 0u, size_t{4}, 3u),
         std::make_tuple(5u, 3u, 2u, 2u, size_t{4}, 2u),
         std::make_tuple(6u, 3u, 1u, 0u, size_t{6}, 4u),
-        std::make_tuple(6u, 2u, 2u, 1u, size_t{3}, 1u)),
+        std::make_tuple(6u, 2u, 2u, 1u, size_t{3}, 1u),
+        // g = 3 over m = 8: the window evicts heaps mid-sweep.
+        std::make_tuple(8u, 3u, 2u, 3u, size_t{4}, 2u),
+        std::make_tuple(8u, 3u, 2u, 3u, size_t{3}, 5u)),
     [](const auto& info) {
       const auto& p = info.param;
       return "m" + std::to_string(std::get<0>(p)) + "n" +
@@ -146,6 +160,9 @@ TEST(Theorem1Test, ReducibleDetection) {
   p.length = 2;
   EXPECT_TRUE(Theorem1Reducible(p, g, 1));
   EXPECT_FALSE(Theorem1Reducible(p, g, 2));
+  double prefix_weight = 0;
+  EXPECT_EQ(Theorem1Split(p, g, 1, &prefix_weight), 1u);
+  EXPECT_DOUBLE_EQ(prefix_weight, 0.1);
 
   // Strong prefix, weak tail: not reducible.
   ClusterGraph h(3, 0);
@@ -165,13 +182,8 @@ TEST(Theorem1Test, ReducibleDetection) {
 TEST(NormalizedBfsTest, Theorem1PruningPreservesTopOne) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     ClusterGraph graph = MakeRandomGraph(5, 4, 2, 0, seed * 19 + 3);
-    NormalizedFinderOptions exact;
-    exact.k = 1;
-    exact.lmin = 2;
-    NormalizedFinderOptions pruned = exact;
-    pruned.theorem1_pruning = true;
-    auto a = NormalizedBfsFinder(exact).Find(graph);
-    auto b = NormalizedBfsFinder(pruned).Find(graph);
+    auto a = Normalized(graph, /*k=*/1, /*lmin=*/2);
+    auto b = Normalized(graph, /*k=*/1, /*lmin=*/2, /*theorem1_pruning=*/true);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a.value().paths.empty(), b.value().paths.empty());
@@ -184,13 +196,8 @@ TEST(NormalizedBfsTest, Theorem1PruningPreservesTopOne) {
 
 TEST(NormalizedBfsTest, Theorem1PruningReducesOffers) {
   ClusterGraph graph = MakeRandomGraph(8, 10, 3, 0, 44);
-  NormalizedFinderOptions exact;
-  exact.k = 3;
-  exact.lmin = 2;
-  NormalizedFinderOptions pruned = exact;
-  pruned.theorem1_pruning = true;
-  auto a = NormalizedBfsFinder(exact).Find(graph);
-  auto b = NormalizedBfsFinder(pruned).Find(graph);
+  auto a = Normalized(graph, /*k=*/3, /*lmin=*/2);
+  auto b = Normalized(graph, /*k=*/3, /*lmin=*/2, /*theorem1_pruning=*/true);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LT(b.value().heap_offers, a.value().heap_offers);
@@ -198,10 +205,58 @@ TEST(NormalizedBfsTest, Theorem1PruningReducesOffers) {
 
 TEST(NormalizedBfsTest, RejectsBadLmin) {
   ClusterGraph graph = MakeRandomGraph(4, 4, 2, 0, 1);
-  NormalizedFinderOptions opt;
-  opt.lmin = 9;
-  EXPECT_FALSE(NormalizedBfsFinder(opt).Find(graph).ok());
-  EXPECT_FALSE(NormalizedDfsFinder(opt).Find(graph).ok());
+  EXPECT_FALSE(Normalized(graph, 5, /*lmin=*/9).ok());
+  EXPECT_FALSE(
+      Normalized(graph, 5, /*lmin=*/9, false, FinderAlgorithm::kDfs).ok());
+  // l = 0 means full paths only in kl-stable mode; lmin = 0 is rejected.
+  EXPECT_FALSE(Normalized(graph, 5, /*lmin=*/0).ok());
+}
+
+TEST(NormalizedBfsTest, MemoryBudgetKeepsAnswerAndAddsPasses) {
+  // Under a budget smaller than the window, the sweep runs Section 4.2's
+  // block-nested-loop passes; the answer must not change.
+  ClusterGraph graph = MakeRandomGraph(8, 6, 3, 1, 29);
+  for (bool pruning : {false, true}) {
+    auto unlimited = Normalized(graph, 4, 2, pruning);
+    auto tiny = Normalized(graph, 4, 2, pruning, FinderAlgorithm::kBfs,
+                           /*memory_budget_bytes=*/512);
+    ASSERT_TRUE(unlimited.ok());
+    ASSERT_TRUE(tiny.ok());
+    EXPECT_EQ(unlimited.value().passes, 1u);
+    EXPECT_GT(tiny.value().passes, 1u);
+    EXPECT_GT(tiny.value().io.page_reads, unlimited.value().io.page_reads);
+    ASSERT_FALSE(unlimited.value().paths.empty());
+    ASSERT_EQ(tiny.value().paths.size(), unlimited.value().paths.size());
+    for (size_t r = 0; r < unlimited.value().paths.size(); ++r) {
+      EXPECT_EQ(tiny.value().paths[r].nodes,
+                unlimited.value().paths[r].nodes)
+          << "rank " << r;
+    }
+  }
+}
+
+TEST(NormalizedBfsTest, SweepHoldsOnlyTheWindow) {
+  // Heaps for every path length, but only for the last g+1 intervals:
+  // over a long stream the sweep never holds older nodes' annotations.
+  const uint32_t m = 40, n = 6, g = 2;
+  ClusterGraph graph = MakeRandomGraph(m, n, 3, g, 31);
+  IntervalSweep sweep = IntervalSweep::Normalized(3, 4, false);
+  for (uint32_t i = 0; i < m; ++i) {
+    ASSERT_TRUE(sweep.Advance(graph, i).ok());
+    size_t window_nodes = 0;
+    for (uint32_t iv = i >= g ? i - g : 0; iv <= i; ++iv) {
+      window_nodes += graph.IntervalNodes(iv).size();
+    }
+    EXPECT_EQ(sweep.WindowAnnotationBytes().size(), window_nodes)
+        << "after interval " << i;
+  }
+  auto batch = Normalized(graph, 3, 4);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_FALSE(sweep.TopK().empty());
+  ASSERT_EQ(sweep.TopK().size(), batch.value().paths.size());
+  for (size_t r = 0; r < sweep.TopK().size(); ++r) {
+    EXPECT_EQ(sweep.TopK()[r].nodes, batch.value().paths[r].nodes);
+  }
 }
 
 }  // namespace
