@@ -89,15 +89,6 @@ class IntervalSweep {
   uint32_t next_interval() const { return next_interval_; }
 
  private:
-  // The global heap's order: weight for Problem 1, stability for
-  // Problem 2.
-  struct GlobalOrder {
-    bool by_stability;
-    bool operator()(const StablePath& a, const StablePath& b) const {
-      return by_stability ? PathMoreStable()(a, b) : PathBetter()(a, b);
-    }
-  };
-
   IntervalSweep(size_t k, uint32_t lmin, uint32_t l, bool normalized,
                 bool theorem1_pruning, bool full_paths)
       : k_(k),

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "stable/normalized.h"
+
 namespace stabletext {
 
 namespace {
@@ -15,7 +17,7 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 // each feasible length starting here (bestpaths).
 struct NodeState {
   bool visited = false;
-  std::vector<double> maxweight;       // Index x in [0, l].
+  std::vector<double> maxweight;       // Index x in [0, l]; kl-stable only.
   std::vector<TopKHeap<>> bestpaths;   // Index x in [0, feasible_max].
   size_t cached_bytes = 0;
 
@@ -42,49 +44,66 @@ Result<StableFinderResult> DfsStableFinder::Find(
   const uint32_t m = graph.interval_count();
   StableFinderResult result;
   if (m < 2) return result;
-  const uint32_t l = options_.l == 0 ? m - 1 : options_.l;
+  const bool normalized = options_.mode == FinderMode::kNormalized;
+  const uint32_t l = options_.l == 0 && !normalized ? m - 1 : options_.l;
   if (l < 1 || l > m - 1) {
-    return Status::InvalidArgument("path length l out of range");
+    return Status::InvalidArgument(normalized ? "lmin out of range"
+                                              : "path length l out of range");
   }
+  // H takes paths of length in [lmin, lmax]; node heaps and extensions
+  // stop at lmax (the horizon in normalized mode).
+  const uint32_t lmin = l;
+  const uint32_t lmax = normalized ? m - 1 : l;
+  const bool theorem1 = normalized && options_.theorem1_pruning;
   const size_t k = options_.k;
   const size_t n = graph.node_count();
 
-  // Children lists. The graph keeps them sorted by descending weight (the
-  // Section 4.3 heuristic); the ablation path re-sorts by target id.
-  std::vector<std::vector<ClusterGraphEdge>> children(n);
-  for (NodeId v = 0; v < n; ++v) {
-    children[v].assign(graph.Children(v).begin(),
-                       graph.Children(v).end());
-    if (!options_.sort_children_by_weight) {
-      std::sort(children[v].begin(), children[v].end(),
+  // The graph keeps children sorted by descending weight (the Section 4.3
+  // heuristic) and the walk reads them in place; only the ablation copies
+  // them, re-sorted by target id.
+  std::vector<std::vector<ClusterGraphEdge>> by_target;
+  if (!options_.sort_children_by_weight) {
+    by_target.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+      by_target[v].assign(graph.Children(v).begin(),
+                          graph.Children(v).end());
+      std::sort(by_target[v].begin(), by_target[v].end(),
                 [](const ClusterGraphEdge& a, const ClusterGraphEdge& b) {
                   return a.target < b.target;
                 });
     }
   }
-  // The virtual source is connected to every node that could begin a
-  // length-l path or that needs to be reached at all; connecting it to all
-  // nodes guarantees complete exploration (full-path mode restricts the
-  // answer through the maxweight feasibility below, not reachability).
-  std::vector<ClusterGraphEdge> source_children;
-  source_children.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    source_children.push_back(ClusterGraphEdge{v, 0.0});
-  }
+  // The virtual source (kInvalidNode) has a weight-0 edge to every node:
+  // connecting it to all nodes guarantees complete exploration (full-path
+  // mode restricts the answer through the maxweight feasibility below,
+  // not reachability).
+  auto degree = [&](NodeId v) -> size_t {
+    if (v == kInvalidNode) return n;
+    return by_target.empty() ? graph.Children(v).size()
+                             : by_target[v].size();
+  };
+  auto child = [&](NodeId v, size_t idx) {
+    if (v == kInvalidNode) {
+      return ClusterGraphEdge{static_cast<NodeId>(idx), 0.0};
+    }
+    return by_target.empty() ? graph.Children(v)[idx] : by_target[v][idx];
+  };
 
   std::vector<NodeState> states(n);
   for (NodeId v = 0; v < n; ++v) {
     const uint32_t i = graph.Interval(v);
     NodeState& st = states[v];
-    st.maxweight.assign(l + 1, kNegInf);
-    // A length-l path may *start* at v iff it fits before the horizon.
-    if (i + l <= m - 1) st.maxweight[0] = 0;
-    const uint32_t max_start = std::min<uint32_t>(l, (m - 1) - i);
+    if (!normalized) {
+      st.maxweight.assign(l + 1, kNegInf);
+      // A length-l path may *start* at v iff it fits before the horizon.
+      if (i + l <= m - 1) st.maxweight[0] = 0;
+    }
+    const uint32_t max_start = std::min<uint32_t>(lmax, (m - 1) - i);
     st.bestpaths.assign(max_start + 1, TopKHeap<>(k));
     st.cached_bytes = st.ComputeBytes();
   }
 
-  TopKHeap<> global(k);
+  TopKHeap<GlobalOrder> global(k, GlobalOrder{normalized});
 
   // Memory model of Section 4.3: resident state = the stack, the states of
   // stacked nodes, and H. Everything else is on disk.
@@ -100,16 +119,18 @@ Result<StableFinderResult> DfsStableFinder::Find(
     states[v].cached_bytes = now;
   };
 
-  // Offers a path to a node heap and to H when it has full length.
+  auto offer_global = [&](const StablePath& path) {
+    if (path.length < lmin || path.length > lmax) return;
+    ++result.heap_offers;
+    global.Offer(path);
+  };
+  // Offers a path to a node heap and to H when it has a sought length.
   auto offer = [&](NodeState& st, const StablePath& path) {
     ++result.heap_offers;
     if (path.length < st.bestpaths.size()) {
       st.bestpaths[path.length].Offer(path);
     }
-    if (path.length == l) {
-      ++result.heap_offers;
-      global.Offer(path);
-    }
+    offer_global(path);
   };
 
   // Folds a finished/visited child c2 into parent c1's bestpaths through
@@ -126,7 +147,8 @@ Result<StableFinderResult> DfsStableFinder::Find(
       offer(st, bare);
     }
     const NodeState& child = states[c2];
-    for (uint32_t x = 1; x + len <= l && x < child.bestpaths.size(); ++x) {
+    for (uint32_t x = 1; x + len <= lmax && x < child.bestpaths.size();
+         ++x) {
       for (const StablePath& pi : child.bestpaths[x].paths()) {
         StablePath extended;
         extended.nodes.reserve(pi.nodes.size() + 1);
@@ -135,6 +157,12 @@ Result<StableFinderResult> DfsStableFinder::Find(
                               pi.nodes.end());
         extended.weight = e.weight + pi.weight;
         extended.length = len + pi.length;
+        if (theorem1 && Theorem1Reducible(extended, graph, lmin)) {
+          // Still ranked itself; only kept out of the node heap, so it is
+          // never extended further.
+          offer_global(extended);
+          continue;
+        }
         offer(st, extended);
       }
     }
@@ -167,11 +195,8 @@ Result<StableFinderResult> DfsStableFinder::Find(
   while (!stack.empty()) {
     Frame& top = stack.back();
     const bool at_source = (top.node == kInvalidNode);
-    const auto& child_list =
-        at_source ? source_children : children[top.node];
-
-    if (top.child_idx < child_list.size()) {
-      const ClusterGraphEdge e = child_list[top.child_idx++];
+    if (top.child_idx < degree(top.node)) {
+      const ClusterGraphEdge e = child(top.node, top.child_idx++);
       const NodeId c2 = e.target;
       // Line 8: read the child's annotations from disk (random I/O).
       ++result.io.page_reads;
@@ -186,7 +211,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
       ++result.nodes_pushed;
       const uint32_t len = at_source ? 0 : graph.EdgeLength(top.node, c2);
       // Update maxweight(c2, .) from the parent's maxweight (line 16).
-      if (!at_source) {
+      if (!at_source && !normalized) {
         const NodeState& pst = states[top.node];
         NodeState& cst = states[c2];
         for (uint32_t x = 0; x + len <= l; ++x) {
@@ -199,7 +224,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
       resident_state_bytes += states[c2].cached_bytes;
       note_peak(stack.size());
 
-      if (options_.enable_pruning && can_prune(c2)) {
+      if (options_.enable_pruning && !normalized && can_prune(c2)) {
         ++result.prunes;
         // Unmark the visited flag of every stacked node including c2
         // (their subtrees are no longer guaranteed fully considered).

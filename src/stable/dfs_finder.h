@@ -7,6 +7,15 @@
 // a top-k path given the best prefix weight seen so far, unmarking the
 // visited flags of all stacked nodes so those subtrees are re-explored if a
 // heavier prefix is found later.
+//
+// The same walk serves both problems of the paper. Problem 1 (kl-stable)
+// is Algorithm 3 as above. Problem 2 (normalized, Section 4.5: "can be
+// used with the DFS framework as well") changes only the ranking: node
+// heaps are bounded by the node's horizon only, the global heap ranks
+// every path of length >= lmin by stability, and CanPrune (and the
+// maxweight it reads) is skipped, since its bound is for paths of length
+// exactly l. Theorem 1 pruning (stable/normalized.h) is an option; the DFS
+// grows paths by prepending, so it cuts from the right end.
 
 #ifndef STABLETEXT_STABLE_DFS_FINDER_H_
 #define STABLETEXT_STABLE_DFS_FINDER_H_
@@ -19,24 +28,30 @@ namespace stabletext {
 
 /// Options for DfsStableFinder.
 struct DfsFinderOptions {
+  FinderMode mode = FinderMode::kKlStable;
   size_t k = 5;     ///< Paths sought.
-  uint32_t l = 0;   ///< Path length; 0 means full paths (m-1).
-  /// CanPrune-based subtree postponement (Section 4.3). Disabling it is an
-  /// ablation knob; results are identical either way.
+  /// kKlStable: path length, 0 means full paths (m-1).
+  /// kNormalized: minimum path length lmin.
+  uint32_t l = 0;
+  /// kNormalized: Theorem 1 pruning (stable/normalized.h).
+  bool theorem1_pruning = false;
+  /// kKlStable: CanPrune-based subtree postponement (Section 4.3).
+  /// Disabling it is an ablation knob; results are identical either way.
   bool enable_pruning = true;
   /// Children sorted by descending edge weight ("this heuristic is for
   /// efficient execution, and correctness ... is unaffected"). When false,
-  /// children are visited in graph insertion order. Ablation knob.
+  /// children are visited in target-id order. Ablation knob.
   bool sort_children_by_weight = true;
 };
 
-/// \brief Depth-first kl-stable-cluster finder (Section 4.3).
+/// \brief Depth-first stable-cluster finder (Sections 4.3 and 4.5).
 class DfsStableFinder {
  public:
   explicit DfsStableFinder(DfsFinderOptions options = {})
       : options_(options) {}
 
-  /// Finds the top-k paths of length l (or full length when options.l==0).
+  /// Finds the top-k paths of length l (full length when options.l == 0),
+  /// or of length >= lmin by stability in normalized mode.
   Result<StableFinderResult> Find(const ClusterGraph& graph) const;
 
  private:

@@ -7,7 +7,6 @@
 #include "stable/cluster_graph.h"
 #include "stable/dfs_finder.h"
 #include "stable/diversify.h"
-#include "stable/normalized_dfs_finder.h"
 #include "stable/ta_finder.h"
 
 namespace stabletext {
@@ -27,16 +26,11 @@ Result<StableFinderResult> RunBfs(const ClusterGraph& graph,
 
 Result<StableFinderResult> RunDfs(const ClusterGraph& graph,
                                   const FinderQuery& query) {
-  if (query.mode == FinderMode::kNormalized) {
-    NormalizedFinderOptions options;
-    options.k = query.k;
-    options.lmin = query.l;
-    options.theorem1_pruning = query.theorem1_pruning;
-    return NormalizedDfsFinder(options).Find(graph);
-  }
   DfsFinderOptions options;
+  options.mode = query.mode;
   options.k = query.k;
   options.l = query.l;
+  options.theorem1_pruning = query.theorem1_pruning;
   return DfsStableFinder(options).Find(graph);
 }
 

@@ -1,8 +1,8 @@
 // Section 4.5, Problem 2: normalized stable clusters — the top-k paths of
 // length at least lmin with the highest stability = weight / length. The
-// exact engine path is the BFS interval sweep (IntervalSweep in
-// stable/bfs_finder.h) in normalized mode; this header holds what every
-// normalized finder shares: its options and Theorem 1.
+// exact finders are the BFS interval sweep (IntervalSweep in
+// stable/bfs_finder.h) and the DFS (stable/dfs_finder.h) in normalized
+// mode; this header holds what every normalized finder shares: Theorem 1.
 //
 // Theorem 1 pruning (drop a prefix whose stability does not exceed that of
 // the remaining >= lmin tail) skips extending reducible paths. It
@@ -20,14 +20,6 @@
 #include "stable/path.h"
 
 namespace stabletext {
-
-/// Options for the normalized DFS and paper-literal finders.
-struct NormalizedFinderOptions {
-  size_t k = 5;
-  uint32_t lmin = 2;  ///< Minimum path length ("to avoid trivial results").
-  /// Theorem 1 prefix pruning; see the header comment for semantics.
-  bool theorem1_pruning = false;
-};
 
 /// Theorem 1's split search: the first split s (0 < s < nodes.size() - 1)
 /// at which `path` = pre + curr, pre = nodes[0..s], curr = nodes[s..],

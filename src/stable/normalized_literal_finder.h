@@ -27,6 +27,14 @@
 
 namespace stabletext {
 
+/// Options for NormalizedLiteralFinder.
+struct NormalizedFinderOptions {
+  size_t k = 5;
+  uint32_t lmin = 2;  ///< Minimum path length ("to avoid trivial results").
+  /// Theorem 1 pruning; see stable/normalized.h for semantics.
+  bool theorem1_pruning = false;
+};
+
 /// \brief Paper-literal normalized stable-cluster finder (Section 4.5).
 class NormalizedLiteralFinder {
  public:

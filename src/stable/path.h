@@ -62,6 +62,16 @@ struct PathMoreStable {
   }
 };
 
+/// The global heap's order, chosen at run time: PathMoreStable for
+/// Problem 2, PathBetter for Problem 1. Shared by the BFS sweep and the
+/// DFS, which serve both problems with one heap type.
+struct GlobalOrder {
+  bool by_stability;
+  bool operator()(const StablePath& a, const StablePath& b) const {
+    return by_stability ? PathMoreStable()(a, b) : PathBetter()(a, b);
+  }
+};
+
 /// True if `sub`'s node sequence occurs contiguously inside `super`'s.
 bool IsSubpath(const StablePath& sub, const StablePath& super);
 
