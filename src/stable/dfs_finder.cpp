@@ -157,7 +157,9 @@ Result<StableFinderResult> DfsStableFinder::Find(
                               pi.nodes.end());
         extended.weight = e.weight + pi.weight;
         extended.length = len + pi.length;
-        if (theorem1 && Theorem1Reducible(extended, graph, lmin)) {
+        // Paths grow leftwards here, so Theorem 1 cuts the right end.
+        if (theorem1 && Theorem1Reducible(extended, graph, lmin,
+                                          Theorem1Cut::kSuffix)) {
           // Still ranked itself; only kept out of the node heap, so it is
           // never extended further.
           offer_global(extended);

@@ -3,24 +3,30 @@
 namespace stabletext {
 
 size_t Theorem1Split(const StablePath& path, const ClusterGraph& graph,
-                     uint32_t lmin, double* prefix_weight) {
-  if (path.nodes.size() < 3) return 0;
-  // Prefix weight/length accumulated left to right; the remainder is the
-  // candidate curr.
-  double pre_weight = 0;
-  for (size_t split = 1; split + 1 < path.nodes.size(); ++split) {
-    pre_weight +=
-        graph.EdgeWeight(path.nodes[split - 1], path.nodes[split]);
-    const uint32_t prefix_len = graph.Interval(path.nodes[split]) -
-                                graph.Interval(path.nodes.front());
-    const uint32_t curr_len = path.length - prefix_len;
+                     uint32_t lmin, double* cut_weight, Theorem1Cut cut) {
+  const size_t n = path.nodes.size();
+  if (n < 3) return 0;
+  const bool prefix = cut == Theorem1Cut::kPrefix;
+  // The cut part grows one edge per step from its end of the path; the
+  // remainder is the candidate curr.
+  const NodeId outer = prefix ? path.nodes.front() : path.nodes.back();
+  double weight = 0;
+  for (size_t step = 1; step + 1 < n; ++step) {
+    const size_t split = prefix ? step : n - 1 - step;
+    const NodeId inner = path.nodes[split];
+    weight += prefix ? graph.EdgeWeight(path.nodes[split - 1], inner)
+                     : graph.EdgeWeight(inner, path.nodes[split + 1]);
+    const uint32_t cut_len = prefix
+                                 ? graph.Interval(inner) - graph.Interval(outer)
+                                 : graph.Interval(outer) - graph.Interval(inner);
+    const uint32_t curr_len = path.length - cut_len;
     if (curr_len < lmin) break;  // Later splits only get shorter.
-    const double curr_weight = path.weight - pre_weight;
-    // stability(pre) <= stability(curr), cross-multiplied to avoid
-    // division: pre_w / pre_len <= curr_w / curr_len.
-    if (pre_weight * static_cast<double>(curr_len) <=
-        curr_weight * static_cast<double>(prefix_len)) {
-      if (prefix_weight != nullptr) *prefix_weight = pre_weight;
+    const double curr_weight = path.weight - weight;
+    // stability(cut) <= stability(curr), cross-multiplied to avoid
+    // division: cut_w / cut_len <= curr_w / curr_len.
+    if (weight * static_cast<double>(curr_len) <=
+        curr_weight * static_cast<double>(cut_len)) {
+      if (cut_weight != nullptr) *cut_weight = weight;
       return split;
     }
   }

@@ -177,6 +177,15 @@ TEST(Theorem1Test, ReducibleDetection) {
   q.weight = 1.0;
   q.length = 2;
   EXPECT_FALSE(Theorem1Reducible(q, h, 1));
+  // Mirrored (paths grown by prepending): the weak part is cut from the
+  // right end, so q reduces to x-y and p does not.
+  EXPECT_TRUE(Theorem1Reducible(q, h, 1, Theorem1Cut::kSuffix));
+  EXPECT_FALSE(Theorem1Reducible(q, h, 2, Theorem1Cut::kSuffix));
+  EXPECT_FALSE(Theorem1Reducible(p, g, 1, Theorem1Cut::kSuffix));
+  double suffix_weight = 0;
+  EXPECT_EQ(Theorem1Split(q, h, 1, &suffix_weight, Theorem1Cut::kSuffix),
+            1u);
+  EXPECT_DOUBLE_EQ(suffix_weight, 0.1);
 }
 
 TEST(NormalizedBfsTest, Theorem1PruningPreservesTopOne) {
@@ -190,6 +199,38 @@ TEST(NormalizedBfsTest, Theorem1PruningPreservesTopOne) {
     if (!a.value().paths.empty()) {
       EXPECT_EQ(a.value().paths[0].nodes, b.value().paths[0].nodes)
           << "seed " << seed;
+    }
+  }
+}
+
+TEST(NormalizedDfsTest, Theorem1PruningKeepsTopOneExact) {
+  // The DFS grows paths by prepending, so Theorem 1 must cut from the
+  // right end. A prefix cut drops left-extensions the theorem does not
+  // cover: on MakeRandomGraph(8, 3, 2, 3, 499) with lmin = 3 it returned
+  // nodes 4 6 11 12 (stability 0.8405) instead of 4 6 11 12 15 20
+  // (0.8455).
+  struct Case {
+    uint32_t m, n, d, g, lmin;
+    uint64_t seed;
+  };
+  std::vector<Case> cases = {{8, 3, 2, 3, 3, 499}};
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (uint32_t g = 0; g <= 3; ++g) {
+      cases.push_back({6, 4, 2, g, 1 + static_cast<uint32_t>(seed % 4),
+                       seed * 37 + g});
+    }
+  }
+  for (const Case& c : cases) {
+    ClusterGraph graph = MakeRandomGraph(c.m, c.n, c.d, c.g, c.seed);
+    auto dfs = Normalized(graph, /*k=*/1, c.lmin, /*theorem1_pruning=*/true,
+                          FinderAlgorithm::kDfs);
+    ASSERT_TRUE(dfs.ok());
+    const auto expected = BruteForceFinder::TopKByStability(graph, 1, c.lmin);
+    ASSERT_EQ(dfs.value().paths.size(), expected.size())
+        << "seed " << c.seed << " g " << c.g;
+    if (!expected.empty()) {
+      EXPECT_EQ(dfs.value().paths[0].nodes, expected[0].nodes)
+          << "seed " << c.seed << " g " << c.g << " lmin " << c.lmin;
     }
   }
 }
