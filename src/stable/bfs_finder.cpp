@@ -145,12 +145,9 @@ Result<StableFinderResult> BfsStableFinder::Find(
   const uint32_t m = graph.interval_count();
   StableFinderResult result;
   if (m < 2) return result;
+  ST_ASSIGN_OR_RETURN(const uint32_t l,
+                      ResolvePathLength(options_.mode, options_.l, m));
   const bool normalized = options_.mode == FinderMode::kNormalized;
-  const uint32_t l = options_.l == 0 && !normalized ? m - 1 : options_.l;
-  if (l < 1 || l > m - 1) {
-    return Status::InvalidArgument(normalized ? "lmin out of range"
-                                              : "path length l out of range");
-  }
   IntervalSweep sweep =
       normalized ? IntervalSweep::Normalized(options_.k, l,
                                              options_.theorem1_pruning)

@@ -1,6 +1,7 @@
 #include "stable/finder.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "stable/bfs_finder.h"
 #include "stable/brute_force_finder.h"
@@ -50,11 +51,15 @@ Result<StableFinderResult> RunTa(const ClusterGraph& graph,
 Result<StableFinderResult> RunBruteForce(const ClusterGraph& graph,
                                          const FinderQuery& query) {
   StableFinderResult result;
+  const uint32_t m = graph.interval_count();
+  if (m < 2) return result;
+  // The oracle itself accepts any l; a query gets BFS's and DFS's range.
+  ST_ASSIGN_OR_RETURN(const uint32_t l,
+                      ResolvePathLength(query.mode, query.l, m));
   if (query.mode == FinderMode::kNormalized) {
-    result.paths =
-        BruteForceFinder::TopKByStability(graph, query.k, query.l);
+    result.paths = BruteForceFinder::TopKByStability(graph, query.k, l);
   } else {
-    result.paths = BruteForceFinder::TopKByWeight(graph, query.k, query.l);
+    result.paths = BruteForceFinder::TopKByWeight(graph, query.k, l);
   }
   return result;
 }
@@ -110,6 +115,16 @@ const char* FinderModeName(FinderMode mode) {
   return mode == FinderMode::kKlStable ? "kl-stable" : "normalized";
 }
 
+Result<uint32_t> ResolvePathLength(FinderMode mode, uint32_t l, uint32_t m) {
+  const bool normalized = mode == FinderMode::kNormalized;
+  if (l == 0 && !normalized) l = m - 1;
+  if (l < 1 || l > m - 1) {
+    return Status::InvalidArgument(normalized ? "lmin out of range"
+                                              : "path length l out of range");
+  }
+  return l;
+}
+
 Result<StableFinderResult> RunFinder(const ClusterGraph& graph,
                                      const FinderQuery& query) {
   const FinderInfo& info = GetFinderInfo(query.algorithm);
@@ -127,8 +142,12 @@ Result<StableFinderResult> RunFinder(const ClusterGraph& graph,
   // Diversified selection: enlarge the candidate pool, then apply the
   // greedy affix filter. Exact whenever the diversified top-k lies in the
   // enlarged ranking (raise diversify_candidates for redundant graphs).
+  const size_t candidates = std::max<size_t>(1, query.diversify_candidates);
+  if (query.k > std::numeric_limits<size_t>::max() / candidates) {
+    return Status::InvalidArgument("k * diversify_candidates overflows");
+  }
   FinderQuery enlarged = query;
-  enlarged.k = query.k * std::max<size_t>(1, query.diversify_candidates);
+  enlarged.k = query.k * candidates;
   auto r = info.run(graph, enlarged);
   if (!r.ok()) return r.status();
   StableFinderResult result = std::move(r).value();

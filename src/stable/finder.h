@@ -45,7 +45,7 @@ struct StableFinderResult {
 /// Which traversal answers a query.
 enum class FinderAlgorithm {
   kBfs,         ///< Interval sweep (Algorithm 2, Sections 4.2 and 4.5).
-  kDfs,         ///< Depth-first (Algorithm 3, Section 4.3).
+  kDfs,         ///< Depth-first (Algorithm 3, Sections 4.3 and 4.5).
   kTa,          ///< Threshold algorithm (Section 4.4); full paths, g = 0.
   kBruteForce,  ///< Exhaustive enumeration (testing oracle).
   /// Online (Section 4.6): the BFS interval sweep, which the engine
@@ -82,7 +82,7 @@ struct FinderQuery {
   size_t diversify_candidates = 8;
   /// BFS: window memory budget (block-nested-loop fallback when exceeded).
   size_t memory_budget_bytes = MemoryTracker::kUnlimited;
-  /// Normalized BFS/DFS: Theorem 1 prefix pruning.
+  /// Normalized BFS/DFS: Theorem 1 pruning (stable/normalized.h).
   bool theorem1_pruning = false;
   /// TA: probe budget safety valve (0 = unlimited).
   uint64_t max_probes = 0;
@@ -132,6 +132,11 @@ Result<FinderMode> ParseFinderMode(std::string_view name);
 
 /// The canonical name of `mode`.
 const char* FinderModeName(FinderMode mode);
+
+/// The path length a kKlStable query seeks, or the lmin of a kNormalized
+/// one, on a graph of m >= 2 intervals: kKlStable's l = 0 means m - 1.
+/// InvalidArgument outside [1, m - 1], the range every finder accepts.
+Result<uint32_t> ResolvePathLength(FinderMode mode, uint32_t l, uint32_t m);
 
 /// \brief Runs `query` against `graph` through the registry.
 ///

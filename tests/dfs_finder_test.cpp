@@ -133,8 +133,37 @@ TEST(DfsFinderTest, ChildrenOrderAblationKeepsAnswer) {
   }
 }
 
-TEST(DfsFinderTest, PruningReducesWork) {
-  // On a graph with strong weight skew, pruning should cut pushes.
+TEST(DfsFinderTest, ChildrenOrderAblationMatchesBruteForce) {
+  // Children in target-id order (the only path that copies adjacency)
+  // on g = 2 graphs, with and without CanPrune.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    ClusterGraph graph = MakeRandomGraph(6, 4, 3, 2, seed * 53 + 2);
+    for (uint32_t l : {0u, 2u, 4u}) {
+      for (bool pruning : {false, true}) {
+        DfsFinderOptions opt;
+        opt.k = 4;
+        opt.l = l;
+        opt.enable_pruning = pruning;
+        opt.sort_children_by_weight = false;
+        auto result = DfsStableFinder(opt).Find(graph);
+        ASSERT_TRUE(result.ok());
+        const auto expected = BruteForceFinder::TopKByWeight(graph, 4, l);
+        ASSERT_EQ(result.value().paths.size(), expected.size())
+            << "seed=" << seed << " l=" << l << " pruning=" << pruning;
+        for (size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(result.value().paths[i].nodes, expected[i].nodes)
+              << "seed=" << seed << " l=" << l << " rank=" << i;
+          ASSERT_EQ(result.value().paths[i].weight, expected[i].weight);
+        }
+      }
+    }
+  }
+}
+
+TEST(DfsFinderTest, PruningFiresAndKeepsAnswer) {
+  // CanPrune fires and the answer is unchanged. It does not cut work
+  // here: each prune unmarks every stacked node, so their subtrees are
+  // explored again (105 pushes without pruning, 126 with).
   ClusterGraph graph = MakeRandomGraph(7, 15, 4, 0, 5);
   DfsFinderOptions with;
   with.k = 1;

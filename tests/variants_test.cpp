@@ -1,7 +1,10 @@
 // Extension variants from Section 4's discussion: diversified top-k
-// (prefix/suffix dedup) and the paper-literal normalized algorithm.
+// (prefix/suffix dedup) and the paper-literal normalized algorithm; plus
+// the query validation every registered finder shares.
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "stable/brute_force_finder.h"
 #include "stable/diversify.h"
@@ -88,6 +91,55 @@ TEST(DiversifyTest, EndToEndResultsAreConflictFreeAndRanked) {
   ASSERT_FALSE(best.empty());
   ASSERT_FALSE(paths.empty());
   EXPECT_EQ(paths[0].nodes, best[0].nodes);
+}
+
+TEST(DiversifyTest, CandidateCountOverflowIsInvalidArgument) {
+  // k * diversify_candidates must not wrap: a wrapped pool of 0 would
+  // answer OK with no paths.
+  ClusterGraph graph = MakeRandomGraph(4, 3, 2, 0, 5);
+  FinderQuery query;
+  query.k = std::numeric_limits<size_t>::max() / 2 + 1;
+  query.diversify_candidates = 2;
+  query.diversify_prefix = 1;
+  auto result = RunFinder(graph, query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FinderRegistryTest, EveryFinderAcceptsTheSamePathLengths) {
+  // kl-stable accepts l = 0 (full paths) and 1..m-1; normalized, whose l
+  // is lmin, accepts 1..m-1. Every finder that supports a mode agrees on
+  // OK vs InvalidArgument; TA answers full paths only and reports other
+  // lengths as NotSupported.
+  const uint32_t m = 5;
+  ClusterGraph graph = MakeRandomGraph(m, 3, 2, 0, 7);
+  for (FinderMode mode : {FinderMode::kKlStable, FinderMode::kNormalized}) {
+    const bool normalized = mode == FinderMode::kNormalized;
+    for (uint32_t l : {0u, 1u, m - 1, m}) {
+      const bool valid = (l >= 1 && l <= m - 1) || (l == 0 && !normalized);
+      for (const FinderInfo& info : FinderRegistry()) {
+        if (!(normalized ? info.supports_normalized
+                         : info.supports_kl_stable)) {
+          continue;
+        }
+        SCOPED_TRACE(std::string(info.name) + " " + FinderModeName(mode) +
+                     " l=" + std::to_string(l));
+        FinderQuery query;
+        query.algorithm = info.algorithm;
+        query.mode = mode;
+        query.k = 3;
+        query.l = l;
+        auto result = RunFinder(graph, query);
+        if (info.algorithm == FinderAlgorithm::kTa && l != 0 && l != m - 1) {
+          EXPECT_EQ(result.status().code(), StatusCode::kNotSupported);
+        } else if (valid) {
+          EXPECT_TRUE(result.ok()) << result.status().ToString();
+        } else {
+          EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+        }
+      }
+    }
+  }
 }
 
 TEST(NormalizedLiteralTest, TopOneMatchesOracle) {
