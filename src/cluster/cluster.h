@@ -10,14 +10,12 @@
 
 #include "cooccur/keyword_dict.h"
 #include "graph/keyword_graph.h"
-#include "util/arena.h"
 
 namespace stabletext {
 
-/// Flat sorted keyword storage: cache-line aligned and padded to whole
-/// lines, so the intersection kernels (util/setops.h) stream it from the
-/// start of a line.
-using KeywordArray = std::vector<KeywordId, CacheAlignedAllocator<KeywordId>>;
+/// Flat sorted keyword storage, read by the intersection kernels
+/// (util/setops.h).
+using KeywordArray = std::vector<KeywordId>;
 
 /// \brief One keyword cluster: vertices plus their member edges.
 struct Cluster {

@@ -17,6 +17,9 @@ Cluster MakeCluster(uint32_t interval,
     c.keywords.push_back(e.v);
   }
   NormalizeCluster(&c);
+  // The dedup leaves up to half the reserve unused; clusters live as long
+  // as their interval, so keep them exact.
+  c.keywords.shrink_to_fit();
   return c;
 }
 

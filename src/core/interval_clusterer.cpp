@@ -28,6 +28,7 @@ Result<IntervalResult> IntervalClusterer::RunInterned(
   auto clusters = extractor.Extract(graph, interval, &result.biconnected);
   if (!clusters.ok()) return clusters.status();
   result.clusters = std::move(clusters).value();
+  result.clusters.shrink_to_fit();  // Kept for the interval's lifetime.
   return result;
 }
 

@@ -7,10 +7,18 @@
 
 namespace stabletext {
 
-size_t IntervalSweep::Annotation::MemoryBytes() const {
+size_t IntervalSweep::Annotation::MemoryBytes(size_t heap_count) const {
+  // A node with no parents holds no heaps; it is charged the empty ones
+  // the paper's annotation would have.
+  if (heaps.empty()) return sizeof(*this) + heap_count * sizeof(TopKHeap<>);
   size_t bytes = sizeof(*this);
   for (const auto& h : heaps) bytes += h.MemoryBytes();
   return bytes;
+}
+
+size_t IntervalSweep::HeapCount(uint32_t interval) const {
+  if (full_paths_) return interval >= 1 ? 1 : 0;
+  return size_t{std::min(l_, interval)} + 1;
 }
 
 TopKHeap<>* IntervalSweep::HeapFor(Annotation& a, uint32_t interval,
@@ -57,12 +65,12 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
     cost_.io.page_reads += nodes.size();
   }
 
+  // Paths reach a node's heaps only through a parent edge, so a node
+  // without parents gets none.
   IntervalAnnotations& built = window_.emplace_back(nodes.size());
-  for (Annotation& a : built) {
-    if (!full_paths_) {
-      a.heaps.assign(std::min(l_, i) + 1, TopKHeap<>(k_));
-    } else if (i >= 1) {
-      a.heaps.assign(1, TopKHeap<>(k_));
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    if (!graph.Parents(nodes[j]).empty()) {
+      built[j].heaps.assign(HeapCount(i), TopKHeap<>(k_));
     }
   }
   auto offer_global = [&](const StablePath& path) {
@@ -126,8 +134,11 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
 
 std::vector<size_t> IntervalSweep::WindowAnnotationBytes() const {
   std::vector<size_t> bytes;
-  for (const IntervalAnnotations& w : window_) {
-    for (const Annotation& a : w) bytes.push_back(a.MemoryBytes());
+  for (size_t j = 0; j < window_.size(); ++j) {
+    const size_t heap_count = HeapCount(window_begin_ + j);
+    for (const Annotation& a : window_[j]) {
+      bytes.push_back(a.MemoryBytes(heap_count));
+    }
   }
   return bytes;
 }
@@ -135,7 +146,10 @@ std::vector<size_t> IntervalSweep::WindowAnnotationBytes() const {
 size_t IntervalSweep::FrontierBytes() const {
   size_t bytes = global_.MemoryBytes();
   if (!window_.empty()) {
-    for (const Annotation& a : window_.back()) bytes += a.MemoryBytes();
+    const size_t heap_count = HeapCount(next_interval_ - 1);
+    for (const Annotation& a : window_.back()) {
+      bytes += a.MemoryBytes(heap_count);
+    }
   }
   return bytes;
 }

@@ -14,6 +14,13 @@
 // length) weight-optimal substructure keeps that ranking exact; Theorem 1
 // pruning (stable/normalized.h) is an option.
 //
+// Only a node with at least one parent holds heaps: a path reaches a
+// node's heaps through a parent edge, so a parentless node's heaps would
+// stay empty. The cost model still charges every node the heaps the
+// paper's annotation has (empty ones for a parentless node), so io and
+// the memory figures (window bytes, block-nested-loop passes, peak) are
+// those of Algorithm 2 as written.
+//
 // It also serves both settings. Batch BFS (Section 4.2) advances a sweep
 // over every interval of a finished graph. The online setting (Section
 // 4.6) is the same sweep advanced as intervals arrive: a node's heaps are
@@ -100,12 +107,18 @@ class IntervalSweep {
 
   // heaps[x] holds the top-k paths of length x ending at the node
   // ([0] unused); full-path mode keeps one heap, for length == interval.
+  // Empty for a node with no parents: no path ends there.
   struct Annotation {
     std::vector<TopKHeap<>> heaps;
 
-    size_t MemoryBytes() const;
+    // Bytes of the paper's annotation, which has `heap_count` heaps
+    // whether or not this node holds them.
+    size_t MemoryBytes(size_t heap_count) const;
   };
   using IntervalAnnotations = std::vector<Annotation>;
+
+  // Heaps in the annotation of a node of `interval`.
+  size_t HeapCount(uint32_t interval) const;
 
   // The heap of `a` (a node of interval `interval`) for paths of
   // `length`, or null when the node keeps none.

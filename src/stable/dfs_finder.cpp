@@ -13,16 +13,22 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 // On-disk (simulated) annotation of one node: visited flag, the best known
-// weight of a length-x path ending here (maxweight), and the top-k paths of
-// each feasible length starting here (bestpaths).
+// weight of a length-x path ending here (maxweight, a row of the finder's
+// flat array), and the top-k paths of each feasible length starting here
+// (bestpaths).
 struct NodeState {
   bool visited = false;
-  std::vector<double> maxweight;       // Index x in [0, l]; kl-stable only.
-  std::vector<TopKHeap<>> bestpaths;   // Index x in [0, feasible_max].
+  // Index x in [0, feasible_max]; empty for a node with no children.
+  std::vector<TopKHeap<>> bestpaths;
   size_t cached_bytes = 0;
 
-  size_t ComputeBytes() const {
-    size_t bytes = sizeof(*this) + maxweight.capacity() * sizeof(double);
+  // Bytes of the paper's annotation: a maxweight row of `row` doubles,
+  // charged as a per-node array (header and elements), and `heap_count`
+  // bestpaths heaps, charged empty when the node holds none.
+  size_t ComputeBytes(size_t heap_count, size_t row) const {
+    size_t bytes =
+        sizeof(*this) + sizeof(std::vector<double>) + row * sizeof(double);
+    if (bestpaths.empty()) return bytes + heap_count * sizeof(TopKHeap<>);
     for (const auto& h : bestpaths) bytes += h.MemoryBytes();
     return bytes;
   }
@@ -86,18 +92,27 @@ Result<StableFinderResult> DfsStableFinder::Find(
     return by_target.empty() ? graph.Children(v)[idx] : by_target[v][idx];
   };
 
+  // maxweight(v, x) is maxweight[v * row + x], x in [0, l]; kl-stable
+  // only, since only CanPrune reads it.
+  const size_t row = normalized ? 0 : size_t{l} + 1;
+  std::vector<double> maxweight(n * row, kNegInf);
+  // bestpaths(v, x) exists for the start lengths x that fit before the
+  // horizon.
+  auto heap_count = [&](NodeId v) -> size_t {
+    return std::min<uint32_t>(lmax, (m - 1) - graph.Interval(v)) + 1;
+  };
   std::vector<NodeState> states(n);
   for (NodeId v = 0; v < n; ++v) {
-    const uint32_t i = graph.Interval(v);
     NodeState& st = states[v];
-    if (!normalized) {
-      st.maxweight.assign(l + 1, kNegInf);
-      // A length-l path may *start* at v iff it fits before the horizon.
-      if (i + l <= m - 1) st.maxweight[0] = 0;
+    // A length-l path may *start* at v iff it fits before the horizon.
+    if (!normalized && graph.Interval(v) + l <= m - 1) {
+      maxweight[v * row] = 0;
     }
-    const uint32_t max_start = std::min<uint32_t>(lmax, (m - 1) - i);
-    st.bestpaths.assign(max_start + 1, TopKHeap<>(k));
-    st.cached_bytes = st.ComputeBytes();
+    // Paths reach v's bestpaths only through a child edge.
+    if (!graph.Children(v).empty()) {
+      st.bestpaths.assign(heap_count(v), TopKHeap<>(k));
+    }
+    st.cached_bytes = st.ComputeBytes(heap_count(v), row);
   }
 
   TopKHeap<GlobalOrder> global(k, GlobalOrder{normalized});
@@ -111,7 +126,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
     result.peak_memory_bytes = std::max(result.peak_memory_bytes, live);
   };
   auto refresh_bytes = [&](NodeId v) {
-    const size_t now = states[v].ComputeBytes();
+    const size_t now = states[v].ComputeBytes(heap_count(v), row);
     resident_state_bytes += now - states[v].cached_bytes;
     states[v].cached_bytes = now;
   };
@@ -172,7 +187,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
     if (!global.full()) return false;
     const double min_k = global.MinWeight();
     const uint32_t i = graph.Interval(c2);
-    const NodeState& st = states[c2];
+    const double* mw = &maxweight[c2 * row];
     // Feasible prefix lengths x for a length-l path passing through c2:
     // the remaining l-x intervals must fit before the horizon, and a
     // prefix cannot be longer than the elapsed intervals. x == l (path
@@ -180,7 +195,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
     const uint32_t x_lo = (l + i > m - 1) ? (l + i) - (m - 1) : 0;
     const uint32_t x_hi = std::min<uint32_t>(l - 1, i);
     for (uint32_t x = x_lo; x <= x_hi; ++x) {
-      if (st.maxweight[x] + static_cast<double>(l - x) >= min_k) {
+      if (mw[x] + static_cast<double>(l - x) >= min_k) {
         return false;
       }
     }
@@ -211,12 +226,11 @@ Result<StableFinderResult> DfsStableFinder::Find(
       const uint32_t len = at_source ? 0 : graph.EdgeLength(top.node, c2);
       // Update maxweight(c2, .) from the parent's maxweight (line 16).
       if (!at_source && !normalized) {
-        const NodeState& pst = states[top.node];
-        NodeState& cst = states[c2];
+        const double* pmw = &maxweight[top.node * row];
+        double* cmw = &maxweight[c2 * row];
         for (uint32_t x = 0; x + len <= l; ++x) {
-          if (pst.maxweight[x] == kNegInf) continue;
-          cst.maxweight[x + len] =
-              std::max(cst.maxweight[x + len], pst.maxweight[x] + e.weight);
+          if (pmw[x] == kNegInf) continue;
+          cmw[x + len] = std::max(cmw[x + len], pmw[x] + e.weight);
         }
       }
       stack.push_back(Frame{c2, 0, e.weight, len});

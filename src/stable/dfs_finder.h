@@ -16,6 +16,13 @@
 // maxweight it reads) is skipped, since its bound is for paths of length
 // exactly l. Theorem 1 pruning (stable/normalized.h) is an option; the DFS
 // grows paths by prepending, so it cuts from the right end.
+//
+// Only a node with at least one child holds bestpaths heaps: a path enters
+// a node's bestpaths through a child edge, so a childless node's would
+// stay empty. kl-stable maxweight is one flat n x (l+1) array per query.
+// The cost model still charges every node the annotation the paper
+// describes (its maxweight row and all its bestpaths heaps), so io and
+// peak memory are those of Algorithm 3 as written.
 
 #ifndef STABLETEXT_STABLE_DFS_FINDER_H_
 #define STABLETEXT_STABLE_DFS_FINDER_H_

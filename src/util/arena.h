@@ -11,49 +11,12 @@
 #ifndef STABLETEXT_UTIL_ARENA_H_
 #define STABLETEXT_UTIL_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 namespace stabletext {
-
-/// \brief Minimal aligned allocator: every allocation starts on a cache
-/// line and is padded to whole cache lines, so flat sorted keyword
-/// arrays start on a line boundary.
-template <typename T, size_t Alignment = 64>
-struct CacheAlignedAllocator {
-  using value_type = T;
-
-  CacheAlignedAllocator() = default;
-  template <typename U>
-  CacheAlignedAllocator(const CacheAlignedAllocator<U, Alignment>&) {}
-
-  T* allocate(size_t n) {
-    if (n == 0) n = 1;
-    size_t bytes = n * sizeof(T);
-    bytes = (bytes + Alignment - 1) / Alignment * Alignment;
-    void* p = std::aligned_alloc(Alignment, bytes);
-    if (p == nullptr) throw std::bad_alloc();
-    return static_cast<T*>(p);
-  }
-  void deallocate(T* p, size_t) { std::free(p); }
-
-  template <typename U>
-  bool operator==(const CacheAlignedAllocator<U, Alignment>&) const {
-    return true;
-  }
-  template <typename U>
-  bool operator!=(const CacheAlignedAllocator<U, Alignment>&) const {
-    return false;
-  }
-
-  template <typename U>
-  struct rebind {
-    using other = CacheAlignedAllocator<U, Alignment>;
-  };
-};
 
 /// \brief Epoch-stamped membership set over dense ids [0, n).
 ///
