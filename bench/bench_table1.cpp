@@ -6,15 +6,23 @@
 // shape claim — edges vastly outnumber keywords, consecutive days are
 // comparable — is scale-free.
 //
+// Each day is counted and pruned twice: by the paper's route (pair file,
+// external sort, aggregation, prune) and by the one pass over an inverted
+// index the engine uses when the pair file fits in memory. Both times are
+// reported; the run exits non-zero if the two disagree on the keyword,
+// pre-prune edge or surviving edge count.
+//
 // Flags: --threads N offloads external-sort run generation to a pool;
 // --json PATH (default BENCH_table1.json) records sizes and timings.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
 #include "bench_common.h"
 #include "cooccur/cooccurrence_counter.h"
 #include "gen/corpus_generator.h"
+#include "graph/graph_builder.h"
 #include "storage/temp_dir.h"
 #include "text/corpus.h"
 #include "text/document.h"
@@ -24,7 +32,8 @@
 namespace stabletext {
 namespace {
 
-void Run(const bench::BenchArgs& args) {
+// Returns false when a step fails or the two counting routes disagree.
+bool Run(const bench::BenchArgs& args) {
   bench::Header("Table 1: keyword graph sizes per day",
                 "Section 3, Table 1",
                 "2 synthetic days of blog posts; pair counting after "
@@ -42,40 +51,77 @@ void Run(const bench::BenchArgs& args) {
   if (args.threads > 1) pool = std::make_unique<ThreadPool>(args.threads);
 
   TempDir dir("bench_table1");
-  std::printf("%-8s %12s %12s %14s %10s\n", "Day", "File Size",
-              "# keywords", "# edges", "count s");
+  if (!dir.Create().ok()) return false;
+  std::printf("%-8s %12s %12s %14s %12s %12s\n", "Day", "File Size",
+              "# keywords", "# edges", "sort+prune s", "one pass s");
   std::vector<std::string> day_json;
   IoStats io;
+  bool agree = true;
   for (uint32_t day = 0; day < 2; ++day) {
     const std::string path =
         dir.FilePath("day" + std::to_string(day) + ".txt");
     CorpusWriter writer;
-    if (!writer.Open(path).ok()) return;
+    if (!writer.Open(path).ok()) return false;
     DocumentProcessor processor;
     KeywordDict dict;
+    std::vector<std::vector<KeywordId>> documents;
+    for (const std::string& post : gen.GenerateDay(day)) {
+      if (!writer.Append(day, post).ok()) return false;
+      std::vector<KeywordId> ids;
+      for (const std::string& w : processor.Process(day, post).keywords) {
+        ids.push_back(dict.Intern(w));
+      }
+      std::sort(ids.begin(), ids.end());
+      documents.push_back(std::move(ids));
+    }
+    if (!writer.Finish().ok()) return false;
+
+    // The paper's route: pair file, external sort, aggregate, prune.
     CooccurrenceCounterOptions opt;
     opt.sort_pool = pool.get();
     CooccurrenceCounter counter(&dict, opt, &io);
-    WallTimer timer;
-    for (const std::string& post : gen.GenerateDay(day)) {
-      if (!writer.Append(day, post).ok()) return;
-      if (!counter.Add(processor.Process(day, post)).ok()) return;
+    const GraphBuilder builder;
+    WallTimer sort_timer;
+    for (const std::vector<KeywordId>& ids : documents) {
+      if (!counter.AddInterned(ids).ok()) return false;
     }
-    if (!writer.Finish().ok()) return;
     CooccurrenceTable table;
-    if (!counter.Finish(&table).ok()) return;
-    const double seconds = timer.ElapsedSeconds();
-    size_t keywords = 0;
-    for (uint32_t a : table.unary) keywords += a > 0;
-    std::printf("%-8u %12s %12zu %14zu %10.2f\n", day,
-                HumanBytes(FileSizeBytes(path)).c_str(), keywords,
-                table.triplets.size(), seconds);
+    if (!counter.Finish(&table).ok()) return false;
+    KeywordGraphSummary sorted;
+    builder.Build(table, &sorted);
+    const double sort_seconds = sort_timer.ElapsedSeconds();
+
+    // The engine's in-memory route: one pass over an inverted index.
+    WallTimer pass_timer;
+    KeywordGraphSummary one_pass;
+    if (!builder.BuildFromDocuments(documents, dict.size(), &one_pass)
+             .ok()) {
+      return false;
+    }
+    const double pass_seconds = pass_timer.ElapsedSeconds();
+
+    std::printf("%-8u %12s %12zu %14zu %12.3f %12.3f\n", day,
+                HumanBytes(FileSizeBytes(path)).c_str(),
+                sorted.keyword_count, sorted.raw_edge_count, sort_seconds,
+                pass_seconds);
+    if (one_pass.keyword_count != sorted.keyword_count ||
+        one_pass.raw_edge_count != sorted.raw_edge_count ||
+        one_pass.prune.surviving_edges != sorted.prune.surviving_edges) {
+      std::printf("MISMATCH: one pass gives %zu keywords, %zu edges, %zu "
+                  "kept; the sorted route %zu, %zu, %zu\n",
+                  one_pass.keyword_count, one_pass.raw_edge_count,
+                  one_pass.prune.surviving_edges, sorted.keyword_count,
+                  sorted.raw_edge_count, sorted.prune.surviving_edges);
+      agree = false;
+    }
     bench::Json j;
     j.Put("day", day)
         .Put("file_bytes", FileSizeBytes(path))
-        .Put("keywords", keywords)
-        .Put("edges", table.triplets.size())
-        .Put("seconds", seconds);
+        .Put("keywords", sorted.keyword_count)
+        .Put("edges", sorted.raw_edge_count)
+        .Put("kept_edges", sorted.prune.surviving_edges)
+        .Put("seconds", sort_seconds)
+        .Put("one_pass_seconds", pass_seconds);
     day_json.push_back(j.ToString());
   }
   std::printf(
@@ -90,13 +136,15 @@ void Run(const bench::BenchArgs& args) {
       .Raw("days", bench::Json::Array(day_json))
       .Raw("io", bench::IoStatsJson(io));
   bench::WriteJsonFile(args.json_path, out.ToString());
+  return agree;
 }
 
 }  // namespace
 }  // namespace stabletext
 
 int main(int argc, char** argv) {
-  stabletext::Run(stabletext::bench::ParseArgs(argc, argv,
-                                               "BENCH_table1.json"));
-  return 0;
+  return stabletext::Run(stabletext::bench::ParseArgs(
+             argc, argv, "BENCH_table1.json"))
+             ? 0
+             : 1;
 }

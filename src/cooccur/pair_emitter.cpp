@@ -1,6 +1,8 @@
 #include "cooccur/pair_emitter.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 
 namespace stabletext {
 
@@ -16,6 +18,10 @@ Status PairEmitter::EmitDocument(const Document& doc) {
 }
 
 Status PairEmitter::EmitIds(const std::vector<KeywordId>& sorted_ids) {
+  assert(std::adjacent_find(sorted_ids.begin(), sorted_ids.end(),
+                            std::greater_equal<KeywordId>()) ==
+             sorted_ids.end() &&
+         "EmitIds needs distinct, ascending ids");
   for (size_t i = 0; i < sorted_ids.size(); ++i) {
     // Diagonal record for A(u).
     ST_RETURN_IF_ERROR(sorter_->Add(PairRecord{sorted_ids[i],

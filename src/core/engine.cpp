@@ -647,6 +647,15 @@ void Engine::Publish() {
   ClusterGraph::SealStats seal;
   snap->graph = std::make_shared<const ClusterGraph>(
       graph_.SealedCopy(!options_.lazy_renormalize, &seal));
+  if (options_.lazy_renormalize && snap->epoch > options_.gap + 1) {
+    // The next interval's edges start no earlier than epoch - gap - 1:
+    // older nodes are final, and the seal just taken holds their stored
+    // weights, so their writer-side lists can go. A refused release
+    // (never expected here) only keeps the lists.
+    graph_.ReleaseSettled(
+        static_cast<uint32_t>(snap->epoch - options_.gap - 1))
+        .IgnoreError();
+  }
   snap->intervals = slots_;
   // The keyword table is append-only: completed chunks are shared with
   // every earlier snapshot; only the partial tail chunk is copied. Every

@@ -10,17 +10,32 @@ Result<IntervalResult> IntervalClusterer::RunInterned(
     ThreadPool* sort_pool) const {
   CooccurrenceCounterOptions counting = options_.counting;
   counting.sort_pool = sort_pool;
-  CooccurrenceCounter counter(dict_, counting, stats_);
+  uint64_t pairs = 0;
   for (const std::vector<KeywordId>& ids : documents) {
-    ST_RETURN_IF_ERROR(counter.AddInterned(ids));
+    pairs += ids.size() * (ids.size() + 1) / 2;
   }
-  CooccurrenceTable table;
-  ST_RETURN_IF_ERROR(counter.Finish(&table));
 
   IntervalResult result;
   result.interval = interval;
   GraphBuilder builder(options_.pruning);
-  KeywordGraph graph = builder.Build(table, &result.graph_summary);
+  KeywordGraph graph;
+  if (CooccurrenceCounter::PairsFitInMemory(counting, pairs)) {
+    // The pair file would never leave memory: count and prune in one pass
+    // instead of sorting it. Accounted as the in-memory sort it replaces.
+    auto built = builder.BuildFromDocuments(documents, dict_->size(),
+                                            &result.graph_summary);
+    if (!built.ok()) return built.status();
+    graph = std::move(built).value();
+    if (stats_ != nullptr) ++stats_->sort_in_memory_sorts;
+  } else {
+    CooccurrenceCounter counter(dict_, counting, stats_);
+    for (const std::vector<KeywordId>& ids : documents) {
+      ST_RETURN_IF_ERROR(counter.AddInterned(ids));
+    }
+    CooccurrenceTable table;
+    ST_RETURN_IF_ERROR(counter.Finish(&table));
+    graph = builder.Build(table, &result.graph_summary);
+  }
 
   ClusterExtractorOptions extraction = options_.extraction;
   extraction.biconnected.io_stats = stats_;

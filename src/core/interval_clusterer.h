@@ -1,6 +1,16 @@
 // IntervalClusterer: the Section 3 pipeline for a single temporal interval
 // — documents in, keyword clusters out (pair counting, chi-squared and rho
 // pruning, biconnected decomposition).
+//
+// Counting follows Section 3's I/O model only where it matters. When the
+// interval's pair records (sum of n(n+1)/2 over its documents) would spill
+// the external sorter's budget, the pair file is emitted, external-sorted
+// and aggregated into a triplet table that is then pruned. Otherwise,
+// which is every tick of the benchmark workloads, counting and pruning run
+// as one pass over an inverted index (GraphBuilder::BuildFromDocuments):
+// no pair record, sort buffer or triplet table exists. Both routes give
+// the same graph, summary and IoStats; the choice depends on the input
+// size and the budget alone.
 
 #ifndef STABLETEXT_CORE_INTERVAL_CLUSTERER_H_
 #define STABLETEXT_CORE_INTERVAL_CLUSTERER_H_
@@ -40,7 +50,9 @@ class IntervalClusterer {
 
   /// Clusters the documents of interval `interval`, already interned to
   /// sorted keyword-id sets through the shared dictionary (which sizes
-  /// the unary table and is only read). `sort_pool` may be null.
+  /// the unary table and is only read). `sort_pool` may be null; it
+  /// serves a spilling sort and shrinks the in-memory limit as
+  /// MaxBufferedRecords describes.
   Result<IntervalResult> RunInterned(
       uint32_t interval,
       const std::vector<std::vector<KeywordId>>& documents,

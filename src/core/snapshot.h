@@ -62,7 +62,8 @@ struct EngineStats {
   size_t clusters = 0;       ///< Graph nodes.
   size_t edges = 0;
   size_t keywords = 0;       ///< Dictionary size.
-  size_t graph_bytes = 0;    ///< Resident adjacency bytes (writer graph).
+  size_t graph_bytes = 0;    ///< Writer graph: live adjacency lists
+                             ///< plus the seal cache.
   IoStats io;                ///< Ingest-side traffic, all ticks summed.
   uint64_t query_cache_hits = 0;    ///< Live counter, not point-in-time.
   uint64_t query_cache_misses = 0;  ///< Live counter, not point-in-time.

@@ -56,6 +56,15 @@ class GraphPruner {
   std::vector<WeightedEdge> Prune(const CooccurrenceTable& table,
                                   PruneStats* stats = nullptr) const;
 
+  /// The support, chi^2 and rho tests for one pair with A(u) = `a_u`,
+  /// A(v) = `a_v` and A(u,v) = `count` among `document_count` documents.
+  /// Counts the pair in *stats (as input, and as failing a stage or
+  /// surviving) and returns whether the edge survives, with its weight
+  /// rho in *weight. Prune() and the one-pass graph build both use it.
+  bool Keep(uint64_t a_u, uint64_t a_v, uint32_t count,
+            uint64_t document_count, PruneStats* stats,
+            double* weight) const;
+
  private:
   GraphPrunerOptions options_;
 };

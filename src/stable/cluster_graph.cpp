@@ -1,5 +1,6 @@
 #include "stable/cluster_graph.h"
 
+#include <cassert>
 #include <cmath>
 
 namespace stabletext {
@@ -15,6 +16,7 @@ uint32_t ClusterGraph::AddInterval() {
 }
 
 NodeId ClusterGraph::AddNode(uint32_t interval) {
+  if (!frozen_ && interval < settled_intervals_) return kInvalidNode;
   const NodeId id = static_cast<NodeId>(node_count_++);
   if (frozen_) {
     // Late nodes keep the chunked view indexable; they have no adjacency.
@@ -78,14 +80,20 @@ Status ClusterGraph::AddEdge(NodeId from, NodeId to, double weight) {
   if (ti - fi > gap_ + 1) {
     return Status::InvalidArgument("edge exceeds gap bound");
   }
+  // Released nodes all lie in settled intervals, and `to` is later.
+  if (fi < settled_intervals_) {
+    return Status::InvalidArgument("edge source is in a settled interval");
+  }
   if (raw_weights_ ? !(weight > 0) || !std::isfinite(weight)
                    : !(weight > 0) || weight > 1) {
     return Status::InvalidArgument(
         raw_weights_ ? "edge weight must be positive and finite"
                      : "edge weight must be in (0, 1]");
   }
-  build_children_[from].push_back(ClusterGraphEdge{to, weight});
-  build_parents_[to].push_back(ClusterGraphEdge{from, weight});
+  build_children_[from - live_base_].push_back(
+      ClusterGraphEdge{to, weight});
+  build_parents_[to - live_base_].push_back(
+      ClusterGraphEdge{from, weight});
   if (!child_touched_flag_[from]) {
     child_touched_flag_[from] = 1;
     touched_children_.push_back(from);
@@ -97,6 +105,50 @@ Status ClusterGraph::AddEdge(NodeId from, NodeId to, double weight) {
   MarkChunkDirty(&seal_child_dirty_, from);
   MarkChunkDirty(&seal_parent_dirty_, to);
   ++edge_count_;
+  return Status::OK();
+}
+
+Status ClusterGraph::ReleaseSettled(uint32_t end) {
+  if (frozen_ || end <= settled_intervals_) return Status::OK();
+  if (end > interval_count_) {
+    return Status::InvalidArgument("cannot settle intervals not yet added");
+  }
+  // Nodes are numbered in creation order, so each interval's list is
+  // ascending and the released nodes are the ids below `base`.
+  NodeId base = static_cast<NodeId>(node_count_);
+  for (uint32_t i = end; i < interval_count_; ++i) {
+    if (!intervals_[i].empty()) base = std::min(base, intervals_[i].front());
+  }
+  if (base > live_base_) {
+    auto unsealed = [&] {
+      if (sealed_materialized_) return true;
+      for (size_t c = live_base_ >> kChunkShift;
+           c <= (size_t{base} - 1) >> kChunkShift; ++c) {
+        if (c >= sealed_children_.size() || sealed_children_[c] == nullptr ||
+            sealed_parents_[c] == nullptr || seal_child_dirty_[c] ||
+            seal_parent_dirty_[c]) {
+          return true;
+        }
+      }
+      auto below = [&](const std::vector<NodeId>& touched) {
+        return std::any_of(touched.begin(), touched.end(),
+                           [&](NodeId v) { return v < base; });
+      };
+      return below(touched_children_) || below(touched_parents_);
+    };
+    if (unsealed()) {
+      return Status::InvalidArgument(
+          "settled nodes need a sorted seal with stored weights first");
+    }
+    for (NodeId v = live_base_; v < base; ++v) {
+      released_entries_ +=
+          build_children_.front().size() + build_parents_.front().size();
+      build_children_.pop_front();
+      build_parents_.pop_front();
+    }
+    live_base_ = base;
+  }
+  settled_intervals_ = end;
   return Status::OK();
 }
 
@@ -126,13 +178,13 @@ bool BySourceAsc(const ClusterGraphEdge& a, const ClusterGraphEdge& b) {
 void ClusterGraph::SortTouched() {
   if (frozen_) return;
   for (NodeId v : touched_children_) {
-    std::sort(build_children_[v].begin(), build_children_[v].end(),
-              ByWeightDesc);
+    std::vector<ClusterGraphEdge>& list = build_children_[v - live_base_];
+    std::sort(list.begin(), list.end(), ByWeightDesc);
     child_touched_flag_[v] = 0;
   }
   for (NodeId v : touched_parents_) {
-    std::sort(build_parents_[v].begin(), build_parents_[v].end(),
-              BySourceAsc);
+    std::vector<ClusterGraphEdge>& list = build_parents_[v - live_base_];
+    std::sort(list.begin(), list.end(), BySourceAsc);
     parent_touched_flag_[v] = 0;
   }
   touched_children_.clear();
@@ -147,21 +199,38 @@ void ClusterGraph::MarkAllSealDirty() {
 }
 
 ClusterGraph::AdjChunkPtr ClusterGraph::BuildChunk(
-    const std::vector<std::vector<ClusterGraphEdge>>& lists, size_t chunk,
+    const AdjLists& lists, const AdjChunkPtr& previous, size_t chunk,
     bool materialize_scale) const {
   const size_t base = chunk << kChunkShift;
   const size_t end = std::min(node_count_, base + kChunkNodes);
+  // Released nodes [base, released_end) keep their edges from the last
+  // seal, which stored unscaled weights (ReleaseSettled checks).
+  const size_t released_end = std::clamp<size_t>(live_base_, base, end);
+  assert(released_end == base ||
+         (previous != nullptr && !materialize_scale &&
+          previous->offsets.size() > released_end - base));
+  auto list = [&](size_t v) {
+    if (v < released_end) {
+      const uint32_t* o = previous->offsets.data() + (v - base);
+      return std::make_pair(previous->edges.data() + o[0],
+                            previous->edges.data() + o[1]);
+    }
+    const std::vector<ClusterGraphEdge>& live = lists[v - live_base_];
+    return std::make_pair(live.data(), live.data() + live.size());
+  };
   AdjChunk out;
   out.offsets.reserve(end - base + 1);
   out.offsets.push_back(0);
   size_t total = 0;
   for (size_t v = base; v < end; ++v) {
-    total += lists[v].size();
+    const auto [first, last] = list(v);
+    total += static_cast<size_t>(last - first);
     out.offsets.push_back(static_cast<uint32_t>(total));
   }
   out.edges.reserve(total);
   for (size_t v = base; v < end; ++v) {
-    out.edges.insert(out.edges.end(), lists[v].begin(), lists[v].end());
+    const auto [first, last] = list(v);
+    out.edges.insert(out.edges.end(), first, last);
   }
   if (materialize_scale) {
     for (ClusterGraphEdge& e : out.edges) {
@@ -188,16 +257,16 @@ ClusterGraph::SealStats ClusterGraph::RefreshSeal(bool materialize_scale) {
   seal_meta_dirty_.resize(chunks, 1);
   for (size_t c = 0; c < chunks; ++c) {
     if (seal_child_dirty_[c] || sealed_children_[c] == nullptr) {
-      sealed_children_[c] = BuildChunk(build_children_, c,
-                                       materialize_scale);
+      sealed_children_[c] = BuildChunk(build_children_, sealed_children_[c],
+                                       c, materialize_scale);
       seal_child_dirty_[c] = 0;
       ++stats.copied_chunks;
     } else {
       ++stats.shared_chunks;
     }
     if (seal_parent_dirty_[c] || sealed_parents_[c] == nullptr) {
-      sealed_parents_[c] = BuildChunk(build_parents_, c,
-                                      materialize_scale);
+      sealed_parents_[c] = BuildChunk(build_parents_, sealed_parents_[c],
+                                      c, materialize_scale);
       seal_parent_dirty_[c] = 0;
       ++stats.copied_chunks;
     } else {
@@ -338,8 +407,10 @@ size_t ClusterGraph::MemoryBytes() const {
   bytes += node_count_ * sizeof(uint32_t);  // node_interval_
   bytes += node_count_ * sizeof(NodeId);    // intervals_ payloads
   bytes += intervals_.size() * sizeof(std::vector<NodeId>);
-  bytes += 2 * node_count_ * sizeof(std::vector<ClusterGraphEdge>);
-  bytes += 2 * edge_count_ * sizeof(ClusterGraphEdge);
+  // Adjacency lists exist for live nodes only.
+  bytes += 2 * (node_count_ - live_base_) *
+           sizeof(std::vector<ClusterGraphEdge>);
+  bytes += (2 * edge_count_ - released_entries_) * sizeof(ClusterGraphEdge);
   for (const AdjChunkPtr& c : sealed_children_) {
     if (c != nullptr) bytes += c->MemoryBytes();
   }

@@ -4,14 +4,17 @@
 // interval distance; edge weight is the affinity, normalized to (0, 1].
 //
 // Storage model (streaming-first): while building, adjacency lives in
-// per-node vectors the writer keeps extending. Frozen views — the per-epoch
-// snapshots the engine publishes, and the terminal SortChildren() freeze —
-// store adjacency and node metadata in immutable fixed-size CSR *chunks*
-// held by shared_ptr. Sealing an epoch rebuilds only the chunks touched
-// since the previous seal and shares every other chunk pointer with it
-// (copy-on-write at chunk granularity), so publishing a tick costs O(delta),
-// not O(graph), and any number of pinned old epochs stay byte-stable while
-// the writer keeps committing.
+// per-node vectors the writer keeps extending, but only for *live* nodes:
+// once no later interval can reach a node (ReleaseSettled, called by a
+// streaming writer after each seal), its vectors are dropped and its
+// reads go to the sealed chunks, which already hold the same edges.
+// Frozen views — the per-epoch snapshots the engine publishes, and the
+// terminal SortChildren() freeze — store adjacency and node metadata in
+// immutable fixed-size CSR *chunks* held by shared_ptr. Sealing an epoch
+// rebuilds only the chunks touched since the previous seal and shares
+// every other chunk pointer with it (copy-on-write at chunk granularity),
+// so publishing a tick costs O(delta), not O(graph), and any number of
+// pinned old epochs stay byte-stable while the writer keeps committing.
 //
 // Weights can be stored raw (EnableRawWeights): reads through EdgeSpan then
 // apply a per-graph scale (min(raw * scale, 1.0)) so a running-max
@@ -22,7 +25,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -41,13 +46,16 @@ struct ClusterGraphEdge {
 ///
 /// Stored entries may hold raw (unnormalized) weights; iteration and
 /// indexing return edges with the graph's read-time scale applied
-/// (min(stored * scale, 1.0) — bit-identical to the stored weight when the
-/// scale is 1). Edges are therefore returned by value; binding the usual
-/// `const ClusterGraphEdge&` loop variable works as before.
+/// (min(stored * scale, cap) with cap 1 — bit-identical to the stored
+/// weight when the scale is 1 and weights are normalized; an infinite cap
+/// reads raw weights as stored). Edges are therefore returned by value;
+/// binding the usual `const ClusterGraphEdge&` loop variable works as
+/// before.
 class EdgeSpan {
  public:
-  EdgeSpan(const ClusterGraphEdge* data, size_t size, double scale = 1.0)
-      : data_(data), size_(size), scale_(scale) {}
+  EdgeSpan(const ClusterGraphEdge* data, size_t size, double scale = 1.0,
+           double cap = 1.0)
+      : data_(data), size_(size), scale_(scale), cap_(cap) {}
 
   class Iterator {
    public:
@@ -60,11 +68,11 @@ class EdgeSpan {
     using pointer = const ClusterGraphEdge*;
     using reference = ClusterGraphEdge;
 
-    Iterator(const ClusterGraphEdge* p, double scale)
-        : p_(p), scale_(scale) {}
+    Iterator(const ClusterGraphEdge* p, double scale, double cap)
+        : p_(p), scale_(scale), cap_(cap) {}
     ClusterGraphEdge operator*() const {
       return ClusterGraphEdge{p_->target,
-                              std::min(p_->weight * scale_, 1.0)};
+                              std::min(p_->weight * scale_, cap_)};
     }
     Iterator& operator++() {
       ++p_;
@@ -85,21 +93,23 @@ class EdgeSpan {
    private:
     const ClusterGraphEdge* p_;
     double scale_;
+    double cap_;
   };
 
-  Iterator begin() const { return Iterator(data_, scale_); }
-  Iterator end() const { return Iterator(data_ + size_, scale_); }
+  Iterator begin() const { return Iterator(data_, scale_, cap_); }
+  Iterator end() const { return Iterator(data_ + size_, scale_, cap_); }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   ClusterGraphEdge operator[](size_t i) const {
     return ClusterGraphEdge{data_[i].target,
-                            std::min(data_[i].weight * scale_, 1.0)};
+                            std::min(data_[i].weight * scale_, cap_)};
   }
 
  private:
   const ClusterGraphEdge* data_;
   size_t size_;
   double scale_;
+  double cap_;
 };
 
 /// \brief Interval-partitioned weighted DAG over cluster nodes.
@@ -112,11 +122,12 @@ class EdgeSpan {
 /// children for all nodes, we sort them in the descending order of edge
 /// weights").
 ///
-/// Two phases: while building, adjacency lives in per-node vectors;
-/// SealedCopy() produces an immutable chunked-CSR view per epoch (O(delta):
-/// untouched chunks are shared with the previous seal), and SortChildren()
-/// (= terminal freeze) converts the graph itself into that representation.
-/// AddEdge after the freeze is an error.
+/// Two phases: while building, adjacency lives in per-node vectors (for
+/// nodes not yet released by ReleaseSettled; released nodes read from the
+/// seal cache); SealedCopy() produces an immutable chunked-CSR view per
+/// epoch (O(delta): untouched chunks are shared with the previous seal),
+/// and SortChildren() (= terminal freeze) converts the graph itself into
+/// that representation. AddEdge after the freeze is an error.
 class ClusterGraph {
  public:
   /// Nodes per immutable chunk (power of two). A committed tick touches
@@ -155,14 +166,34 @@ class ClusterGraph {
   /// grows one interval per ingested tick.
   uint32_t AddInterval();
 
-  /// Adds a node to interval `interval` (0-based). Returns its id.
+  /// Adds a node to interval `interval` (0-based). Returns its id, or
+  /// kInvalidNode when `interval` is settled (see ReleaseSettled).
   NodeId AddNode(uint32_t interval);
 
   /// Adds a directed edge. Requires interval(from) < interval(to),
   /// interval distance <= gap+1, and weight in (0, 1] — or merely a
   /// positive finite weight in raw-weights mode, where reads normalize.
-  /// Fails once the graph has been frozen by SortChildren().
+  /// Fails once the graph has been frozen by SortChildren(), and for an
+  /// endpoint in a settled interval.
   Status AddEdge(NodeId from, NodeId to, double weight);
+
+  /// \brief Settles intervals [0, `end`): they take no more nodes or
+  /// edges, and the build-phase adjacency lists of their nodes are freed.
+  ///
+  /// A streaming writer calls this after each seal with the intervals the
+  /// gap window has left behind. Released nodes are the id prefix below
+  /// the first node of any interval >= `end`; Children(), Parents() and
+  /// StoredParents() read them from the seal cache, and a later seal
+  /// rebuilds a chunk that mixes them with live nodes from the previous
+  /// chunk plus the live lists. Requires the last SealedCopy() to have
+  /// covered every released node after its last AddEdge, with stored
+  /// weights (materialize_scale false, as every later seal must be).
+  /// InvalidArgument otherwise, leaving the graph unchanged. A no-op on a
+  /// frozen graph or when `end` is not past the settled intervals.
+  Status ReleaseSettled(uint32_t end);
+
+  /// Intervals settled by ReleaseSettled.
+  uint32_t settled_intervals() const { return settled_intervals_; }
 
   /// Freezes the graph: sorts all children lists by descending stored
   /// weight (stable order: weight desc, then target asc), parents by
@@ -224,28 +255,21 @@ class ClusterGraph {
   }
 
   EdgeSpan Children(NodeId n) const {
-    if (frozen_) return ChunkSpan(child_chunks_, n);
-    return EdgeSpan(build_children_[n].data(), build_children_[n].size(),
-                    weight_scale_);
+    return AdjSpan(frozen_ ? child_chunks_ : sealed_children_,
+                   build_children_, n, weight_scale_);
   }
   EdgeSpan Parents(NodeId n) const {
-    if (frozen_) return ChunkSpan(parent_chunks_, n);
-    return EdgeSpan(build_parents_[n].data(), build_parents_[n].size(),
-                    weight_scale_);
+    return AdjSpan(frozen_ ? parent_chunks_ : sealed_parents_,
+                   build_parents_, n, weight_scale_);
   }
-  /// Parents at *stored* weights (scale 1), bypassing the read-time
-  /// normalization. The durability log serializes these so replaying
-  /// AddEdge reproduces the stored bits — and the running-max scale —
-  /// exactly.
+  /// Parents at *stored* weights (scale 1, no cap), bypassing the
+  /// read-time normalization: raw weights above 1 read as stored. The
+  /// durability log serializes these so replaying AddEdge reproduces the
+  /// stored bits — and the running-max scale — exactly.
   EdgeSpan StoredParents(NodeId n) const {
-    if (frozen_) {
-      const AdjChunk& c = *parent_chunks_[n >> kChunkShift];
-      const uint32_t i = static_cast<uint32_t>(n & kChunkMask);
-      return EdgeSpan(c.edges.data() + c.offsets[i],
-                      c.offsets[i + 1] - c.offsets[i], 1.0);
-    }
-    return EdgeSpan(build_parents_[n].data(), build_parents_[n].size(),
-                    1.0);
+    return AdjSpan(frozen_ ? parent_chunks_ : sealed_parents_,
+                   build_parents_, n, 1.0,
+                   std::numeric_limits<double>::infinity());
   }
 
   /// Length of the edge (a, b) in intervals.
@@ -285,19 +309,28 @@ class ClusterGraph {
   using IntervalChunkPtr = std::shared_ptr<const std::vector<uint32_t>>;
   using IntervalNodesPtr = std::shared_ptr<const std::vector<NodeId>>;
 
-  EdgeSpan ChunkSpan(const std::vector<AdjChunkPtr>& chunks,
-                     NodeId n) const {
-    const AdjChunk& c = *chunks[n >> kChunkShift];
-    const uint32_t i = static_cast<uint32_t>(n & kChunkMask);
-    return EdgeSpan(c.edges.data() + c.offsets[i],
-                    c.offsets[i + 1] - c.offsets[i], weight_scale_);
+  using AdjLists = std::deque<std::vector<ClusterGraphEdge>>;
+
+  // Node n's adjacency: from `chunks` (the frozen chunks, or the seal
+  // cache for a released node) or from its live build-phase list.
+  EdgeSpan AdjSpan(const std::vector<AdjChunkPtr>& chunks,
+                   const AdjLists& lists, NodeId n, double scale,
+                   double cap = 1.0) const {
+    if (frozen_ || n < live_base_) {
+      const AdjChunk& c = *chunks[n >> kChunkShift];
+      const uint32_t i = static_cast<uint32_t>(n & kChunkMask);
+      return EdgeSpan(c.edges.data() + c.offsets[i],
+                      c.offsets[i + 1] - c.offsets[i], scale, cap);
+    }
+    const std::vector<ClusterGraphEdge>& list = lists[n - live_base_];
+    return EdgeSpan(list.data(), list.size(), scale, cap);
   }
 
   // Builds the chunk covering nodes [chunk*kChunkNodes, ...) from the
-  // build-phase `lists`, optionally materializing the read scale.
-  AdjChunkPtr BuildChunk(
-      const std::vector<std::vector<ClusterGraphEdge>>& lists,
-      size_t chunk, bool materialize_scale) const;
+  // live build-phase `lists`, copying released nodes from `previous` (the
+  // chunk's last seal), optionally materializing the read scale.
+  AdjChunkPtr BuildChunk(const AdjLists& lists, const AdjChunkPtr& previous,
+                         size_t chunk, bool materialize_scale) const;
 
   // Refreshes the seal cache (sealed_* members) from the build-phase
   // state, rebuilding only dirty chunks. Returns chunk accounting.
@@ -320,8 +353,14 @@ class ClusterGraph {
   // ---- build-phase state (cleared by the terminal freeze) ----
   std::vector<std::vector<NodeId>> intervals_;
   std::vector<uint32_t> node_interval_;
-  std::vector<std::vector<ClusterGraphEdge>> build_children_;
-  std::vector<std::vector<ClusterGraphEdge>> build_parents_;
+  // Adjacency lists of the live nodes [live_base_, node_count_), indexed
+  // from live_base_; released nodes read the seal cache instead.
+  AdjLists build_children_;
+  AdjLists build_parents_;
+  NodeId live_base_ = 0;
+  uint32_t settled_intervals_ = 0;
+  // Edge entries (children + parents) freed by ReleaseSettled.
+  size_t released_entries_ = 0;
   // Nodes whose build-phase lists gained edges since the last sort.
   std::vector<NodeId> touched_children_;
   std::vector<NodeId> touched_parents_;

@@ -4,13 +4,14 @@
 // appear together in the output."
 //
 // The sorter buffers records up to a memory budget and spills sorted runs
-// to a scratch directory. Run generation (sort + write) can be offloaded to
-// a ThreadPool so the producer keeps emitting while previous runs are
-// written. Runs are merged with a k-way loser tree (storage/loser_tree.h);
-// the final partial buffer is merged straight from memory instead of being
-// rewritten through a temp file. All spill I/O is charged to the caller's
-// IoStats, including the sort-phase counters (runs spilled, merge passes,
-// in-memory tail records).
+// to a scratch directory, created at the first spill. Run generation
+// (sort + write) can be offloaded to a ThreadPool so the producer keeps
+// emitting while previous runs are written. Runs are merged with a k-way
+// loser tree (storage/loser_tree.h); the final partial buffer is merged
+// straight from memory instead of being rewritten through a temp file.
+// All spill I/O is charged to the caller's IoStats, including the
+// sort-phase counters (runs spilled, merge passes, in-memory tail
+// records).
 
 #ifndef STABLETEXT_STORAGE_EXTERNAL_SORTER_H_
 #define STABLETEXT_STORAGE_EXTERNAL_SORTER_H_
@@ -53,6 +54,22 @@ struct ExternalSorterOptions {
   size_t max_inflight_spills = 2;
 };
 
+/// Records an ExternalSorter buffers before it spills a run: the budget
+/// over the record size, shared by the live buffer and the in-flight spill
+/// buffers when a pool is attached. A sort of fewer records never touches
+/// disk; this is the one place that decides it (the engine's choice of
+/// counting route, CooccurrenceCounter::PairsFitInMemory, reads it too).
+inline size_t MaxBufferedRecords(const ExternalSorterOptions& options,
+                                 size_t record_bytes) {
+  size_t records =
+      std::max<size_t>(1, options.memory_budget_bytes / record_bytes);
+  if (options.pool != nullptr) {
+    records = std::max<size_t>(
+        1, records / (1 + std::max<size_t>(1, options.max_inflight_spills)));
+  }
+  return records;
+}
+
 /// \brief Sorts a stream of trivially-copyable records under a memory budget.
 ///
 /// Usage: Add() records, then Sort(), then iterate with Next(). Comparator
@@ -69,16 +86,7 @@ class ExternalSorter {
   explicit ExternalSorter(ExternalSorterOptions options = {},
                           IoStats* stats = nullptr, Less less = Less())
       : options_(options), stats_(stats), less_(less) {
-    size_t budget_records =
-        std::max<size_t>(1, options_.memory_budget_bytes / sizeof(Record));
-    if (options_.pool != nullptr) {
-      // The live buffer and up to max_inflight_spills frozen buffers share
-      // the budget.
-      budget_records = std::max<size_t>(
-          1, budget_records / (1 + std::max<size_t>(1,
-                                     options_.max_inflight_spills)));
-    }
-    max_buffered_ = budget_records;
+    max_buffered_ = MaxBufferedRecords(options_, sizeof(Record));
   }
 
   /// Adds one record, spilling a sorted run if the buffer is full.
@@ -256,6 +264,7 @@ class ExternalSorter {
   }
 
   Status SpillRun() {
+    ST_RETURN_IF_ERROR(scratch_.Create());
     const std::string path =
         scratch_.FilePath("run." + std::to_string(runs_.size()));
     runs_.push_back(path);
@@ -319,7 +328,7 @@ class ExternalSorter {
   ExternalSorterOptions options_;
   IoStats* stats_;
   Less less_;
-  TempDir scratch_{"st_sort"};
+  TempDir scratch_{"st_sort", TempDir::Creation::kOnFirstUse};
   std::vector<Record> buffer_;
   size_t max_buffered_;
   std::vector<std::string> runs_;

@@ -88,6 +88,7 @@ class SpillableStack {
  private:
   Status EnsureFile() {
     if (file_.is_open()) return Status::OK();
+    ST_RETURN_IF_ERROR(scratch_.Create());
     PagedFileOptions opt;
     opt.page_size = options_.page_size;
     opt.cache_pages = 0;  // Spill traffic is always physical.
@@ -144,7 +145,7 @@ class SpillableStack {
 
   SpillableStackOptions options_;
   IoStats* stats_;
-  TempDir scratch_{"st_stack"};
+  TempDir scratch_{"st_stack", TempDir::Creation::kOnFirstUse};
   PagedFile file_;
   std::deque<T> hot_;
   size_t per_page_ = 0;

@@ -9,18 +9,34 @@
 
 namespace stabletext {
 
-/// \brief Creates a unique directory under the system temp path and removes
-/// it (recursively) on destruction.
+/// \brief A unique directory under the system temp path, removed
+/// (recursively) on destruction.
+///
+/// Spilling structures (ExternalSorter, SpillableStack) defer creation to
+/// their first spill, so work that stays in memory never needs a usable
+/// TMPDIR.
 class TempDir {
  public:
+  /// When the directory is created.
+  enum class Creation { kNow, kOnFirstUse };
+
   /// \param tag human-readable component embedded in the directory name.
-  explicit TempDir(const std::string& tag = "stabletext");
+  /// \param when kNow creates the directory here; if that fails, path()
+  ///        stays empty and Create() reports why. kOnFirstUse touches the
+  ///        file system only in Create().
+  explicit TempDir(const std::string& tag = "stabletext",
+                   Creation when = Creation::kNow);
   ~TempDir();
 
   TempDir(const TempDir&) = delete;
   TempDir& operator=(const TempDir&) = delete;
 
-  /// Absolute path of the directory (no trailing separator).
+  /// Creates the directory unless it exists. Tries a bounded number of
+  /// names; IOError when the temp path is missing or unusable.
+  Status Create();
+
+  /// Absolute path of the directory (no trailing separator); empty until
+  /// the directory has been created.
   const std::string& path() const { return path_; }
 
   /// Returns path()/name.
@@ -33,6 +49,7 @@ class TempDir {
   Status Cleanup();
 
  private:
+  std::string tag_;
   std::string path_;
 };
 

@@ -1,11 +1,26 @@
 // ClusterGraph: construction invariants, edge validation, adjacency
-// ordering, and the generator's conformance to the Section 5 model.
+// ordering, releasing settled nodes' build-phase lists, and the
+// generator's conformance to the Section 5 model.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 
+#include "core/engine.h"
+#include "gen/corpus_generator.h"
+#include "storage/temp_dir.h"
 #include "test_helpers.h"
+#include "util/random.h"
+#include "util/strings.h"
 
 namespace stabletext {
 namespace {
@@ -75,6 +90,288 @@ TEST(ClusterGraphTest, PaperFigure5Shape) {
   // The gap edge c11 -> c32 has length 2 (the paper's worked example).
   EXPECT_EQ(g.EdgeLength(0, 7), 2u);
   EXPECT_GT(g.MemoryBytes(), 0u);
+}
+
+// ---- ReleaseSettled: streaming graphs that drop settled nodes' lists ----
+
+// One streamed interval: its node count and its edges (from, to, raw
+// weight), all ending at the interval's nodes.
+struct StreamTick {
+  uint32_t nodes = 0;
+  std::vector<std::tuple<NodeId, NodeId, double>> edges;
+};
+
+// Random ticks of `min_nodes`..`max_nodes` nodes whose edges start in the
+// gap window, with raw weights in (0, 4] (the engine's lazy
+// normalization).
+std::vector<StreamTick> MakeStreamTicks(uint32_t count, uint32_t gap,
+                                        uint32_t min_nodes,
+                                        uint32_t max_nodes, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<StreamTick> ticks(count);
+  std::vector<NodeId> first{0};  // First node id of every interval.
+  for (uint32_t t = 0; t < count; ++t) {
+    StreamTick& tick = ticks[t];
+    tick.nodes = min_nodes + static_cast<uint32_t>(
+                                 rng.Uniform(max_nodes - min_nodes + 1));
+    first.push_back(first.back() + tick.nodes);
+    const uint32_t begin = t > gap + 1 ? t - gap - 1 : 0;
+    if (t == 0 || first[t] == first[begin]) continue;
+    std::set<std::pair<NodeId, NodeId>> seen;
+    for (uint32_t e = 0; e < 2 * tick.nodes; ++e) {
+      const NodeId from = first[begin] + static_cast<NodeId>(rng.Uniform(
+                                             first[t] - first[begin]));
+      const NodeId to =
+          first[t] + static_cast<NodeId>(rng.Uniform(tick.nodes));
+      if (!seen.insert({from, to}).second) continue;
+      tick.edges.emplace_back(from, to, 4 * rng.NextWeight());
+    }
+  }
+  return ticks;
+}
+
+// Commits interval `t` like the engine: nodes, edges, sort, a seal with
+// stored weights, then (when `release`) settles what the gap window left.
+ClusterGraph StreamInterval(ClusterGraph* g, const StreamTick& tick,
+                            uint32_t t, bool release) {
+  EXPECT_EQ(g->AddInterval(), t);
+  for (uint32_t j = 0; j < tick.nodes; ++j) g->AddNode(t);
+  double max_weight = 1;
+  for (const auto& [from, to, weight] : tick.edges) {
+    EXPECT_TRUE(g->AddEdge(from, to, weight).ok());
+    max_weight = std::max(max_weight, weight);
+  }
+  if (1.0 / max_weight < g->weight_scale()) {
+    g->set_weight_scale(1.0 / max_weight);
+  }
+  g->SortTouched();
+  ClusterGraph sealed = g->SealedCopy();
+  if (release && t > g->gap()) {
+    EXPECT_TRUE(g->ReleaseSettled(t - g->gap()).ok());
+  }
+  return sealed;
+}
+
+// Every node's children, parents and stored parents, weights as %a.
+std::string Spans(const ClusterGraph& g) {
+  std::string out = StringPrintf("nodes=%zu edges=%zu\n", g.node_count(),
+                                 g.edge_count());
+  auto render = [&out](const char* tag, NodeId v, const EdgeSpan& span) {
+    out += StringPrintf("%s %u:", tag, v);
+    for (const ClusterGraphEdge& e : span) {
+      out += StringPrintf(" %u/%a", e.target, e.weight);
+    }
+    out += "\n";
+  };
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    render("c", v, g.Children(v));
+    render("p", v, g.Parents(v));
+    render("s", v, g.StoredParents(v));
+  }
+  return out;
+}
+
+// First node whose children, parents or stored parents differ between
+// `a` and `b` (weights compared bit for bit); empty when none does.
+std::string FirstSpanDifference(const ClusterGraph& a,
+                                const ClusterGraph& b) {
+  if (a.node_count() != b.node_count() || a.edge_count() != b.edge_count()) {
+    return "sizes differ";
+  }
+  auto same = [](const EdgeSpan& x, const EdgeSpan& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const ClusterGraphEdge ex = x[i];
+      const ClusterGraphEdge ey = y[i];
+      if (ex.target != ey.target ||
+          std::memcmp(&ex.weight, &ey.weight, sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (NodeId v = 0; v < a.node_count(); ++v) {
+    if (!same(a.Children(v), b.Children(v)) ||
+        !same(a.Parents(v), b.Parents(v)) ||
+        !same(a.StoredParents(v), b.StoredParents(v))) {
+      return StringPrintf("node %u", v);
+    }
+  }
+  return "";
+}
+
+TEST(ClusterGraphReleaseTest, ReleasedNodesReadTheSameSpans) {
+  for (const uint32_t gap : {0u, 1u, 3u}) {
+    SCOPED_TRACE(gap);
+    const auto ticks = MakeStreamTicks(40, gap, 20, 180, 11 + gap);
+    ClusterGraph released(0, gap);
+    ClusterGraph kept(0, gap);
+    released.EnableRawWeights();
+    kept.EnableRawWeights();
+    for (uint32_t t = 0; t < ticks.size(); ++t) {
+      const ClusterGraph a = StreamInterval(&released, ticks[t], t, true);
+      const ClusterGraph b = StreamInterval(&kept, ticks[t], t, false);
+      ASSERT_EQ(FirstSpanDifference(released, kept), "") << "tick " << t;
+      ASSERT_EQ(FirstSpanDifference(a, b), "") << "seal of tick " << t;
+    }
+    EXPECT_EQ(released.settled_intervals(), 40 - gap - 1);
+    EXPECT_LT(released.MemoryBytes(), kept.MemoryBytes());
+    released.SortChildren();
+    kept.SortChildren();
+    EXPECT_EQ(Spans(released), Spans(kept));
+    EXPECT_EQ(released.MemoryBytes(), kept.MemoryBytes());
+  }
+}
+
+TEST(ClusterGraphReleaseTest, SettledIntervalsRejectNodesAndEdges) {
+  ClusterGraph g(0, 0);
+  for (uint32_t t = 0; t < 3; ++t) {
+    g.AddInterval();
+    g.AddNode(t);
+  }
+  ASSERT_TRUE(g.AddEdge(0, 1, 0.5).ok());
+  // Edge (0, 1) was never sealed: its nodes cannot be released yet.
+  EXPECT_FALSE(g.ReleaseSettled(2).ok());
+  g.SortTouched();
+  EXPECT_FALSE(g.ReleaseSettled(4).ok());  // Interval 3 does not exist.
+  g.SealedCopy();
+  ASSERT_TRUE(g.ReleaseSettled(2).ok());
+  EXPECT_EQ(g.settled_intervals(), 2u);
+  EXPECT_EQ(g.AddNode(1), kInvalidNode);
+  EXPECT_EQ(g.node_count(), 3u);
+  EXPECT_FALSE(g.AddEdge(1, 2, 0.5).ok());  // Source is settled.
+  EXPECT_EQ(g.edge_count(), 1u);
+  ASSERT_EQ(g.Children(0).size(), 1u);
+  EXPECT_EQ(g.Children(0)[0].target, 1u);
+  EXPECT_EQ(g.Parents(1)[0].target, 0u);
+  // The live interval still grows.
+  EXPECT_EQ(g.AddNode(2), 3u);
+  EXPECT_TRUE(g.ReleaseSettled(1).ok());  // Already settled: a no-op.
+  EXPECT_EQ(g.settled_intervals(), 2u);
+}
+
+TEST(ClusterGraphReleaseTest, ReleaseNeedsStoredWeightSeal) {
+  ClusterGraph g(0, 0);
+  for (uint32_t t = 0; t < 3; ++t) {
+    g.AddInterval();
+    g.AddNode(t);
+  }
+  g.SealedCopy(/*materialize_scale=*/true);
+  EXPECT_FALSE(g.ReleaseSettled(2).ok());
+  g.SealedCopy();
+  EXPECT_TRUE(g.ReleaseSettled(2).ok());
+}
+
+TEST(ClusterGraphReleaseTest, MixedChunkIsRebuiltFromSealAndLiveLists) {
+  // 300 nodes per interval at gap 0: after interval 2, intervals 0-1 (ids
+  // below 600) settle, so chunk 1 (ids 512-1023) mixes released and live
+  // nodes. Interval 3's edges then dirty it, and the next seal rebuilds it.
+  ASSERT_EQ(ClusterGraph::kChunkNodes, 512u);
+  std::vector<StreamTick> ticks(5);
+  for (uint32_t t = 0; t < ticks.size(); ++t) {
+    ticks[t].nodes = 300;
+    if (t == 0) continue;
+    for (NodeId j = 0; j < 300; j += 3) {
+      const NodeId from = (t - 1) * 300 + j;
+      ticks[t].edges.emplace_back(from, t * 300 + (j * 7) % 300,
+                                  0.25 + 0.5 * j / 300.0);
+      ticks[t].edges.emplace_back(from, t * 300 + (j * 11 + 1) % 300,
+                                  0.75);
+    }
+  }
+  ClusterGraph released(0, 0);
+  ClusterGraph kept(0, 0);
+  for (uint32_t t = 0; t < 3; ++t) {
+    StreamInterval(&released, ticks[t], t, true);
+    StreamInterval(&kept, ticks[t], t, false);
+  }
+  ASSERT_EQ(released.settled_intervals(), 2u);
+  const auto before = released.SealedCopy().child_chunk(1);
+  ClusterGraph::SealStats seal;
+  for (uint32_t t = 3; t < ticks.size(); ++t) {
+    EXPECT_EQ(released.AddInterval(), t);
+    for (uint32_t j = 0; j < ticks[t].nodes; ++j) released.AddNode(t);
+    for (const auto& [from, to, weight] : ticks[t].edges) {
+      ASSERT_TRUE(released.AddEdge(from, to, weight).ok());
+    }
+    released.SortTouched();
+    const ClusterGraph sealed = released.SealedCopy(false, &seal);
+    const ClusterGraph reference = StreamInterval(&kept, ticks[t], t, false);
+    if (t == 3) {
+      // Chunk 1 holds interval 2's sources: rebuilt, not shared.
+      EXPECT_NE(sealed.child_chunk(1), before);
+      EXPECT_GT(seal.copied_chunks, 0u);
+    }
+    ASSERT_EQ(Spans(sealed), Spans(reference)) << "tick " << t;
+    ASSERT_EQ(Spans(released), Spans(kept)) << "tick " << t;
+    ASSERT_TRUE(released.ReleaseSettled(t).ok());
+  }
+}
+
+// Every file of a durability directory, by name.
+std::map<std::string, std::string> DirectoryBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST(ClusterGraphReleaseTest, CheckpointAfterReleasesRecoversByteIdentically) {
+  CorpusGenOptions corpus;
+  corpus.days = 6;
+  corpus.posts_per_day = 40;
+  corpus.vocabulary = 300;
+  corpus.min_words_per_post = 6;
+  corpus.max_words_per_post = 14;
+  corpus.micro_events = 8;
+  corpus.seed = 5;
+  corpus.script = EventScript::PaperWeek();
+  CorpusGenerator gen(corpus);
+  std::vector<std::vector<std::string>> ticks;
+  for (uint32_t t = 0; t < 20; ++t) ticks.push_back(gen.GenerateDay(t % 6));
+
+  for (const uint32_t gap : {0u, 2u}) {
+    for (const AffinityMeasure measure :
+         {AffinityMeasure::kJaccard, AffinityMeasure::kIntersection}) {
+      SCOPED_TRACE(StringPrintf("gap %u measure %d", gap,
+                                static_cast<int>(measure)));
+      // The eager engine never releases: its files are the reference.
+      std::map<std::string, std::string> files[2];
+      std::string spans[2];
+      for (const bool lazy : {true, false}) {
+        TempDir dir("release_ckpt");
+        EngineOptions opt;
+        opt.gap = gap;
+        opt.lazy_renormalize = lazy;
+        opt.clustering.pruning.rho_threshold = 0.15;
+        opt.clustering.pruning.min_pair_support = 2;
+        opt.affinity.theta = 0.05;
+        opt.affinity.measure = measure;
+        opt.durability.enabled = true;
+        opt.durability.dir = dir.path();
+        opt.durability.checkpoint_interval = 6;
+        {
+          auto engine = Engine::Recover(opt);
+          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+          ASSERT_TRUE(engine.value()->IngestTicks(ticks).ok());
+          spans[lazy] = Spans(engine.value()->graph());
+        }
+        files[lazy] = DirectoryBytes(dir.path());
+        auto recovered = Engine::Recover(opt);
+        ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+        EXPECT_EQ(recovered.value()->interval_count(), ticks.size());
+        // Raw intersection weights above 1 must survive the log, or the
+        // recovered running-max scale (and every read weight) drifts.
+        EXPECT_EQ(Spans(recovered.value()->graph()), spans[lazy]);
+      }
+      EXPECT_EQ(spans[true], spans[false]);
+      EXPECT_EQ(files[true], files[false]);
+      EXPECT_FALSE(files[true].empty());
+    }
+  }
 }
 
 TEST(ClusterGraphGeneratorTest, MatchesSection5Model) {

@@ -1,5 +1,7 @@
 // Co-occurrence pipeline: dictionary, pair emission, aggregation — checked
-// against a brute-force document-pair counter on random corpora.
+// against a brute-force document-pair counter on random corpora — and the
+// one-pass inverted-index build of the pruned graph, checked against the
+// sorted-pair-file route at every sort budget.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +9,11 @@
 #include <set>
 
 #include "cooccur/cooccurrence_counter.h"
+#include "graph/graph_builder.h"
 #include "storage/temp_dir.h"
 #include "util/random.h"
+#include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace stabletext {
 namespace {
@@ -21,6 +26,57 @@ Document MakeDoc(uint32_t interval, std::vector<std::string> words) {
   d.keywords.erase(std::unique(d.keywords.begin(), d.keywords.end()),
                    d.keywords.end());
   return d;
+}
+
+// Every vertex's neighbors with weight bits, then the summary counters.
+std::string Render(const KeywordGraph& graph,
+                   const KeywordGraphSummary& summary) {
+  std::string out = StringPrintf(
+      "vertices=%zu docs=%llu keywords=%zu raw=%zu input=%zu support=%zu "
+      "chi2=%zu rho=%zu kept=%zu\n",
+      graph.vertex_count(),
+      static_cast<unsigned long long>(summary.document_count),
+      summary.keyword_count, summary.raw_edge_count,
+      summary.prune.input_edges, summary.prune.failed_support,
+      summary.prune.failed_chi_square, summary.prune.failed_rho,
+      summary.prune.surviving_edges);
+  for (KeywordId u = 0; u < graph.vertex_count(); ++u) {
+    for (size_t i = 0; i < graph.Degree(u); ++i) {
+      out += StringPrintf("%u-%u:%a\n", u, graph.Neighbors(u)[i],
+                          graph.Weights(u)[i]);
+    }
+  }
+  return out;
+}
+
+// The graph the sorted pair file gives for `documents` (distinct ascending
+// ids) under `budget`, rendered.
+std::string SortedRoute(const std::vector<std::vector<KeywordId>>& documents,
+                        size_t keyword_count, size_t budget,
+                        const GraphPrunerOptions& pruning) {
+  KeywordDict unused;
+  CooccurrenceCounterOptions opt;
+  opt.sort_memory_bytes = budget;
+  CooccurrenceCounter counter(&unused, opt);
+  for (const auto& ids : documents) {
+    EXPECT_TRUE(counter.AddInterned(ids).ok());
+  }
+  CooccurrenceTable table;
+  EXPECT_TRUE(counter.Finish(&table, keyword_count).ok());
+  KeywordGraphSummary summary;
+  const KeywordGraph graph = GraphBuilder(pruning).Build(table, &summary);
+  return Render(graph, summary);
+}
+
+std::string OnePassRoute(const std::vector<std::vector<KeywordId>>& documents,
+                         size_t keyword_count,
+                         const GraphPrunerOptions& pruning) {
+  KeywordGraphSummary summary;
+  auto graph = GraphBuilder(pruning).BuildFromDocuments(
+      documents, keyword_count, &summary);
+  EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+  if (!graph.ok()) return "";
+  return Render(graph.value(), summary);
 }
 
 TEST(KeywordDictTest, InternIsIdempotent) {
@@ -167,6 +223,33 @@ TEST_P(CooccurRandomTest, MatchesBruteForce) {
     if (u > v) std::swap(u, v);
     EXPECT_EQ((got[{u, v}]), count);
   }
+
+  // Third path: the one pass over an inverted index gives the same
+  // surviving edges (weight bits) and summary as pruning this table, with
+  // the paper's tests and with every test off (all pairs survive).
+  std::vector<std::vector<KeywordId>> interned;
+  for (const Document& d : corpus) {
+    std::vector<KeywordId> ids;
+    for (const std::string& w : d.keywords) ids.push_back(dict.Lookup(w));
+    std::sort(ids.begin(), ids.end());
+    interned.push_back(std::move(ids));
+  }
+  GraphPrunerOptions keep_all;
+  keep_all.apply_chi_square = false;
+  keep_all.apply_rho = false;
+  for (const GraphPrunerOptions& pruning : {GraphPrunerOptions{}, keep_all}) {
+    KeywordGraphSummary expected;
+    const KeywordGraph graph = GraphBuilder(pruning).Build(table, &expected);
+    EXPECT_EQ(OnePassRoute(interned, dict.size(), pruning),
+              Render(graph, expected));
+    EXPECT_EQ(expected.raw_edge_count, pairs.size());
+  }
+  KeywordGraphSummary all;
+  ASSERT_TRUE(GraphBuilder(keep_all)
+                  .BuildFromDocuments(interned, dict.size(), &all)
+                  .ok());
+  EXPECT_EQ(all.prune.surviving_edges, pairs.size());
+  EXPECT_EQ(all.keyword_count, unary.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -177,6 +260,72 @@ INSTANTIATE_TEST_SUITE_P(
       return "docs" + std::to_string(std::get<0>(info.param)) + "_budget" +
              std::to_string(std::get<1>(info.param));
     });
+
+TEST(OnePassGraphTest, EdgeCasesMatchTheSortedRoute) {
+  GraphPrunerOptions keep_all;
+  keep_all.apply_chi_square = false;
+  keep_all.apply_rho = false;
+  const std::vector<std::vector<std::vector<KeywordId>>> corpora = {
+      {},                    // No documents.
+      {{}, {}},              // Documents without keywords.
+      {{3}, {0}, {3}, {7}},  // Single-keyword documents only.
+      // Ids 1, 2, 5, 6, 8 and 9 are never used.
+      {{0, 3, 7}, {3, 4}, {0, 4, 7}, {0, 3, 4, 7}, {4}},
+  };
+  for (size_t c = 0; c < corpora.size(); ++c) {
+    SCOPED_TRACE(c);
+    for (const GraphPrunerOptions& pruning :
+         {GraphPrunerOptions{}, keep_all}) {
+      const std::string one_pass = OnePassRoute(corpora[c], 10, pruning);
+      EXPECT_EQ(one_pass, SortedRoute(corpora[c], 10, 32 << 20, pruning));
+      EXPECT_EQ(one_pass, SortedRoute(corpora[c], 10, 64, pruning));
+    }
+  }
+  KeywordGraphSummary summary;
+  ASSERT_TRUE(GraphBuilder(keep_all)
+                  .BuildFromDocuments(corpora[3], 10, &summary)
+                  .ok());
+  EXPECT_EQ(summary.document_count, 5u);
+  EXPECT_EQ(summary.keyword_count, 4u);
+  EXPECT_EQ(summary.raw_edge_count, 6u);
+}
+
+TEST(OnePassGraphTest, RejectsIdsOutOfOrderOrRange) {
+  const GraphBuilder builder;
+  EXPECT_FALSE(builder.BuildFromDocuments({{2, 1}}, 5).ok());
+  EXPECT_FALSE(builder.BuildFromDocuments({{1, 1}}, 5).ok());
+  EXPECT_FALSE(builder.BuildFromDocuments({{1, 5}}, 5).ok());
+  EXPECT_TRUE(builder.BuildFromDocuments({{1, 4}}, 5).ok());
+}
+
+TEST(CooccurrenceCounterTest, PairsFitInMemoryMatchesTheSorterLimit) {
+  // The budget over 8-byte records without a pool; a third with one.
+  CooccurrenceCounterOptions opt;
+  EXPECT_TRUE(CooccurrenceCounter::PairsFitInMemory(opt, (4 << 20) - 1));
+  EXPECT_FALSE(CooccurrenceCounter::PairsFitInMemory(opt, 4 << 20));
+  opt.sort_memory_bytes = 8192;
+  EXPECT_TRUE(CooccurrenceCounter::PairsFitInMemory(opt, 1023));
+  EXPECT_FALSE(CooccurrenceCounter::PairsFitInMemory(opt, 1024));
+  ThreadPool pool(1);
+  opt.sort_pool = &pool;
+  const uint64_t pooled = 1024 / 3;
+  EXPECT_TRUE(CooccurrenceCounter::PairsFitInMemory(opt, pooled - 1));
+  EXPECT_FALSE(CooccurrenceCounter::PairsFitInMemory(opt, pooled));
+  // The limit is exactly where the sorter first spills a run.
+  for (const uint64_t pairs : {pooled - 1, pooled}) {
+    IoStats stats;
+    ExternalSorterOptions sorter_opt;
+    sorter_opt.memory_budget_bytes = opt.sort_memory_bytes;
+    sorter_opt.pool = &pool;
+    PairSorter sorter(sorter_opt, &stats);
+    for (uint64_t i = 0; i < pairs; ++i) {
+      ASSERT_TRUE(sorter.Add(PairRecord{0, 0}).ok());
+    }
+    ASSERT_TRUE(sorter.Sort().ok());
+    EXPECT_EQ(sorter.run_count() == 0,
+              CooccurrenceCounter::PairsFitInMemory(opt, pairs));
+  }
+}
 
 TEST(CooccurrenceCounterTest, SpillsUnderTinyBudget) {
   KeywordDict dict;

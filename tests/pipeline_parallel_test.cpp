@@ -4,7 +4,9 @@
 // joins out on the pool; keyword ids are interned on the writer thread
 // and join results stitched in interval order, so nothing downstream may
 // depend on worker scheduling. A tight sort budget additionally forces
-// spilled runs through the pooled run-generation path.
+// spilled runs through the pooled run-generation path, while the default
+// budget counts every tick in one pass over an inverted index: both must
+// agree on every interval's summary.
 
 #include <gtest/gtest.h>
 
@@ -66,6 +68,25 @@ std::string Fingerprint(const Engine& engine) {
   return out;
 }
 
+// Every interval's keyword-graph summary and biconnected counters.
+std::string SummaryFingerprint(const Engine& engine) {
+  std::string out;
+  for (uint32_t i = 0; i < engine.interval_count(); ++i) {
+    const KeywordGraphSummary& g = engine.interval_result(i).graph_summary;
+    const BiconnectedStats& b = engine.interval_result(i).biconnected;
+    out += StringPrintf(
+        "interval %u: docs=%llu keywords=%zu raw=%zu input=%zu "
+        "support=%zu chi2=%zu rho=%zu kept=%zu bcc=%zu ap=%zu stack=%zu "
+        "spilled=%zu\n",
+        i, static_cast<unsigned long long>(g.document_count),
+        g.keyword_count, g.raw_edge_count, g.prune.input_edges,
+        g.prune.failed_support, g.prune.failed_chi_square,
+        g.prune.failed_rho, g.prune.surviving_edges, b.components,
+        b.articulation_points, b.max_stack_entries, b.spilled_entries);
+  }
+  return out;
+}
+
 // The rendered top-k chains of a bfs full-path, a dfs l=3 and a
 // normalized bfs lmin=2 query.
 std::string ChainFingerprint(const Engine& engine) {
@@ -92,6 +113,9 @@ std::string ChainFingerprint(const Engine& engine) {
 struct RunOutput {
   std::string engine;
   std::string chains;
+  std::string summaries;
+  uint64_t spilled_runs = 0;
+  uint64_t in_memory_counts = 0;
 };
 
 RunOutput RunWithThreads(size_t threads, size_t sort_memory_bytes) {
@@ -106,7 +130,9 @@ RunOutput RunWithThreads(size_t threads, size_t sort_memory_bytes) {
   auto ingested = engine.IngestTicks(ticks);
   EXPECT_TRUE(ingested.ok()) << ingested.status().ToString();
   EXPECT_TRUE(engine.Compact().ok());
-  return RunOutput{Fingerprint(engine), ChainFingerprint(engine)};
+  return RunOutput{Fingerprint(engine), ChainFingerprint(engine),
+                   SummaryFingerprint(engine), engine.io().sort_runs_spilled,
+                   engine.io().sort_in_memory_sorts};
 }
 
 TEST(PipelineParallelTest, ThreadCountDoesNotChangeOutput) {
@@ -129,9 +155,17 @@ TEST(PipelineParallelTest, SpilledSortRunsAreDeterministicToo) {
   const RunOutput parallel = RunWithThreads(4, 64 << 10);
   EXPECT_EQ(sequential.engine, parallel.engine);
   EXPECT_EQ(sequential.chains, parallel.chains);
-  // And the budget itself must not change the answer either.
+  EXPECT_EQ(sequential.summaries, parallel.summaries);
+  EXPECT_GT(sequential.spilled_runs, 0u);
+  EXPECT_EQ(sequential.in_memory_counts, 0u);
+  // And the budget itself must not change the answer either: at 32 MiB
+  // every tick is counted in one pass, with no sort at all.
   const RunOutput roomy = RunWithThreads(4, 32 << 20);
+  EXPECT_EQ(roomy.spilled_runs, 0u);
+  EXPECT_EQ(roomy.in_memory_counts, 6u);
   EXPECT_EQ(sequential.engine, roomy.engine);
+  EXPECT_EQ(sequential.summaries, roomy.summaries);
+  EXPECT_EQ(sequential.chains, roomy.chains);
 }
 
 }  // namespace

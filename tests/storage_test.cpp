@@ -1,12 +1,19 @@
-// Unit tests for storage/: TempDir, PagedFile (caching, accounting,
-// persistence, error paths), RecordWriter/RecordReader.
+// Unit tests for storage/: TempDir (including an unusable TMPDIR, which
+// only a spill may notice), PagedFile (caching, accounting, persistence,
+// error paths), RecordWriter/RecordReader.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <filesystem>
 
+#include "core/engine.h"
+#include "gen/corpus_generator.h"
+#include "storage/external_sorter.h"
 #include "storage/paged_file.h"
 #include "storage/record_file.h"
+#include "storage/spillable_stack.h"
 #include "storage/temp_dir.h"
 
 namespace stabletext {
@@ -31,6 +38,128 @@ TEST(TempDirTest, DistinctInstancesGetDistinctPaths) {
   TempDir a("st_test"), b("st_test");
   EXPECT_NE(a.path(), b.path());
 }
+
+TEST(TempDirTest, DeferredCreationTouchesNothingUntilCreate) {
+  TempDir dir("st_test", TempDir::Creation::kOnFirstUse);
+  EXPECT_TRUE(dir.path().empty());
+  ASSERT_TRUE(dir.Create().ok());
+  EXPECT_TRUE(std::filesystem::is_directory(dir.path()));
+  const std::string path = dir.path();
+  ASSERT_TRUE(dir.Create().ok());  // Idempotent.
+  EXPECT_EQ(dir.path(), path);
+}
+
+// Points TMPDIR at `value` for the scope (the test binary is its own
+// process, so nothing else observes it).
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const std::string& value) {
+    const char* old = std::getenv("TMPDIR");
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv("TMPDIR", value.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (had_old_) {
+      ::setenv("TMPDIR", old_.c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+  }
+
+ private:
+  bool had_old_ = false;
+  std::string old_;
+};
+
+// Either a TMPDIR that does not exist, or an existing one so deep that a
+// scratch directory's name pushes the path past PATH_MAX.
+class UnusableTmpdirTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (!GetParam()) {
+      tmpdir_ = "/nonexistent/stabletext_tmpdir";
+      return;
+    }
+    deep_root_ = std::filesystem::temp_directory_path() /
+                 ("st_deep." + std::to_string(::getpid()));
+    // PATH_MAX is 4096 with the terminator: no "/st_test.<pid>..." fits.
+    constexpr size_t kDepth = 4085;
+    std::filesystem::path deep = deep_root_;
+    while (deep.string().size() < kDepth) {
+      deep /= std::string(
+          std::min<size_t>(200, kDepth - deep.string().size()), 'd');
+    }
+    std::filesystem::create_directories(deep);
+    ASSERT_TRUE(std::filesystem::is_directory(deep));
+    tmpdir_ = deep.string();
+  }
+  void TearDown() override {
+    std::error_code ec;
+    if (!deep_root_.empty()) std::filesystem::remove_all(deep_root_, ec);
+  }
+
+  std::string tmpdir_;
+  std::filesystem::path deep_root_;
+};
+
+TEST_P(UnusableTmpdirTest, OnlyASpillNoticesIt) {
+  ScopedTmpdir scoped(tmpdir_);
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+
+  TempDir dir("st_test", TempDir::Creation::kOnFirstUse);
+  EXPECT_EQ(dir.Create().code(), StatusCode::kIOError);
+  EXPECT_TRUE(dir.path().empty());
+
+  // An in-memory sort and a stack that stays in memory never need it.
+  ExternalSorter<uint64_t> sorter;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(sorter.Add((i * 7919) % 1000).ok());
+  }
+  ASSERT_TRUE(sorter.Sort().ok());
+  uint64_t value = 0;
+  ASSERT_TRUE(sorter.Next(&value));
+  EXPECT_EQ(value, 0u);
+  SpillableStack<uint64_t> stack;
+  for (uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(stack.Push(i).ok());
+  ASSERT_TRUE(stack.Pop(&value).ok());
+  EXPECT_EQ(value, 999u);
+
+  // Nor does a whole engine tick whose pair count fits in memory.
+  CorpusGenOptions corpus;
+  corpus.days = 1;
+  corpus.posts_per_day = 60;
+  corpus.vocabulary = 200;
+  corpus.seed = 3;
+  Engine engine{EngineOptions{}};
+  auto tick = engine.IngestText(CorpusGenerator(corpus).GenerateDay(0));
+  ASSERT_TRUE(tick.ok()) << tick.status().ToString();
+
+  // A forced spill reports the directory failure as a Status.
+  ExternalSorterOptions tiny;
+  tiny.memory_budget_bytes = 64;
+  ExternalSorter<uint64_t> spilling(tiny);
+  Status spill;
+  for (uint64_t i = 0; i < 100 && spill.ok(); ++i) spill = spilling.Add(i);
+  EXPECT_EQ(spill.code(), StatusCode::kIOError) << spill.ToString();
+  SpillableStackOptions small;
+  small.memory_entries = 8;
+  small.block_entries = 4;
+  SpillableStack<uint64_t> spilling_stack(small);
+  Status push;
+  for (uint64_t i = 0; i < 100 && push.ok(); ++i) {
+    push = spilling_stack.Push(i);
+  }
+  EXPECT_EQ(push.code(), StatusCode::kIOError) << push.ToString();
+
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(5));
+}
+
+INSTANTIATE_TEST_SUITE_P(Tmpdir, UnusableTmpdirTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "OverLong" : "Missing";
+                         });
 
 TEST(PagedFileTest, WriteReadRoundTrip) {
   TempDir dir;
