@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 
 #include "core/engine.h"
 #include "gen/corpus_generator.h"
@@ -72,6 +73,50 @@ class ScopedTmpdir {
   std::string old_;
 };
 
+// Sorts and stacks that stay in memory, plus a whole engine tick whose
+// pair count fits in memory. `check` runs while the sorter and the stack
+// are alive.
+void RunInMemoryWork(const std::function<void()>& check) {
+  ExternalSorter<uint64_t> sorter;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(sorter.Add((i * 7919) % 1000).ok());
+  }
+  ASSERT_TRUE(sorter.Sort().ok());
+  uint64_t value = 0;
+  ASSERT_TRUE(sorter.Next(&value));
+  EXPECT_EQ(value, 0u);
+  SpillableStack<uint64_t> stack;
+  for (uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(stack.Push(i).ok());
+  ASSERT_TRUE(stack.Pop(&value).ok());
+  EXPECT_EQ(value, 999u);
+  CorpusGenOptions corpus;
+  corpus.days = 1;
+  corpus.posts_per_day = 60;
+  corpus.vocabulary = 200;
+  corpus.seed = 3;
+  Engine engine{EngineOptions{}};
+  auto tick = engine.IngestText(CorpusGenerator(corpus).GenerateDay(0));
+  ASSERT_TRUE(tick.ok()) << tick.status().ToString();
+  check();
+}
+
+TEST(TempDirTest, WorkThatStaysInMemoryCreatesNoDirectory) {
+  TempDir root("st_test");
+  ScopedTmpdir scoped(root.path());
+  RunInMemoryWork(
+      [&] { EXPECT_TRUE(std::filesystem::is_empty(root.path())); });
+  {
+    // The first spill creates the sorter's directory; the sorter removes
+    // it again.
+    ExternalSorterOptions tiny;
+    tiny.memory_budget_bytes = 64;
+    ExternalSorter<uint64_t> spilling(tiny);
+    for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(spilling.Add(i).ok());
+    EXPECT_FALSE(std::filesystem::is_empty(root.path()));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(root.path()));
+}
+
 // Either a TMPDIR that does not exist, or an existing one so deep that a
 // scratch directory's name pushes the path past PATH_MAX.
 class UnusableTmpdirTest : public ::testing::TestWithParam<bool> {
@@ -112,29 +157,7 @@ TEST_P(UnusableTmpdirTest, OnlyASpillNoticesIt) {
   EXPECT_EQ(dir.Create().code(), StatusCode::kIOError);
   EXPECT_TRUE(dir.path().empty());
 
-  // An in-memory sort and a stack that stays in memory never need it.
-  ExternalSorter<uint64_t> sorter;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(sorter.Add((i * 7919) % 1000).ok());
-  }
-  ASSERT_TRUE(sorter.Sort().ok());
-  uint64_t value = 0;
-  ASSERT_TRUE(sorter.Next(&value));
-  EXPECT_EQ(value, 0u);
-  SpillableStack<uint64_t> stack;
-  for (uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(stack.Push(i).ok());
-  ASSERT_TRUE(stack.Pop(&value).ok());
-  EXPECT_EQ(value, 999u);
-
-  // Nor does a whole engine tick whose pair count fits in memory.
-  CorpusGenOptions corpus;
-  corpus.days = 1;
-  corpus.posts_per_day = 60;
-  corpus.vocabulary = 200;
-  corpus.seed = 3;
-  Engine engine{EngineOptions{}};
-  auto tick = engine.IngestText(CorpusGenerator(corpus).GenerateDay(0));
-  ASSERT_TRUE(tick.ok()) << tick.status().ToString();
+  RunInMemoryWork([] {});
 
   // A forced spill reports the directory failure as a Status.
   ExternalSorterOptions tiny;
