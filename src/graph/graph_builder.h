@@ -20,7 +20,7 @@ struct KeywordGraphSummary {
   PruneStats prune;               ///< chi^2 / rho stage counters.
 };
 
-/// \brief Builds G' from a CooccurrenceTable.
+/// \brief Builds G' from a CooccurrenceTable or straight from documents.
 class GraphBuilder {
  public:
   explicit GraphBuilder(GraphPrunerOptions options = {})
@@ -32,10 +32,10 @@ class GraphBuilder {
 
   /// Builds the graph and summary that counting `documents` with a
   /// CooccurrenceCounter and calling Build() would give, without pair
-  /// records, a sort or a triplet table: an inverted index gives A(u),
-  /// and for each keyword u in id order a dense counter over the later
-  /// keywords of u's documents gives every A(u,v), which is pruned at
-  /// once. Each document holds distinct ascending keyword ids below
+  /// records, the pair-file sort or a triplet table: an inverted index
+  /// gives A(u), and for each keyword u in id order a dense counter over
+  /// the later keywords of u's documents gives every A(u,v), which is
+  /// pruned at once. Each document holds distinct ascending keyword ids below
   /// `keyword_count` (InvalidArgument otherwise). `summary` may be null.
   Result<KeywordGraph> BuildFromDocuments(
       const std::vector<std::vector<KeywordId>>& documents,
