@@ -8,7 +8,7 @@
 //
 // Each day is counted and pruned twice: by the paper's route (pair file,
 // external sort, aggregation, prune) and by the one pass over an inverted
-// index the engine uses when the pair file fits in memory. Both times are
+// index the engine uses. Both times are
 // reported; the run exits non-zero if the two disagree on the keyword,
 // pre-prune edge or surviving edge count.
 //
@@ -51,7 +51,7 @@ bool Run(const bench::BenchArgs& args) {
   if (args.threads > 1) pool = std::make_unique<ThreadPool>(args.threads);
 
   TempDir dir("bench_table1");
-  if (!dir.Create().ok()) return false;
+  if (!dir.status().ok()) return false;
   std::printf("%-8s %12s %12s %14s %12s %12s\n", "Day", "File Size",
               "# keywords", "# edges", "sort+prune s", "one pass s");
   std::vector<std::string> day_json;
@@ -91,7 +91,7 @@ bool Run(const bench::BenchArgs& args) {
     builder.Build(table, &sorted);
     const double sort_seconds = sort_timer.ElapsedSeconds();
 
-    // The engine's in-memory route: one pass over an inverted index.
+    // The engine's route: one pass over an inverted index.
     WallTimer pass_timer;
     KeywordGraphSummary one_pass;
     if (!builder.BuildFromDocuments(documents, dict.size(), &one_pass)

@@ -19,12 +19,6 @@ CooccurrenceCounter::CooccurrenceCounter(
       sorter_(MakeSorterOptions(options), stats),
       emitter_(dict, &sorter_) {}
 
-bool CooccurrenceCounter::PairsFitInMemory(
-    const CooccurrenceCounterOptions& options, uint64_t pair_count) {
-  return pair_count <
-         MaxBufferedRecords(MakeSorterOptions(options), sizeof(PairRecord));
-}
-
 Status CooccurrenceCounter::Add(const Document& doc) {
   return emitter_.EmitDocument(doc);
 }

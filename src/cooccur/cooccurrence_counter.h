@@ -1,11 +1,10 @@
 // CooccurrenceCounter: the full Section 3 counting pipeline for one
 // temporal interval — stream documents, emit pairs, external-sort, aggregate.
 //
-// This is the paper's I/O model and the engine's route for intervals whose
-// pair file would spill (PairsFitInMemory false). Smaller intervals are
-// counted and pruned in one pass by GraphBuilder::BuildFromDocuments,
-// which gives the same graph; this counter stays the reference the tests
-// and the paper benches compare against.
+// This is the paper's I/O model. The engine counts and prunes each tick in
+// one pass instead (GraphBuilder::BuildFromDocuments), which gives the same
+// graph; this counter stays the reference the tests, the paper benches and
+// the benchmark's layer replay compare against.
 
 #ifndef STABLETEXT_COOCCUR_COOCCURRENCE_COUNTER_H_
 #define STABLETEXT_COOCCUR_COOCCURRENCE_COUNTER_H_
@@ -57,12 +56,6 @@ class CooccurrenceCounter {
 
   /// Same, sizing the unary table to an explicit `keyword_count`.
   Status Finish(CooccurrenceTable* out, size_t keyword_count);
-
-  /// True when `pair_count` pair records (diagonal ones included) stay
-  /// within the sorter's buffered-record limit (MaxBufferedRecords), i.e.
-  /// Finish() would sort them without spilling a run.
-  static bool PairsFitInMemory(const CooccurrenceCounterOptions& options,
-                               uint64_t pair_count);
 
   uint64_t document_count() const { return emitter_.document_count(); }
   uint64_t pair_count() const { return emitter_.pair_count(); }

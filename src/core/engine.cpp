@@ -190,7 +190,7 @@ Result<uint32_t> Engine::IngestDocumentsLocked(
   auto slot = std::make_shared<SnapshotInterval>();
   slot->vocab_size = dict_.size();
   IntervalClusterer clusterer(&dict_, options_.clustering, &slot->io);
-  auto result = clusterer.RunInterned(interval, interned, pool_.get());
+  auto result = clusterer.RunInterned(interval, interned);
   if (!result.ok()) {
     // Clustering failed before anything was adopted: roll the interning
     // back so a failed tick leaves no trace in keyword-id assignment (a

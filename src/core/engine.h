@@ -19,10 +19,10 @@
 // is a small sharded LRU keyed by (epoch, query), swept at every
 // publish, absorbing repeated hot queries.
 //
-// With options.threads > 1 the heavy per-tick work (tokenization, pair
-// counting, external sort, pruning, biconnected decomposition, and the
-// per-window affinity joins) fans out on a thread pool. Output is
-// deterministic across thread counts.
+// With options.threads > 1 tokenization and the per-window affinity joins
+// fan out on a thread pool; counting, pruning (one pass over an inverted
+// index, see core/interval_clusterer.h) and biconnected decomposition run
+// on the writer. Output is deterministic across thread counts.
 
 #ifndef STABLETEXT_CORE_ENGINE_H_
 #define STABLETEXT_CORE_ENGINE_H_
@@ -52,8 +52,8 @@ struct EngineOptions {
   IntervalClustererOptions clustering;
   AffinityOptions affinity;
   uint32_t gap = 0;  ///< g of Section 4: edges span <= gap+1 intervals.
-  /// Worker threads for tokenization, interval clustering internals and
-  /// the per-tick affinity joins. 1 = fully sequential (no pool).
+  /// Worker threads for tokenization and the per-tick affinity joins.
+  /// 1 = fully sequential (no pool).
   /// Results are byte-identical for every value.
   size_t threads = 1;
   /// Query-cache knobs (entries_per_shard = 0 disables caching).

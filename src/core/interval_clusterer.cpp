@@ -1,46 +1,24 @@
 #include "core/interval_clusterer.h"
 
-#include "util/thread_pool.h"
-
 namespace stabletext {
 
 Result<IntervalResult> IntervalClusterer::RunInterned(
     uint32_t interval,
-    const std::vector<std::vector<KeywordId>>& documents,
-    ThreadPool* sort_pool) const {
-  CooccurrenceCounterOptions counting = options_.counting;
-  counting.sort_pool = sort_pool;
-  uint64_t pairs = 0;
-  for (const std::vector<KeywordId>& ids : documents) {
-    pairs += ids.size() * (ids.size() + 1) / 2;
-  }
-
+    const std::vector<std::vector<KeywordId>>& documents) const {
   IntervalResult result;
   result.interval = interval;
   GraphBuilder builder(options_.pruning);
-  KeywordGraph graph;
-  if (CooccurrenceCounter::PairsFitInMemory(counting, pairs)) {
-    // The pair file would never leave memory: count and prune in one pass
-    // instead of sorting it. Accounted as the in-memory sort it replaces.
-    auto built = builder.BuildFromDocuments(documents, dict_->size(),
-                                            &result.graph_summary);
-    if (!built.ok()) return built.status();
-    graph = std::move(built).value();
-    if (stats_ != nullptr) ++stats_->sort_in_memory_sorts;
-  } else {
-    CooccurrenceCounter counter(dict_, counting, stats_);
-    for (const std::vector<KeywordId>& ids : documents) {
-      ST_RETURN_IF_ERROR(counter.AddInterned(ids));
-    }
-    CooccurrenceTable table;
-    ST_RETURN_IF_ERROR(counter.Finish(&table));
-    graph = builder.Build(table, &result.graph_summary);
-  }
+  auto graph = builder.BuildFromDocuments(documents, dict_->size(),
+                                          &result.graph_summary);
+  if (!graph.ok()) return graph.status();
+  // Accounted as the in-memory pair sort the one pass replaces.
+  if (stats_ != nullptr) ++stats_->sort_in_memory_sorts;
 
   ClusterExtractorOptions extraction = options_.extraction;
   extraction.biconnected.io_stats = stats_;
   ClusterExtractor extractor(extraction);
-  auto clusters = extractor.Extract(graph, interval, &result.biconnected);
+  auto clusters =
+      extractor.Extract(graph.value(), interval, &result.biconnected);
   if (!clusters.ok()) return clusters.status();
   result.clusters = std::move(clusters).value();
   result.clusters.shrink_to_fit();  // Kept for the interval's lifetime.

@@ -2,15 +2,12 @@
 // — documents in, keyword clusters out (pair counting, chi-squared and rho
 // pruning, biconnected decomposition).
 //
-// Counting follows Section 3's I/O model only where it matters. When the
-// interval's pair records (sum of n(n+1)/2 over its documents) would spill
-// the external sorter's budget, the pair file is emitted, external-sorted
-// and aggregated into a triplet table that is then pruned. Otherwise,
-// which is every tick of the benchmark workloads, counting and pruning run
-// as one pass over an inverted index (GraphBuilder::BuildFromDocuments):
-// no pair record, sort buffer or triplet table exists. Both routes give
-// the same graph, summary and IoStats; the choice depends on the input
-// size and the budget alone.
+// Counting and pruning run as one pass over an inverted index of the
+// interval's documents (GraphBuilder::BuildFromDocuments): no pair record,
+// sort buffer or triplet table exists, and nothing touches disk. It gives
+// the graph and summary that Section 3's sorted pair file gives
+// (CooccurrenceCounter + GraphBuilder::Build), which stays the reference
+// the tests and the paper benches compare against.
 
 #ifndef STABLETEXT_CORE_INTERVAL_CLUSTERER_H_
 #define STABLETEXT_CORE_INTERVAL_CLUSTERER_H_
@@ -25,6 +22,8 @@ namespace stabletext {
 
 /// Options for one interval's cluster generation.
 struct IntervalClustererOptions {
+  /// Section 3's sorted counting (CooccurrenceCounter), for callers that
+  /// replay the paper's route; the one pass needs no sort budget.
   CooccurrenceCounterOptions counting;
   GraphPrunerOptions pruning;
   ClusterExtractorOptions extraction;
@@ -50,13 +49,10 @@ class IntervalClusterer {
 
   /// Clusters the documents of interval `interval`, already interned to
   /// sorted keyword-id sets through the shared dictionary (which sizes
-  /// the unary table and is only read). `sort_pool` may be null; it
-  /// serves a spilling sort and shrinks the in-memory limit as
-  /// MaxBufferedRecords describes.
+  /// the unary table and is only read).
   Result<IntervalResult> RunInterned(
       uint32_t interval,
-      const std::vector<std::vector<KeywordId>>& documents,
-      ThreadPool* sort_pool) const;
+      const std::vector<std::vector<KeywordId>>& documents) const;
 
  private:
   KeywordDict* dict_;

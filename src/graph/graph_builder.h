@@ -3,7 +3,7 @@
 // pruning). Two routes give the same graph and summary: Build() prunes the
 // co-occurrence table that Section 3's sorted pair file aggregates into,
 // and BuildFromDocuments() counts and prunes in one pass over an inverted
-// index of the documents, for pair counts that fit in memory.
+// index of the documents (the engine's route: no pair file, no sort).
 
 #ifndef STABLETEXT_GRAPH_GRAPH_BUILDER_H_
 #define STABLETEXT_GRAPH_GRAPH_BUILDER_H_

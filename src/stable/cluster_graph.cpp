@@ -204,7 +204,8 @@ ClusterGraph::AdjChunkPtr ClusterGraph::BuildChunk(
   const size_t base = chunk << kChunkShift;
   const size_t end = std::min(node_count_, base + kChunkNodes);
   // Released nodes [base, released_end) keep their edges from the last
-  // seal, which stored unscaled weights (ReleaseSettled checks).
+  // seal, which stored unscaled weights (ReleaseSettled checks, and
+  // SealedCopy never materializes into the cache after a release).
   const size_t released_end = std::clamp<size_t>(live_base_, base, end);
   assert(released_end == base ||
          (previous != nullptr && !materialize_scale &&
@@ -302,27 +303,27 @@ ClusterGraph ClusterGraph::SealedCopy(bool materialize_scale,
   out.edge_count_ = edge_count_;
   out.raw_weights_ = raw_weights_;
   out.frozen_ = true;
+  out.weight_scale_ = materialize_scale ? 1.0 : weight_scale_;
+  SealStats local;
+  // Fresh chunks with the scale baked in, for a copy whose source chunks
+  // must keep stored weights (O(E), off the streaming hot path).
+  auto bake = [&](const std::vector<AdjChunkPtr>& in,
+                  std::vector<AdjChunkPtr>* dst) {
+    dst->reserve(in.size());
+    for (const AdjChunkPtr& chunk : in) {
+      AdjChunk scaled = *chunk;
+      for (ClusterGraphEdge& e : scaled.edges) {
+        e.weight = std::min(e.weight * weight_scale_, 1.0);
+      }
+      dst->push_back(std::make_shared<const AdjChunk>(std::move(scaled)));
+      ++local.copied_chunks;
+    }
+  };
   if (frozen_) {
-    SealStats local;
     if (materialize_scale && weight_scale_ != 1.0) {
-      // Terminal-freeze graphs in lazy mode store raw weights; bake the
-      // scale into fresh chunks once (O(E), off the streaming hot path).
-      auto bake = [&](const std::vector<AdjChunkPtr>& in,
-                      std::vector<AdjChunkPtr>* dst) {
-        dst->reserve(in.size());
-        for (const AdjChunkPtr& chunk : in) {
-          AdjChunk scaled = *chunk;
-          for (ClusterGraphEdge& e : scaled.edges) {
-            e.weight = std::min(e.weight * weight_scale_, 1.0);
-          }
-          dst->push_back(
-              std::make_shared<const AdjChunk>(std::move(scaled)));
-          ++local.copied_chunks;
-        }
-      };
+      // Terminal-freeze graphs in lazy mode store raw weights.
       bake(child_chunks_, &out.child_chunks_);
       bake(parent_chunks_, &out.parent_chunks_);
-      out.weight_scale_ = 1.0;
     } else {
       out.child_chunks_ = child_chunks_;
       out.parent_chunks_ = parent_chunks_;
@@ -334,13 +335,21 @@ ClusterGraph ClusterGraph::SealedCopy(bool materialize_scale,
     if (stats != nullptr) *stats = local;
     return out;
   }
-  const SealStats local = RefreshSeal(materialize_scale);
+  // Released nodes' edges live only in the seal cache, which must keep
+  // stored weights: once any node is released, a materialized copy bakes
+  // the scale into its own chunks and leaves the cache unscaled.
+  const bool bake_copy = materialize_scale && live_base_ > 0;
+  local = RefreshSeal(materialize_scale && !bake_copy);
+  if (bake_copy) {
+    bake(sealed_children_, &out.child_chunks_);
+    bake(sealed_parents_, &out.parent_chunks_);
+  } else {
+    out.child_chunks_ = sealed_children_;
+    out.parent_chunks_ = sealed_parents_;
+  }
   if (stats != nullptr) *stats = local;
-  out.child_chunks_ = sealed_children_;
-  out.parent_chunks_ = sealed_parents_;
   out.node_interval_chunks_ = sealed_node_intervals_;
   out.frozen_intervals_ = sealed_intervals_;
-  out.weight_scale_ = materialize_scale ? 1.0 : weight_scale_;
   return out;
 }
 

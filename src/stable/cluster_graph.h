@@ -187,7 +187,8 @@ class ClusterGraph {
   /// rebuilds a chunk that mixes them with live nodes from the previous
   /// chunk plus the live lists. Requires the last SealedCopy() to have
   /// covered every released node after its last AddEdge, with stored
-  /// weights (materialize_scale false, as every later seal must be).
+  /// weights (materialize_scale false); later seals keep stored weights
+  /// in the cache, and SealedCopy(true) bakes the scale into its copy.
   /// InvalidArgument otherwise, leaving the graph unchanged. A no-op on a
   /// frozen graph or when `end` is not past the settled intervals.
   Status ReleaseSettled(uint32_t end);
@@ -227,7 +228,8 @@ class ClusterGraph {
   /// adjacency lists to be in sorted order (SortTouched after the last
   /// AddEdge batch). With `materialize_scale` the rebuilt chunks store
   /// min(weight * weight_scale(), 1.0) and the copy reads at scale 1 (the
-  /// eager-normalization baseline: a scale change dirties every chunk);
+  /// eager-normalization baseline: a scale change dirties every chunk;
+  /// after ReleaseSettled every chunk of the copy is baked afresh);
   /// otherwise chunks keep stored weights and the copy inherits the
   /// scale. On an already-frozen graph this is a cheap pointer-sharing
   /// copy. `stats`, when non-null, receives the shared/copied counts.

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,22 +55,6 @@ struct ExternalSorterOptions {
   size_t max_inflight_spills = 2;
 };
 
-/// Records an ExternalSorter buffers before it spills a run: the budget
-/// over the record size, shared by the live buffer and the in-flight spill
-/// buffers when a pool is attached. A sort of fewer records never touches
-/// disk; this is the one place that decides it (the engine's choice of
-/// counting route, CooccurrenceCounter::PairsFitInMemory, reads it too).
-inline size_t MaxBufferedRecords(const ExternalSorterOptions& options,
-                                 size_t record_bytes) {
-  size_t records =
-      std::max<size_t>(1, options.memory_budget_bytes / record_bytes);
-  if (options.pool != nullptr) {
-    records = std::max<size_t>(
-        1, records / (1 + std::max<size_t>(1, options.max_inflight_spills)));
-  }
-  return records;
-}
-
 /// \brief Sorts a stream of trivially-copyable records under a memory budget.
 ///
 /// Usage: Add() records, then Sort(), then iterate with Next(). Comparator
@@ -86,7 +71,16 @@ class ExternalSorter {
   explicit ExternalSorter(ExternalSorterOptions options = {},
                           IoStats* stats = nullptr, Less less = Less())
       : options_(options), stats_(stats), less_(less) {
-    max_buffered_ = MaxBufferedRecords(options_, sizeof(Record));
+    size_t budget_records =
+        std::max<size_t>(1, options_.memory_budget_bytes / sizeof(Record));
+    if (options_.pool != nullptr) {
+      // The live buffer and up to max_inflight_spills frozen buffers share
+      // the budget.
+      budget_records = std::max<size_t>(
+          1, budget_records / (1 + std::max<size_t>(1,
+                                     options_.max_inflight_spills)));
+    }
+    max_buffered_ = budget_records;
   }
 
   /// Adds one record, spilling a sorted run if the buffer is full.
@@ -124,7 +118,7 @@ class ExternalSorter {
           next.push_back(runs_[begin]);
           continue;
         }
-        const std::string merged = scratch_.FilePath(
+        const std::string merged = scratch_->FilePath(
             "merge." + std::to_string(merge_counter_++));
         ST_RETURN_IF_ERROR(MergeRuns(
             std::vector<std::string>(runs_.begin() + begin,
@@ -264,9 +258,10 @@ class ExternalSorter {
   }
 
   Status SpillRun() {
-    ST_RETURN_IF_ERROR(scratch_.Create());
+    if (!scratch_) scratch_.emplace("st_sort");
+    ST_RETURN_IF_ERROR(scratch_->status());
     const std::string path =
-        scratch_.FilePath("run." + std::to_string(runs_.size()));
+        scratch_->FilePath("run." + std::to_string(runs_.size()));
     runs_.push_back(path);
     ++spilled_runs_;
     if (options_.pool == nullptr) {
@@ -328,7 +323,7 @@ class ExternalSorter {
   ExternalSorterOptions options_;
   IoStats* stats_;
   Less less_;
-  TempDir scratch_{"st_sort", TempDir::Creation::kOnFirstUse};
+  std::optional<TempDir> scratch_;  // Created at the first spill.
   std::vector<Record> buffer_;
   size_t max_buffered_;
   std::vector<std::string> runs_;

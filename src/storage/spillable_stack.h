@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -88,13 +89,14 @@ class SpillableStack {
  private:
   Status EnsureFile() {
     if (file_.is_open()) return Status::OK();
-    ST_RETURN_IF_ERROR(scratch_.Create());
+    if (!scratch_) scratch_.emplace("st_stack");
+    ST_RETURN_IF_ERROR(scratch_->status());
     PagedFileOptions opt;
     opt.page_size = options_.page_size;
     opt.cache_pages = 0;  // Spill traffic is always physical.
     opt.truncate = true;
     opt.fail_after_physical_ops = options_.fail_after_physical_ops;
-    return file_.Open(scratch_.FilePath("stack.spill"), opt, stats_);
+    return file_.Open(scratch_->FilePath("stack.spill"), opt, stats_);
   }
 
   // Moves the bottom block_entries of the hot window to disk.
@@ -145,7 +147,7 @@ class SpillableStack {
 
   SpillableStackOptions options_;
   IoStats* stats_;
-  TempDir scratch_{"st_stack", TempDir::Creation::kOnFirstUse};
+  std::optional<TempDir> scratch_;  // Created at the first spill.
   PagedFile file_;
   std::deque<T> hot_;
   size_t per_page_ = 0;

@@ -16,33 +16,28 @@ std::atomic<uint64_t> g_counter{0};
 constexpr int kMaxCreateAttempts = 16;
 }  // namespace
 
-TempDir::TempDir(const std::string& tag, Creation when) : tag_(tag) {
-  // A failure leaves path() empty; calling Create() again reports it.
-  if (when == Creation::kNow) Create().IgnoreError();
-}
-
-Status TempDir::Create() {
-  if (!path_.empty()) return Status::OK();
+TempDir::TempDir(const std::string& tag) {
   std::error_code ec;
   const fs::path base = fs::temp_directory_path(ec);
   if (ec) {
-    return Status::IOError("no usable temp directory: " + ec.message());
+    status_ = Status::IOError("no usable temp directory: " + ec.message());
+    return;
   }
   const uint64_t id = g_counter.fetch_add(1);
   for (int attempt = 0; attempt < kMaxCreateAttempts; ++attempt) {
     // getpid() keeps parallel ctest processes from colliding.
     const fs::path dir =
-        base / (tag_ + "." + std::to_string(::getpid()) + "." +
+        base / (tag + "." + std::to_string(::getpid()) + "." +
                 std::to_string(id) + "." + std::to_string(attempt));
     if (fs::create_directory(dir, ec)) {
       path_ = dir.string();
-      return Status::OK();
+      return;
     }
     if (ec) break;  // Not a name clash: another name will not help.
   }
-  return Status::IOError("cannot create a scratch directory under " +
-                         base.string() +
-                         (ec ? ": " + ec.message() : std::string()));
+  status_ = Status::IOError("cannot create a scratch directory under " +
+                            base.string() +
+                            (ec ? ": " + ec.message() : std::string()));
 }
 
 TempDir::~TempDir() {

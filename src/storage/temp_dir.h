@@ -12,31 +12,26 @@ namespace stabletext {
 /// \brief A unique directory under the system temp path, removed
 /// (recursively) on destruction.
 ///
-/// Spilling structures (ExternalSorter, SpillableStack) defer creation to
+/// Spilling structures (ExternalSorter, SpillableStack) construct theirs at
 /// their first spill, so work that stays in memory never needs a usable
 /// TMPDIR.
 class TempDir {
  public:
-  /// When the directory is created.
-  enum class Creation { kNow, kOnFirstUse };
-
+  /// Creates the directory. Never throws and tries a bounded number of
+  /// names: when the temp path is missing or unusable, path() stays empty
+  /// and status() says why.
   /// \param tag human-readable component embedded in the directory name.
-  /// \param when kNow creates the directory here; if that fails, path()
-  ///        stays empty and Create() reports why. kOnFirstUse touches the
-  ///        file system only in Create().
-  explicit TempDir(const std::string& tag = "stabletext",
-                   Creation when = Creation::kNow);
+  explicit TempDir(const std::string& tag = "stabletext");
   ~TempDir();
 
   TempDir(const TempDir&) = delete;
   TempDir& operator=(const TempDir&) = delete;
 
-  /// Creates the directory unless it exists. Tries a bounded number of
-  /// names; IOError when the temp path is missing or unusable.
-  Status Create();
+  /// OK when the constructor created the directory; IOError otherwise.
+  const Status& status() const { return status_; }
 
-  /// Absolute path of the directory (no trailing separator); empty until
-  /// the directory has been created.
+  /// Absolute path of the directory (no trailing separator); empty when
+  /// creation failed or after Cleanup().
   const std::string& path() const { return path_; }
 
   /// Returns path()/name.
@@ -49,8 +44,8 @@ class TempDir {
   Status Cleanup();
 
  private:
-  std::string tag_;
   std::string path_;
+  Status status_;
 };
 
 }  // namespace stabletext

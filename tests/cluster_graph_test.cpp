@@ -262,6 +262,39 @@ TEST(ClusterGraphReleaseTest, ReleaseNeedsStoredWeightSeal) {
   EXPECT_TRUE(g.ReleaseSettled(2).ok());
 }
 
+TEST(ClusterGraphReleaseTest, MaterializedCopyAfterReleaseKeepsStoredWeights) {
+  // An eager-style SealedCopy(true) after a release must bake the scale
+  // into the copy only: the seal cache is where released nodes' stored
+  // weights live, and the writer and later seals read them from there.
+  const uint32_t gap = 1;
+  const auto ticks = MakeStreamTicks(30, gap, 20, 700, 5);
+  ClusterGraph released(0, gap);
+  ClusterGraph kept(0, gap);
+  released.EnableRawWeights();
+  kept.EnableRawWeights();
+  size_t baked = 0;
+  for (uint32_t t = 0; t < ticks.size(); ++t) {
+    const ClusterGraph a = StreamInterval(&released, ticks[t], t, true);
+    const ClusterGraph b = StreamInterval(&kept, ticks[t], t, false);
+    ASSERT_EQ(FirstSpanDifference(a, b), "") << "seal of tick " << t;
+    if (t % 3 != 2 || released.settled_intervals() == 0) continue;
+    ASSERT_LT(released.weight_scale(), 1.0);
+    ClusterGraph::SealStats seal;
+    const ClusterGraph materialized = released.SealedCopy(true, &seal);
+    const ClusterGraph reference = kept.SealedCopy(true);
+    EXPECT_EQ(materialized.weight_scale(), 1.0);
+    EXPECT_GT(seal.copied_chunks, 0u);
+    ASSERT_EQ(FirstSpanDifference(materialized, reference), "")
+        << "materialized copy of tick " << t;
+    ASSERT_EQ(FirstSpanDifference(released, kept), "") << "tick " << t;
+    ++baked;
+  }
+  EXPECT_GE(baked, 5u);
+  released.SortChildren();
+  kept.SortChildren();
+  EXPECT_EQ(Spans(released), Spans(kept));
+}
+
 TEST(ClusterGraphReleaseTest, MixedChunkIsRebuiltFromSealAndLiveLists) {
   // 300 nodes per interval at gap 0: after interval 2, intervals 0-1 (ids
   // below 600) settle, so chunk 1 (ids 512-1023) mixes released and live

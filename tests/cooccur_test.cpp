@@ -13,7 +13,6 @@
 #include "storage/temp_dir.h"
 #include "util/random.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace stabletext {
 namespace {
@@ -296,35 +295,6 @@ TEST(OnePassGraphTest, RejectsIdsOutOfOrderOrRange) {
   EXPECT_FALSE(builder.BuildFromDocuments({{1, 1}}, 5).ok());
   EXPECT_FALSE(builder.BuildFromDocuments({{1, 5}}, 5).ok());
   EXPECT_TRUE(builder.BuildFromDocuments({{1, 4}}, 5).ok());
-}
-
-TEST(CooccurrenceCounterTest, PairsFitInMemoryMatchesTheSorterLimit) {
-  // The budget over 8-byte records without a pool; a third with one.
-  CooccurrenceCounterOptions opt;
-  EXPECT_TRUE(CooccurrenceCounter::PairsFitInMemory(opt, (4 << 20) - 1));
-  EXPECT_FALSE(CooccurrenceCounter::PairsFitInMemory(opt, 4 << 20));
-  opt.sort_memory_bytes = 8192;
-  EXPECT_TRUE(CooccurrenceCounter::PairsFitInMemory(opt, 1023));
-  EXPECT_FALSE(CooccurrenceCounter::PairsFitInMemory(opt, 1024));
-  ThreadPool pool(1);
-  opt.sort_pool = &pool;
-  const uint64_t pooled = 1024 / 3;
-  EXPECT_TRUE(CooccurrenceCounter::PairsFitInMemory(opt, pooled - 1));
-  EXPECT_FALSE(CooccurrenceCounter::PairsFitInMemory(opt, pooled));
-  // The limit is exactly where the sorter first spills a run.
-  for (const uint64_t pairs : {pooled - 1, pooled}) {
-    IoStats stats;
-    ExternalSorterOptions sorter_opt;
-    sorter_opt.memory_budget_bytes = opt.sort_memory_bytes;
-    sorter_opt.pool = &pool;
-    PairSorter sorter(sorter_opt, &stats);
-    for (uint64_t i = 0; i < pairs; ++i) {
-      ASSERT_TRUE(sorter.Add(PairRecord{0, 0}).ok());
-    }
-    ASSERT_TRUE(sorter.Sort().ok());
-    EXPECT_EQ(sorter.run_count() == 0,
-              CooccurrenceCounter::PairsFitInMemory(opt, pairs));
-  }
 }
 
 TEST(CooccurrenceCounterTest, SpillsUnderTinyBudget) {

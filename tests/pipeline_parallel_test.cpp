@@ -3,19 +3,25 @@
 // each tick fans tokenization, sort-run generation and the gap-window
 // joins out on the pool; keyword ids are interned on the writer thread
 // and join results stitched in interval order, so nothing downstream may
-// depend on worker scheduling. A tight sort budget additionally forces
-// spilled runs through the pooled run-generation path, while the default
-// budget counts every tick in one pass over an inverted index: both must
-// agree on every interval's summary.
+// depend on worker scheduling. The engine counts every tick in one pass
+// over an inverted index; Section 3's sorted route, forced through spilled
+// runs and the pooled run-generation path by a tight sort budget, must
+// agree with it on every interval's summary.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "cluster/cluster_extractor.h"
+#include "cooccur/cooccurrence_counter.h"
 #include "core/engine.h"
 #include "gen/corpus_generator.h"
+#include "graph/graph_builder.h"
+#include "text/document.h"
 #include "util/strings.h"
 
 namespace stabletext {
@@ -68,21 +74,25 @@ std::string Fingerprint(const Engine& engine) {
   return out;
 }
 
-// Every interval's keyword-graph summary and biconnected counters.
+// One interval's keyword-graph summary and biconnected counters.
+std::string RenderSummary(uint32_t interval, const KeywordGraphSummary& g,
+                          const BiconnectedStats& b) {
+  return StringPrintf(
+      "interval %u: docs=%llu keywords=%zu raw=%zu input=%zu "
+      "support=%zu chi2=%zu rho=%zu kept=%zu bcc=%zu ap=%zu stack=%zu "
+      "spilled=%zu\n",
+      interval, static_cast<unsigned long long>(g.document_count),
+      g.keyword_count, g.raw_edge_count, g.prune.input_edges,
+      g.prune.failed_support, g.prune.failed_chi_square, g.prune.failed_rho,
+      g.prune.surviving_edges, b.components, b.articulation_points,
+      b.max_stack_entries, b.spilled_entries);
+}
+
 std::string SummaryFingerprint(const Engine& engine) {
   std::string out;
   for (uint32_t i = 0; i < engine.interval_count(); ++i) {
-    const KeywordGraphSummary& g = engine.interval_result(i).graph_summary;
-    const BiconnectedStats& b = engine.interval_result(i).biconnected;
-    out += StringPrintf(
-        "interval %u: docs=%llu keywords=%zu raw=%zu input=%zu "
-        "support=%zu chi2=%zu rho=%zu kept=%zu bcc=%zu ap=%zu stack=%zu "
-        "spilled=%zu\n",
-        i, static_cast<unsigned long long>(g.document_count),
-        g.keyword_count, g.raw_edge_count, g.prune.input_edges,
-        g.prune.failed_support, g.prune.failed_chi_square,
-        g.prune.failed_rho, g.prune.surviving_edges, b.components,
-        b.articulation_points, b.max_stack_entries, b.spilled_entries);
+    const IntervalResult& r = engine.interval_result(i);
+    out += RenderSummary(i, r.graph_summary, r.biconnected);
   }
   return out;
 }
@@ -114,25 +124,68 @@ struct RunOutput {
   std::string engine;
   std::string chains;
   std::string summaries;
-  uint64_t spilled_runs = 0;
-  uint64_t in_memory_counts = 0;
 };
 
-RunOutput RunWithThreads(size_t threads, size_t sort_memory_bytes) {
+std::vector<std::vector<std::string>> SmallTicks() {
   CorpusGenerator gen(SmallCorpus());
-  EngineOptions opt = BaseOptions(threads);
-  opt.clustering.counting.sort_memory_bytes = sort_memory_bytes;
   std::vector<std::vector<std::string>> ticks;
   for (uint32_t day = 0; day < 6; ++day) {
     ticks.push_back(gen.GenerateDay(day));
   }
+  return ticks;
+}
+
+RunOutput RunWithThreads(size_t threads, size_t sort_memory_bytes) {
+  EngineOptions opt = BaseOptions(threads);
+  opt.clustering.counting.sort_memory_bytes = sort_memory_bytes;
   Engine engine(opt);
-  auto ingested = engine.IngestTicks(ticks);
+  auto ingested = engine.IngestTicks(SmallTicks());
   EXPECT_TRUE(ingested.ok()) << ingested.status().ToString();
   EXPECT_TRUE(engine.Compact().ok());
   return RunOutput{Fingerprint(engine), ChainFingerprint(engine),
-                   SummaryFingerprint(engine), engine.io().sort_runs_spilled,
-                   engine.io().sort_in_memory_sorts};
+                   SummaryFingerprint(engine)};
+}
+
+// The engine's per-interval summaries, recomputed through Section 3's
+// sorted route: pair records external-sorted under `sort_memory_bytes`
+// (runs generated on a `threads`-worker pool when threads > 1),
+// aggregated and pruned from the table. Adds the spilled runs to `runs`.
+std::string SortedRouteSummaries(size_t threads, size_t sort_memory_bytes,
+                                 uint64_t* runs) {
+  const EngineOptions opt = BaseOptions(threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  CooccurrenceCounterOptions counting = opt.clustering.counting;
+  counting.sort_memory_bytes = sort_memory_bytes;
+  counting.sort_pool = pool.get();
+  KeywordDict dict;
+  std::string out;
+  const auto ticks = SmallTicks();
+  for (uint32_t t = 0; t < ticks.size(); ++t) {
+    DocumentProcessor processor;
+    IoStats io;
+    CooccurrenceCounter counter(&dict, counting, &io);
+    for (const std::string& post : ticks[t]) {
+      std::vector<KeywordId> ids;
+      for (const std::string& w : processor.Process(t, post).keywords) {
+        ids.push_back(dict.Intern(w));
+      }
+      std::sort(ids.begin(), ids.end());
+      EXPECT_TRUE(counter.AddInterned(ids).ok());
+    }
+    CooccurrenceTable table;
+    EXPECT_TRUE(counter.Finish(&table).ok());
+    *runs += io.sort_runs_spilled;
+    KeywordGraphSummary summary;
+    const KeywordGraph graph =
+        GraphBuilder(opt.clustering.pruning).Build(table, &summary);
+    BiconnectedStats biconnected;
+    EXPECT_TRUE(ClusterExtractor(opt.clustering.extraction)
+                    .Extract(graph, t, &biconnected)
+                    .ok());
+    out += RenderSummary(t, summary, biconnected);
+  }
+  return out;
 }
 
 TEST(PipelineParallelTest, ThreadCountDoesNotChangeOutput) {
@@ -149,23 +202,23 @@ TEST(PipelineParallelTest, ThreadCountDoesNotChangeOutput) {
 }
 
 TEST(PipelineParallelTest, SpilledSortRunsAreDeterministicToo) {
-  // A tiny sort budget forces every interval through spilled runs and the
-  // pooled run-generation + loser-tree merge path.
-  const RunOutput sequential = RunWithThreads(1, 64 << 10);
-  const RunOutput parallel = RunWithThreads(4, 64 << 10);
-  EXPECT_EQ(sequential.engine, parallel.engine);
-  EXPECT_EQ(sequential.chains, parallel.chains);
-  EXPECT_EQ(sequential.summaries, parallel.summaries);
-  EXPECT_GT(sequential.spilled_runs, 0u);
-  EXPECT_EQ(sequential.in_memory_counts, 0u);
-  // And the budget itself must not change the answer either: at 32 MiB
-  // every tick is counted in one pass, with no sort at all.
-  const RunOutput roomy = RunWithThreads(4, 32 << 20);
-  EXPECT_EQ(roomy.spilled_runs, 0u);
-  EXPECT_EQ(roomy.in_memory_counts, 6u);
-  EXPECT_EQ(sequential.engine, roomy.engine);
-  EXPECT_EQ(sequential.summaries, roomy.summaries);
-  EXPECT_EQ(sequential.chains, roomy.chains);
+  // The engine's one pass uses no sort, so its budget must not change the
+  // answer.
+  const RunOutput engine = RunWithThreads(4, 32 << 20);
+  const RunOutput tight = RunWithThreads(1, 64 << 10);
+  EXPECT_EQ(engine.engine, tight.engine);
+  EXPECT_EQ(engine.chains, tight.chains);
+  EXPECT_EQ(engine.summaries, tight.summaries);
+  // A tiny sort budget forces the sorted route through spilled runs, the
+  // pooled run generation and the loser-tree merge; it must agree with
+  // the engine at every thread count.
+  for (const size_t threads : {1u, 4u}) {
+    uint64_t runs = 0;
+    EXPECT_EQ(SortedRouteSummaries(threads, 64 << 10, &runs),
+              engine.summaries)
+        << "threads=" << threads;
+    EXPECT_GT(runs, 0u) << "threads=" << threads;
+  }
 }
 
 }  // namespace

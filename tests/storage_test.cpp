@@ -28,6 +28,7 @@ TEST(TempDirTest, CreatesAndRemovesDirectory) {
   std::string path;
   {
     TempDir dir("st_test");
+    EXPECT_TRUE(dir.status().ok()) << dir.status().ToString();
     path = dir.path();
     EXPECT_TRUE(std::filesystem::is_directory(path));
     EXPECT_EQ(dir.FilePath("x"), path + "/x");
@@ -38,16 +39,6 @@ TEST(TempDirTest, CreatesAndRemovesDirectory) {
 TEST(TempDirTest, DistinctInstancesGetDistinctPaths) {
   TempDir a("st_test"), b("st_test");
   EXPECT_NE(a.path(), b.path());
-}
-
-TEST(TempDirTest, DeferredCreationTouchesNothingUntilCreate) {
-  TempDir dir("st_test", TempDir::Creation::kOnFirstUse);
-  EXPECT_TRUE(dir.path().empty());
-  ASSERT_TRUE(dir.Create().ok());
-  EXPECT_TRUE(std::filesystem::is_directory(dir.path()));
-  const std::string path = dir.path();
-  ASSERT_TRUE(dir.Create().ok());  // Idempotent.
-  EXPECT_EQ(dir.path(), path);
 }
 
 // Points TMPDIR at `value` for the scope (the test binary is its own
@@ -73,9 +64,8 @@ class ScopedTmpdir {
   std::string old_;
 };
 
-// Sorts and stacks that stay in memory, plus a whole engine tick whose
-// pair count fits in memory. `check` runs while the sorter and the stack
-// are alive.
+// Sorts and stacks that stay in memory, plus a whole engine tick. `check`
+// runs while the sorter and the stack are alive.
 void RunInMemoryWork(const std::function<void()>& check) {
   ExternalSorter<uint64_t> sorter;
   for (uint64_t i = 0; i < 1000; ++i) {
@@ -153,8 +143,8 @@ TEST_P(UnusableTmpdirTest, OnlyASpillNoticesIt) {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
 
-  TempDir dir("st_test", TempDir::Creation::kOnFirstUse);
-  EXPECT_EQ(dir.Create().code(), StatusCode::kIOError);
+  TempDir dir("st_test");
+  EXPECT_EQ(dir.status().code(), StatusCode::kIOError);
   EXPECT_TRUE(dir.path().empty());
 
   RunInMemoryWork([] {});
