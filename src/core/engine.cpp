@@ -733,6 +733,12 @@ void Engine::Publish() {
   snap->stats.publish_ns =
       static_cast<uint64_t>(publish_timer.ElapsedNanos());
   std::shared_ptr<const GraphSnapshot> published = std::move(snap);
+  // The epoch counter moves before the swap, never after. Were it to lag
+  // the snapshot, a reader whose pin had just seen epoch e could next
+  // hit a leftover entry of e-1, and its answers would go back in time.
+  // Leading is safe: entries of e exist only once the swap made e
+  // pinnable.
+  published_epoch_.store(published->epoch, std::memory_order_release);
   std::atomic_store_explicit(&snapshot_, published,
                              std::memory_order_release);
   if (on_publish_) on_publish_(published);
@@ -743,7 +749,19 @@ std::shared_ptr<const GraphSnapshot> Engine::snapshot() const {
 }
 
 Result<QueryResult> Engine::Query(const stabletext::Query& query) const {
-  return QueryAt(snapshot(), query);
+  if (query.k == 0) {
+    return Status::InvalidArgument("k must be positive");
+  }
+  // A hit needs no pin: a cached answer holds only its chains' borrowed
+  // Cluster pointers, which outlive every epoch.
+  const uint64_t epoch = published_epoch_.load(std::memory_order_acquire);
+  QueryResult hit;
+  if (cache_->Lookup(QueryCacheKey{epoch, query}, &hit)) return hit;
+  const std::shared_ptr<const GraphSnapshot> snap = snapshot();
+  // The pin is the latest epoch by construction. When a publish landed
+  // since the lookup, the finder answers at the newer epoch without a
+  // second lookup, so the call still counts exactly one miss.
+  return AnswerMiss(*snap, query, /*snap_is_latest=*/true);
 }
 
 Result<QueryResult> Engine::QueryAt(
@@ -755,23 +773,26 @@ Result<QueryResult> Engine::QueryAt(
   if (query.k == 0) {
     return Status::InvalidArgument("k must be positive");
   }
+  QueryResult hit;
+  if (cache_->Lookup(QueryCacheKey{snap->epoch, query}, &hit)) return hit;
   // Whether `snap` is the live epoch is decided *before* the finder
   // runs: a publish racing a long cold query must not make the warm-up
-  // hint below un-storable, or the warm path could never engage under
+  // hint un-storable, or the warm path could never engage under
   // continuous ingest.
-  const bool snap_is_latest = snap == snapshot();
-  const QueryCacheKey key{snap->epoch, query};
-  if (cache_->enabled()) {
-    if (auto hit = cache_->Lookup(key)) return *hit;
-  }
-  auto r = QuerySnapshot(*snap, query);
+  return AnswerMiss(*snap, query, snap == snapshot());
+}
+
+Result<QueryResult> Engine::AnswerMiss(const GraphSnapshot& snap,
+                                       const stabletext::Query& query,
+                                       bool snap_is_latest) const {
+  auto r = QuerySnapshot(snap, query);
   if (!r.ok()) return r.status();
   QueryResult out = std::move(r).value();
   const bool diversify =
       query.diversify_prefix > 0 || query.diversify_suffix > 0;
   if (query.algorithm == FinderAlgorithm::kOnline &&
       query.mode == FinderMode::kKlStable && !diversify &&
-      !out.warm_online && query.l != 0 && query.l < snap->epoch &&
+      !out.warm_online && query.l != 0 && query.l < snap.epoch &&
       snap_is_latest) {
     // Cold online query: ask the writer to keep this configuration warm
     // from the next tick on (lock-free; last writer wins). Not for
@@ -786,7 +807,7 @@ Result<QueryResult> Engine::QueryAt(
     }
   }
   if (cache_->enabled()) {
-    cache_->Insert(key, std::make_shared<const QueryResult>(out));
+    cache_->Insert(QueryCacheKey{snap.epoch, query}, out);
   }
   return out;
 }

@@ -12,12 +12,13 @@
 // per-snapshot scale instead of an O(E) rewrite.
 // Query() runs entirely against the snapshot — read-only EdgeSpan
 // traversal — so readers never wait on ingest work and never observe a
-// half-committed interval. The only synchronization on the query path is
-// the snapshot pointer load itself (C++17 atomic shared_ptr operations:
-// a briefly held pooled lock, never the writer's tick) plus, when
-// enabled, a short query-cache shard lock. The cache (core/query_cache.h)
-// is a small sharded LRU keyed by (epoch, query), swept at every
-// publish, absorbing repeated hot queries.
+// half-committed interval. Repeated hot queries are absorbed by the query
+// cache (core/query_cache.h), a small sharded LRU keyed by (epoch, query)
+// and swept at every publish. A cache hit reads the published epoch from
+// an atomic counter and copies the answer out under the shard's shared
+// lock: it takes no snapshot pin and writes no shared line but that
+// lock's. Only a miss pins the snapshot (C++17 atomic shared_ptr load: a
+// briefly held pooled lock, never the writer's tick) and runs a finder.
 //
 // With options.threads > 1 tokenization and the per-window affinity joins
 // fan out on a thread pool; counting, pruning (one pass over an inverted
@@ -165,7 +166,9 @@ class Engine {
   /// ingests). Modes: kl-stable, normalized. See FinderQuery for the
   /// diversification and tuning knobs. Safe to call concurrently with
   /// ingest from any number of threads; the answer's epoch is recorded in
-  /// QueryResult::epoch.
+  /// QueryResult::epoch. A query-cache hit is served without pinning the
+  /// snapshot. With the cache enabled, each valid call (here and in
+  /// QueryAt) counts exactly one cache hit or one miss.
   Result<QueryResult> Query(const stabletext::Query& query) const;
 
   /// Answers `query` on a pinned snapshot (from snapshot(), possibly
@@ -290,6 +293,12 @@ class Engine {
   Status AdvanceWarmOnline(uint32_t interval) REQUIRES(writer_role_);
   // Builds and atomically publishes the snapshot for the current state.
   void Publish() REQUIRES(writer_role_);
+  // The miss path of Query and QueryAt, after their one cache lookup:
+  // runs the finder on `snap`, stores the warm-online hint when
+  // `snap_is_latest`, and caches the answer.
+  Result<QueryResult> AnswerMiss(const GraphSnapshot& snap,
+                                 const stabletext::Query& query,
+                                 bool snap_is_latest) const;
   // Serializes committed interval `interval`'s delta — new keywords
   // since the previous watermark, clusters, per-tick I/O, and its
   // adjacency edges at stored weights — into the blob ReplayInterval
@@ -355,6 +364,10 @@ class Engine {
   // The published read view; swapped with std::atomic_store at every
   // commit. Readers pin it with std::atomic_load (Engine::snapshot()).
   std::shared_ptr<const GraphSnapshot> snapshot_;
+  // The published epoch, stored (release) right before each swap of
+  // snapshot_. Query keys its cache lookup on it, so a hit never pins
+  // snapshot_.
+  std::atomic<uint64_t> published_epoch_{0};
 
   // Writer-side epoch-publish hook (SetPublishCallback); invoked after
   // every atomic snapshot swap.

@@ -6,11 +6,8 @@ namespace stabletext {
 
 namespace {
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+// Lock shards; a power of two (ShardFor masks the hash).
+constexpr size_t kShards = 4;
 
 uint64_t Mix(uint64_t h, uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -19,14 +16,8 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 
 }  // namespace
 
-QueryCache::QueryCache(QueryCacheOptions options) : options_(options) {
-  const size_t shard_count =
-      RoundUpPow2(std::max<size_t>(1, options_.shards));
-  shards_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+QueryCache::QueryCache(QueryCacheOptions options)
+    : options_(options), shards_(std::make_unique<Shard[]>(kShards)) {}
 
 uint64_t QueryCache::HashKey(const QueryCacheKey& key) {
   uint64_t h = key.epoch;
@@ -45,64 +36,87 @@ uint64_t QueryCache::HashKey(const QueryCacheKey& key) {
 }
 
 QueryCache::Shard& QueryCache::ShardFor(const QueryCacheKey& key) {
-  return *shards_[HashKey(key) & (shards_.size() - 1)];
+  return shards_[HashKey(key) & (kShards - 1)];
 }
 
-std::shared_ptr<const QueryResult> QueryCache::Lookup(
-    const QueryCacheKey& key) {
-  if (!enabled()) return nullptr;
+bool QueryCache::Lookup(const QueryCacheKey& key, QueryResult* out) {
+  if (!enabled()) return false;
   Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  for (Entry& e : shard.entries) {
+  ReaderMutexLock lock(shard.mu);
+  for (const Entry& e : shard.entries) {
     if (e.key == key) {
-      e.last_used = ++shard.tick;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return e.value;
+      // Only the first hit after an insert restamps the entry.
+      if (e.last_used.load(std::memory_order_relaxed) != shard.inserts) {
+        e.last_used.store(shard.inserts, std::memory_order_relaxed);
+      }
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      *out = e.value;
+      return true;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
-void QueryCache::Insert(const QueryCacheKey& key,
-                        std::shared_ptr<const QueryResult> value) {
+void QueryCache::Insert(const QueryCacheKey& key, QueryResult value) {
   if (!enabled()) return;
   Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
+  WriterMutexLock lock(shard.mu);
+  // Stamped with the count before this insert, so a later hit (stamped
+  // with the count after it) ranks above the entry added here.
+  const uint64_t stamp = shard.inserts++;
   for (Entry& e : shard.entries) {
     if (e.key == key) {
       e.value = std::move(value);
-      e.last_used = ++shard.tick;
+      e.last_used.store(stamp, std::memory_order_relaxed);
       return;
     }
   }
   if (shard.entries.size() < options_.entries_per_shard) {
-    shard.entries.push_back(Entry{key, std::move(value), ++shard.tick});
+    shard.entries.emplace_back(key, std::move(value), stamp);
     return;
   }
   Entry* victim = &shard.entries[0];
   for (Entry& e : shard.entries) {
-    // Superseded epochs first, then plain LRU.
+    // Superseded epochs first, then the oldest stamp.
+    const uint64_t used = e.last_used.load(std::memory_order_relaxed);
     if (e.key.epoch < victim->key.epoch ||
         (e.key.epoch == victim->key.epoch &&
-         e.last_used < victim->last_used)) {
+         used < victim->last_used.load(std::memory_order_relaxed))) {
       victim = &e;
     }
   }
-  *victim = Entry{key, std::move(value), ++shard.tick};
+  *victim = Entry(key, std::move(value), stamp);
 }
 
 void QueryCache::EvictBefore(uint64_t epoch) {
   if (!enabled()) return;
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->entries.erase(
-        std::remove_if(shard->entries.begin(), shard->entries.end(),
+  for (size_t i = 0; i < kShards; ++i) {
+    Shard& shard = shards_[i];
+    WriterMutexLock lock(shard.mu);
+    shard.entries.erase(
+        std::remove_if(shard.entries.begin(), shard.entries.end(),
                        [epoch](const Entry& e) {
                          return e.key.epoch < epoch;
                        }),
-        shard->entries.end());
+        shard.entries.end());
   }
+}
+
+uint64_t QueryCache::hits() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < kShards; ++i) {
+    total += shards_[i].hits.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t QueryCache::misses() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < kShards; ++i) {
+    total += shards_[i].misses.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 }  // namespace stabletext

@@ -7,10 +7,12 @@
 // with the interval metadata a query answer needs (clusters, keyword
 // table) and the warm online sweep's top-k, and publishes the bundle
 // with an atomic shared_ptr swap. Readers pin an epoch by grabbing the
-// pointer (the only query-path synchronization; C++17 shared_ptr atomics
-// use a briefly held pooled lock, never the writer's tick), and nothing
-// the snapshot references is ever mutated afterwards, so any number of
-// queries can run while the next interval commits.
+// pointer (C++17 shared_ptr atomics use a briefly held pooled lock, never
+// the writer's tick), and nothing the snapshot references is ever mutated
+// afterwards, so any number of queries can run while the next interval
+// commits. Engine::Query pins only on a query-cache miss: a hit is keyed
+// on the published epoch counter and synchronizes on nothing but the
+// cache shard's shared lock (core/query_cache.h).
 //
 // The shared result types of the serving API (StableClusterChain,
 // QueryResult, EngineStats) live here so both the Engine facade and the

@@ -314,5 +314,119 @@ TEST(ConcurrentEngineTest, QueryCacheHitsRepeatsAndRollsWithEpochs) {
   EXPECT_EQ(uncached.stats().query_cache_hits, 0u);
 }
 
+// A cache hit skips the snapshot pin: Query keys its lookup on the
+// published epoch counter. Readers hammer a small hot set while the
+// writer ingests, so most calls are hits and some race a publish. Every
+// answer must carry an epoch published during the call, no older than
+// the reader's previous answer, and equal the finder's answer on that
+// epoch's snapshot; every call must count exactly one hit or one miss.
+TEST(ConcurrentEngineTest, HotHitsDuringIngestMatchTheirEpochSnapshot) {
+  constexpr uint32_t kTicks = 24;
+  CorpusGenOptions corpus = TestCorpus();
+  corpus.days = kTicks;
+  corpus.posts_per_day = 80;
+  corpus.micro_events = 40;
+  const CorpusGenerator gen(corpus);
+  std::vector<Query> hot;
+  Query q;
+  q.k = 3;
+  q.l = 2;
+  hot.push_back(q);  // bfs
+  q.algorithm = FinderAlgorithm::kOnline;
+  hot.push_back(q);
+  q.algorithm = FinderAlgorithm::kDfs;
+  q.k = 2;
+  q.l = 1;
+  hot.push_back(q);
+
+  Engine engine(TestOptions(/*threads=*/2));
+  // kept[e] = the snapshot published at epoch e; `published` trails the
+  // engine's own publish, so it is a lower bound for any later answer.
+  std::vector<std::shared_ptr<const GraphSnapshot>> kept(kTicks + 1);
+  kept[0] = engine.snapshot();
+  std::atomic<uint64_t> published{0};
+  engine.SetPublishCallback(
+      [&](const std::shared_ptr<const GraphSnapshot>& snap) {
+        kept[snap->epoch] = snap;
+        published.store(snap->epoch, std::memory_order_release);
+      });
+
+  struct Reader {
+    // (epoch, query) -> the first answer's fingerprint at that epoch.
+    std::map<std::pair<uint64_t, size_t>, std::string> answers;
+    uint64_t calls = 0;
+    uint64_t last_epoch = 0;
+    std::string error;
+  };
+  std::vector<Reader> readers(kReaders);
+  std::atomic<bool> done{false};
+  {
+    ReaderFleet fleet(kReaders, [&](size_t id) {
+      Reader& me = readers[id];
+      for (size_t n = id; !done.load(std::memory_order_acquire); ++n) {
+        const size_t config = n % hot.size();
+        const uint64_t before = published.load(std::memory_order_acquire);
+        auto r = engine.Query(hot[config]);
+        const uint64_t after = engine.interval_count();
+        ++me.calls;
+        if (!r.ok()) {
+          me.error = r.status().ToString();
+          return;
+        }
+        const uint64_t epoch = r.value().epoch;
+        if (epoch < before || epoch > after) {
+          me.error = StringPrintf(
+              "epoch %llu outside [%llu, %llu]",
+              static_cast<unsigned long long>(epoch),
+              static_cast<unsigned long long>(before),
+              static_cast<unsigned long long>(after));
+          return;
+        }
+        if (epoch < me.last_epoch) {
+          me.error = "epoch went backwards for one reader";
+          return;
+        }
+        me.last_epoch = epoch;
+        auto [it, inserted] =
+            me.answers.emplace(std::make_pair(epoch, config), "");
+        if (inserted) {
+          it->second = Fingerprint(r);
+        } else if (it->second != Fingerprint(r)) {
+          me.error = "two answers differ at one epoch";
+          return;
+        }
+        if ((n & 7) == 0) std::this_thread::yield();
+      }
+    });
+    Status ingest_status;
+    for (uint32_t day = 0; day < kTicks && ingest_status.ok(); ++day) {
+      ingest_status = engine.IngestText(gen.GenerateDay(day)).status();
+    }
+    done.store(true, std::memory_order_release);
+    fleet.Join();
+    engine.SetPublishCallback(nullptr);
+    ASSERT_TRUE(ingest_status.ok()) << ingest_status.ToString();
+  }
+
+  uint64_t calls = 0;
+  size_t checked = 0;
+  for (size_t id = 0; id < kReaders; ++id) {
+    EXPECT_EQ(readers[id].error, "") << "reader " << id;
+    calls += readers[id].calls;
+    for (const auto& [key, fingerprint] : readers[id].answers) {
+      const auto& [epoch, config] = key;
+      ASSERT_NE(kept[epoch], nullptr) << "epoch " << epoch;
+      EXPECT_EQ(fingerprint,
+                Fingerprint(QuerySnapshot(*kept[epoch], hot[config])))
+          << "reader " << id << " epoch " << epoch << " query " << config;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.query_cache_hits, 0u);
+  EXPECT_EQ(stats.query_cache_hits + stats.query_cache_misses, calls);
+}
+
 }  // namespace
 }  // namespace stabletext
