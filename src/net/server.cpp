@@ -445,11 +445,13 @@ void Server::NotifierLoop() {
       delta.subscription_id = sub->id;
       delta.epoch = snap->epoch;
       sub->last = std::move(now);
+      // Counted before it is queued: once queued, the event loop may send
+      // it, and a client that has read the DELTA must see it counted.
+      pushes_sent_.fetch_add(1, std::memory_order_relaxed);
       EnqueueOutbound(sub->connection_id,
                       EncodeFrame(MsgType::kDelta, 0,
                                   EncodeDeltaBody(delta)),
                       /*completes_query=*/false);
-      pushes_sent_.fetch_add(1, std::memory_order_relaxed);
     }
     {
       MutexLock lock(snap_mu_);
