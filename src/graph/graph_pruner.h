@@ -65,6 +65,8 @@ class GraphPruner {
             uint64_t document_count, PruneStats* stats,
             double* weight) const;
 
+  const GraphPrunerOptions& options() const { return options_; }
+
  private:
   GraphPrunerOptions options_;
 };

@@ -236,7 +236,14 @@ TEST_P(CooccurRandomTest, MatchesBruteForce) {
   GraphPrunerOptions keep_all;
   keep_all.apply_chi_square = false;
   keep_all.apply_rho = false;
-  for (const GraphPrunerOptions& pruning : {GraphPrunerOptions{}, keep_all}) {
+  // At a support floor the one pass indexes only keywords at or above it
+  // and counts the other pairs apart.
+  GraphPrunerOptions support2;
+  support2.min_pair_support = 2;
+  GraphPrunerOptions support5 = keep_all;
+  support5.min_pair_support = 5;
+  for (const GraphPrunerOptions& pruning :
+       {GraphPrunerOptions{}, keep_all, support2, support5}) {
     KeywordGraphSummary expected;
     const KeywordGraph graph = GraphBuilder(pruning).Build(table, &expected);
     EXPECT_EQ(OnePassRoute(interned, dict.size(), pruning),
@@ -287,6 +294,78 @@ TEST(OnePassGraphTest, EdgeCasesMatchTheSortedRoute) {
   EXPECT_EQ(summary.document_count, 5u);
   EXPECT_EQ(summary.keyword_count, 4u);
   EXPECT_EQ(summary.raw_edge_count, 6u);
+}
+
+// The support prefilter: keywords with A(u) below min_pair_support stay out
+// of the inverted index, and their pairs (all failing the support test) are
+// counted from distinct partners. Every summary field and edge must still
+// be the sorted route's, at supports that disable the prefilter (0, 1),
+// make only A(u) = 1 keywords low (2), and the engine's floor (5).
+TEST(OnePassGraphTest, SupportPrefilterMatchesTheSortedRoute) {
+  const std::vector<std::vector<std::vector<KeywordId>>> corpora = {
+      // Keyword 9 (A = 1) alone among keywords frequent at every floor.
+      {{0, 1, 2, 9}, {0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {0, 2}},
+      // A = 1 keywords 11, 12 beside each other, beside 10 (A = 2) and 3
+      // (A = 4), and 13 (A = 1) beside 3.
+      {{0, 1, 3, 10, 11, 12},
+       {0, 1, 3},
+       {0, 1, 3, 13},
+       {0, 1},
+       {0, 1},
+       {0, 3, 10}},
+      // Low keywords 4 (A = 4) and 5 (A = 3) share three documents: their
+      // pair is one pre-prune edge.
+      {{0, 4, 5}, {0, 4, 5}, {0, 4, 5, 6}, {0, 6}, {0, 1}, {0, 1}, {1, 4}},
+      // Keyword 7 at A = s - 1 = 4, whose documents repeat partners 0-2.
+      {{0, 1, 7}, {0, 2, 7}, {1, 2, 7}, {0, 1, 2, 7}, {0, 1, 2}, {0, 1, 2},
+       {0}, {1}},
+      // Every keyword below 5.
+      {{0, 1}, {2, 3}, {0, 2}, {1, 3, 4}, {4, 5, 6}, {5}},
+      // Every keyword at 5 or more.
+      {{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2}, {0, 1, 3}, {0, 2, 3},
+       {1, 2, 3}, {0, 1, 2, 3}},
+  };
+  // Plus skewed random corpora, where every class of keyword is common.
+  std::vector<std::vector<std::vector<KeywordId>>> all = corpora;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    std::vector<std::vector<KeywordId>> corpus(40);
+    for (auto& ids : corpus) {
+      const size_t words = rng.Uniform(9);
+      for (size_t w = 0; w < words; ++w) {
+        const double x = rng.NextDouble();
+        ids.push_back(static_cast<KeywordId>(16 * x * x * x));
+      }
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    }
+    all.push_back(std::move(corpus));
+  }
+  for (size_t c = 0; c < all.size(); ++c) {
+    for (uint32_t support : {0u, 1u, 2u, 5u}) {
+      SCOPED_TRACE(StringPrintf("corpus %zu support %u", c, support));
+      GraphPrunerOptions paper;
+      paper.min_pair_support = support;
+      GraphPrunerOptions keep_all = paper;
+      keep_all.apply_chi_square = false;
+      keep_all.apply_rho = false;
+      for (const GraphPrunerOptions& pruning : {paper, keep_all}) {
+        EXPECT_EQ(OnePassRoute(all[c], 16, pruning),
+                  SortedRoute(all[c], 16, 32 << 20, pruning));
+      }
+    }
+  }
+  // The shared low pair of corpus 2 is counted once: at support 5 only 0
+  // is indexed, and the pre-prune edges are 0-1, 0-4, 0-5, 0-6, 1-4 and
+  // 4-5, 4-6, 5-6.
+  GraphPrunerOptions floor5;
+  floor5.min_pair_support = 5;
+  KeywordGraphSummary summary;
+  ASSERT_TRUE(GraphBuilder(floor5)
+                  .BuildFromDocuments(corpora[2], 16, &summary)
+                  .ok());
+  EXPECT_EQ(summary.raw_edge_count, 8u);
+  EXPECT_EQ(summary.prune.failed_support, 8u);
 }
 
 TEST(OnePassGraphTest, RejectsIdsOutOfOrderOrRange) {
