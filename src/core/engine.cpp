@@ -111,51 +111,64 @@ Engine::Engine(EngineOptions options)
   Publish();  // Epoch 0: queries are valid before the first ingest.
 }
 
-std::vector<Document> Engine::TokenizePosts(
-    uint32_t interval, const std::vector<std::string>& posts) {
-  std::vector<Document> documents(posts.size());
-  if (pool_ != nullptr && posts.size() > 1) {
-    // Tokenization is document-independent: fan chunks out, write by
-    // index (order, and therefore downstream keyword ids, never depend
-    // on scheduling).
-    const size_t chunks = std::min(pool_->size() * 4, posts.size());
-    const size_t per_chunk = (posts.size() + chunks - 1) / chunks;
+std::vector<PackedDocuments> Engine::TokenizePosts(
+    const std::vector<std::string>& posts) {
+  // Tokenization is document-independent: chunks of consecutive posts fan
+  // out and each fills its own buffers (order, and therefore downstream
+  // keyword ids, never depend on scheduling). The buffers are reserved
+  // here, on the writer, from the chunk's post bytes, which bound them:
+  // the workers append without allocating, so a tick's keywords never
+  // land in the pool threads' malloc arenas.
+  const size_t chunks = pool_ != nullptr && posts.size() > 1
+                            ? std::min(pool_->size() * 4, posts.size())
+                            : 1;
+  const size_t per_chunk = (posts.size() + chunks - 1) / chunks;
+  std::vector<PackedDocuments> packed;
+  packed.reserve(chunks);
+  for (size_t begin = 0; begin < posts.size(); begin += per_chunk) {
+    const size_t end = std::min(posts.size(), begin + per_chunk);
+    size_t bytes = 0;
+    for (size_t i = begin; i < end; ++i) bytes += posts[i].size();
+    packed.emplace_back().Reserve(end - begin, bytes);
+  }
+  auto fill = [&](size_t chunk) {
+    DocumentProcessor::Scratch scratch;
+    const size_t end = std::min(posts.size(), (chunk + 1) * per_chunk);
+    for (size_t i = chunk * per_chunk; i < end; ++i) {
+      processor_.Append(posts[i], &packed[chunk], &scratch);
+    }
+  };
+  if (packed.size() > 1) {
     std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (size_t begin = 0; begin < posts.size(); begin += per_chunk) {
-      const size_t end = std::min(posts.size(), begin + per_chunk);
-      futures.push_back(pool_->Submit([&, begin, end] {
-        DocumentProcessor processor;
-        for (size_t i = begin; i < end; ++i) {
-          documents[i] = processor.Process(interval, posts[i]);
-        }
-      }));
+    futures.reserve(packed.size());
+    for (size_t chunk = 0; chunk < packed.size(); ++chunk) {
+      futures.push_back(pool_->Submit([&fill, chunk] { fill(chunk); }));
     }
     pool_->WaitAll(futures);
-  } else {
-    DocumentProcessor processor;
-    for (size_t i = 0; i < posts.size(); ++i) {
-      documents[i] = processor.Process(interval, posts[i]);
-    }
+  } else if (!packed.empty()) {
+    fill(0);
   }
-  return documents;
+  return packed;
 }
 
 std::vector<std::vector<KeywordId>> Engine::InternDocuments(
-    const std::vector<Document>& documents) {
+    const std::vector<PackedDocuments>& chunks) {
   // Intern on the calling thread, in document order: keyword ids are
   // assigned exactly as a sequential run would assign them, no matter how
   // many workers the heavy phase uses.
+  size_t documents = 0;
+  for (const PackedDocuments& chunk : chunks) documents += chunk.size();
   std::vector<std::vector<KeywordId>> interned;
-  interned.reserve(documents.size());
-  for (const Document& doc : documents) {
-    std::vector<KeywordId> ids;
-    ids.reserve(doc.keywords.size());
-    for (const std::string& w : doc.keywords) {
-      ids.push_back(dict_.Intern(w));
+  interned.reserve(documents);
+  for (const PackedDocuments& chunk : chunks) {
+    size_t w = 0;
+    for (const uint32_t end : chunk.doc_ends) {
+      std::vector<KeywordId> ids;
+      ids.reserve(end - w);
+      for (; w < end; ++w) ids.push_back(dict_.Intern(chunk.Word(w)));
+      std::sort(ids.begin(), ids.end());
+      interned.push_back(std::move(ids));
     }
-    std::sort(ids.begin(), ids.end());
-    interned.push_back(std::move(ids));
   }
   return interned;
 }
@@ -167,12 +180,11 @@ Result<uint32_t> Engine::IngestText(const std::vector<std::string>& posts) {
 
 Result<uint32_t> Engine::IngestTextLocked(
     const std::vector<std::string>& posts) {
-  const uint32_t interval = static_cast<uint32_t>(slots_.size());
-  return IngestDocumentsLocked(TokenizePosts(interval, posts));
+  return IngestDocumentsLocked(TokenizePosts(posts));
 }
 
 Result<uint32_t> Engine::IngestDocumentsLocked(
-    const std::vector<Document>& documents) {
+    std::vector<PackedDocuments> documents) {
   if (graph_.frozen()) {
     return Status::InvalidArgument(
         "engine is compacted; create a new engine to ingest");
@@ -186,11 +198,15 @@ Result<uint32_t> Engine::IngestDocumentsLocked(
   }
   const uint32_t interval = static_cast<uint32_t>(slots_.size());
   const size_t vocab_before = dict_.size();
-  const auto interned = InternDocuments(documents);
+  std::vector<std::vector<KeywordId>> interned = InternDocuments(documents);
+  // Each stage's input is freed once consumed, so the tick's transient
+  // peak is one stage's working set, not all of them.
+  documents.clear();
   auto slot = std::make_shared<SnapshotInterval>();
   slot->vocab_size = dict_.size();
   IntervalClusterer clusterer(&dict_, options_.clustering, &slot->io);
   auto result = clusterer.RunInterned(interval, interned);
+  interned.clear();
   if (!result.ok()) {
     // Clustering failed before anything was adopted: roll the interning
     // back so a failed tick leaves no trace in keyword-id assignment (a

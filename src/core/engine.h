@@ -23,7 +23,10 @@
 // With options.threads > 1 tokenization and the per-window affinity joins
 // fan out on a thread pool; counting, pruning (one pass over an inverted
 // index, see core/interval_clusterer.h) and biconnected decomposition run
-// on the writer. Output is deterministic across thread counts.
+// on the writer. Tokenizing workers fill flat buffers the writer reserved
+// (PackedDocuments), so the per-post keyword strings of a tick are never
+// allocated in the pool threads' malloc arenas. Output is deterministic
+// across thread counts.
 
 #ifndef STABLETEXT_CORE_ENGINE_H_
 #define STABLETEXT_CORE_ENGINE_H_
@@ -43,6 +46,7 @@
 #include "stable/bfs_finder.h"
 #include "stable/cluster_graph.h"
 #include "stable/finder.h"
+#include "text/document.h"
 #include "util/annotated_mutex.h"
 #include "util/thread_pool.h"
 
@@ -255,17 +259,19 @@ class Engine {
   // The one tick path: intern, cluster (Section 3), then CommitInterval.
   // A clustering failure rolls interning back and leaves no trace.
   Result<uint32_t> IngestDocumentsLocked(
-      const std::vector<Document>& documents) REQUIRES(writer_role_);
+      std::vector<PackedDocuments> documents) REQUIRES(writer_role_);
   Result<uint32_t> IngestTicksLocked(
       const std::vector<std::vector<std::string>>& ticks,
       const TickCallback& on_tick) REQUIRES(writer_role_);
-  // Pool-parallel tokenization of raw posts (document order preserved).
-  std::vector<Document> TokenizePosts(
-      uint32_t interval, const std::vector<std::string>& posts);
+  // Pool-parallel tokenization of raw posts into chunks of consecutive
+  // posts (document order preserved), in flat buffers the writer
+  // reserves.
+  std::vector<PackedDocuments> TokenizePosts(
+      const std::vector<std::string>& posts);
   // Serial keyword interning in document order (dictionary ids must be
   // assigned exactly as a sequential run would assign them).
   std::vector<std::vector<KeywordId>> InternDocuments(
-      const std::vector<Document>& documents) REQUIRES(writer_role_);
+      const std::vector<PackedDocuments>& chunks) REQUIRES(writer_role_);
   // Commits a clustered interval: slot adoption, frontier joins, graph
   // extension, warm-online sweep step, WAL record, snapshot publish.
   Result<uint32_t> CommitInterval(std::shared_ptr<SnapshotInterval> slot)
@@ -320,6 +326,8 @@ class Engine {
   ThreadRole writer_role_;
 
   EngineOptions options_;
+  // Shared read-only by the tokenizing workers.
+  const DocumentProcessor processor_;
   KeywordDict dict_ GUARDED_BY(writer_role_);
   IoStats io_ GUARDED_BY(writer_role_);
   std::vector<std::shared_ptr<const SnapshotInterval>> slots_

@@ -112,10 +112,15 @@ struct SnapshotInterval {
 
 /// \brief Immutable keyword table (id -> string) shared across epochs.
 ///
-/// The dictionary is append-only, so completed fixed-size chunks are
-/// shared by every later snapshot; only the growing tail chunk is copied
-/// at publish time. Keeps the per-tick publish cost marginal (new words
-/// only) instead of O(vocabulary).
+/// Holds the engine dictionary's own storage chunks, shared
+/// (KeywordDict::ShareChunks): a publish copies chunk pointers, never a
+/// word, and every epoch reads the same strings the writer interned. That
+/// is race-free because the dictionary is append-only and reserves each
+/// chunk in full: interning later ticks constructs strings only past
+/// `total` without moving any below it, and rolling back a failed tick
+/// (KeywordDict::TruncateTo) destroys only the words that tick interned,
+/// which no published epoch covers. Word() reads through the chunk's data
+/// pointer, which appends never change.
 class SnapshotWords {
  public:
   static constexpr size_t kChunkWords = 4096;
