@@ -21,7 +21,7 @@ size_t KeywordDict::FindSlot(std::string_view word, uint64_t hash) const {
   for (;;) {
     const KeywordId id = slots_[i];
     if (id == kEmptySlot) return i;
-    if (hashes_[id] == hash && words_[id] == word) return i;
+    if (hashes_[id] == hash && Word(id) == word) return i;
     i = (i + 1) & slot_mask_;
   }
 }
@@ -29,7 +29,7 @@ size_t KeywordDict::FindSlot(std::string_view word, uint64_t hash) const {
 void KeywordDict::Rehash(size_t new_slots) {
   slots_.assign(new_slots, kEmptySlot);
   slot_mask_ = new_slots - 1;
-  for (KeywordId id = 0; id < words_.size(); ++id) {
+  for (KeywordId id = 0; id < size_; ++id) {
     size_t i = static_cast<size_t>(hashes_[id]) & slot_mask_;
     while (slots_[i] != kEmptySlot) i = (i + 1) & slot_mask_;
     slots_[i] = id;
@@ -40,18 +40,36 @@ KeywordId KeywordDict::Intern(std::string_view word) {
   const uint64_t hash = Hash(word);
   const size_t slot = FindSlot(word, hash);
   if (slots_[slot] != kEmptySlot) return slots_[slot];
-  const KeywordId id = static_cast<KeywordId>(words_.size());
-  words_.emplace_back(word);
+  const KeywordId id = static_cast<KeywordId>(size_);
+  Append(word);
   hashes_.push_back(hash);
   slots_[slot] = id;
   // Grow at 70% load.
-  if (words_.size() * 10 >= slots_.size() * 7) Rehash(slots_.size() * 2);
+  if (size_ * 10 >= slots_.size() * 7) Rehash(slots_.size() * 2);
   return id;
 }
 
+void KeywordDict::Append(std::string_view word) {
+  if ((size_ & (kChunkWords - 1)) == 0) {
+    // Reserved in full once: pushing back never reallocates, so words
+    // never move under a reader holding the chunk.
+    chunks_.push_back(std::make_shared<Chunk>());
+    chunks_.back()->reserve(kChunkWords);
+  }
+  chunks_.back()->emplace_back(word);
+  ++size_;
+}
+
 void KeywordDict::TruncateTo(size_t size) {
-  if (size >= words_.size()) return;
-  words_.resize(size);
+  if (size >= size_) return;
+  chunks_.resize((size + kChunkWords - 1) >> kChunkShift);
+  if (!chunks_.empty()) {
+    Chunk& tail = *chunks_.back();
+    tail.erase(tail.begin() + static_cast<std::ptrdiff_t>(
+                                  size - ((chunks_.size() - 1) << kChunkShift)),
+               tail.end());
+  }
+  size_ = size;
   hashes_.resize(size);
   Rehash(slots_.size());
 }
@@ -64,7 +82,7 @@ KeywordId KeywordDict::Lookup(std::string_view word) const {
 Status KeywordDict::Save(const std::string& path) const {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out) return Status::IOError("cannot open " + path);
-  for (const std::string& w : words_) out << w << '\n';
+  for (KeywordId id = 0; id < size_; ++id) out << Word(id) << '\n';
   out.flush();
   if (!out) return Status::IOError("write failed on " + path);
   return Status::OK();
@@ -73,15 +91,17 @@ Status KeywordDict::Save(const std::string& path) const {
 Status KeywordDict::Load(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
-  words_.clear();
+  // Fresh chunks: chunks shared out earlier keep their words.
+  chunks_.clear();
+  size_ = 0;
   hashes_.clear();
   std::string line;
   while (std::getline(in, line)) {
     hashes_.push_back(Hash(line));
-    words_.push_back(std::move(line));
+    Append(line);
   }
   size_t slots = kInitialSlots;
-  while (words_.size() * 10 >= slots * 7) slots *= 2;
+  while (size_ * 10 >= slots * 7) slots *= 2;
   Rehash(slots);
   return Status::OK();
 }

@@ -673,50 +673,18 @@ void Engine::Publish() {
         .IgnoreError();
   }
   snap->intervals = slots_;
-  // The keyword table is append-only: completed chunks are shared with
-  // every earlier snapshot; only the partial tail chunk is copied. Every
+  // The keyword table is the dictionary's own chunks, shared: the writer
+  // only ever appends past this epoch's words (see SnapshotWords). Every
   // tick interns and commits in one call, so the dictionary is exactly
   // the last committed interval's vocabulary.
   const size_t vocab = dict_.size();
   assert(slots_.empty() || slots_.back()->vocab_size == vocab);
-  constexpr size_t kChunk = SnapshotWords::kChunkWords;
-  while ((word_chunks_.size() + 1) * kChunk <= vocab) {
-    auto chunk = std::make_shared<std::vector<std::string>>();
-    chunk->reserve(kChunk);
-    const KeywordId base =
-        static_cast<KeywordId>(word_chunks_.size() * kChunk);
-    for (KeywordId id = base; id < base + kChunk; ++id) {
-      chunk->push_back(dict_.Word(id));
-      words_bytes_ += sizeof(std::string) + chunk->back().size();
-    }
-    word_chunks_.push_back(std::move(chunk));
-  }
-  snap->words.chunks = word_chunks_;
-  const size_t full = word_chunks_.size() * kChunk;
-  size_t tail_bytes = 0;
-  if (vocab > full) {
-    // Rebuild the tail chunk only when the vocabulary actually changed
-    // since the last publish (e.g. a Compact republish reuses it). The
-    // base offset guards against a stale tail from before a chunk
-    // boundary was crossed.
-    if (word_tail_ == nullptr || word_tail_base_ != full ||
-        full + word_tail_->size() != vocab) {
-      auto tail = std::make_shared<std::vector<std::string>>();
-      tail->reserve(vocab - full);
-      for (KeywordId id = static_cast<KeywordId>(full); id < vocab; ++id) {
-        tail->push_back(dict_.Word(id));
-      }
-      word_tail_ = std::move(tail);
-      word_tail_base_ = full;
-    }
-    for (const std::string& w : *word_tail_) {
-      tail_bytes += sizeof(std::string) + w.size();
-    }
-    snap->words.chunks.push_back(word_tail_);
-  } else {
-    word_tail_.reset();
-  }
+  snap->words.chunks = dict_.ShareChunks();
   snap->words.total = vocab;
+  for (; words_counted_ < vocab; ++words_counted_) {
+    words_bytes_ += sizeof(std::string) +
+                    dict_.Word(static_cast<KeywordId>(words_counted_)).size();
+  }
   if (online_ != nullptr && online_->next_interval() == snap->epoch) {
     snap->has_online = true;
     snap->online_k = online_->k();
@@ -740,8 +708,8 @@ void Engine::Publish() {
   snap->stats.recovered_epoch = recovered_epoch_;
   snap->stats.shared_chunk_count = seal.shared_chunks;
   snap->stats.copied_chunk_count = seal.copied_chunks;
-  snap->stats.resident_bytes = snap->graph->MemoryBytes() + words_bytes_ +
-                               tail_bytes + clusters_bytes_;
+  snap->stats.resident_bytes =
+      snap->graph->MemoryBytes() + words_bytes_ + clusters_bytes_;
   // Answers computed at superseded epochs can never be served again
   // (keys carry the epoch); drop them so the cache holds only live
   // entries.

@@ -9,7 +9,12 @@
 // Publishing is O(delta): only the adjacency chunks the tick touched are
 // sealed; every untouched chunk is shared by shared_ptr with the previous
 // epoch, and raw-intersection weights renormalize lazily through a
-// per-snapshot scale instead of an O(E) rewrite.
+// per-snapshot scale instead of an O(E) rewrite. The keyword table is not
+// copied at all: a snapshot shares the dictionary's own word chunks. That
+// is race-free because the dictionary is append-only with chunks reserved
+// in full — the writer only constructs words past every published epoch's
+// vocabulary, and a failed tick's rollback only removes words no epoch
+// has published (see SnapshotWords).
 // Query() runs entirely against the snapshot — read-only EdgeSpan
 // traversal — so readers never wait on ingest work and never observe a
 // half-committed interval. Repeated hot queries are absorbed by the query
@@ -347,16 +352,6 @@ class Engine {
   // run on pool workers; the per-slot ownership keeps them disjoint).
   std::vector<std::unique_ptr<JoinScratch>> join_scratch_
       GUARDED_BY(writer_role_);
-  // Completed immutable chunks of the keyword table, shared by every
-  // snapshot that includes them (see SnapshotWords), plus the last
-  // published partial tail chunk (reused when the vocabulary did not
-  // change between publishes).
-  std::vector<std::shared_ptr<const std::vector<std::string>>>
-      word_chunks_ GUARDED_BY(writer_role_);
-  std::shared_ptr<const std::vector<std::string>> word_tail_
-      GUARDED_BY(writer_role_);
-  // First keyword id covered by the tail.
-  size_t word_tail_base_ GUARDED_BY(writer_role_) = 0;
   // Running maximum raw affinity, for measures without a (0, 1] range
   // (kIntersection): edges store the *raw* weight and reads apply the
   // scale 1/max (ClusterGraph::set_weight_scale), so a growing maximum is
@@ -364,9 +359,11 @@ class Engine {
   // options_.lazy_renormalize=false, publishes additionally materialize
   // the scaled weights into the rebuilt chunks (eager baseline).
   double running_max_affinity_ GUARDED_BY(writer_role_) = 0;
-  // Incremental byte accounting for EngineStats::resident_bytes:
-  // completed word chunks and committed cluster payloads.
+  // Incremental byte accounting for EngineStats::resident_bytes: the
+  // first words_counted_ keywords (a string object plus its characters
+  // each) and committed cluster payloads.
   size_t words_bytes_ GUARDED_BY(writer_role_) = 0;
+  size_t words_counted_ GUARDED_BY(writer_role_) = 0;
   size_t clusters_bytes_ GUARDED_BY(writer_role_) = 0;
 
   // The published read view; swapped with std::atomic_store at every

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "cooccur/keyword_dict.h"
 #include "core/interval_clusterer.h"
 #include "stable/cluster_graph.h"
 #include "stable/finder.h"
@@ -110,7 +111,7 @@ struct SnapshotInterval {
   size_t vocab_size = 0;
 };
 
-/// \brief Immutable keyword table (id -> string) shared across epochs.
+/// \brief Keyword table (id -> string) of one epoch.
 ///
 /// Holds the engine dictionary's own storage chunks, shared
 /// (KeywordDict::ShareChunks): a publish copies chunk pointers, never a
@@ -123,16 +124,15 @@ struct SnapshotInterval {
 /// pointer, which appends never change.
 class SnapshotWords {
  public:
-  static constexpr size_t kChunkWords = 4096;
-
   /// Precondition: id < size().
   const std::string& Word(KeywordId id) const {
-    return (*chunks[id / kChunkWords])[id % kChunkWords];
+    return chunks[id >> KeywordDict::kChunkShift]
+        ->data()[id & (KeywordDict::kChunkWords - 1)];
   }
   size_t size() const { return total; }
 
-  // Built by the engine at publish; immutable afterwards.
-  std::vector<std::shared_ptr<const std::vector<std::string>>> chunks;
+  // Set by the engine at publish; immutable afterwards.
+  std::vector<std::shared_ptr<const KeywordDict::Chunk>> chunks;
   size_t total = 0;
 };
 
@@ -150,8 +150,8 @@ struct GraphSnapshot {
   std::shared_ptr<const ClusterGraph> graph;
   /// Per-interval cluster outputs, in interval order.
   std::vector<std::shared_ptr<const SnapshotInterval>> intervals;
-  /// Keyword id -> string, for rendering without touching the (growing)
-  /// writer-side dictionary.
+  /// Keyword id -> string, for rendering: the first `words.total` words
+  /// of the writer's dictionary, shared with it (see SnapshotWords).
   SnapshotWords words;
   /// Warm online state (Section 4.6) at this epoch: the top-k of the
   /// writer's BFS IntervalSweep for one (k, l) configuration, advanced
@@ -181,8 +181,9 @@ struct GraphSnapshot {
       const std::vector<StablePath>& paths) const;
 
   /// Renders a chain like the paper's stable-cluster figures, resolving
-  /// keywords through this snapshot's word table — safe from any reader
-  /// thread while ingest runs (Engine::RenderChain delegates here).
+  /// keywords through this snapshot's word table and intervals through
+  /// the chain's path nodes — safe from any reader thread while ingest
+  /// runs (Engine::RenderChain delegates here).
   std::string RenderChain(const StableClusterChain& chain,
                           size_t max_keywords = 8) const;
 };
