@@ -573,13 +573,14 @@ Status Engine::ExtendGraph(uint32_t interval) {
   }
 
   // The new interval's nodes are created by GrowGraph, dense and in
-  // cluster order from the current node count.
+  // cluster order from the current node count; a window interval's node
+  // list is in cluster order too.
   const NodeId first_new = static_cast<NodeId>(graph_.node_count());
   std::vector<IntervalEdge> edges;
   for (const JoinJob& job : jobs) {
+    const std::vector<NodeId>& left = graph_.IntervalNodes(job.iv);
     for (const AffinityMatch& match : job.matches) {
-      edges.push_back(IntervalEdge{node_of_[job.iv][match.left],
-                                   first_new + match.right,
+      edges.push_back(IntervalEdge{left[match.left], first_new + match.right,
                                    match.affinity});
     }
   }
@@ -591,11 +592,7 @@ Status Engine::GrowGraph(uint32_t interval, size_t cluster_count,
   const uint32_t added = graph_.AddInterval();
   assert(added == interval);
   (void)added;
-  node_of_.emplace_back();
-  node_of_.back().reserve(cluster_count);
-  for (size_t j = 0; j < cluster_count; ++j) {
-    node_of_.back().push_back(graph_.AddNode(interval));
-  }
+  for (size_t j = 0; j < cluster_count; ++j) graph_.AddNode(interval);
 
   // Measures without a (0, 1] range (raw intersection counts) are
   // normalized by the running maximum, per the paper's footnote on

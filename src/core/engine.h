@@ -292,9 +292,9 @@ class Engine {
   // the graph in place (the incremental half of the old BuildClusterGraph).
   Status ExtendGraph(uint32_t interval) REQUIRES(writer_role_);
   // The graph-extension tail shared by commit and replay: appends
-  // interval `interval` with `cluster_count` nodes (recorded in
-  // node_of_), updates the running-max scale, adds `edges` and re-sorts
-  // the touched adjacency. Edges reference the new nodes by the ids they
+  // interval `interval` with `cluster_count` nodes (cluster j of the
+  // interval is its j-th node), updates the running-max scale, adds
+  // `edges` and re-sorts the touched adjacency. Edges reference the new nodes by the ids they
   // are about to get (node_count() + cluster index).
   Status GrowGraph(uint32_t interval, size_t cluster_count,
                    const std::vector<IntervalEdge>& edges)
@@ -338,12 +338,10 @@ class Engine {
   std::vector<std::shared_ptr<const SnapshotInterval>> slots_
       GUARDED_BY(writer_role_);
   std::unique_ptr<ThreadPool> pool_;  // Null when threads <= 1.
+  // Cluster j of interval i is node graph_.IntervalNodes(i)[j]: an
+  // interval's node ids are dense and contiguous in cluster order (see
+  // GraphSnapshot::NodeCluster), so no per-interval map is kept.
   ClusterGraph graph_ GUARDED_BY(writer_role_);
-  // node_of_[i][j] = cluster graph node of cluster j in interval i.
-  // (The reverse mapping needs no table: an interval's node ids are
-  // dense and contiguous in cluster order — see
-  // GraphSnapshot::NodeCluster.)
-  std::vector<std::vector<NodeId>> node_of_ GUARDED_BY(writer_role_);
   // Arena discipline for the per-tick gap-window joins (the CommitInterval
   // hot path): one JoinScratch per window position, created on first use
   // and reused every tick, so the flat inverted index and the seen set

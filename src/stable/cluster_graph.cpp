@@ -5,19 +5,55 @@
 
 namespace stabletext {
 
+ClusterGraph::ClusterGraph(uint32_t interval_count, uint32_t gap)
+    : interval_count_(0), gap_(gap) {
+  while (interval_count_ < interval_count) AddInterval();
+}
+
 uint32_t ClusterGraph::AddInterval() {
-  if (frozen_) {
-    frozen_intervals_.push_back(
-        std::make_shared<const std::vector<NodeId>>());
-  } else {
-    intervals_.emplace_back();
-  }
+  interval_nodes_.push_back(std::make_shared<std::vector<NodeId>>());
+  owned_interval_.push_back(1);
+  owned_intervals_.push_back(interval_count_);
   return interval_count_++;
+}
+
+void ClusterGraph::AppendNodeMeta(NodeId id, uint32_t interval) {
+  if ((id & kChunkMask) == 0 || !owned_tail_chunk_) {
+    // A fresh chunk, or a private copy of the shared tail, reserved in
+    // full: at most one partial chunk exists, and a full one has no slack.
+    auto chunk = std::make_shared<std::vector<uint32_t>>();
+    chunk->reserve(kChunkNodes);
+    if ((id & kChunkMask) != 0) {
+      chunk->assign(node_interval_chunks_.back()->begin(),
+                    node_interval_chunks_.back()->end());
+      node_interval_chunks_.pop_back();
+    }
+    node_interval_chunks_.push_back(std::move(chunk));
+    owned_tail_chunk_ = true;
+  }
+  node_interval_chunks_.back()->push_back(interval);
+  if (!owned_interval_[interval]) {
+    interval_nodes_[interval] =
+        std::make_shared<std::vector<NodeId>>(*interval_nodes_[interval]);
+    owned_interval_[interval] = 1;
+    owned_intervals_.push_back(interval);
+  }
+  interval_nodes_[interval]->push_back(id);
+}
+
+void ClusterGraph::ShareNodeMeta() {
+  for (uint32_t i : owned_intervals_) {
+    interval_nodes_[i]->shrink_to_fit();
+    owned_interval_[i] = 0;
+  }
+  owned_intervals_.clear();
+  owned_tail_chunk_ = false;
 }
 
 NodeId ClusterGraph::AddNode(uint32_t interval) {
   if (!frozen_ && interval < settled_intervals_) return kInvalidNode;
   const NodeId id = static_cast<NodeId>(node_count_++);
+  AppendNodeMeta(id, interval);
   if (frozen_) {
     // Late nodes keep the chunked view indexable; they have no adjacency.
     // Cold path: copy-on-write the (partial) tail chunks.
@@ -35,32 +71,15 @@ NodeId ClusterGraph::AddNode(uint32_t interval) {
     };
     append_empty(&child_chunks_);
     append_empty(&parent_chunks_);
-    std::vector<uint32_t> meta;
-    if (chunk < node_interval_chunks_.size()) {
-      meta = *node_interval_chunks_[chunk];
-      node_interval_chunks_.pop_back();
-    }
-    meta.push_back(interval);
-    node_interval_chunks_.push_back(
-        std::make_shared<const std::vector<uint32_t>>(std::move(meta)));
-    std::vector<NodeId> nodes = *frozen_intervals_[interval];
-    nodes.push_back(id);
-    frozen_intervals_[interval] =
-        std::make_shared<const std::vector<NodeId>>(std::move(nodes));
     return id;
   }
-  node_interval_.push_back(interval);
-  intervals_[interval].push_back(id);
   build_children_.emplace_back();
   build_parents_.emplace_back();
   child_touched_flag_.push_back(0);
   parent_touched_flag_.push_back(0);
-  // A new node extends its chunk (and its interval's node list): the next
-  // seal must rebuild them.
+  // A new node extends its chunk: the next seal must rebuild it.
   MarkChunkDirty(&seal_child_dirty_, id);
   MarkChunkDirty(&seal_parent_dirty_, id);
-  MarkChunkDirty(&seal_meta_dirty_, id);
-  if (interval < seal_clean_intervals_) seal_clean_intervals_ = interval;
   return id;
 }
 
@@ -72,8 +91,8 @@ Status ClusterGraph::AddEdge(NodeId from, NodeId to, double weight) {
   if (from >= node_count() || to >= node_count()) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  const uint32_t fi = node_interval_[from];
-  const uint32_t ti = node_interval_[to];
+  const uint32_t fi = Interval(from);
+  const uint32_t ti = Interval(to);
   if (ti <= fi) {
     return Status::InvalidArgument("edges must go forward in time");
   }
@@ -117,7 +136,8 @@ Status ClusterGraph::ReleaseSettled(uint32_t end) {
   // ascending and the released nodes are the ids below `base`.
   NodeId base = static_cast<NodeId>(node_count_);
   for (uint32_t i = end; i < interval_count_; ++i) {
-    if (!intervals_[i].empty()) base = std::min(base, intervals_[i].front());
+    const std::vector<NodeId>& nodes = *interval_nodes_[i];
+    if (!nodes.empty()) base = std::min(base, nodes.front());
   }
   if (base > live_base_) {
     auto unsealed = [&] {
@@ -194,8 +214,6 @@ void ClusterGraph::SortTouched() {
 void ClusterGraph::MarkAllSealDirty() {
   std::fill(seal_child_dirty_.begin(), seal_child_dirty_.end(), 1);
   std::fill(seal_parent_dirty_.begin(), seal_parent_dirty_.end(), 1);
-  std::fill(seal_meta_dirty_.begin(), seal_meta_dirty_.end(), 1);
-  seal_clean_intervals_ = 0;
 }
 
 ClusterGraph::AdjChunkPtr ClusterGraph::BuildChunk(
@@ -252,10 +270,8 @@ ClusterGraph::SealStats ClusterGraph::RefreshSeal(bool materialize_scale) {
   SealStats stats;
   sealed_children_.resize(chunks);
   sealed_parents_.resize(chunks);
-  sealed_node_intervals_.resize(chunks);
   seal_child_dirty_.resize(chunks, 1);
   seal_parent_dirty_.resize(chunks, 1);
-  seal_meta_dirty_.resize(chunks, 1);
   for (size_t c = 0; c < chunks; ++c) {
     if (seal_child_dirty_[c] || sealed_children_[c] == nullptr) {
       sealed_children_[c] = BuildChunk(build_children_, sealed_children_[c],
@@ -273,23 +289,9 @@ ClusterGraph::SealStats ClusterGraph::RefreshSeal(bool materialize_scale) {
     } else {
       ++stats.shared_chunks;
     }
-    if (seal_meta_dirty_[c] || sealed_node_intervals_[c] == nullptr) {
-      const size_t base = c << kChunkShift;
-      const size_t end = std::min(node_count_, base + kChunkNodes);
-      sealed_node_intervals_[c] =
-          std::make_shared<const std::vector<uint32_t>>(
-              node_interval_.begin() + base, node_interval_.begin() + end);
-      seal_meta_dirty_[c] = 0;
-    }
   }
-  sealed_intervals_.resize(interval_count_);
-  for (uint32_t i = 0; i < interval_count_; ++i) {
-    if (i >= seal_clean_intervals_ || sealed_intervals_[i] == nullptr) {
-      sealed_intervals_[i] =
-          std::make_shared<const std::vector<NodeId>>(intervals_[i]);
-    }
-  }
-  seal_clean_intervals_ = interval_count_;
+  // The node metadata is current already; the seal shares it as is.
+  ShareNodeMeta();
   sealed_materialized_ = materialize_scale;
   sealed_scale_ = weight_scale_;
   return stats;
@@ -330,8 +332,10 @@ ClusterGraph ClusterGraph::SealedCopy(bool materialize_scale,
       out.weight_scale_ = weight_scale_;
       local.shared_chunks = child_chunks_.size() + parent_chunks_.size();
     }
+    ShareNodeMeta();
     out.node_interval_chunks_ = node_interval_chunks_;
-    out.frozen_intervals_ = frozen_intervals_;
+    out.interval_nodes_ = interval_nodes_;
+    out.owned_interval_.assign(interval_count_, 0);
     if (stats != nullptr) *stats = local;
     return out;
   }
@@ -348,8 +352,9 @@ ClusterGraph ClusterGraph::SealedCopy(bool materialize_scale,
     out.parent_chunks_ = sealed_parents_;
   }
   if (stats != nullptr) *stats = local;
-  out.node_interval_chunks_ = sealed_node_intervals_;
-  out.frozen_intervals_ = sealed_intervals_;
+  out.node_interval_chunks_ = node_interval_chunks_;
+  out.interval_nodes_ = interval_nodes_;
+  out.owned_interval_.assign(interval_count_, 0);
   return out;
 }
 
@@ -366,19 +371,10 @@ void ClusterGraph::SortChildren() {
   RefreshSeal(/*materialize_scale=*/false);
   child_chunks_ = std::move(sealed_children_);
   parent_chunks_ = std::move(sealed_parents_);
-  node_interval_chunks_ = std::move(sealed_node_intervals_);
-  frozen_intervals_ = std::move(sealed_intervals_);
   sealed_children_.clear();
   sealed_parents_.clear();
-  sealed_node_intervals_.clear();
-  sealed_intervals_.clear();
   seal_child_dirty_.clear();
   seal_parent_dirty_.clear();
-  seal_meta_dirty_.clear();
-  intervals_.clear();
-  intervals_.shrink_to_fit();
-  node_interval_.clear();
-  node_interval_.shrink_to_fit();
   build_children_.clear();
   build_children_.shrink_to_fit();
   build_parents_.clear();
@@ -403,19 +399,21 @@ size_t ClusterGraph::MemoryBytes() const {
   if (frozen_) {
     for (const AdjChunkPtr& c : child_chunks_) bytes += c->MemoryBytes();
     for (const AdjChunkPtr& c : parent_chunks_) bytes += c->MemoryBytes();
+    // Node metadata by size: the partial tail chunk's reserved capacity
+    // is mostly untouched pages.
     for (const IntervalChunkPtr& c : node_interval_chunks_) {
-      bytes += c->capacity() * sizeof(uint32_t);
+      bytes += c->size() * sizeof(uint32_t);
     }
-    for (const IntervalNodesPtr& iv : frozen_intervals_) {
-      bytes += sizeof(*iv) + iv->capacity() * sizeof(NodeId);
+    for (const IntervalNodesPtr& iv : interval_nodes_) {
+      bytes += sizeof(*iv) + iv->size() * sizeof(NodeId);
     }
     return bytes;
   }
   // Build phase: a size-based estimate (capacity ~ size) so per-publish
   // stats stay O(chunks), not O(nodes).
-  bytes += node_count_ * sizeof(uint32_t);  // node_interval_
-  bytes += node_count_ * sizeof(NodeId);    // intervals_ payloads
-  bytes += intervals_.size() * sizeof(std::vector<NodeId>);
+  bytes += node_count_ * sizeof(uint32_t);  // Node -> interval chunks.
+  bytes += node_count_ * sizeof(NodeId);    // Interval node lists.
+  bytes += interval_count_ * sizeof(std::vector<NodeId>);
   // Adjacency lists exist for live nodes only.
   bytes += 2 * (node_count_ - live_base_) *
            sizeof(std::vector<ClusterGraphEdge>);

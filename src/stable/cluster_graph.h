@@ -157,9 +157,14 @@ class ClusterGraph {
 
   /// \param interval_count m, the number of temporal intervals.
   /// \param gap g >= 0; edges span at most gap+1 intervals.
-  ClusterGraph(uint32_t interval_count, uint32_t gap)
-      : interval_count_(interval_count), gap_(gap),
-        intervals_(interval_count) {}
+  ClusterGraph(uint32_t interval_count, uint32_t gap);
+
+  // A copy would share node metadata that both graphs then append to;
+  // SealedCopy() is the copy that shares it safely.
+  ClusterGraph(const ClusterGraph&) = delete;
+  ClusterGraph& operator=(const ClusterGraph&) = delete;
+  ClusterGraph(ClusterGraph&&) = default;
+  ClusterGraph& operator=(ClusterGraph&&) = default;
 
   /// Appends a new (empty) temporal interval and returns its index. The
   /// streaming entry point: a graph constructed with interval_count 0
@@ -246,14 +251,10 @@ class ClusterGraph {
   size_t edge_count() const { return edge_count_; }
 
   uint32_t Interval(NodeId n) const {
-    if (frozen_) {
-      return (*node_interval_chunks_[n >> kChunkShift])[n & kChunkMask];
-    }
-    return node_interval_[n];
+    return (*node_interval_chunks_[n >> kChunkShift])[n & kChunkMask];
   }
   const std::vector<NodeId>& IntervalNodes(uint32_t interval) const {
-    if (frozen_) return *frozen_intervals_[interval];
-    return intervals_[interval];
+    return *interval_nodes_[interval];
   }
 
   EdgeSpan Children(NodeId n) const {
@@ -308,8 +309,10 @@ class ClusterGraph {
 
  private:
   using AdjChunkPtr = std::shared_ptr<const AdjChunk>;
-  using IntervalChunkPtr = std::shared_ptr<const std::vector<uint32_t>>;
-  using IntervalNodesPtr = std::shared_ptr<const std::vector<NodeId>>;
+  // Node metadata is appended in place while this graph alone holds it
+  // (see the owned_* members), so these point at mutable vectors.
+  using IntervalChunkPtr = std::shared_ptr<std::vector<uint32_t>>;
+  using IntervalNodesPtr = std::shared_ptr<std::vector<NodeId>>;
 
   using AdjLists = std::deque<std::vector<ClusterGraphEdge>>;
 
@@ -344,6 +347,14 @@ class ClusterGraph {
   // Marks node `n`'s chunk dirty in `flags` (growing it as needed).
   void MarkChunkDirty(std::vector<uint8_t>* flags, NodeId n);
 
+  // Records node `id` of `interval` in the node metadata, first copying
+  // the chunk or node list it extends if a sealed copy shares it.
+  void AppendNodeMeta(NodeId id, uint32_t interval);
+
+  // Marks all node metadata shared, as a sealed copy is about to hold it
+  // (the node lists just appended to are trimmed to size first).
+  void ShareNodeMeta();
+
   uint32_t interval_count_;
   uint32_t gap_;
   size_t node_count_ = 0;
@@ -352,9 +363,19 @@ class ClusterGraph {
   bool raw_weights_ = false;
   double weight_scale_ = 1.0;
 
+  // ---- node metadata, both phases: each node's interval in chunks of
+  // kChunkNodes, and each interval's node list. Sealed copies share the
+  // pointers; copy on write keeps what they hold unchanged. ----
+  std::vector<IntervalChunkPtr> node_interval_chunks_;
+  std::vector<IntervalNodesPtr> interval_nodes_;
+  // Whether this graph alone holds the last metadata chunk and each
+  // interval's node list (created or copied since the last share), and
+  // the intervals whose lists it holds alone.
+  bool owned_tail_chunk_ = false;
+  std::vector<uint8_t> owned_interval_;
+  std::vector<uint32_t> owned_intervals_;
+
   // ---- build-phase state (cleared by the terminal freeze) ----
-  std::vector<std::vector<NodeId>> intervals_;
-  std::vector<uint32_t> node_interval_;
   // Adjacency lists of the live nodes [live_base_, node_count_), indexed
   // from live_base_; released nodes read the seal cache instead.
   AdjLists build_children_;
@@ -374,21 +395,14 @@ class ClusterGraph {
   // seal must rebuild. ----
   std::vector<AdjChunkPtr> sealed_children_;
   std::vector<AdjChunkPtr> sealed_parents_;
-  std::vector<IntervalChunkPtr> sealed_node_intervals_;
-  std::vector<IntervalNodesPtr> sealed_intervals_;
   std::vector<uint8_t> seal_child_dirty_;
   std::vector<uint8_t> seal_parent_dirty_;
-  std::vector<uint8_t> seal_meta_dirty_;
-  // Leading intervals whose node lists are unchanged since the last seal.
-  uint32_t seal_clean_intervals_ = 0;
   bool sealed_materialized_ = false;
   double sealed_scale_ = 1.0;
 
   // ---- frozen (chunked CSR) state ----
   std::vector<AdjChunkPtr> child_chunks_;
   std::vector<AdjChunkPtr> parent_chunks_;
-  std::vector<IntervalChunkPtr> node_interval_chunks_;
-  std::vector<IntervalNodesPtr> frozen_intervals_;
 };
 
 }  // namespace stabletext
