@@ -110,9 +110,9 @@ int main() {
     for (const auto& chain : mid_result.value().chains) {
       if (!chain.clusters.front()->Contains(liverpool)) continue;
       bool has_gap = false;
-      for (size_t i = 1; i < chain.clusters.size(); ++i) {
-        if (chain.clusters[i]->interval -
-                chain.clusters[i - 1]->interval > 1) {
+      for (size_t i = 1; i < chain.path.nodes.size(); ++i) {
+        if (engine.graph().EdgeLength(chain.path.nodes[i - 1],
+                                      chain.path.nodes[i]) > 1) {
           has_gap = true;
         }
       }

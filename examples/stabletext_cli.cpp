@@ -689,7 +689,7 @@ int CmdCluster(int argc, char** argv) {
     const auto& result = engine.interval_result(day);
     const std::string path =
         prefix + ".day" + std::to_string(day) + ".clusters";
-    Status s = SaveClusters(result.clusters, path);
+    Status s = SaveClusters(result.clusters, day, path);
     if (!s.ok()) return Fail(s);
     std::printf("day %u: %zu clusters -> %s\n", day,
                 result.clusters.size(), path.c_str());

@@ -18,9 +18,12 @@ namespace stabletext {
 using KeywordArray = std::vector<KeywordId>;
 
 /// \brief One keyword cluster: vertices plus their member edges.
+///
+/// A cluster does not record its temporal interval: the container holding
+/// it does (IntervalResult::interval, a cluster-graph node's
+/// ClusterGraph::Interval). A long stream keeps every cluster, so the
+/// struct holds only what each one needs.
 struct Cluster {
-  uint32_t interval = 0;               ///< Temporal interval the cluster
-                                       ///< belongs to.
   KeywordArray keywords;               ///< Distinct, sorted ascending.
   std::vector<WeightedEdge> edges;     ///< Member edges (u < v).
 

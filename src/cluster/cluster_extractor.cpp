@@ -6,10 +6,8 @@ namespace stabletext {
 
 namespace {
 
-Cluster MakeCluster(uint32_t interval,
-                    const std::vector<WeightedEdge>& edges) {
+Cluster MakeCluster(const std::vector<WeightedEdge>& edges) {
   Cluster c;
-  c.interval = interval;
   c.edges = edges;
   c.keywords.reserve(edges.size() * 2);
   for (const WeightedEdge& e : edges) {
@@ -23,8 +21,7 @@ Cluster MakeCluster(uint32_t interval,
   return c;
 }
 
-std::vector<Cluster> ExtractConnected(const KeywordGraph& graph,
-                                      uint32_t interval) {
+std::vector<Cluster> ExtractConnected(const KeywordGraph& graph) {
   const size_t n = graph.vertex_count();
   std::vector<bool> visited(n, false);
   std::vector<Cluster> out;
@@ -49,7 +46,7 @@ std::vector<Cluster> ExtractConnected(const KeywordGraph& graph,
         }
       }
     }
-    out.push_back(MakeCluster(interval, edges));
+    out.push_back(MakeCluster(edges));
   }
   return out;
 }
@@ -57,16 +54,17 @@ std::vector<Cluster> ExtractConnected(const KeywordGraph& graph,
 }  // namespace
 
 Result<std::vector<Cluster>> ClusterExtractor::Extract(
-    const KeywordGraph& graph, uint32_t interval, BiconnectedStats* stats) {
+    const KeywordGraph& graph, uint32_t /*interval*/,
+    BiconnectedStats* stats) {
   std::vector<Cluster> out;
   if (options_.mode == ClusterMode::kConnectedComponent) {
-    out = ExtractConnected(graph, interval);
+    out = ExtractConnected(graph);
   } else {
     BiconnectedFinder finder(options_.biconnected);
     Status s = finder.Run(
         graph,
         [&](const std::vector<WeightedEdge>& edges) {
-          out.push_back(MakeCluster(interval, edges));
+          out.push_back(MakeCluster(edges));
         },
         stats);
     if (!s.ok()) return s;

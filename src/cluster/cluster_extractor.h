@@ -38,8 +38,10 @@ class ClusterExtractor {
   explicit ClusterExtractor(ClusterExtractorOptions options = {})
       : options_(options) {}
 
-  /// Decomposes `graph` into clusters tagged with `interval`.
-  /// `stats` may be null and is only filled in biconnected mode.
+  /// Decomposes `graph`, the keyword graph of interval `interval`, into
+  /// clusters. The clusters do not record the interval (see Cluster); the
+  /// argument only names it at the call site. `stats` may be null and is
+  /// only filled in biconnected mode.
   Result<std::vector<Cluster>> Extract(const KeywordGraph& graph,
                                        uint32_t interval,
                                        BiconnectedStats* stats = nullptr);

@@ -8,13 +8,13 @@
 
 namespace stabletext {
 
-Status SaveClusters(const std::vector<Cluster>& clusters,
+Status SaveClusters(const std::vector<Cluster>& clusters, uint32_t interval,
                     const std::string& path) {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out) return Status::IOError("cannot open " + path);
   char buf[64];
   for (const Cluster& c : clusters) {
-    out << c.interval << '\t';
+    out << interval << '\t';
     for (size_t i = 0; i < c.keywords.size(); ++i) {
       if (i) out << ',';
       out << c.keywords[i];
@@ -34,10 +34,12 @@ Status SaveClusters(const std::vector<Cluster>& clusters,
   return Status::OK();
 }
 
-Status LoadClusters(const std::string& path, std::vector<Cluster>* out) {
+Status LoadClusters(const std::string& path, std::vector<Cluster>* out,
+                    std::vector<uint32_t>* intervals) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
   out->clear();
+  if (intervals != nullptr) intervals->clear();
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -48,9 +50,11 @@ Status LoadClusters(const std::string& path, std::vector<Cluster>* out) {
       return Status::Corruption(path + ": bad field count at line " +
                                 std::to_string(line_no));
     }
+    if (intervals != nullptr) {
+      intervals->push_back(static_cast<uint32_t>(
+          std::strtoul(fields[0].c_str(), nullptr, 10)));
+    }
     Cluster c;
-    c.interval = static_cast<uint32_t>(std::strtoul(
-        fields[0].c_str(), nullptr, 10));
     if (!fields[1].empty()) {
       for (const std::string& kw : Split(fields[1], ',')) {
         c.keywords.push_back(static_cast<KeywordId>(

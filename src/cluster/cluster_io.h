@@ -19,13 +19,16 @@
 
 namespace stabletext {
 
-/// Writes `clusters` to `path` (truncates).
-Status SaveClusters(const std::vector<Cluster>& clusters,
+/// Writes `clusters`, the clusters of interval `interval`, to `path`
+/// (truncates).
+Status SaveClusters(const std::vector<Cluster>& clusters, uint32_t interval,
                     const std::string& path);
 
 /// Reads clusters previously written by SaveClusters into *out
-/// (replacing its contents).
-Status LoadClusters(const std::string& path, std::vector<Cluster>* out);
+/// (replacing its contents). `intervals`, when non-null, receives each
+/// cluster's interval.
+Status LoadClusters(const std::string& path, std::vector<Cluster>* out,
+                    std::vector<uint32_t>* intervals = nullptr);
 
 }  // namespace stabletext
 

@@ -417,7 +417,6 @@ Status Engine::ReplayInterval(const std::string& blob) {
   res.clusters.reserve(cluster_count);
   for (uint64_t j = 0; j < cluster_count; ++j) {
     Cluster cluster;
-    cluster.interval = interval;
     uint32_t kw_count = 0;
     if (!r.U32(&kw_count)) return corrupt("truncated cluster");
     if (!fits(kw_count, sizeof(uint32_t))) {

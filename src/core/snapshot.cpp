@@ -31,7 +31,8 @@ std::string GraphSnapshot::RenderChain(const StableClusterChain& chain,
   std::string out = StringPrintf(
       "stable cluster: length=%u weight=%.3f stability=%.3f\n",
       chain.path.length, chain.path.weight, chain.path.stability());
-  for (const Cluster* cluster : chain.clusters) {
+  for (size_t c = 0; c < chain.clusters.size(); ++c) {
+    const Cluster* cluster = chain.clusters[c];
     // Same rendering as Cluster::ToString, off the snapshot word table
     // (every keyword id of a committed cluster is below this epoch's
     // vocabulary size).
@@ -43,7 +44,13 @@ std::string GraphSnapshot::RenderChain(const StableClusterChain& chain,
     }
     if (cluster->keywords.size() > max_keywords) keywords += ", ...";
     keywords += "}";
-    out += StringPrintf("  interval %u: %s\n", cluster->interval,
+    // The cluster's interval is its node's (clusters mirror path nodes).
+    const NodeId node =
+        c < chain.path.nodes.size() ? chain.path.nodes[c] : kInvalidNode;
+    const std::string interval = node < graph->node_count()
+                                     ? std::to_string(graph->Interval(node))
+                                     : "?";
+    out += StringPrintf("  interval %s: %s\n", interval.c_str(),
                         keywords.c_str());
   }
   return out;

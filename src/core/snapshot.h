@@ -79,6 +79,8 @@ struct EngineStats {
   size_t copied_chunk_count = 0;
   /// Estimated resident bytes of the published epoch: chunked graph
   /// (shared chunks counted once), keyword table and cluster payloads.
+  /// A cluster counts its struct and keywords only: its member edges
+  /// (Cluster::edges, about half of what a tick keeps) are not counted.
   /// Readers pinning old epochs retain their unshared chunks on top.
   size_t resident_bytes = 0;
   // Durability counters, all zero when durability is off. WAL and

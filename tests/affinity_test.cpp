@@ -12,9 +12,8 @@
 namespace stabletext {
 namespace {
 
-Cluster MakeCluster(std::vector<KeywordId> keywords, uint32_t interval = 0) {
+Cluster MakeCluster(std::vector<KeywordId> keywords) {
   Cluster c;
-  c.interval = interval;
   c.keywords.assign(keywords.begin(), keywords.end());
   std::sort(c.keywords.begin(), c.keywords.end());
   return c;

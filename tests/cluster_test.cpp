@@ -200,7 +200,6 @@ TEST(BiconnectedTest, SpillingStackGivesIdenticalComponents) {
 
 TEST(ClusterTest, NormalizeAndAccessors) {
   Cluster c;
-  c.interval = 4;
   c.edges = {{3, 1, 0.5}, {2, 1, 0.25}};
   c.keywords = {3, 1, 2, 1};
   NormalizeCluster(&c);
@@ -232,7 +231,6 @@ TEST(ClusterExtractorTest, BiconnectedModeMatchesFinder) {
   ASSERT_TRUE(clusters.ok());
   EXPECT_EQ(clusters.value().size(), 3u);
   for (const Cluster& cl : clusters.value()) {
-    EXPECT_EQ(cl.interval, 9u);
     EXPECT_GE(cl.keywords.size(), 2u);
   }
 }

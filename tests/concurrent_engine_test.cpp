@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
@@ -108,22 +109,31 @@ struct Observation {
 
 // Structural snapshot-consistency checks a reader can apply without the
 // serial reference: the answer must be entirely explained by `epoch`
-// committed intervals.
+// committed intervals. `later` is any snapshot pinned after the answer
+// (node ids and their clusters never change once committed).
 bool ObservationIsSelfConsistent(const QueryResult& result,
+                                 const GraphSnapshot& later,
                                  std::string* why) {
   for (const StableClusterChain& chain : result.chains) {
     if (chain.clusters.size() != chain.path.nodes.size()) {
       *why = "chain clusters do not mirror path nodes";
       return false;
     }
-    for (const Cluster* cluster : chain.clusters) {
-      if (cluster == nullptr) {
+    for (size_t i = 0; i < chain.clusters.size(); ++i) {
+      const NodeId node = chain.path.nodes[i];
+      if (chain.clusters[i] == nullptr) {
         *why = "null cluster in chain";
         return false;
       }
-      if (cluster->interval >= result.epoch) {
+      if (node >= later.graph->node_count() ||
+          later.NodeCluster(node) != chain.clusters[i]) {
+        *why = "chain cluster is not its node's cluster";
+        return false;
+      }
+      const uint32_t interval = later.graph->Interval(node);
+      if (interval >= result.epoch) {
         *why = StringPrintf("cluster of interval %u visible at epoch %llu",
-                            cluster->interval,
+                            interval,
                             static_cast<unsigned long long>(result.epoch));
         return false;
       }
@@ -156,7 +166,8 @@ TEST(ConcurrentEngineTest, ReadersMatchSerialReplayAtObservedEpoch) {
           }
           last_epoch = r.value().epoch;
           std::string why;
-          if (!ObservationIsSelfConsistent(r.value(), &why)) {
+          if (!ObservationIsSelfConsistent(r.value(), *engine.snapshot(),
+                                           &why)) {
             error = why;
             return false;
           }
@@ -426,6 +437,154 @@ TEST(ConcurrentEngineTest, HotHitsDuringIngestMatchTheirEpochSnapshot) {
   const EngineStats stats = engine.stats();
   EXPECT_GT(stats.query_cache_hits, 0u);
   EXPECT_EQ(stats.query_cache_hits + stats.query_cache_misses, calls);
+}
+
+// FNV-1a over words [0, count) of `word`, one '\n' after each.
+template <typename WordFn>
+uint64_t WordsHash(size_t count, const WordFn& word) {
+  uint64_t h = 1469598103934665603ull;
+  for (KeywordId id = 0; id < count; ++id) {
+    for (const char c : word(id)) {
+      h ^= static_cast<uint8_t>(c);
+      h *= 1099511628211ull;
+    }
+    h ^= '\n';
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Points TMPDIR at `value` for the scope.
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const char* value) {
+    const char* old = std::getenv("TMPDIR");
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv("TMPDIR", value, 1);
+  }
+  ~ScopedTmpdir() {
+    if (had_old_) {
+      ::setenv("TMPDIR", old_.c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+  }
+
+ private:
+  bool had_old_ = false;
+  std::string old_;
+};
+
+// A publish shares the dictionary's own word chunks instead of copying
+// words. Readers resolve every word of the latest snapshot and render its
+// chains while the writer keeps interning into the same tail chunk, and
+// one tick fails after interning and rolls its words back
+// (KeywordDict::TruncateTo). Each word a reader saw must be the one the
+// dictionary holds at the end.
+TEST(ConcurrentEngineTest, SharedWordTableUnderIngestAndRollback) {
+  const auto days = GenerateWeek();
+  EngineOptions options = TestOptions(/*threads=*/2);
+  // A two-entry edge stack spills at a tick's first triangle, so a tick
+  // fails after interning while the spill directory is unusable.
+  options.clustering.extraction.biconnected.stack_memory_entries = 2;
+  options.clustering.extraction.biconnected.stack_block_entries = 1;
+  Engine engine(options);
+  Query q;
+  q.algorithm = FinderAlgorithm::kBfs;
+  q.k = 3;
+  q.l = 1;
+  constexpr uint32_t kFailedDay = 3;
+
+  struct Reader {
+    std::map<size_t, uint64_t> words_hash;  // Vocabulary size -> hash.
+    uint64_t renders = 0;
+    std::string error;
+  };
+  std::vector<Reader> readers(kReaders);
+  std::atomic<bool> done{false};
+  std::string writer_error;
+  size_t vocab_before_failure = 0;
+  size_t vocab_after_retry = 0;
+  {
+    ReaderFleet fleet(kReaders, [&](size_t id) {
+      Reader& me = readers[id];
+      do {
+        const auto snap = engine.snapshot();
+        const uint64_t h = WordsHash(
+            snap->words.size(),
+            [&](KeywordId w) -> const std::string& {
+              return snap->words.Word(w);
+            });
+        const auto [it, inserted] =
+            me.words_hash.emplace(snap->words.size(), h);
+        if (!inserted && it->second != h) {
+          me.error = "published words changed under a reader";
+          return;
+        }
+        auto r = engine.QueryAt(snap, q);
+        if (!r.ok()) {
+          me.error = r.status().ToString();
+          return;
+        }
+        for (const StableClusterChain& chain : r.value().chains) {
+          if (snap->RenderChain(chain).find("interval") ==
+              std::string::npos) {
+            me.error = "chain rendered without intervals";
+            return;
+          }
+          ++me.renders;
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+    for (uint32_t day = 0; day < kDays && writer_error.empty(); ++day) {
+      if (day == kFailedDay) {
+        vocab_before_failure = engine.dict().size();
+        Status failed;
+        {
+          ScopedTmpdir unusable("/nonexistent/stabletext-words-test");
+          failed = engine.IngestText(days[day]).status();
+        }
+        if (failed.ok()) writer_error = "the failing tick committed";
+        if (engine.dict().size() != vocab_before_failure) {
+          writer_error = "the failed tick's words were not rolled back";
+        }
+      }
+      auto committed = engine.IngestText(days[day]);
+      if (!committed.ok()) {
+        writer_error = committed.status().ToString();
+        break;
+      }
+      if (day == kFailedDay) vocab_after_retry = engine.dict().size();
+      // The published table is the dictionary's storage, not a copy.
+      const auto snap = engine.snapshot();
+      for (KeywordId w = 0; w < snap->words.size(); ++w) {
+        if (&snap->words.Word(w) != &engine.dict().Word(w)) {
+          writer_error = "snapshot words do not alias the dictionary";
+          break;
+        }
+      }
+    }
+    done.store(true, std::memory_order_release);
+    fleet.Join();
+  }
+  ASSERT_EQ(writer_error, "");
+  // The failed tick had words of its own to roll back.
+  EXPECT_GT(vocab_after_retry, vocab_before_failure);
+  const KeywordDict& dict = engine.dict();
+  uint64_t renders = 0;
+  for (const Reader& reader : readers) {
+    EXPECT_EQ(reader.error, "");
+    renders += reader.renders;
+    for (const auto& [size, hash] : reader.words_hash) {
+      ASSERT_LE(size, dict.size());
+      EXPECT_EQ(hash, WordsHash(size, [&](KeywordId w) -> const std::string& {
+                  return dict.Word(w);
+                }))
+          << "words below " << size << " differ from the dictionary's";
+    }
+  }
+  EXPECT_GT(renders, 0u);
 }
 
 }  // namespace

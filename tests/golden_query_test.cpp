@@ -113,9 +113,11 @@ std::string Render(const Engine& engine, const char* name,
     }
     out += StringPrintf(" w=%.17g len=%u stab=%.17g\n", chain.path.weight,
                         chain.path.length, chain.path.stability());
-    for (const Cluster* cluster : chain.clusters) {
-      out += StringPrintf("    interval %u: %s\n", cluster->interval,
-                          cluster->ToString(engine.dict(), 6).c_str());
+    for (size_t i = 0; i < chain.clusters.size(); ++i) {
+      out += StringPrintf(
+          "    interval %u: %s\n",
+          engine.graph().Interval(chain.path.nodes[i]),
+          chain.clusters[i]->ToString(engine.dict(), 6).c_str());
     }
   }
   return out;

@@ -25,21 +25,20 @@ TEST(ClusterIoTest, RoundTripsClusters) {
   TempDir dir;
   std::vector<Cluster> clusters;
   Cluster a;
-  a.interval = 3;
   a.keywords = {1, 5, 9};
   a.edges = {{1, 5, 0.123456789012345}, {5, 9, 0.7}};
   Cluster b;
-  b.interval = 4;
   b.keywords = {2, 7};
   b.edges = {{2, 7, 1.0}};
   clusters = {a, b};
   const std::string path = dir.FilePath("clusters.txt");
-  ASSERT_TRUE(SaveClusters(clusters, path).ok());
+  ASSERT_TRUE(SaveClusters(clusters, 3, path).ok());
 
   std::vector<Cluster> loaded;
-  ASSERT_TRUE(LoadClusters(path, &loaded).ok());
+  std::vector<uint32_t> intervals;
+  ASSERT_TRUE(LoadClusters(path, &loaded, &intervals).ok());
   ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].interval, 3u);
+  EXPECT_EQ(intervals, (std::vector<uint32_t>{3, 3}));
   EXPECT_EQ(loaded[0].keywords, a.keywords);
   ASSERT_EQ(loaded[0].edges.size(), 2u);
   // Hex floats round trip bit-exactly.
@@ -50,14 +49,13 @@ TEST(ClusterIoTest, RoundTripsClusters) {
 TEST(ClusterIoTest, EmptySetAndEmptyCluster) {
   TempDir dir;
   const std::string path = dir.FilePath("empty.txt");
-  ASSERT_TRUE(SaveClusters({}, path).ok());
+  ASSERT_TRUE(SaveClusters({}, 0, path).ok());
   std::vector<Cluster> loaded = {Cluster{}};
   ASSERT_TRUE(LoadClusters(path, &loaded).ok());
   EXPECT_TRUE(loaded.empty());
 
   Cluster bare;
-  bare.interval = 1;
-  ASSERT_TRUE(SaveClusters({bare}, path).ok());
+  ASSERT_TRUE(SaveClusters({bare}, 1, path).ok());
   ASSERT_TRUE(LoadClusters(path, &loaded).ok());
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_TRUE(loaded[0].keywords.empty());

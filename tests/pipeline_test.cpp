@@ -158,10 +158,9 @@ TEST_F(PipelineIntegrationTest, GapEventSurvivesViaGapEdges) {
   bool crosses_gap = false;
   for (const StableClusterChain& chain : chains.value()) {
     if (!chain.clusters.front()->Contains(liverpool)) continue;
-    for (size_t i = 1; i < chain.clusters.size(); ++i) {
-      if (chain.clusters[i]->interval -
-              chain.clusters[i - 1]->interval >=
-          2) {
+    for (size_t i = 1; i < chain.path.nodes.size(); ++i) {
+      if (engine_->graph().EdgeLength(chain.path.nodes[i - 1],
+                                      chain.path.nodes[i]) >= 2) {
         crosses_gap = true;
       }
     }
