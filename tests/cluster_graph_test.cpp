@@ -43,6 +43,39 @@ TEST(ClusterGraphTest, AddNodesAndEdges) {
   EXPECT_EQ(g.EdgeLength(a, b), 1u);
 }
 
+// Sealed copies share the node metadata (each node's interval, each
+// interval's node list) with their source. Nodes added afterwards, to an
+// old interval, a new one or past a chunk boundary, and late nodes added
+// to a frozen copy, must show only in the graph that added them.
+TEST(ClusterGraphTest, SealedCopiesKeepTheirNodeMetadata) {
+  ClusterGraph g(3, 1);
+  for (uint32_t i = 0; i < 3; ++i) g.AddNode(i);
+  const ClusterGraph first = g.SealedCopy();
+  g.AddNode(0);
+  g.AddInterval();
+  while (g.node_count() < ClusterGraph::kChunkNodes + 2) g.AddNode(3);
+  ClusterGraph second = g.SealedCopy();
+  const NodeId late = static_cast<NodeId>(g.node_count());
+  EXPECT_EQ(second.AddNode(1), late);
+  EXPECT_EQ(g.AddNode(2), late);
+
+  EXPECT_EQ(first.node_count(), 3u);
+  EXPECT_EQ(first.interval_count(), 3u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first.IntervalNodes(i), (std::vector<NodeId>{i}));
+    EXPECT_EQ(first.Interval(i), i);
+  }
+  EXPECT_EQ(second.IntervalNodes(0), (std::vector<NodeId>{0, 3}));
+  EXPECT_EQ(second.IntervalNodes(1), (std::vector<NodeId>{1, late}));
+  EXPECT_EQ(second.IntervalNodes(2), (std::vector<NodeId>{2}));
+  EXPECT_EQ(second.Interval(late), 1u);
+  EXPECT_EQ(g.IntervalNodes(1), (std::vector<NodeId>{1}));
+  EXPECT_EQ(g.IntervalNodes(2), (std::vector<NodeId>{2, late}));
+  EXPECT_EQ(g.Interval(late), 2u);
+  EXPECT_EQ(g.Interval(ClusterGraph::kChunkNodes), 3u);
+  EXPECT_EQ(g.IntervalNodes(3).size(), ClusterGraph::kChunkNodes - 2);
+}
+
 TEST(ClusterGraphTest, RejectsInvalidEdges) {
   ClusterGraph g(4, 0);  // Gap 0: edges span exactly 1 interval... plus 1.
   const NodeId a = g.AddNode(0);

@@ -494,7 +494,6 @@ TEST(ConcurrentEngineTest, SharedWordTableUnderIngestAndRollback) {
   q.algorithm = FinderAlgorithm::kBfs;
   q.k = 3;
   q.l = 1;
-  constexpr uint32_t kFailedDay = 3;
 
   struct Reader {
     std::map<size_t, uint64_t> words_hash;  // Vocabulary size -> hash.
@@ -504,6 +503,7 @@ TEST(ConcurrentEngineTest, SharedWordTableUnderIngestAndRollback) {
   std::vector<Reader> readers(kReaders);
   std::atomic<bool> done{false};
   std::string writer_error;
+  uint32_t failed_day = kDays;  // The tick that failed and was retried.
   size_t vocab_before_failure = 0;
   size_t vocab_after_retry = 0;
   {
@@ -538,24 +538,33 @@ TEST(ConcurrentEngineTest, SharedWordTableUnderIngestAndRollback) {
       } while (!done.load(std::memory_order_acquire));
     });
     for (uint32_t day = 0; day < kDays && writer_error.empty(); ++day) {
-      if (day == kFailedDay) {
-        vocab_before_failure = engine.dict().size();
-        Status failed;
+      const size_t vocab = engine.dict().size();
+      bool committed = false;
+      if (failed_day == kDays && day > 0) {
+        // Until one tick has failed: a tick that spills fails and rolls
+        // its words back, any other commits as usual.
+        Status attempt;
         {
           ScopedTmpdir unusable("/nonexistent/stabletext-words-test");
-          failed = engine.IngestText(days[day]).status();
+          attempt = engine.IngestText(days[day]).status();
         }
-        if (failed.ok()) writer_error = "the failing tick committed";
-        if (engine.dict().size() != vocab_before_failure) {
-          writer_error = "the failed tick's words were not rolled back";
+        committed = attempt.ok();
+        if (!committed) {
+          failed_day = day;
+          vocab_before_failure = vocab;
+          if (engine.dict().size() != vocab) {
+            writer_error = "the failed tick's words were not rolled back";
+          }
         }
       }
-      auto committed = engine.IngestText(days[day]);
-      if (!committed.ok()) {
-        writer_error = committed.status().ToString();
-        break;
+      if (!committed) {
+        auto retried = engine.IngestText(days[day]);
+        if (!retried.ok()) {
+          writer_error = retried.status().ToString();
+          break;
+        }
+        if (day == failed_day) vocab_after_retry = engine.dict().size();
       }
-      if (day == kFailedDay) vocab_after_retry = engine.dict().size();
       // The published table is the dictionary's storage, not a copy.
       const auto snap = engine.snapshot();
       for (KeywordId w = 0; w < snap->words.size(); ++w) {
@@ -569,6 +578,7 @@ TEST(ConcurrentEngineTest, SharedWordTableUnderIngestAndRollback) {
     fleet.Join();
   }
   ASSERT_EQ(writer_error, "");
+  ASSERT_LT(failed_day, kDays) << "no tick spilled";
   // The failed tick had words of its own to roll back.
   EXPECT_GT(vocab_after_retry, vocab_before_failure);
   const KeywordDict& dict = engine.dict();
