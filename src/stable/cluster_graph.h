@@ -15,6 +15,9 @@
 // every other chunk pointer with it (copy-on-write at chunk granularity),
 // so publishing a tick costs O(delta), not O(graph), and any number of
 // pinned old epochs stay byte-stable while the writer keeps committing.
+// Node metadata (each node's interval, each interval's node list) has one
+// copy in both phases: a seal shares its chunks, and the writer copies a
+// chunk or list before appending to one a seal holds.
 //
 // Weights can be stored raw (EnableRawWeights): reads through EdgeSpan then
 // apply a per-graph scale (min(raw * scale, 1.0)) so a running-max

@@ -90,6 +90,35 @@ TEST(KeywordDictTest, InternIsIdempotent) {
   EXPECT_EQ(dict.Lookup("cherry"), kInvalidKeyword);
 }
 
+// Words live in fixed-capacity chunks handed out by ShareChunks: a shared
+// chunk keeps every word below the size it was shared at, in place, while
+// the dictionary interns past it, truncates across a chunk boundary and
+// interns again.
+TEST(KeywordDictTest, SharedChunksKeepTheirWords) {
+  KeywordDict dict;
+  const size_t words = KeywordDict::kChunkWords + 10;
+  for (size_t i = 0; i < words; ++i) dict.Intern("w" + std::to_string(i));
+  const size_t shared_size = KeywordDict::kChunkWords - 5;
+  const auto shared = dict.ShareChunks();
+  ASSERT_EQ(shared.size(), 2u);
+  const std::string* first = shared[0]->data();
+  dict.TruncateTo(shared_size);
+  EXPECT_EQ(dict.size(), shared_size);
+  EXPECT_EQ(dict.Lookup("w" + std::to_string(shared_size)), kInvalidKeyword);
+  for (size_t i = 0; i < 20; ++i) dict.Intern("x" + std::to_string(i));
+  EXPECT_EQ(dict.Word(static_cast<KeywordId>(shared_size)), "x0");
+  EXPECT_EQ(dict.Lookup("x19"), shared_size + 19);
+  EXPECT_EQ(dict.ShareChunks()[0]->data(), first);  // Never reallocated.
+  for (size_t i = 0; i < shared_size; ++i) {
+    ASSERT_EQ(first[i], "w" + std::to_string(i));
+    ASSERT_EQ(&dict.Word(static_cast<KeywordId>(i)), &first[i]);
+  }
+  dict.TruncateTo(0);
+  EXPECT_EQ(dict.size(), 0u);
+  EXPECT_EQ(dict.Intern("fresh"), 0u);
+  EXPECT_EQ(first[0], "w0");  // The shared chunk outlives the truncation.
+}
+
 TEST(KeywordDictTest, SaveLoadRoundTrip) {
   TempDir dir;
   KeywordDict dict;
