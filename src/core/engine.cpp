@@ -111,7 +111,7 @@ Engine::Engine(EngineOptions options)
   Publish();  // Epoch 0: queries are valid before the first ingest.
 }
 
-std::vector<PackedDocuments> Engine::TokenizePosts(
+Result<std::vector<PackedDocuments>> Engine::TokenizePosts(
     const std::vector<std::string>& posts) {
   // Tokenization is document-independent: chunks of consecutive posts fan
   // out and each fills its own buffers (order, and therefore downstream
@@ -129,6 +129,11 @@ std::vector<PackedDocuments> Engine::TokenizePosts(
     const size_t end = std::min(posts.size(), begin + per_chunk);
     size_t bytes = 0;
     for (size_t i = begin; i < end; ++i) bytes += posts[i].size();
+    if (bytes >= UINT32_MAX) {
+      // PackedDocuments offsets are 32-bit.
+      return Status::InvalidArgument(
+          "over 4 GiB of post text in one tokenizing chunk");
+    }
     packed.emplace_back().Reserve(end - begin, bytes);
   }
   auto fill = [&](size_t chunk) {
@@ -180,7 +185,9 @@ Result<uint32_t> Engine::IngestText(const std::vector<std::string>& posts) {
 
 Result<uint32_t> Engine::IngestTextLocked(
     const std::vector<std::string>& posts) {
-  return IngestDocumentsLocked(TokenizePosts(posts));
+  auto packed = TokenizePosts(posts);
+  if (!packed.ok()) return packed.status();
+  return IngestDocumentsLocked(std::move(packed).value());
 }
 
 Result<uint32_t> Engine::IngestDocumentsLocked(

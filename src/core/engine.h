@@ -270,8 +270,9 @@ class Engine {
       const TickCallback& on_tick) REQUIRES(writer_role_);
   // Pool-parallel tokenization of raw posts into chunks of consecutive
   // posts (document order preserved), in flat buffers the writer
-  // reserves.
-  std::vector<PackedDocuments> TokenizePosts(
+  // reserves. InvalidArgument when a chunk's text would overflow their
+  // 32-bit offsets.
+  Result<std::vector<PackedDocuments>> TokenizePosts(
       const std::vector<std::string>& posts);
   // Serial keyword interning in document order (dictionary ids must be
   // assigned exactly as a sequential run would assign them).
