@@ -49,7 +49,8 @@ void DfsAblations() {
     StableFinderResult result;
     const double s = bench::TimeSeconds([&] {
       auto r = DfsStableFinder(opt).Find(graph);
-      if (r.ok()) result = std::move(r).value();
+      bench::CheckOk(r.status(), cfg.name);
+      result = std::move(r).value();
     });
     std::printf("%-22s %10.3f %12llu %10llu %10llu\n", cfg.name, s,
                 static_cast<unsigned long long>(result.nodes_pushed),
@@ -77,7 +78,8 @@ void TaAblations() {
     StableFinderResult result;
     const double s = bench::TimeSeconds([&] {
       auto r = TaStableFinder(opt).Find(graph);
-      if (r.ok()) result = std::move(r).value();
+      bench::CheckOk(r.status(), "TA");
+      result = std::move(r).value();
     });
     std::printf("%-22s %10.3f %14llu %12llu\n",
                 bounds ? "with bound tables" : "without bound tables", s,
@@ -99,10 +101,10 @@ void PruningAblations() {
   KeywordDict dict;
   CooccurrenceCounter counter(&dict);
   for (const std::string& post : gen.GenerateDay(0)) {
-    if (!counter.Add(processor.Process(0, post)).ok()) return;
+    bench::CheckOk(counter.Add(processor.Process(0, post)), "counting");
   }
   CooccurrenceTable table;
-  if (!counter.Finish(&table).ok()) return;
+  bench::CheckOk(counter.Finish(&table), "counting");
 
   struct Config {
     const char* name;
@@ -130,9 +132,9 @@ void PruningAblations() {
     KeywordGraph graph = builder.Build(table, &summary);
     ClusterExtractor extractor;
     auto clusters = extractor.Extract(graph, 0);
+    bench::CheckOk(clusters.status(), cfg.name);
     std::printf("%-22s %14zu %12zu\n", cfg.name,
-                summary.prune.surviving_edges,
-                clusters.ok() ? clusters.value().size() : 0);
+                summary.prune.surviving_edges, clusters.value().size());
   }
 }
 

@@ -1,10 +1,11 @@
 // Shared plumbing for the table/figure reproduction harnesses. Each bench
-// binary regenerates one table or figure of the paper: same axes, same
-// parameter sweeps, printed as aligned rows.
+// binary regenerates tables or figures of the paper: same axes, same
+// parameter sweeps, printed as aligned rows (bench_finders holds every
+// Section 5.2 finder figure; the others one table or study each).
 //
-// Scale: by default sweeps run at a reduced scale so the full `for b in
-// build/bench/*` loop finishes in minutes on a laptop. Set
-// STABLETEXT_BENCH_FULL=1 for the paper's exact parameters.
+// Scale: by default sweeps run at a reduced scale so every bench finishes
+// in seconds to a minute. Set STABLETEXT_BENCH_FULL=1 for the paper's
+// exact parameters.
 
 #ifndef STABLETEXT_BENCH_BENCH_COMMON_H_
 #define STABLETEXT_BENCH_BENCH_COMMON_H_
@@ -18,10 +19,10 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/snapshot.h"
 #include "gen/cluster_graph_generator.h"
 #include "stable/finder.h"
 #include "storage/io_stats.h"
+#include "util/status.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -172,19 +173,6 @@ inline std::string IoStatsJson(const IoStats& io) {
   return j.ToString();
 }
 
-/// JSON object for the serving-layer counters of an EngineStats (the
-/// fields net::Server::FillServingStats fills, plus the cache counters
-/// a serving workload exercises).
-inline std::string ServingStatsJson(const EngineStats& stats) {
-  Json j;
-  j.Put("subscriptions_active", stats.subscriptions_active)
-      .Put("pushes_sent", stats.pushes_sent)
-      .Put("queries_rejected", stats.queries_rejected)
-      .Put("query_cache_hits", stats.query_cache_hits)
-      .Put("query_cache_misses", stats.query_cache_misses);
-  return j.ToString();
-}
-
 /// Writes `json` to `path` (no-op when path is empty).
 inline void WriteJsonFile(const std::string& path,
                           const std::string& json) {
@@ -196,6 +184,14 @@ inline void WriteJsonFile(const std::string& path,
   }
   out << json << "\n";
   std::printf("json written to %s\n", path.c_str());
+}
+
+/// Prints `what` and `status` to stderr and exits 1 when `status` is an
+/// error: a bench whose run failed must not report success.
+inline void CheckOk(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+  std::exit(1);
 }
 
 /// True when the paper's full-scale parameters were requested.

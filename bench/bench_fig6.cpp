@@ -33,10 +33,10 @@ void Run() {
   KeywordDict dict;
   CooccurrenceCounter counter(&dict);
   for (const std::string& post : gen.GenerateDay(0)) {
-    if (!counter.Add(processor.Process(0, post)).ok()) return;
+    bench::CheckOk(counter.Add(processor.Process(0, post)), "counting");
   }
   CooccurrenceTable table;
-  if (!counter.Finish(&table).ok()) return;
+  bench::CheckOk(counter.Finish(&table), "counting");
 
   std::printf("%-6s %12s %12s %12s %10s\n", "rho", "edges(G')",
               "vertices(G')", "clusters", "time(s)");
@@ -53,7 +53,8 @@ void Run() {
       vertices = graph.NonIsolatedCount();
       ClusterExtractor extractor;
       auto result = extractor.Extract(graph, 0);
-      if (result.ok()) clusters = result.value().size();
+      bench::CheckOk(result.status(), "cluster extraction");
+      clusters = result.value().size();
     });
     std::printf("%-6.1f %12zu %12zu %12zu %10.3f\n", rho, edges, vertices,
                 clusters, seconds);

@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "affinity/similarity_join.h"
 #include "cluster/cluster_extractor.h"
 #include "graph/chi_square.h"
@@ -80,8 +81,9 @@ void BM_Biconnected(benchmark::State& state) {
   for (auto _ : state) {
     BiconnectedFinder finder;
     size_t count = 0;
-    finder.Run(g, [&](const std::vector<WeightedEdge>&) { ++count; })
-        .ok();
+    bench::CheckOk(
+        finder.Run(g, [&](const std::vector<WeightedEdge>&) { ++count; }),
+        "biconnected");
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * edges.size());
@@ -108,8 +110,8 @@ void BM_ExternalSort(benchmark::State& state) {
     ExternalSorterOptions opt;
     opt.memory_budget_bytes = records * sizeof(Pair) / 8;  // Force spills.
     ExternalSorter<Pair> sorter(opt);
-    for (const Pair& p : input) sorter.Add(p).ok();
-    sorter.Sort().ok();
+    for (const Pair& p : input) bench::CheckOk(sorter.Add(p), "sort input");
+    bench::CheckOk(sorter.Sort(), "sort");
     Pair out;
     size_t count = 0;
     while (sorter.Next(&out)) ++count;

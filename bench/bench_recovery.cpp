@@ -56,23 +56,14 @@ std::vector<TickSample> RunStream(
     options.durability.dir = dir;
     options.durability.checkpoint_interval = checkpoint_interval;
     auto r = Engine::Recover(options);
-    if (!r.ok()) {
-      std::fprintf(stderr, "open failed: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
+    CheckOk(r.status(), "open");
     engine = std::move(r).value();
   }
   std::vector<TickSample> samples;
   samples.reserve(ticks.size());
   for (const auto& posts : ticks) {
     WallTimer timer;
-    auto r = engine->IngestText(posts);
-    if (!r.ok()) {
-      std::fprintf(stderr, "ingest failed: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
+    CheckOk(engine->IngestText(posts).status(), "ingest");
     TickSample s;
     s.tick_ms = timer.ElapsedMillis();
     const EngineStats stats = engine->stats();
@@ -141,8 +132,8 @@ int main(int argc, char** argv) {
     options.durability.dir = dir.path();
     options.durability.checkpoint_interval = checkpoint_interval;
     auto r = Engine::Recover(options);
-    if (!r.ok()) std::exit(1);
-    if (!r.value()->IngestTicks(ticks).ok()) std::exit(1);
+    CheckOk(r.status(), "open");
+    CheckOk(r.value()->IngestTicks(ticks).status(), "ingest");
     durable_io = r.value()->stats().io;
   }
 
@@ -181,9 +172,9 @@ int main(int argc, char** argv) {
     uint64_t wal_bytes = 0;
     {
       auto r = Engine::Recover(options);
-      if (!r.ok()) std::exit(1);
+      CheckOk(r.status(), "open");
       for (uint32_t t = 0; t < n; ++t) {
-        if (!r.value()->IngestText(ticks[t]).ok()) std::exit(1);
+        CheckOk(r.value()->IngestText(ticks[t]).status(), "ingest");
       }
       wal_bytes = r.value()->stats().wal_bytes;
     }
@@ -192,7 +183,8 @@ int main(int argc, char** argv) {
       WallTimer timer;
       auto r = Engine::Recover(options);
       const double ms = timer.ElapsedMillis();
-      if (!r.ok() || r.value()->interval_count() != n) {
+      CheckOk(r.status(), "recovery");
+      if (r.value()->interval_count() != n) {
         std::fprintf(stderr, "recovery failed at %u ticks\n", n);
         std::exit(1);
       }

@@ -54,7 +54,7 @@ bool Run(const bench::BenchArgs& args) {
   if (args.threads > 1) pool = std::make_unique<ThreadPool>(args.threads);
 
   TempDir dir("bench_table1");
-  if (!dir.status().ok()) return false;
+  bench::CheckOk(dir.status(), "scratch directory");
   std::printf("%-8s %8s %12s %12s %14s %12s %12s %12s\n", "Day",
               "support", "File Size", "# keywords", "# edges", "kept",
               "sort+prune s", "one pass s");
@@ -65,12 +65,12 @@ bool Run(const bench::BenchArgs& args) {
     const std::string path =
         dir.FilePath("day" + std::to_string(day) + ".txt");
     CorpusWriter writer;
-    if (!writer.Open(path).ok()) return false;
+    bench::CheckOk(writer.Open(path), "corpus write");
     DocumentProcessor processor;
     KeywordDict dict;
     std::vector<std::vector<KeywordId>> documents;
     for (const std::string& post : gen.GenerateDay(day)) {
-      if (!writer.Append(day, post).ok()) return false;
+      bench::CheckOk(writer.Append(day, post), "corpus write");
       std::vector<KeywordId> ids;
       for (const std::string& w : processor.Process(day, post).keywords) {
         ids.push_back(dict.Intern(w));
@@ -78,7 +78,7 @@ bool Run(const bench::BenchArgs& args) {
       std::sort(ids.begin(), ids.end());
       documents.push_back(std::move(ids));
     }
-    if (!writer.Finish().ok()) return false;
+    bench::CheckOk(writer.Finish(), "corpus write");
 
     // The paper's route: pair file, external sort, aggregate.
     CooccurrenceCounterOptions opt;
@@ -86,10 +86,10 @@ bool Run(const bench::BenchArgs& args) {
     CooccurrenceCounter counter(&dict, opt, &io);
     WallTimer sort_timer;
     for (const std::vector<KeywordId>& ids : documents) {
-      if (!counter.AddInterned(ids).ok()) return false;
+      bench::CheckOk(counter.AddInterned(ids), "sorted route");
     }
     CooccurrenceTable table;
-    if (!counter.Finish(&table).ok()) return false;
+    bench::CheckOk(counter.Finish(&table), "sorted route");
     const double count_seconds = sort_timer.ElapsedSeconds();
 
     for (const uint32_t support : {0u, 5u}) {
@@ -104,10 +104,10 @@ bool Run(const bench::BenchArgs& args) {
       // The engine's route: one pass over an inverted index.
       WallTimer pass_timer;
       KeywordGraphSummary one_pass;
-      if (!builder.BuildFromDocuments(documents, dict.size(), &one_pass)
-               .ok()) {
-        return false;
-      }
+      bench::CheckOk(
+          builder.BuildFromDocuments(documents, dict.size(), &one_pass)
+              .status(),
+          "one pass");
       const double pass_seconds = pass_timer.ElapsedSeconds();
 
       std::printf("%-8u %8u %12s %12zu %14zu %12zu %12.3f %12.3f\n", day,

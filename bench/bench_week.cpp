@@ -63,8 +63,8 @@ void Run(const bench::BenchArgs& args) {
   for (int rep = 0; rep < args.repetitions; ++rep) {
     auto e = std::make_unique<Engine>(options);
     WallTimer timer;
-    if (!e->IngestTicks(days).ok()) return;
-    if (!e->Compact().ok()) return;
+    bench::CheckOk(e->IngestTicks(days).status(), "IngestTicks");
+    bench::CheckOk(e->Compact(), "Compact");
     seconds.push_back(timer.ElapsedSeconds());
     engine = std::move(e);  // Keep the last run for reporting.
   }
@@ -101,21 +101,19 @@ void Run(const bench::BenchArgs& args) {
   full_week.k = 3;
   full_week.l = 0;
   auto chains = engine->Query(full_week);
-  if (chains.ok()) {
-    std::printf("\ntop full-week stable clusters (Figure 16 analog):\n");
-    for (const StableClusterChain& chain : chains.value().chains) {
-      std::printf("%s\n", engine->RenderChain(chain).c_str());
-    }
+  bench::CheckOk(chains.status(), "full-week query");
+  std::printf("\ntop full-week stable clusters (Figure 16 analog):\n");
+  for (const StableClusterChain& chain : chains.value().chains) {
+    std::printf("%s\n", engine->RenderChain(chain).c_str());
   }
   Query length3;
   length3.k = 2;
   length3.l = 3;
   auto drift = engine->Query(length3);
-  if (drift.ok()) {
-    std::printf("top length-3 stable clusters (Figures 4/15 analog):\n");
-    for (const StableClusterChain& chain : drift.value().chains) {
-      std::printf("%s\n", engine->RenderChain(chain).c_str());
-    }
+  bench::CheckOk(drift.status(), "length-3 query");
+  std::printf("top length-3 stable clusters (Figures 4/15 analog):\n");
+  for (const StableClusterChain& chain : drift.value().chains) {
+    std::printf("%s\n", engine->RenderChain(chain).c_str());
   }
   std::printf(
       "shape check (paper Section 5.3): clusters per day in the "

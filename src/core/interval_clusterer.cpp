@@ -11,8 +11,6 @@ Result<IntervalResult> IntervalClusterer::RunInterned(
   auto graph = builder.BuildFromDocuments(documents, dict_->size(),
                                           &result.graph_summary);
   if (!graph.ok()) return graph.status();
-  // Accounted as the in-memory pair sort the one pass replaces.
-  if (stats_ != nullptr) ++stats_->sort_in_memory_sorts;
 
   ClusterExtractorOptions extraction = options_.extraction;
   extraction.biconnected.io_stats = stats_;

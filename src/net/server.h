@@ -99,8 +99,8 @@ class Server {
   size_t subscriptions_active() const { return registry_.size(); }
 
   /// Folds the serving-layer counters into an EngineStats (the fields
-  /// engine-side code leaves zero). Used by the STATS handler, the CLI
-  /// and bench_serve.
+  /// engine-side code leaves zero). Used by the STATS handler and the
+  /// CLI.
   void FillServingStats(EngineStats* stats) const;
 
  private:

@@ -28,9 +28,9 @@ struct IoStats {
   // External-sort phase accounting (ExternalSorter).
   uint64_t sort_runs_spilled = 0;      ///< Sorted runs written to disk.
   uint64_t sort_merge_passes = 0;      ///< Intermediate merge passes.
-  uint64_t sort_in_memory_sorts = 0;   ///< Pair counts done in memory: a
-                                       ///< sort that never touched disk,
-                                       ///< or an engine tick's one pass.
+  uint64_t sort_in_memory_sorts = 0;   ///< Sorts that never touched disk.
+                                       ///< The engine's one pass sorts
+                                       ///< nothing and counts none.
   uint64_t sort_tail_records = 0;      ///< Records merged straight from the
                                        ///< in-memory tail (spill avoided).
 

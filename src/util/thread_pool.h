@@ -60,8 +60,9 @@ class ThreadPool {
 /// Unlike ThreadPool (the writer's worker set, whose queue an ingest may
 /// be draining), fleet threads are not shared with ingest work, so a
 /// reader blocked on a long query can never starve the commit path. The
-/// concurrency tests, bench_concurrent and the CLI serve mode all drive
-/// their readers through this instead of hand-rolled thread vectors.
+/// concurrency tests, the network server's workers, the streaming monitor
+/// example and the CLI serve mode all drive their readers through this
+/// instead of hand-rolled thread vectors.
 class ReaderFleet {
  public:
   ReaderFleet(size_t n, std::function<void(size_t)> fn);

@@ -795,7 +795,7 @@ TEST(NetServerTest, PingAndStatsRoundTrip) {
   EXPECT_GT(stats.value().clusters, 0u);
 
   // The same counters surface through EngineStats for in-process
-  // monitoring (CLI stats, bench_serve).
+  // monitoring (CLI stats).
   EngineStats merged = engine.stats();
   server.FillServingStats(&merged);
   EXPECT_EQ(merged.subscriptions_active, 1u);
