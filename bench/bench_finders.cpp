@@ -3,7 +3,7 @@
 // same thing: generate a cluster graph for some (m, n, d, g) with seed 42,
 // run one finder through RunFinder for some (k, l), and report its cost.
 // Each row of Figures() names the fixed parameters, a row axis and a
-// column axis; the driver prints seconds per cell, then each cell's
+// column axis; the bench prints seconds per cell, then each cell's
 // deterministic work counters (heap_offers, nodes_pushed,
 // peak_memory_bytes), then the figure's claims checked on those counters.
 //
