@@ -355,7 +355,7 @@ Cell RunCell(const Figure& fig, const std::string& name,
   WallTimer timer;
   Result<StableFinderResult> r = fig.finder(graph, query);
   cell.seconds = timer.ElapsedSeconds();
-  if (ta && r.status().code() == StatusCode::kNotSupported) {
+  if (ta && r.status().code() == StatusCode::kResourceExhausted) {
     cell.skipped = "(> probe budget)";
     return cell;
   }

@@ -4,8 +4,8 @@
 //   1. WAL overhead per tick — ingest latency with durability off vs on
 //      (every commit appends + fsyncs a WAL record), plus bytes logged
 //      and fsyncs issued.
-//   2. Checkpoint cost — wall time of each chunk checkpoint along the
-//      durable stream (EngineStats::checkpoint_ns).
+//   2. Checkpoint cost — wall time of each record-log checkpoint
+//      along the durable stream (EngineStats::checkpoint_ns).
 //   3. Recovery time vs log length — Engine::Recover wall time against
 //      data directories whose WAL tail covers 1/8, 1/4, 1/2 and all of
 //      the stream (checkpoints disabled, so recovery replays the whole
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
   BenchArgs args = ParseArgs(argc, argv, "BENCH_recovery.json");
   Header("durability: WAL overhead, checkpoint cost, recovery time",
-         "crash-consistent serving (WAL + chunk checkpoints)",
+         "crash-consistent serving (WAL + record-log checkpoints)",
          "plain vs durable stream; recovery vs replayed log length");
 
   const uint32_t ticks_total = Pick<uint32_t>(64, 256);

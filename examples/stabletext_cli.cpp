@@ -2,18 +2,18 @@
 //
 //   gen <out.corpus> [days] [posts_per_day] [micro_events] [seed]
 //       Generate a synthetic planted-event corpus (PaperWeek script).
-//   ingest <corpus> [--gap N] [--threads N] [--save out.graph]
-//          [--data-dir DIR [--durable]]
+//   ingest <corpus> [--gap N] [--threads N] [--data-dir DIR [--durable]]
 //       Stream the corpus tick by tick through the engine, printing
-//       per-tick commit stats; optionally persist the cluster graph.
-//       With --data-dir the engine runs durably: every commit is
-//       WAL-logged and checkpointed under DIR, and a later run (or
-//       `recover`) resumes from exactly the committed state.
-//   recover <data-dir> [--gap N] [--threads N] [--algo ...] [--k N]
-//           [--l N]
+//       per-tick commit stats. With --data-dir the engine runs durably:
+//       every commit is WAL-logged and checkpointed under DIR, and a
+//       later run (or `recover`) resumes from exactly the committed
+//       state.
+//   recover <data-dir> [--gap N] [--threads N] [--algo ...] [--mode ...]
+//           [--k N] [--l N]
 //       Reopen a durable engine from its data directory: restore the
-//       newest checkpoint, replay the WAL tail, report the recovered
-//       epoch and answer one query against the recovered state.
+//       checkpoint, replay the WAL tail, report the recovered epoch and
+//       answer one query against the recovered state. This is how an
+//       ingested stream is queried offline.
 //   query <corpus> [--algo bfs|dfs|ta|brute-force|online]
 //         [--mode kl-stable|normalized] [--k N] [--l N] [--gap N]
 //         [--threads N] [--diversify P,S] [--per-tick]
@@ -42,13 +42,8 @@
 //       server said BYE).
 //   stats <corpus> [--gap N] [--threads N]
 //       Engine stats after ingesting the corpus.
-//   cluster <corpus> <out_prefix>
-//       Run Section 3 per interval; writes <out_prefix>.dayN.clusters
-//       (cluster_io format) and <out_prefix>.dict.
 //   refine <corpus> <keyword> <day>
 //       Query-refinement suggestions for a keyword on a given day.
-//   topk <in.graph> [--algo ...] [--mode ...] [--k N] [--l N]
-//       Query a persisted cluster graph through the finder registry.
 //
 // Build & run:  ./build/examples/stabletext_cli gen /tmp/week.corpus
 
@@ -64,14 +59,12 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/cluster_io.h"
 #include "core/engine.h"
 #include "core/query_refiner.h"
 #include "gen/corpus_generator.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
-#include "stable/cluster_graph_io.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -105,7 +98,6 @@ struct CliArgs {
   bool per_tick = false;
   bool durable = false;
   std::string data_dir;
-  std::string save_path;
   // Network serving / client flags.
   std::string listen;       // host:port for serve --listen / client.
   size_t max_inflight = 64; // Admission cap (serve --listen).
@@ -229,8 +221,6 @@ CliArgs ParseCliArgs(int argc, char** argv) {
     } else if (a == "--data-dir") {
       args.data_dir = value();
       args.durable = true;
-    } else if (a == "--save") {
-      args.save_path = value();
     } else if (!a.empty() && a[0] == '-') {
       args.status = Status::InvalidArgument("unknown flag " + a);
       return args;
@@ -310,15 +300,6 @@ int CmdIngest(int argc, char** argv) {
         static_cast<unsigned long long>(stats.wal_bytes),
         static_cast<unsigned long long>(stats.io.fsyncs),
         stats.checkpoint_ns / 1e6);
-  }
-  if (!args.save_path.empty()) {
-    Status s = engine.Compact();
-    if (!s.ok()) return Fail(s);
-    s = SaveClusterGraph(engine.graph(), args.save_path);
-    if (!s.ok()) return Fail(s);
-    std::printf("cluster graph (%zu nodes, %zu edges) -> %s\n",
-                engine.graph().node_count(), engine.graph().edge_count(),
-                args.save_path.c_str());
   }
   return 0;
 }
@@ -679,28 +660,6 @@ int CmdRecover(int argc, char** argv) {
   return 0;
 }
 
-int CmdCluster(int argc, char** argv) {
-  if (argc < 2) return 2;
-  Engine engine(DefaultEngineOptions(0));
-  auto ingested = engine.IngestCorpusFile(argv[0]);
-  if (!ingested.ok()) return Fail(ingested.status());
-  const std::string prefix = argv[1];
-  for (uint32_t day = 0; day < engine.interval_count(); ++day) {
-    const auto& result = engine.interval_result(day);
-    const std::string path =
-        prefix + ".day" + std::to_string(day) + ".clusters";
-    Status s = SaveClusters(result.clusters, day, path);
-    if (!s.ok()) return Fail(s);
-    std::printf("day %u: %zu clusters -> %s\n", day,
-                result.clusters.size(), path.c_str());
-  }
-  Status s = engine.dict().Save(prefix + ".dict");
-  if (!s.ok()) return Fail(s);
-  std::printf("dictionary (%zu keywords) -> %s.dict\n",
-              engine.dict().size(), prefix.c_str());
-  return 0;
-}
-
 int CmdRefine(int argc, char** argv) {
   if (argc < 3) return 2;
   long day_num = 0;
@@ -725,31 +684,16 @@ int CmdRefine(int argc, char** argv) {
   return 0;
 }
 
-int CmdTopK(int argc, char** argv) {
-  CliArgs args = ParseCliArgs(argc, argv);
-  if (!args.status.ok()) return Fail(args.status);
-  if (args.positional.empty()) return 2;
-  auto graph = LoadClusterGraph(args.positional[0]);
-  if (!graph.ok()) return Fail(graph.status());
-  auto result = RunFinder(graph.value(), args.query);
-  if (!result.ok()) return Fail(result.status());
-  for (const StablePath& p : result.value().paths) {
-    std::printf("%s\n", p.ToString().c_str());
-  }
-  std::printf("io: %s\n", result.value().io.ToString().c_str());
-  return 0;
-}
-
 // Per-command usage line, printed to stderr on missing/garbled operands.
 const char* UsageFor(const std::string& cmd) {
   if (cmd == "gen")
     return "gen <out.corpus> [days] [posts_per_day] [micro_events] [seed]";
   if (cmd == "ingest")
     return "ingest <corpus> [--gap N] [--threads N] "
-           "[--save out.graph] [--data-dir DIR [--durable]]";
+           "[--data-dir DIR [--durable]]";
   if (cmd == "recover")
     return "recover <data-dir> [--gap N] [--threads N] "
-           "[--algo A] [--k N] [--l N]";
+           "[--algo A] [--mode M] [--k N] [--l N]";
   if (cmd == "query")
     return "query <corpus> [--algo A] [--mode M] [--k N] [--l N] [--gap N] "
            "[--threads N] [--diversify P,S] [--per-tick]";
@@ -762,10 +706,7 @@ const char* UsageFor(const std::string& cmd) {
            "[--algo A] [--mode M] [--k N] [--l N] [--render] [--deltas N]";
   if (cmd == "stats")
     return "stats <corpus> [--gap N] [--threads N]";
-  if (cmd == "cluster") return "cluster <corpus> <out_prefix>";
   if (cmd == "refine") return "refine <corpus> <keyword> <day>";
-  if (cmd == "topk")
-    return "topk <in.graph> [--algo A] [--mode M] [--k N] [--l N]";
   return nullptr;
 }
 
@@ -776,7 +717,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: %s "
-        "<gen|ingest|recover|query|serve|client|stats|cluster|refine|topk> "
+        "<gen|ingest|recover|query|serve|client|stats|refine> "
         "...\n"
         "(see the header comment of stabletext_cli.cpp)\n",
         argv[0]);
@@ -791,9 +732,7 @@ int main(int argc, char** argv) {
   else if (cmd == "serve") rc = CmdServe(argc - 2, argv + 2);
   else if (cmd == "client") rc = CmdClient(argc - 2, argv + 2);
   else if (cmd == "stats") rc = CmdStats(argc - 2, argv + 2);
-  else if (cmd == "cluster") rc = CmdCluster(argc - 2, argv + 2);
   else if (cmd == "refine") rc = CmdRefine(argc - 2, argv + 2);
-  else if (cmd == "topk") rc = CmdTopK(argc - 2, argv + 2);
   else std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
   if (rc == 2) {
     const char* usage = UsageFor(cmd);

@@ -1,7 +1,5 @@
 #include "cooccur/keyword_dict.h"
 
-#include <fstream>
-
 namespace stabletext {
 
 uint64_t KeywordDict::Hash(std::string_view word) {
@@ -77,33 +75,6 @@ void KeywordDict::TruncateTo(size_t size) {
 KeywordId KeywordDict::Lookup(std::string_view word) const {
   const size_t slot = FindSlot(word, Hash(word));
   return slots_[slot] == kEmptySlot ? kInvalidKeyword : slots_[slot];
-}
-
-Status KeywordDict::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path);
-  for (KeywordId id = 0; id < size_; ++id) out << Word(id) << '\n';
-  out.flush();
-  if (!out) return Status::IOError("write failed on " + path);
-  return Status::OK();
-}
-
-Status KeywordDict::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  // Fresh chunks: chunks shared out earlier keep their words.
-  chunks_.clear();
-  size_ = 0;
-  hashes_.clear();
-  std::string line;
-  while (std::getline(in, line)) {
-    hashes_.push_back(Hash(line));
-    Append(line);
-  }
-  size_t slots = kInitialSlots;
-  while (size_ * 10 >= slots * 7) slots *= 2;
-  Rehash(slots);
-  return Status::OK();
 }
 
 }  // namespace stabletext

@@ -31,8 +31,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/status.h"
-
 namespace stabletext {
 
 /// Id type for keywords. Dense, starting at 0.
@@ -87,13 +85,6 @@ class KeywordDict {
   /// table rebuild — meant for cold abort paths (an ingest that failed
   /// after interning), never the ingest hot path.
   void TruncateTo(size_t size);
-
-  /// Serializes to a text file (one word per line, line number = id).
-  Status Save(const std::string& path) const;
-
-  /// Loads a dictionary previously written by Save into *this (replacing
-  /// current contents).
-  Status Load(const std::string& path);
 
  private:
   static constexpr size_t kInitialSlots = 64;

@@ -6,9 +6,8 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
-#include "storage/paged_file.h"
-#include "util/crc32.h"
 #include "util/timer.h"
 
 namespace stabletext {
@@ -17,12 +16,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kCheckpointMagic[8] = {'S', 'T', 'C', 'K', 'P', 'T',
-                                      '1', '\0'};
-constexpr size_t kCheckpointPageSize = 4096;
-// Header page layout: magic + u64 epoch + u64 payload_bytes + u32 crc32.
-constexpr size_t kHeaderBytes = sizeof(kCheckpointMagic) + 8 + 8 + 4;
-static_assert(kHeaderBytes <= kCheckpointPageSize, "header fits a page");
+// Magic of the paged checkpoint layout the record-log checkpoint
+// replaced; recognised only to name the error.
+constexpr char kRetiredCheckpointMagic[8] = {'S', 'T', 'C', 'K',
+                                             'P', 'T', '1', '\0'};
 
 const char kCheckpointPrefix[] = "checkpoint-";
 const char kWalPrefix[] = "wal-";
@@ -42,6 +39,13 @@ bool ParseGeneration(const std::string& name, const char* prefix,
   }
   *epoch = value;
   return true;
+}
+
+bool HasRetiredCheckpointMagic(const std::string& path) {
+  char magic[sizeof(kRetiredCheckpointMagic)] = {};
+  std::ifstream in(path, std::ios::binary);
+  return in.read(magic, sizeof(magic)) &&
+         std::memcmp(magic, kRetiredCheckpointMagic, sizeof(magic)) == 0;
 }
 
 Status FsyncDir(const std::string& dir, FaultInjector* faults,
@@ -91,13 +95,11 @@ Result<std::unique_ptr<Durability>> Durability::Open(
   uint64_t newest_checkpoint = 0;
   uint64_t newest_wal = 0;
   bool have_wal = false;
-  std::vector<uint64_t> checkpoint_epochs;
   for (const auto& entry : fs::directory_iterator(options.dir, ec)) {
     const std::string name = entry.path().filename().string();
     uint64_t epoch = 0;
     if (ParseGeneration(name, kCheckpointPrefix, &epoch)) {
       newest_checkpoint = std::max(newest_checkpoint, epoch);
-      checkpoint_epochs.push_back(epoch);
     } else if (ParseGeneration(name, kWalPrefix, &epoch)) {
       newest_wal = std::max(newest_wal, epoch);
       have_wal = true;
@@ -127,23 +129,16 @@ Result<std::unique_ptr<Durability>> Durability::Open(
   std::vector<std::string> tail;
   Status scan = WalScanAndTruncate(wal_path, &tail, &d->io_);
   if (scan.code() == StatusCode::kNotFound) {
-    ST_RETURN_IF_ERROR(d->wal_.Create(wal_path, &d->faults_, &d->io_));
+    ST_RETURN_IF_ERROR(d->CreateLog(newest_checkpoint));
   } else {
     ST_RETURN_IF_ERROR(scan);
     ST_RETURN_IF_ERROR(
         d->wal_.OpenForAppend(wal_path, &d->faults_, &d->io_));
   }
   for (std::string& blob : tail) recovered->blobs.push_back(std::move(blob));
-  d->wal_epoch_ = newest_checkpoint;
-  // Keep the previous generation too (two-generation retention); prune
-  // everything older.
-  uint64_t previous_checkpoint = 0;
-  for (const uint64_t epoch : checkpoint_epochs) {
-    if (epoch < newest_checkpoint) {
-      previous_checkpoint = std::max(previous_checkpoint, epoch);
-    }
-  }
-  d->PruneBelow(previous_checkpoint);
+  // Only the newest generation is ever loaded; older ones are leftovers
+  // of a crash between a checkpoint's rename and its prune.
+  d->PruneBelow(newest_checkpoint);
   return d;
 }
 
@@ -157,110 +152,58 @@ Status Durability::LogCommit(const std::string& blob) {
 Status Durability::LoadCheckpoint(uint64_t epoch,
                                   std::vector<std::string>* blobs) {
   const std::string path = CheckpointPath(epoch);
-  std::error_code ec;
-  if (!fs::exists(path, ec) || ec) {
-    // PagedFile::Open would silently create it; a checkpoint we saw in
-    // the directory listing but cannot open is lost data.
-    return Status::DataLoss("checkpoint vanished: " + path);
+  WalScanEnd end;
+  const Status scan = WalScan(path, blobs, &end, &io_);
+  if (scan.code() == StatusCode::kNotFound) {
+    // Seen in the directory listing, but gone or shorter than a header:
+    // the checkpoint was fsynced whole before its rename, so this is
+    // lost data.
+    return Status::DataLoss("checkpoint vanished or truncated: " + path);
   }
-  PagedFile file;
-  PagedFileOptions opt;
-  opt.page_size = kCheckpointPageSize;
-  opt.cache_pages = 0;
-  ST_RETURN_IF_ERROR(file.Open(path, opt, &io_));
-  std::vector<uint8_t> page;
-  ST_RETURN_IF_ERROR(file.ReadPage(0, &page));
-  if (std::memcmp(page.data(), kCheckpointMagic,
-                  sizeof(kCheckpointMagic)) != 0) {
-    return Status::Corruption("bad checkpoint magic in " + path);
+  if (scan.code() == StatusCode::kCorruption &&
+      HasRetiredCheckpointMagic(path)) {
+    return Status::NotSupported(
+        path + " is a retired paged checkpoint (STCKPT1); this build "
+               "reads record-log checkpoints only");
   }
-  uint64_t stored_epoch = 0;
-  uint64_t payload_bytes = 0;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_epoch, page.data() + 8, 8);
-  std::memcpy(&payload_bytes, page.data() + 16, 8);
-  std::memcpy(&stored_crc, page.data() + 24, 4);
-  if (stored_epoch != epoch) {
-    return Status::Corruption("checkpoint " + path + " claims epoch " +
-                              std::to_string(stored_epoch));
-  }
-  // The header is not covered by the CRC: bound the claimed size by the
-  // data pages actually on disk before allocating for it.
-  if (payload_bytes > (file.PageCount() - 1) * kCheckpointPageSize) {
-    return Status::Corruption(
-        "checkpoint payload size overruns the file in " + path);
-  }
-  std::string payload;
-  payload.reserve(payload_bytes);
-  for (uint64_t page_no = 1; payload.size() < payload_bytes; ++page_no) {
-    ST_RETURN_IF_ERROR(file.ReadPage(page_no, &page));
-    const size_t take =
-        std::min<size_t>(kCheckpointPageSize, payload_bytes - payload.size());
-    payload.append(reinterpret_cast<const char*>(page.data()), take);
-  }
-  ST_RETURN_IF_ERROR(file.Close());
-  if (Crc32(payload.data(), payload.size()) != stored_crc) {
-    return Status::DataLoss("checkpoint payload checksum mismatch in " +
+  ST_RETURN_IF_ERROR(scan);
+  if (end.checksum_mismatch) {
+    return Status::DataLoss("checkpoint record checksum mismatch in " +
                             path);
   }
-  // Payload = repeated [u32 len][interval delta blob], interval order.
-  size_t offset = 0;
-  while (offset < payload.size()) {
-    if (offset + 4 > payload.size()) {
-      return Status::Corruption("truncated frame in " + path);
-    }
-    uint32_t len = 0;
-    std::memcpy(&len, payload.data() + offset, 4);
-    offset += 4;
-    if (offset + len > payload.size()) {
-      return Status::Corruption("frame overruns payload in " + path);
-    }
-    blobs->emplace_back(payload.data() + offset, len);
-    offset += len;
+  if (end.valid_bytes != end.file_bytes) {
+    return Status::Corruption("checkpoint record overruns the file in " +
+                              path);
+  }
+  if (blobs->size() != epoch) {
+    return Status::Corruption("checkpoint " + path + " holds " +
+                              std::to_string(blobs->size()) +
+                              " records, not " + std::to_string(epoch));
   }
   return Status::OK();
+}
+
+Status Durability::CreateLog(uint64_t epoch) {
+  ST_RETURN_IF_ERROR(wal_.Create(WalPath(epoch), &faults_, &io_));
+  ST_RETURN_IF_ERROR(wal_.Sync());
+  // Without this, a power loss could drop the new log's entry and with
+  // it every record fsynced into the log.
+  return FsyncDir(options_.dir, &faults_, &io_);
 }
 
 Status Durability::WriteCheckpoint(
     uint64_t epoch,
     const std::function<std::string(uint32_t)>& serialize) {
   WallTimer timer;
-  std::string payload;
-  for (uint32_t i = 0; i < epoch; ++i) {
-    const std::string blob = serialize(i);
-    const uint32_t len = static_cast<uint32_t>(blob.size());
-    payload.append(reinterpret_cast<const char*>(&len), 4);
-    payload.append(blob);
-  }
   const std::string final_path = CheckpointPath(epoch);
   const std::string tmp_path = final_path + ".tmp";
   {
-    PagedFile file;
-    PagedFileOptions opt;
-    opt.page_size = kCheckpointPageSize;
-    opt.cache_pages = 0;
-    opt.truncate = true;
-    ST_RETURN_IF_ERROR(file.Open(tmp_path, opt, &io_));
-    std::vector<uint8_t> page(kCheckpointPageSize, 0);
-    std::memcpy(page.data(), kCheckpointMagic, sizeof(kCheckpointMagic));
-    const uint64_t payload_bytes = payload.size();
-    const uint32_t crc = Crc32(payload.data(), payload.size());
-    std::memcpy(page.data() + 8, &epoch, 8);
-    std::memcpy(page.data() + 16, &payload_bytes, 8);
-    std::memcpy(page.data() + 24, &crc, 4);
-    ST_RETURN_IF_ERROR(faults_.Charge("checkpoint page write"));
-    ST_RETURN_IF_ERROR(file.WritePage(0, page.data()));
-    uint64_t page_no = 1;
-    for (size_t offset = 0; offset < payload.size();
-         offset += kCheckpointPageSize, ++page_no) {
-      const size_t take =
-          std::min(kCheckpointPageSize, payload.size() - offset);
-      std::memcpy(page.data(), payload.data() + offset, take);
-      std::memset(page.data() + take, 0, kCheckpointPageSize - take);
-      ST_RETURN_IF_ERROR(faults_.Charge("checkpoint page write"));
-      ST_RETURN_IF_ERROR(file.WritePage(page_no, page.data()));
+    WalWriter file;
+    ST_RETURN_IF_ERROR(file.Create(tmp_path, &faults_, &io_));
+    for (uint32_t i = 0; i < epoch; ++i) {
+      const std::string blob = serialize(i);
+      ST_RETURN_IF_ERROR(file.Append(blob.data(), blob.size()));
     }
-    ST_RETURN_IF_ERROR(faults_.Charge("checkpoint fsync"));
     ST_RETURN_IF_ERROR(file.Sync());
     ST_RETURN_IF_ERROR(file.Close());
   }
@@ -274,14 +217,11 @@ Status Durability::WriteCheckpoint(
                            ec.message());
   }
   ST_RETURN_IF_ERROR(FsyncDir(options_.dir, &faults_, &io_));
-  // Rotate the log: records covered by the checkpoint are pruned by
-  // starting a fresh generation. The generation we just rotated away
-  // from stays on disk (two-generation retention); its predecessor goes.
-  const uint64_t previous_generation = wal_epoch_;
+  // Rotate the log: the checkpoint covers every record of the previous
+  // generation, which Open would never load again.
   ST_RETURN_IF_ERROR(wal_.Close());
-  ST_RETURN_IF_ERROR(wal_.Create(WalPath(epoch), &faults_, &io_));
-  wal_epoch_ = epoch;
-  PruneBelow(previous_generation);
+  PruneBelow(epoch);
+  ST_RETURN_IF_ERROR(CreateLog(epoch));
   checkpoint_ns_.store(static_cast<uint64_t>(timer.ElapsedNanos()),
                        std::memory_order_relaxed);
   return Status::OK();

@@ -3,19 +3,27 @@
 // committed interval's delta (new keywords, clusters, adjacency edges at
 // stored weights) to a write-ahead log and fsyncs; every
 // checkpoint_interval epochs the whole committed prefix is written as a
-// chunk checkpoint through PagedFile and the covered log is pruned by
-// rotation. Open() restores the latest checkpoint plus the valid log tail
-// — a torn or corrupt tail is truncated, never replayed — so recovery
-// always lands on the published epoch or the one whose WAL record was
-// synced but whose publish the crash preempted.
+// checkpoint and the covered log is pruned by rotation. Open() restores
+// the checkpoint plus the valid log tail — a torn or corrupt tail is
+// truncated, never replayed — so recovery always lands on the published
+// epoch or the one whose WAL record was synced but whose publish the
+// crash preempted. Recovery replays every interval's delta (checkpoint
+// records first, then the log tail); a checkpoint only lets the log
+// rotate.
 //
-// Directory layout:
-//   checkpoint-<E>   full serialized state at epoch E (PagedFile pages,
-//                    CRC-protected header; written as .tmp then renamed)
+// Engine state has one on-disk format, the WAL's CRC record log
+// (storage/wal.h). Directory layout:
+//   checkpoint-<E>   a sealed record log holding exactly E records, the
+//                    delta of intervals 0..E-1 in order (written as .tmp,
+//                    fsynced, then renamed). Each record equals the one
+//                    the WAL logged for that interval. A checkpoint must
+//                    parse to its end; a file in the retired paged layout
+//                    (magic "STCKPT1") is refused with NotSupported.
 //   wal-<E>          log of interval deltas for epochs > E
-// The newest TWO generations are kept; anything older is pruned after a
-// checkpoint rename lands (leftovers are harmless — Open picks the
-// highest valid checkpoint).
+// One generation is kept: once checkpoint-<E>'s rename is durable, every
+// older checkpoint and log is pruned (leftovers are harmless — Open picks
+// the highest checkpoint). Every new file's directory entry is fsynced
+// before the engine relies on it.
 //
 // Threading: a Durability object is owned by the engine's writer side;
 // LogCommit/WriteCheckpoint run only under Engine's writer_role_
@@ -54,7 +62,7 @@ struct DurabilityOptions {
   /// the durability guarantee for append throughput (benchmarks).
   bool fsync = true;
   /// Crash injection (tests): after this many durability-layer physical
-  /// ops (log chunk writes, checkpoint page writes, fsyncs, renames),
+  /// ops (log and checkpoint chunk writes, fsyncs, renames),
   /// every further op fails with IOError. 0 disables. The budget is
   /// shared across the log and checkpoint paths, so a "crash" can land
   /// mid-record or mid-checkpoint.
@@ -78,8 +86,10 @@ class Durability {
   /// Opens (creating if necessary) the durability directory, loads the
   /// newest checkpoint, scans-and-truncates its log, and leaves the log
   /// open for appends. Unreadable state that fsync promised was durable
-  /// (a corrupt checkpoint, a log newer than every checkpoint) is
-  /// DataLoss, never a silent empty recovery.
+  /// (a vanished checkpoint or one whose record checksum fails, a log
+  /// newer than every checkpoint) is DataLoss, never a silent empty
+  /// recovery; a checkpoint that does not parse to its end or holds the
+  /// wrong record count is Corruption.
   static Result<std::unique_ptr<Durability>> Open(
       const DurabilityOptions& options, RecoveredState* recovered);
 
@@ -94,9 +104,10 @@ class Durability {
            epoch % options_.checkpoint_interval == 0;
   }
 
-  /// Writes checkpoint-<epoch> (tmp + rename + dir fsync), rotates to a
-  /// fresh wal-<epoch>, and prunes the previous generation.
-  /// `serialize(i)` must return interval i's delta blob.
+  /// Writes checkpoint-<epoch> (tmp + fsync + rename + dir fsync), prunes
+  /// the previous generation, and rotates to a fresh wal-<epoch>.
+  /// `serialize(i)` must return interval i's delta blob; each is
+  /// appended as one record and dropped before the next is built.
   Status WriteCheckpoint(
       uint64_t epoch,
       const std::function<std::string(uint32_t)>& serialize);
@@ -119,9 +130,12 @@ class Durability {
 
   std::string CheckpointPath(uint64_t epoch) const;
   std::string WalPath(uint64_t epoch) const;
-  /// Loads and validates checkpoint-<epoch>, appending its interval
-  /// blobs to `blobs`.
+  /// Loads and validates checkpoint-<epoch> into `blobs` (empty on
+  /// entry): one interval blob per record, exactly `epoch` of them.
   Status LoadCheckpoint(uint64_t epoch, std::vector<std::string>* blobs);
+  /// Creates wal-<epoch> as the open log, making its header and its
+  /// directory entry durable.
+  Status CreateLog(uint64_t epoch);
   /// Deletes every checkpoint/wal file of a generation older than
   /// `keep_epoch` (best effort: correctness never depends on pruning).
   void PruneBelow(uint64_t keep_epoch);
@@ -130,7 +144,6 @@ class Durability {
   FaultInjector faults_;
   IoStats io_;
   WalWriter wal_;
-  uint64_t wal_epoch_ = 0;  ///< Generation the open log belongs to.
   std::atomic<uint64_t> wal_bytes_{0};
   std::atomic<uint64_t> checkpoint_ns_{0};
 };

@@ -269,10 +269,11 @@ Result<uint32_t> Engine::CommitInterval(
         });
     if (!ck.ok()) {
       // The interval itself is committed, published and WAL-durable;
-      // only the checkpoint failed. The on-disk state is still the
-      // consistent previous generation, but this writer's next
-      // checkpoint boundary would silently drift, so refuse further
-      // ingest and surface the failure.
+      // only the checkpoint failed. The directory still recovers to
+      // this epoch (from the old generation, or from the new checkpoint
+      // once its rename landed), but this writer's next checkpoint
+      // boundary would silently drift, so refuse further ingest and
+      // surface the failure.
       broken_ = Status::Internal(
           "checkpoint failed (" + ck.message() +
           "); the engine no longer accepts intervals");

@@ -315,8 +315,9 @@ class Engine {
   // since the previous watermark, clusters, per-tick I/O, and its
   // adjacency edges at stored weights — into the blob ReplayInterval
   // consumes. Used for both the per-commit WAL record and the
-  // checkpoint payload (the adjacency is read back from the graph, so
-  // nothing per-tick needs retaining).
+  // checkpoint's record for that interval, which are byte-identical
+  // (the adjacency is read back from the graph, so nothing per-tick
+  // needs retaining).
   std::string SerializeIntervalDelta(uint32_t interval) const
       REQUIRES(writer_role_);
   // Replays one serialized delta: re-interns the words (validating id

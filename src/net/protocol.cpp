@@ -302,7 +302,7 @@ Status DecodeErrorBody(const std::string& body, Status* status) {
   uint8_t code = 0;
   std::string message;
   if (!in.Get(&code) || !in.GetString(&message) || !in.Done() ||
-      code > static_cast<uint8_t>(StatusCode::kDataLoss)) {
+      code > static_cast<uint8_t>(StatusCode::kResourceExhausted)) {
     return Malformed("error");
   }
   switch (static_cast<StatusCode>(code)) {
@@ -332,6 +332,9 @@ Status DecodeErrorBody(const std::string& body, Status* status) {
       break;
     case StatusCode::kDataLoss:
       *status = Status::DataLoss(std::move(message));
+      break;
+    case StatusCode::kResourceExhausted:
+      *status = Status::ResourceExhausted(std::move(message));
       break;
   }
   return Status::OK();

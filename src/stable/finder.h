@@ -84,7 +84,8 @@ struct FinderQuery {
   size_t memory_budget_bytes = MemoryTracker::kUnlimited;
   /// Normalized BFS/DFS: Theorem 1 pruning (stable/normalized.h).
   bool theorem1_pruning = false;
-  /// TA: probe budget safety valve (0 = unlimited).
+  /// TA: probe budget safety valve (0 = unlimited); running out is
+  /// ResourceExhausted.
   uint64_t max_probes = 0;
 
   /// Field-wise identity — two equal queries at the same epoch have the

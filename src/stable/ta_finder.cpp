@@ -207,7 +207,7 @@ Result<StableFinderResult> TaStableFinder::Find(
   }
 
   if (budget_exceeded) {
-    return Status::NotSupported("TA probe budget exceeded");
+    return Status::ResourceExhausted("TA probe budget exceeded");
   }
   result.paths = global.paths();
   return result;

@@ -24,7 +24,8 @@ struct TaFinderOptions {
   /// Section 4.4). Ablation knob; results are identical either way.
   bool use_bound_tables = true;
   /// Safety valve for the exponential probe count: abort with
-  /// NotSupported once this many probes have been issued (0 = no limit).
+  /// ResourceExhausted once this many probes have been issued (0 = no
+  /// limit).
   uint64_t max_probes = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "storage/paged_file.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -197,24 +195,6 @@ Status PagedFile::Flush() {
   if (std::fflush(file_) != 0) {
     return Status::IOError("flush failed for " + path_);
   }
-  return Status::OK();
-}
-
-Status PagedFile::Sync() {
-  if (file_ == nullptr) return Status::InvalidArgument("file not open");
-  ST_RETURN_IF_ERROR(Flush());
-  if (::fsync(::fileno(file_)) != 0) {
-    return Status::IOError("fsync failed for " + path_);
-  }
-  if (stats_ != nullptr) ++stats_->fsyncs;
-  return Status::OK();
-}
-
-Status PagedFile::DropCache() {
-  ST_RETURN_IF_ERROR(Flush());
-  cache_.clear();
-  lru_.clear();
-  last_physical_page_ = UINT64_MAX;
   return Status::OK();
 }
 

@@ -70,14 +70,6 @@ class PagedFile {
   /// Writes back all dirty cached pages.
   Status Flush();
 
-  /// Flush + fsync(2): the durability barrier checkpoint writes rely on.
-  /// Counts one IoStats::fsyncs when it reaches the disk.
-  Status Sync();
-
-  /// Drops all cached pages (after writing back dirty ones). Used by tests
-  /// and by benchmarks that want cold-cache measurements.
-  Status DropCache();
-
  private:
   struct Frame {
     std::vector<uint8_t> data;

@@ -37,8 +37,7 @@ Status WalWriter::Create(const std::string& path, FaultInjector* faults,
   path_ = path;
   fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd_ < 0) return Status::IOError(Errno("cannot create wal " + path));
-  ST_RETURN_IF_ERROR(WriteAll(kMagic, kMagicSize, "wal header write"));
-  return Sync();
+  return WriteAll(kMagic, kMagicSize, "wal header write");
 }
 
 Status WalWriter::OpenForAppend(const std::string& path,
@@ -109,9 +108,9 @@ Status WalWriter::Close() {
   return Status::OK();
 }
 
-Status WalScanAndTruncate(const std::string& path,
-                          std::vector<std::string>* records,
-                          IoStats* stats) {
+Status WalScan(const std::string& path, std::vector<std::string>* records,
+               WalScanEnd* end, IoStats* stats) {
+  *end = WalScanEnd();
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::NotFound("wal not found: " + path);
@@ -127,18 +126,10 @@ Status WalScanAndTruncate(const std::string& path,
     if (n < 0) return Status::IOError(Errno("cannot read wal " + path));
   }
   if (stats != nullptr) stats->bytes_read += data.size();
-
-  auto truncate_to = [&](size_t offset) -> Status {
-    if (offset == data.size()) return Status::OK();  // Nothing to drop.
-    if (::truncate(path.c_str(), static_cast<off_t>(offset)) != 0) {
-      return Status::IOError(Errno("cannot truncate wal " + path));
-    }
-    return Status::OK();
-  };
+  end->file_bytes = data.size();
 
   if (data.size() < kMagicSize) {
     // Header itself was torn (crash during Create): treat as absent.
-    ST_RETURN_IF_ERROR(truncate_to(0));
     return Status::NotFound("wal header torn: " + path);
   }
   if (std::memcmp(data.data(), kMagic, kMagicSize) != 0) {
@@ -154,11 +145,28 @@ Status WalScanAndTruncate(const std::string& path,
     std::memcpy(&crc, data.data() + offset + 4, 4);
     if (offset + 8 + len > data.size()) break;  // Torn payload.
     const char* payload = data.data() + offset + 8;
-    if (Crc32(payload, len) != crc) break;  // Corrupt record.
+    if (Crc32(payload, len) != crc) {  // Corrupt record.
+      end->checksum_mismatch = true;
+      break;
+    }
     records->emplace_back(payload, len);
     offset += 8 + len;
   }
-  return truncate_to(offset);
+  end->valid_bytes = offset;
+  return Status::OK();
+}
+
+Status WalScanAndTruncate(const std::string& path,
+                          std::vector<std::string>* records,
+                          IoStats* stats) {
+  WalScanEnd end;
+  const Status scan = WalScan(path, records, &end, stats);
+  const bool readable = scan.ok() || scan.code() == StatusCode::kNotFound;
+  if (readable && end.valid_bytes < end.file_bytes &&
+      ::truncate(path.c_str(), static_cast<off_t>(end.valid_bytes)) != 0) {
+    return Status::IOError(Errno("cannot truncate wal " + path));
+  }
+  return scan;
 }
 
 }  // namespace stabletext

@@ -3,7 +3,9 @@
 // interval (before publishing the epoch) and fsyncs, so a crash loses at
 // most the record being written; WalScanAndTruncate detects a torn or
 // corrupt tail on open and truncates it — a half-written record is never
-// replayed.
+// replayed. The same record log is the engine's checkpoint format: a
+// checkpoint is a sealed log holding one record per committed interval,
+// read back with WalScan, which never modifies the file.
 //
 // On-disk layout:
 //   [8-byte magic "STWAL1\n"]
@@ -32,7 +34,7 @@ namespace stabletext {
 
 /// \brief Shared physical-operation budget for crash-injection tests.
 ///
-/// Every durability-layer physical operation (log write, checkpoint page
+/// Every durability-layer physical operation (log or checkpoint chunk
 /// write, fsync, rename) charges one op; once the budget is exceeded each
 /// further operation fails with IOError — simulating a crash at that
 /// exact physical-op boundary. A budget of 0 disables injection.
@@ -62,9 +64,10 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Creates (truncating) a fresh log at `path`: writes and fsyncs the
-  /// magic header. `faults` and `stats` may be null; both must outlive
-  /// the writer.
+  /// Creates (truncating) a fresh log at `path` and writes the magic
+  /// header. Nothing is durable until the caller's first Sync(), and the
+  /// new directory entry only once the caller fsyncs the directory.
+  /// `faults` and `stats` may be null; both must outlive the writer.
   Status Create(const std::string& path, FaultInjector* faults,
                 IoStats* stats);
 
@@ -99,15 +102,30 @@ class WalWriter {
   std::atomic<uint64_t> bytes_appended_{0};
 };
 
-/// \brief Validates a log and returns its record payloads.
+/// Where a WalScan stopped.
+struct WalScanEnd {
+  uint64_t valid_bytes = 0;  ///< Magic plus every intact record.
+  uint64_t file_bytes = 0;   ///< File size as read.
+  /// The scan stopped at a complete record whose checksum failed (as
+  /// opposed to a record that runs past the end of the file).
+  bool checksum_mismatch = false;
+};
+
+/// \brief Reads a log's record payloads without modifying the file.
 ///
-/// Reads `path`, verifies the magic header, and appends every complete,
-/// checksum-valid record payload to `records` in order. The first torn or
-/// corrupt record ends the scan and the file is truncated at its start
-/// offset, so a later OpenForAppend continues from the last durable
-/// record. A file whose header itself is torn is truncated to empty and
-/// reported as kNotFound (callers recreate it); a present-but-garbage
-/// header is kCorruption.
+/// Verifies the magic header and appends every complete, checksum-valid
+/// record payload to `records` in order; the first torn or corrupt
+/// record ends the scan, and `end` says where and why. A missing file,
+/// or one shorter than the magic, is kNotFound; a present-but-garbage
+/// header is kCorruption. No allocation is sized by a record's length
+/// field before that length is checked against the bytes read.
+Status WalScan(const std::string& path, std::vector<std::string>* records,
+               WalScanEnd* end, IoStats* stats);
+
+/// \brief WalScan, then truncates the file after its last intact record,
+/// so a later OpenForAppend continues from the last durable record. A
+/// file whose header itself is torn is truncated to empty and reported
+/// as kNotFound (callers recreate it).
 Status WalScanAndTruncate(const std::string& path,
                           std::vector<std::string>* records,
                           IoStats* stats);

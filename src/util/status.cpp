@@ -23,6 +23,8 @@ const char* CodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kDataLoss:
       return "DataLoss";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

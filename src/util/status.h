@@ -23,6 +23,10 @@ enum class StatusCode {
   kNotSupported,
   kInternal,
   kDataLoss,
+  /// A configured work or resource limit stopped the operation before it
+  /// finished (for example a finder's probe budget). Added after
+  /// kDataLoss so earlier codes keep their wire values.
+  kResourceExhausted,
 };
 
 /// \brief Lightweight status object returned by fallible operations.
@@ -61,6 +65,9 @@ class [[nodiscard]] Status {
   }
   static Status DataLoss(std::string msg) {
     return Status(StatusCode::kDataLoss, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -10,7 +10,6 @@
 
 #include "cooccur/cooccurrence_counter.h"
 #include "graph/graph_builder.h"
-#include "storage/temp_dir.h"
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -117,20 +116,6 @@ TEST(KeywordDictTest, SharedChunksKeepTheirWords) {
   EXPECT_EQ(dict.size(), 0u);
   EXPECT_EQ(dict.Intern("fresh"), 0u);
   EXPECT_EQ(first[0], "w0");  // The shared chunk outlives the truncation.
-}
-
-TEST(KeywordDictTest, SaveLoadRoundTrip) {
-  TempDir dir;
-  KeywordDict dict;
-  dict.Intern("alpha");
-  dict.Intern("beta");
-  dict.Intern("gamma");
-  ASSERT_TRUE(dict.Save(dir.FilePath("dict.txt")).ok());
-  KeywordDict loaded;
-  ASSERT_TRUE(loaded.Load(dir.FilePath("dict.txt")).ok());
-  EXPECT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded.Lookup("beta"), dict.Lookup("beta"));
-  EXPECT_EQ(loaded.Word(0), "alpha");
 }
 
 TEST(CooccurrenceCounterTest, CountsSimpleCorpus) {

@@ -1,6 +1,6 @@
-// Fault-injected crash recovery. The tentpole claim under test: a durable
-// engine killed at ANY physical-op boundary (WAL chunk write, WAL fsync,
-// checkpoint page write/fsync/rename, log rotation) recovers to the epoch
+// Fault-injected crash recovery. The claim under test: a durable engine
+// killed at ANY physical-op boundary (WAL chunk write, WAL fsync,
+// checkpoint record write/fsync/rename, log rotation) recovers to the epoch
 // that was published at the crash — or one later, when the crash hit
 // after the WAL fsync but before the publish — and the recovered state is
 // byte-identical to an uninterrupted run at that epoch: same graph bits,
@@ -8,12 +8,16 @@
 // physical op at a time over a 64-tick ingest until a run completes
 // cleanly, so every boundary the workload crosses is a kill point. Plus
 // WAL torn-tail/corrupt-record unit tests, the durability lifecycle
-// contract (Recover-only construction, DataLoss on vanished checkpoints)
-// and hostile counts (WAL records, checkpoint headers) that must come
-// back as Corruption instead of sizing an allocation.
+// contract (Recover-only construction, DataLoss on vanished checkpoints,
+// durable log directory entries, one generation on disk), the checkpoint
+// format (records equal to the logged ones, bit rot is DataLoss, a short
+// or torn checkpoint is Corruption, the retired paged layout is named)
+// and hostile counts (WAL records, checkpoint record lengths) that must
+// come back as Corruption instead of sizing an allocation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -146,7 +150,18 @@ TEST(WalTest, TornTailIsTruncatedNotReplayed) {
     f.write(reinterpret_cast<const char*>(&crc), 4);
     f.write("partial", 7);
   }
+  const auto torn_size = fs::file_size(path);
   std::vector<std::string> records;
+  // The plain scan reports where the intact prefix ends and leaves the
+  // file alone.
+  WalScanEnd end;
+  ASSERT_TRUE(WalScan(path, &records, &end, nullptr).ok());
+  EXPECT_EQ(records.size(), 2u);
+  EXPECT_EQ(end.valid_bytes, intact_size);
+  EXPECT_EQ(end.file_bytes, torn_size);
+  EXPECT_FALSE(end.checksum_mismatch);
+  EXPECT_EQ(fs::file_size(path), torn_size);
+  records.clear();
   ASSERT_TRUE(WalScanAndTruncate(path, &records, nullptr).ok());
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], rec1);
@@ -185,6 +200,10 @@ TEST(WalTest, CorruptRecordEndsTheScan) {
     f.put(static_cast<char>(c ^ 0x40));
   }
   std::vector<std::string> records;
+  WalScanEnd end;
+  ASSERT_TRUE(WalScan(path, &records, &end, nullptr).ok());
+  EXPECT_TRUE(end.checksum_mismatch);
+  records.clear();
   ASSERT_TRUE(WalScanAndTruncate(path, &records, nullptr).ok());
   // Only the prefix before the corruption survives — the corrupt record
   // and everything after it (even though intact) is discarded, never
@@ -327,31 +346,176 @@ TEST(CrashRecoveryTest, OvercountedWalRecordIsCorruption) {
   }
 }
 
-// The checkpoint header's payload size precedes the CRC check; a size
-// the file cannot hold must be refused before anything is allocated.
-TEST(CrashRecoveryTest, OversizedCheckpointPayloadIsCorruption) {
-  const auto ticks = GenerateTicks();
+// Ingests the first `ticks` intervals through a fresh durable engine.
+void IngestDurably(const EngineOptions& opt, uint32_t ticks) {
+  const auto corpus = GenerateTicks();
+  auto created = Engine::Recover(opt);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  for (uint32_t t = 0; t < ticks; ++t) {
+    ASSERT_TRUE(created.value()->IngestText(corpus[t]).ok());
+  }
+}
+
+std::vector<std::string> ReadRecords(const std::string& path) {
+  std::vector<std::string> records;
+  WalScanEnd end;
+  EXPECT_TRUE(WalScan(path, &records, &end, nullptr).ok()) << path;
+  EXPECT_EQ(end.valid_bytes, end.file_bytes) << path;
+  return records;
+}
+
+void FlipByte(const std::string& path, std::streamoff offset) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.seekg(offset);
+  char c = 0;
+  f.get(c);
+  f.seekp(offset);
+  f.put(static_cast<char>(c ^ 0x40));
+}
+
+// A fresh data directory makes its log and the log's directory entry
+// durable: one fsync for the log header, one for the directory.
+TEST(CrashRecoveryTest, NewLogDirectoryEntryIsFsynced) {
+  TempDir dir("durable");
+  auto created = Engine::Recover(DurableOptions(dir.path(), 0));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_EQ(created.value()->stats().io.fsyncs, 2u);
+}
+
+// Open loads only the newest checkpoint, so once it is durable nothing
+// older stays on disk.
+TEST(CrashRecoveryTest, OneGenerationStaysOnDisk) {
+  constexpr uint32_t kInterval = 16;
   TempDir dir("durable");
   EngineOptions opt = DurableOptions(dir.path(), 0);
-  opt.durability.checkpoint_interval = 2;
+  opt.durability.checkpoint_interval = kInterval;
+  IngestDurably(opt, 2 * kInterval + 3);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"checkpoint-32", "wal-32"}));
+}
+
+// A checkpoint is the log re-sealed: record i is byte-for-byte the
+// record the WAL logged when interval i committed.
+TEST(CrashRecoveryTest, CheckpointRecordsEqualTheLoggedRecords) {
+  constexpr uint32_t kInterval = 16;
+  const auto ticks = GenerateTicks();
+  TempDir dir("durable");
+  TempDir saved("saved");
+  EngineOptions opt = DurableOptions(dir.path(), 0);
+  opt.durability.checkpoint_interval = kInterval;
   {
     auto created = Engine::Recover(opt);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
-    ASSERT_TRUE(created.value()->IngestText(ticks[0]).ok());
-    ASSERT_TRUE(created.value()->IngestText(ticks[1]).ok());
+    for (uint32_t t = 0; t < kInterval; ++t) {
+      if (t == kInterval - 1) {
+        // A second name for wal-0 that the checkpoint's prune does not
+        // remove; the last interval's record still lands in it.
+        fs::create_hard_link(dir.FilePath("wal-0"), saved.FilePath("wal-0"));
+      }
+      ASSERT_TRUE(created.value()->IngestText(ticks[t]).ok());
+    }
   }
-  // Header layout: 8-byte magic, u64 epoch, u64 payload_bytes, u32 crc.
+  ASSERT_FALSE(fs::exists(dir.FilePath("wal-0")));
+  const std::vector<std::string> logged = ReadRecords(saved.FilePath("wal-0"));
+  const std::vector<std::string> checkpoint =
+      ReadRecords(dir.FilePath("checkpoint-16"));
+  ASSERT_EQ(logged.size(), kInterval);
+  EXPECT_EQ(checkpoint, logged);
+}
+
+// A record's length field precedes its CRC check; a length the file
+// cannot hold must be refused before anything is allocated for it.
+TEST(CrashRecoveryTest, OversizedCheckpointPayloadIsCorruption) {
+  TempDir dir("durable");
+  EngineOptions opt = DurableOptions(dir.path(), 0);
+  opt.durability.checkpoint_interval = 2;
+  IngestDurably(opt, 2);
+  // Layout: 8-byte magic, then per record u32 length, u32 crc, payload.
   {
     std::fstream f(dir.FilePath("checkpoint-2"),
                    std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.is_open());
-    const uint64_t huge = 0x7fffffffffffffffULL;
-    f.seekp(16);
+    const uint32_t huge = 0xffffffffu;
+    f.seekp(8);
     f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
   }
   Status status = Status::OK();
   ASSERT_NO_THROW(status = Engine::Recover(opt).status());
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+// Bit rot inside a fsynced checkpoint is lost data, as a torn WAL tail
+// is not: recovery refuses instead of replaying a prefix.
+TEST(CrashRecoveryTest, FlippedCheckpointByteIsDataLoss) {
+  TempDir dir("durable");
+  EngineOptions opt = DurableOptions(dir.path(), 0);
+  IngestDurably(opt, kCheckpointInterval + 1);
+  FlipByte(dir.FilePath("checkpoint-" + std::to_string(kCheckpointInterval)),
+           8 + 8 + 5);  // Fifth payload byte of the first record.
+  const Status status = Engine::Recover(opt).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+// A checkpoint must parse to its end and hold one record per interval.
+// The log after it is empty, so a short checkpoint would otherwise
+// replay cleanly to an earlier epoch.
+TEST(CrashRecoveryTest, ShortOrTornCheckpointIsCorruption) {
+  TempDir dir("durable");
+  EngineOptions opt = DurableOptions(dir.path(), 0);
+  IngestDurably(opt, kCheckpointInterval);
+  const std::string path =
+      dir.FilePath("checkpoint-" + std::to_string(kCheckpointInterval));
+  const std::vector<std::string> records = ReadRecords(path);
+  ASSERT_EQ(records.size(), kCheckpointInterval);
+  const auto full_size = fs::file_size(path);
+
+  fs::resize_file(path, full_size - 3);  // Torn last record.
+  Status status = Engine::Recover(opt).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+
+  auto rewrite = [&](size_t count, const std::string& trailer) {
+    WalWriter writer;
+    ASSERT_TRUE(writer.Create(path, nullptr, nullptr).ok());
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_TRUE(writer.Append(records[i].data(), records[i].size()).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+    std::ofstream(path, std::ios::binary | std::ios::app) << trailer;
+  };
+  rewrite(records.size(), "stray");  // Every record, then stray bytes.
+  status = Engine::Recover(opt).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+
+  rewrite(records.size() - 1, "");  // Intact, but one interval short.
+  status = Engine::Recover(opt).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+
+  rewrite(records.size(), "");  // The original bytes recover.
+  EXPECT_TRUE(Engine::Recover(opt).ok());
+}
+
+// A data directory from before the record-log checkpoint gets a named
+// error, not a generic bad-magic corruption.
+TEST(CrashRecoveryTest, RetiredPagedCheckpointIsNamed) {
+  TempDir dir("durable");
+  {
+    std::ofstream f(dir.FilePath("checkpoint-8"), std::ios::binary);
+    std::string page(4096, '\0');
+    page.replace(0, 7, "STCKPT1");
+    f.write(page.data(), static_cast<std::streamsize>(page.size()));
+  }
+  const Status status =
+      Engine::Recover(DurableOptions(dir.path(), 0)).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
+  EXPECT_NE(status.message().find("retired paged checkpoint"),
+            std::string::npos)
+      << status.ToString();
 }
 
 // The sweep. For every fault budget B = 1, 2, 3, ... the writer is

@@ -293,6 +293,16 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
   ASSERT_TRUE(
       DecodeErrorBody(EncodeErrorBody(remote), &decoded_status).ok());
   EXPECT_EQ(decoded_status, remote);
+  // The newest code decodes; the first value past it is malformed.
+  remote = Status::ResourceExhausted("TA probe budget exceeded");
+  ASSERT_TRUE(
+      DecodeErrorBody(EncodeErrorBody(remote), &decoded_status).ok());
+  EXPECT_EQ(decoded_status, remote);
+  std::string past_last = EncodeErrorBody(remote);
+  past_last[0] = static_cast<char>(
+      static_cast<uint8_t>(StatusCode::kResourceExhausted) + 1);
+  EXPECT_EQ(DecodeErrorBody(past_last, &decoded_status).code(),
+            StatusCode::kCorruption);
 
   uint64_t value = 0;
   ASSERT_TRUE(DecodeU64Body(EncodeU64Body(77), &value).ok());

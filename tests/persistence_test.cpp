@@ -1,147 +1,21 @@
-// Persistence (cluster sets, cluster graphs) and fault-injection
-// error-propagation tests.
+// Storage persistence (record-file checksums, temp dirs, dictionary
+// rollback vs durable recovery) and fault-injection error-propagation
+// tests.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
-#include "cluster/cluster_io.h"
 #include "cooccur/keyword_dict.h"
 #include "core/engine.h"
-#include "stable/bfs_finder.h"
-#include "stable/cluster_graph_io.h"
 #include "storage/external_sorter.h"
 #include "storage/record_file.h"
 #include "storage/spillable_stack.h"
 #include "storage/temp_dir.h"
-#include "test_helpers.h"
-#include "util/strings.h"
 
 namespace stabletext {
 namespace {
-
-TEST(ClusterIoTest, RoundTripsClusters) {
-  TempDir dir;
-  std::vector<Cluster> clusters;
-  Cluster a;
-  a.keywords = {1, 5, 9};
-  a.edges = {{1, 5, 0.123456789012345}, {5, 9, 0.7}};
-  Cluster b;
-  b.keywords = {2, 7};
-  b.edges = {{2, 7, 1.0}};
-  clusters = {a, b};
-  const std::string path = dir.FilePath("clusters.txt");
-  ASSERT_TRUE(SaveClusters(clusters, 3, path).ok());
-
-  std::vector<Cluster> loaded;
-  std::vector<uint32_t> intervals;
-  ASSERT_TRUE(LoadClusters(path, &loaded, &intervals).ok());
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(intervals, (std::vector<uint32_t>{3, 3}));
-  EXPECT_EQ(loaded[0].keywords, a.keywords);
-  ASSERT_EQ(loaded[0].edges.size(), 2u);
-  // Hex floats round trip bit-exactly.
-  EXPECT_EQ(loaded[0].edges[0].weight, a.edges[0].weight);
-  EXPECT_EQ(loaded[1].keywords, b.keywords);
-}
-
-TEST(ClusterIoTest, EmptySetAndEmptyCluster) {
-  TempDir dir;
-  const std::string path = dir.FilePath("empty.txt");
-  ASSERT_TRUE(SaveClusters({}, 0, path).ok());
-  std::vector<Cluster> loaded = {Cluster{}};
-  ASSERT_TRUE(LoadClusters(path, &loaded).ok());
-  EXPECT_TRUE(loaded.empty());
-
-  Cluster bare;
-  ASSERT_TRUE(SaveClusters({bare}, 1, path).ok());
-  ASSERT_TRUE(LoadClusters(path, &loaded).ok());
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_TRUE(loaded[0].keywords.empty());
-  EXPECT_TRUE(loaded[0].edges.empty());
-}
-
-TEST(ClusterIoTest, RejectsCorruptFiles) {
-  TempDir dir;
-  const std::string path = dir.FilePath("bad.txt");
-  {
-    std::ofstream out(path);
-    out << "3\tonly-two-fields\n";
-  }
-  std::vector<Cluster> loaded;
-  EXPECT_EQ(LoadClusters(path, &loaded).code(), StatusCode::kCorruption);
-  {
-    std::ofstream out(path);
-    out << "3\t1,2\t1-2-0.5\n";  // Bad edge separator.
-  }
-  EXPECT_EQ(LoadClusters(path, &loaded).code(), StatusCode::kCorruption);
-  EXPECT_FALSE(LoadClusters(dir.FilePath("missing"), &loaded).ok());
-}
-
-TEST(ClusterGraphIoTest, RoundTripsGraphAndAnswers) {
-  TempDir dir;
-  ClusterGraph graph = MakeRandomGraph(6, 12, 3, 1, 99);
-  const std::string path = dir.FilePath("graph.txt");
-  ASSERT_TRUE(SaveClusterGraph(graph, path).ok());
-
-  auto loaded = LoadClusterGraph(path);
-  ASSERT_TRUE(loaded.ok());
-  const ClusterGraph& g2 = loaded.value();
-  ASSERT_EQ(g2.node_count(), graph.node_count());
-  ASSERT_EQ(g2.edge_count(), graph.edge_count());
-  ASSERT_EQ(g2.interval_count(), graph.interval_count());
-  ASSERT_EQ(g2.gap(), graph.gap());
-  for (NodeId v = 0; v < graph.node_count(); ++v) {
-    ASSERT_EQ(g2.Interval(v), graph.Interval(v));
-    const auto& ca = graph.Children(v);
-    const auto& cb = g2.Children(v);
-    ASSERT_EQ(ca.size(), cb.size());
-    for (size_t i = 0; i < ca.size(); ++i) {
-      ASSERT_EQ(ca[i].target, cb[i].target);
-      ASSERT_EQ(ca[i].weight, cb[i].weight);  // Bit-exact.
-    }
-  }
-  // Stable-cluster answers on the loaded graph are identical.
-  BfsFinderOptions opt;
-  opt.k = 5;
-  opt.l = 3;
-  auto before = BfsStableFinder(opt).Find(graph);
-  auto after = BfsStableFinder(opt).Find(g2);
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(before.value().paths.size(), after.value().paths.size());
-  for (size_t i = 0; i < before.value().paths.size(); ++i) {
-    EXPECT_EQ(before.value().paths[i].nodes,
-              after.value().paths[i].nodes);
-    EXPECT_EQ(before.value().paths[i].weight,
-              after.value().paths[i].weight);
-  }
-}
-
-TEST(ClusterGraphIoTest, RejectsCorruptFiles) {
-  TempDir dir;
-  const std::string path = dir.FilePath("bad.txt");
-  {
-    std::ofstream out(path);
-    out << "not a header\n";
-  }
-  EXPECT_EQ(LoadClusterGraph(path).status().code(),
-            StatusCode::kCorruption);
-  {
-    std::ofstream out(path);
-    out << "G 3 0\nN 9\n";  // Interval out of range.
-  }
-  EXPECT_EQ(LoadClusterGraph(path).status().code(),
-            StatusCode::kCorruption);
-  {
-    std::ofstream out(path);
-    out << "G 3 0\nN 0\nN 1\nE 1 0 0x1p-1\n";  // Backward edge.
-  }
-  EXPECT_EQ(LoadClusterGraph(path).status().code(),
-            StatusCode::kCorruption);
-  EXPECT_FALSE(LoadClusterGraph(dir.FilePath("missing")).ok());
-}
 
 // Fault injection: failures in the (simulated) disk must surface as
 // IOError through every layer, never crash or silently corrupt.

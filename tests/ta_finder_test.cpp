@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "stable/brute_force_finder.h"
+#include "stable/finder.h"
 #include "stable/ta_finder.h"
 #include "test_helpers.h"
 
@@ -137,13 +138,25 @@ TEST(TaFinderTest, BoundTablesCutProbes) {
   }
 }
 
+// A spent probe budget is a resource limit, not an unanswerable query:
+// callers tell the two apart by code, through the registry too.
 TEST(TaFinderTest, ProbeBudgetAborts) {
   ClusterGraph graph = MakeRandomGraph(6, 10, 4, 0, 31);
   TaFinderOptions opt;
   opt.k = 5;
   opt.max_probes = 3;
   auto result = TaStableFinder(opt).Find(graph);
-  EXPECT_EQ(result.status().code(), StatusCode::kNotSupported);
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+
+  FinderQuery query;
+  query.algorithm = FinderAlgorithm::kTa;
+  query.k = 5;
+  query.max_probes = 3;
+  EXPECT_EQ(RunFinder(graph, query).status().code(),
+            StatusCode::kResourceExhausted);
+  query.l = 1;  // Not a full path: unanswerable, whatever the budget.
+  EXPECT_EQ(RunFinder(graph, query).status().code(),
+            StatusCode::kNotSupported);
 }
 
 TEST(TaFinderTest, GraphWithNoFullPathsReturnsEmpty) {
