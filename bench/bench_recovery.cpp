@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   const double plain_ms = MeanTickMs(plain);
   const double durable_ms = MeanTickMs(durable);
   std::printf(
-      "mean tick: plain %.2f ms, durable %.2f ms (+%.1f%%); %llu WAL "
+      "mean tick: plain %.2f ms, durable %.2f ms (%+.1f%%); %llu WAL "
       "bytes over %u ticks, %llu fsyncs\n",
       plain_ms, durable_ms,
       plain_ms > 0 ? (durable_ms / plain_ms - 1) * 100 : 0,

@@ -10,8 +10,8 @@
 // record the perf trajectory; N-thread output is byte-identical to 1
 // thread (pipeline_parallel_test), so timings are comparable. Each
 // repetition ingests the week with one Engine::IngestTicks call (with
-// --threads > 1 the pool fans out the work inside each tick), then
-// freezes it with Compact.
+// --threads > 1 the pool fans out the work inside each tick); the last
+// epoch's published snapshot is already the sealed graph.
 
 #include <set>
 
@@ -64,7 +64,6 @@ void Run(const bench::BenchArgs& args) {
     auto e = std::make_unique<Engine>(options);
     WallTimer timer;
     bench::CheckOk(e->IngestTicks(days).status(), "IngestTicks");
-    bench::CheckOk(e->Compact(), "Compact");
     seconds.push_back(timer.ElapsedSeconds());
     engine = std::move(e);  // Keep the last run for reporting.
   }

@@ -202,7 +202,7 @@ Status Durability::WriteCheckpoint(
     ST_RETURN_IF_ERROR(file.Create(tmp_path, &faults_, &io_));
     for (uint32_t i = 0; i < epoch; ++i) {
       const std::string blob = serialize(i);
-      ST_RETURN_IF_ERROR(file.Append(blob.data(), blob.size()));
+      ST_RETURN_IF_ERROR(file.AppendBatched(blob.data(), blob.size()));
     }
     ST_RETURN_IF_ERROR(file.Sync());
     ST_RETURN_IF_ERROR(file.Close());

@@ -14,11 +14,12 @@
 // Engine state has one on-disk format, the WAL's CRC record log
 // (storage/wal.h). Directory layout:
 //   checkpoint-<E>   a sealed record log holding exactly E records, the
-//                    delta of intervals 0..E-1 in order (written as .tmp,
-//                    fsynced, then renamed). Each record equals the one
-//                    the WAL logged for that interval. A checkpoint must
-//                    parse to its end; a file in the retired paged layout
-//                    (magic "STCKPT1") is refused with NotSupported.
+//                    delta of intervals 0..E-1 in order (written as .tmp
+//                    in whole 4 KiB writes, fsynced, then renamed). Each
+//                    record equals the one the WAL logged for that
+//                    interval. A checkpoint must parse to its end; a file
+//                    in the retired paged layout (magic "STCKPT1") is
+//                    refused with NotSupported.
 //   wal-<E>          log of interval deltas for epochs > E
 // One generation is kept: once checkpoint-<E>'s rename is durable, every
 // older checkpoint and log is pruned (leftovers are harmless — Open picks
@@ -106,8 +107,9 @@ class Durability {
 
   /// Writes checkpoint-<epoch> (tmp + fsync + rename + dir fsync), prunes
   /// the previous generation, and rotates to a fresh wal-<epoch>.
-  /// `serialize(i)` must return interval i's delta blob; each is
-  /// appended as one record and dropped before the next is built.
+  /// `serialize(i)` must return interval i's delta blob; each is framed
+  /// as one record into the file's 4 KiB write batch
+  /// (WalWriter::AppendBatched) and dropped before the next is built.
   Status WriteCheckpoint(
       uint64_t epoch,
       const std::function<std::string(uint32_t)>& serialize);

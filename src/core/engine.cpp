@@ -192,10 +192,6 @@ Result<uint32_t> Engine::IngestTextLocked(
 
 Result<uint32_t> Engine::IngestDocumentsLocked(
     std::vector<PackedDocuments> documents) {
-  if (graph_.frozen()) {
-    return Status::InvalidArgument(
-        "engine is compacted; create a new engine to ingest");
-  }
   if (!broken_.ok()) return broken_;
   if (options_.durability.enabled && durability_ == nullptr) {
     return Status::InvalidArgument(
@@ -666,8 +662,8 @@ void Engine::Publish() {
   // every other chunk pointer is shared with the previous epoch's graph.
   ClusterGraph::SealStats seal;
   snap->graph = std::make_shared<const ClusterGraph>(
-      graph_.SealedCopy(!options_.lazy_renormalize, &seal));
-  if (options_.lazy_renormalize && snap->epoch > options_.gap + 1) {
+      graph_.SealedCopy(/*materialize_scale=*/false, &seal));
+  if (snap->epoch > options_.gap + 1) {
     // The next interval's edges start no earlier than epoch - gap - 1:
     // older nodes are final, and the seal just taken holds their stored
     // weights, so their writer-side lists can go. A refused release
@@ -695,7 +691,6 @@ void Engine::Publish() {
     snap->online_l = online_->l();
     snap->online_topk = online_->TopK();
   }
-  snap->compacted = graph_.frozen();
   snap->stats.intervals = static_cast<uint32_t>(snap->epoch);
   snap->stats.clusters = graph_.node_count();
   snap->stats.edges = graph_.edge_count();
@@ -798,16 +793,6 @@ Result<QueryResult> Engine::AnswerMiss(const GraphSnapshot& snap,
     cache_->Insert(QueryCacheKey{snap.epoch, query}, out);
   }
   return out;
-}
-
-Status Engine::Compact() {
-  AssumeRole role(writer_role_);
-  graph_.SortChildren();
-  // Republish so readers serve the frozen CSR directly; warm online
-  // state is carried over only if it is caught up with the final epoch
-  // (Publish checks), which defines the post-compact online contract.
-  Publish();
-  return Status::OK();
 }
 
 EngineStats Engine::stats() const {

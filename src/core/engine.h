@@ -68,14 +68,6 @@ struct EngineOptions {
   size_t threads = 1;
   /// Query-cache knobs (entries_per_shard = 0 disables caching).
   QueryCacheOptions query_cache;
-  /// Lazy running-max renormalization for raw-intersection affinities:
-  /// the graph stores raw weights and every snapshot carries the epoch's
-  /// normalizer, applied at edge-read time (a rescale is O(1) instead of
-  /// an O(E) rewrite). false materializes normalized weights into every
-  /// rebuilt chunk at publish (the eager baseline). Byte-identical
-  /// results either way; only measures without a (0, 1] range
-  /// (kIntersection) are affected at all.
-  bool lazy_renormalize = true;
   /// Crash durability (WAL + checkpoints; see core/durability.h). When
   /// enabled the engine must be built with Engine::Recover — a plain
   /// constructor refuses to ingest, because it has no way to report a
@@ -102,15 +94,14 @@ using Query = FinderQuery;
 /// A failed ingest publishes nothing — readers keep serving the last
 /// epoch — and, if the failure hit mid-commit, further ingest is
 /// refused (the half-committed writer state can never become visible).
-/// Query never mutates observable state. Compact() optionally freezes the
-/// writer graph into CSR for read-only serving; ingest is an error
-/// afterwards.
+/// Query never mutates observable state. Every published epoch is already
+/// an immutable chunked-CSR seal of the graph, so a caller done ingesting
+/// keeps serving the last snapshot; there is no separate freeze step.
 ///
-/// Thread contract: Ingest*/Compact are writers and must be externally
-/// exclusive with each other; Query()/QueryAt()/snapshot()/stats()/
-/// compacted()/RenderChain() may run concurrently with them — and with
-/// each other —
-/// from any number of threads. Each query reads one published epoch: it
+/// Thread contract: Ingest* are writers and must be externally exclusive
+/// with each other; Query()/QueryAt()/snapshot()/stats()/RenderChain()
+/// may run concurrently with them — and with each other — from any
+/// number of threads. Each query reads one published epoch: it
 /// sees either the state before an in-flight ingest or the state after
 /// it, never a partial interval. The remaining introspection accessors
 /// (graph(), dict(), interval_result(), io()) read writer-side state
@@ -194,35 +185,20 @@ class Engine {
   std::shared_ptr<const GraphSnapshot> snapshot() const;
 
   /// Invoked on the writer thread right after every epoch publish
-  /// (constructor, Ingest*, Recover, Compact), with the snapshot just
+  /// (constructor, Ingest*, Recover), with the snapshot just
   /// made visible. The callback runs inside the ingest path, so it must
   /// be O(1) — hand the pointer to another thread, don't query on it.
   using PublishCallback =
       std::function<void(const std::shared_ptr<const GraphSnapshot>&)>;
 
   /// Installs (or, with nullptr, clears) the publish callback. Writer-
-  /// side: must not race Ingest*/Compact — install before ingest starts,
+  /// side: must not race Ingest* — install before ingest starts,
   /// clear after it stops. The serving layer (net::Server) uses this to
   /// learn about new epochs for subscription pushes.
   void SetPublishCallback(PublishCallback cb) {
     AssumeRole role(writer_role_);
     on_publish_ = std::move(cb);
   }
-
-  /// Freezes the writer's cluster graph into immutable CSR adjacency and
-  /// publishes a final snapshot. Idempotent; Ingest* fails afterwards.
-  ///
-  /// Post-compact online semantics (defined): the warm sweep's top-k
-  /// survives into the final snapshot only if the sweep is caught up
-  /// with the final epoch; a post-compact online query for any other
-  /// (k, l) runs the BFS sweep over the frozen graph through the
-  /// registry — identical paths, full sweep cost — and can no longer be
-  /// warmed (there are no further ingests to consume the warm-up hint).
-  Status Compact();
-
-  /// True once Compact() has been called. Reader-safe (reads the
-  /// published snapshot, not the writer graph).
-  bool compacted() const { return snapshot()->compacted; }
 
   // Introspection. interval_count/stats are reader-safe; the borrowed
   // references below are writer-side (see the thread contract above).
@@ -355,9 +331,8 @@ class Engine {
   // Running maximum raw affinity, for measures without a (0, 1] range
   // (kIntersection): edges store the *raw* weight and reads apply the
   // scale 1/max (ClusterGraph::set_weight_scale), so a growing maximum is
-  // an O(1) scale update instead of an O(E) rewrite. With
-  // options_.lazy_renormalize=false, publishes additionally materialize
-  // the scaled weights into the rebuilt chunks (eager baseline).
+  // an O(1) scale update instead of an O(E) rewrite. Every snapshot
+  // seals the stored weights and carries the epoch's scale.
   double running_max_affinity_ GUARDED_BY(writer_role_) = 0;
   // Incremental byte accounting for EngineStats::resident_bytes: the
   // first words_counted_ keywords (a string object plus its characters

@@ -146,7 +146,8 @@ class SnapshotWords {
 struct GraphSnapshot {
   /// Number of committed intervals (== graph->interval_count()).
   uint64_t epoch = 0;
-  /// Frozen chunked-CSR adjacency; every finder traverses this via
+  /// Sealed chunked-CSR adjacency (ClusterGraph::SealedCopy, the graph's
+  /// one frozen form); every finder traverses this via
   /// EdgeSpan. Chunks untouched by this epoch's tick are shared with the
   /// previous snapshot's graph.
   std::shared_ptr<const ClusterGraph> graph;
@@ -163,9 +164,6 @@ struct GraphSnapshot {
   size_t online_k = 0;
   uint32_t online_l = 0;
   std::vector<StablePath> online_topk;
-  /// True when this snapshot was published by (or after) Compact() —
-  /// i.e. the writer graph itself is frozen, not just this copy.
-  bool compacted = false;
   /// Point-in-time stats (cache counters filled in by Engine::stats()).
   EngineStats stats;
 
@@ -196,7 +194,7 @@ struct GraphSnapshot {
 /// Semantics match Engine::Query: asking for chains longer than the
 /// stream is an empty answer (serving grace), warm online state answers
 /// matching streaming queries directly, and everything else dispatches
-/// through the finder registry over the frozen CSR graph. Does not
+/// through the finder registry over the epoch's sealed CSR graph. Does not
 /// consult the query cache or record warm-up hints — Engine layers those
 /// on top.
 Result<QueryResult> QuerySnapshot(const GraphSnapshot& snapshot,

@@ -45,8 +45,8 @@ ClusterGraph ClusterGraphGenerator::Generate(
       }
     }
   }
-  graph.SortChildren();
-  return graph;
+  graph.SortTouched();
+  return graph.SealedCopy();
 }
 
 }  // namespace stabletext

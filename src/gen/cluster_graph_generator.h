@@ -31,8 +31,9 @@ struct ClusterGraphGenOptions {
 /// \brief Generates synthetic cluster graphs for the performance study.
 class ClusterGraphGenerator {
  public:
-  /// Builds a graph per the options. Children lists end up sorted by
-  /// descending weight (ClusterGraph::SortChildren).
+  /// Builds a graph per the options and returns it sealed
+  /// (ClusterGraph::SealedCopy), children lists sorted by descending
+  /// weight.
   static ClusterGraph Generate(const ClusterGraphGenOptions& options);
 };
 

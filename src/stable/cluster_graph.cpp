@@ -51,28 +51,9 @@ void ClusterGraph::ShareNodeMeta() {
 }
 
 NodeId ClusterGraph::AddNode(uint32_t interval) {
-  if (!frozen_ && interval < settled_intervals_) return kInvalidNode;
+  if (frozen_ || interval < settled_intervals_) return kInvalidNode;
   const NodeId id = static_cast<NodeId>(node_count_++);
   AppendNodeMeta(id, interval);
-  if (frozen_) {
-    // Late nodes keep the chunked view indexable; they have no adjacency.
-    // Cold path: copy-on-write the (partial) tail chunks.
-    const size_t chunk = id >> kChunkShift;
-    auto append_empty = [&](std::vector<AdjChunkPtr>* chunks) {
-      AdjChunk next;
-      if (chunk < chunks->size()) {
-        next = *(*chunks)[chunk];
-        chunks->pop_back();
-      } else {
-        next.offsets.push_back(0);
-      }
-      next.offsets.push_back(next.offsets.back());
-      chunks->push_back(std::make_shared<const AdjChunk>(std::move(next)));
-    };
-    append_empty(&child_chunks_);
-    append_empty(&parent_chunks_);
-    return id;
-  }
   build_children_.emplace_back();
   build_parents_.emplace_back();
   child_touched_flag_.push_back(0);
@@ -85,8 +66,7 @@ NodeId ClusterGraph::AddNode(uint32_t interval) {
 
 Status ClusterGraph::AddEdge(NodeId from, NodeId to, double weight) {
   if (frozen_) {
-    return Status::InvalidArgument(
-        "cluster graph is frozen (SortChildren already called)");
+    return Status::InvalidArgument("a sealed cluster graph takes no edges");
   }
   if (from >= node_count() || to >= node_count()) {
     return Status::InvalidArgument("edge endpoint out of range");
@@ -181,7 +161,8 @@ void ClusterGraph::MarkChunkDirty(std::vector<uint8_t>* flags, NodeId n) {
 namespace {
 
 // Children: stored weight desc, then target asc (Section 4.3's exploration
-// heuristic, and a total order so incremental re-sorts match the freeze).
+// heuristic, and a total order so a list's order never depends on the
+// order its edges arrived in).
 bool ByWeightDesc(const ClusterGraphEdge& a, const ClusterGraphEdge& b) {
   if (a.weight != b.weight) return a.weight > b.weight;
   return a.target < b.target;
@@ -196,7 +177,6 @@ bool BySourceAsc(const ClusterGraphEdge& a, const ClusterGraphEdge& b) {
 }  // namespace
 
 void ClusterGraph::SortTouched() {
-  if (frozen_) return;
   for (NodeId v : touched_children_) {
     std::vector<ClusterGraphEdge>& list = build_children_[v - live_base_];
     std::sort(list.begin(), list.end(), ByWeightDesc);
@@ -270,8 +250,10 @@ ClusterGraph::SealStats ClusterGraph::RefreshSeal(bool materialize_scale) {
   SealStats stats;
   sealed_children_.resize(chunks);
   sealed_parents_.resize(chunks);
-  seal_child_dirty_.resize(chunks, 1);
-  seal_parent_dirty_.resize(chunks, 1);
+  // A chunk not built yet is null; a sealed copy keeps no dirty bits, as
+  // nothing can change its chunks.
+  seal_child_dirty_.resize(chunks, 0);
+  seal_parent_dirty_.resize(chunks, 0);
   for (size_t c = 0; c < chunks; ++c) {
     if (seal_child_dirty_[c] || sealed_children_[c] == nullptr) {
       sealed_children_[c] = BuildChunk(build_children_, sealed_children_[c],
@@ -299,91 +281,46 @@ ClusterGraph::SealStats ClusterGraph::RefreshSeal(bool materialize_scale) {
 
 ClusterGraph ClusterGraph::SealedCopy(bool materialize_scale,
                                       SealStats* stats) {
+  // Released nodes' edges live only in the seal cache, which must keep
+  // stored weights: once any node is released (every node of a sealed
+  // copy), a materialized copy bakes the scale into its own chunks and
+  // leaves the cache unscaled.
+  const bool bake_copy = materialize_scale && live_base_ > 0;
+  SealStats local = RefreshSeal(materialize_scale && !bake_copy);
   ClusterGraph out(0, gap_);
   out.interval_count_ = interval_count_;
   out.node_count_ = node_count_;
   out.edge_count_ = edge_count_;
   out.raw_weights_ = raw_weights_;
   out.frozen_ = true;
+  out.live_base_ = static_cast<NodeId>(node_count_);
+  out.settled_intervals_ = interval_count_;
   out.weight_scale_ = materialize_scale ? 1.0 : weight_scale_;
-  SealStats local;
-  // Fresh chunks with the scale baked in, for a copy whose source chunks
-  // must keep stored weights (O(E), off the streaming hot path).
-  auto bake = [&](const std::vector<AdjChunkPtr>& in,
-                  std::vector<AdjChunkPtr>* dst) {
-    dst->reserve(in.size());
-    for (const AdjChunkPtr& chunk : in) {
-      AdjChunk scaled = *chunk;
-      for (ClusterGraphEdge& e : scaled.edges) {
-        e.weight = std::min(e.weight * weight_scale_, 1.0);
-      }
-      dst->push_back(std::make_shared<const AdjChunk>(std::move(scaled)));
-      ++local.copied_chunks;
-    }
-  };
-  if (frozen_) {
-    if (materialize_scale && weight_scale_ != 1.0) {
-      // Terminal-freeze graphs in lazy mode store raw weights.
-      bake(child_chunks_, &out.child_chunks_);
-      bake(parent_chunks_, &out.parent_chunks_);
-    } else {
-      out.child_chunks_ = child_chunks_;
-      out.parent_chunks_ = parent_chunks_;
-      out.weight_scale_ = weight_scale_;
-      local.shared_chunks = child_chunks_.size() + parent_chunks_.size();
-    }
-    ShareNodeMeta();
-    out.node_interval_chunks_ = node_interval_chunks_;
-    out.interval_nodes_ = interval_nodes_;
-    out.owned_interval_.assign(interval_count_, 0);
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-  // Released nodes' edges live only in the seal cache, which must keep
-  // stored weights: once any node is released, a materialized copy bakes
-  // the scale into its own chunks and leaves the cache unscaled.
-  const bool bake_copy = materialize_scale && live_base_ > 0;
-  local = RefreshSeal(materialize_scale && !bake_copy);
   if (bake_copy) {
-    bake(sealed_children_, &out.child_chunks_);
-    bake(sealed_parents_, &out.parent_chunks_);
+    // Fresh chunks with the scale baked in (O(E), off the streaming path).
+    auto bake = [&](const std::vector<AdjChunkPtr>& in,
+                    std::vector<AdjChunkPtr>* dst) {
+      dst->reserve(in.size());
+      for (const AdjChunkPtr& chunk : in) {
+        AdjChunk scaled = *chunk;
+        for (ClusterGraphEdge& e : scaled.edges) {
+          e.weight = std::min(e.weight * weight_scale_, 1.0);
+        }
+        dst->push_back(std::make_shared<const AdjChunk>(std::move(scaled)));
+        ++local.copied_chunks;
+      }
+    };
+    bake(sealed_children_, &out.sealed_children_);
+    bake(sealed_parents_, &out.sealed_parents_);
   } else {
-    out.child_chunks_ = sealed_children_;
-    out.parent_chunks_ = sealed_parents_;
+    out.sealed_children_ = sealed_children_;
+    out.sealed_parents_ = sealed_parents_;
   }
   if (stats != nullptr) *stats = local;
   out.node_interval_chunks_ = node_interval_chunks_;
   out.interval_nodes_ = interval_nodes_;
   out.owned_interval_.assign(interval_count_, 0);
   return out;
-}
-
-void ClusterGraph::SortChildren() {
-  if (frozen_) return;
-  for (auto& list : build_children_) {
-    std::sort(list.begin(), list.end(), ByWeightDesc);
-  }
-  for (auto& list : build_parents_) {
-    std::sort(list.begin(), list.end(), BySourceAsc);
-  }
-  // The terminal freeze keeps stored weights (lazy scale still applies at
-  // read time), so sealed chunks from the streaming path stay valid.
-  RefreshSeal(/*materialize_scale=*/false);
-  child_chunks_ = std::move(sealed_children_);
-  parent_chunks_ = std::move(sealed_parents_);
-  sealed_children_.clear();
-  sealed_parents_.clear();
-  seal_child_dirty_.clear();
-  seal_parent_dirty_.clear();
-  build_children_.clear();
-  build_children_.shrink_to_fit();
-  build_parents_.clear();
-  build_parents_.shrink_to_fit();
-  touched_children_.clear();
-  touched_parents_.clear();
-  child_touched_flag_.clear();
-  parent_touched_flag_.clear();
-  frozen_ = true;
 }
 
 size_t ClusterGraph::MaxOutDegree() const {
@@ -397,8 +334,8 @@ size_t ClusterGraph::MaxOutDegree() const {
 size_t ClusterGraph::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   if (frozen_) {
-    for (const AdjChunkPtr& c : child_chunks_) bytes += c->MemoryBytes();
-    for (const AdjChunkPtr& c : parent_chunks_) bytes += c->MemoryBytes();
+    for (const AdjChunkPtr& c : sealed_children_) bytes += c->MemoryBytes();
+    for (const AdjChunkPtr& c : sealed_parents_) bytes += c->MemoryBytes();
     // Node metadata by size: the partial tail chunk's reserved capacity
     // is mostly untouched pages.
     for (const IntervalChunkPtr& c : node_interval_chunks_) {

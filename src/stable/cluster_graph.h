@@ -8,15 +8,16 @@
 // once no later interval can reach a node (ReleaseSettled, called by a
 // streaming writer after each seal), its vectors are dropped and its
 // reads go to the sealed chunks, which already hold the same edges.
-// Frozen views — the per-epoch snapshots the engine publishes, and the
-// terminal SortChildren() freeze — store adjacency and node metadata in
-// immutable fixed-size CSR *chunks* held by shared_ptr. Sealing an epoch
-// rebuilds only the chunks touched since the previous seal and shares
-// every other chunk pointer with it (copy-on-write at chunk granularity),
-// so publishing a tick costs O(delta), not O(graph), and any number of
-// pinned old epochs stay byte-stable while the writer keeps committing.
-// Node metadata (each node's interval, each interval's node list) has one
-// copy in both phases: a seal shares its chunks, and the writer copies a
+// The one frozen form is the per-epoch seal (SealedCopy): an immutable
+// view whose adjacency and node metadata live in fixed-size CSR *chunks*
+// held by shared_ptr, with every node released and every interval
+// settled. Sealing an epoch rebuilds only the chunks touched since the
+// previous seal and shares every other chunk pointer with it
+// (copy-on-write at chunk granularity), so publishing a tick costs
+// O(delta), not O(graph), and any number of pinned old epochs stay
+// byte-stable while the writer keeps committing. Node metadata (each
+// node's interval, each interval's node list) has one copy for the
+// writer and its seals: a seal shares its chunks, and the writer copies a
 // chunk or list before appending to one a seal holds.
 //
 // Weights can be stored raw (EnableRawWeights): reads through EdgeSpan then
@@ -128,9 +129,8 @@ class EdgeSpan {
 /// Two phases: while building, adjacency lives in per-node vectors (for
 /// nodes not yet released by ReleaseSettled; released nodes read from the
 /// seal cache); SealedCopy() produces an immutable chunked-CSR view per
-/// epoch (O(delta): untouched chunks are shared with the previous seal),
-/// and SortChildren() (= terminal freeze) converts the graph itself into
-/// that representation. AddEdge after the freeze is an error.
+/// epoch (O(delta): untouched chunks are shared with the previous seal).
+/// A sealed copy takes no nodes or edges.
 class ClusterGraph {
  public:
   /// Nodes per immutable chunk (power of two). A committed tick touches
@@ -175,14 +175,14 @@ class ClusterGraph {
   uint32_t AddInterval();
 
   /// Adds a node to interval `interval` (0-based). Returns its id, or
-  /// kInvalidNode when `interval` is settled (see ReleaseSettled).
+  /// kInvalidNode when `interval` is settled (see ReleaseSettled) or the
+  /// graph is a sealed copy.
   NodeId AddNode(uint32_t interval);
 
   /// Adds a directed edge. Requires interval(from) < interval(to),
   /// interval distance <= gap+1, and weight in (0, 1] — or merely a
   /// positive finite weight in raw-weights mode, where reads normalize.
-  /// Fails once the graph has been frozen by SortChildren(), and for an
-  /// endpoint in a settled interval.
+  /// Fails on a sealed copy, and for an endpoint in a settled interval.
   Status AddEdge(NodeId from, NodeId to, double weight);
 
   /// \brief Settles intervals [0, `end`): they take no more nodes or
@@ -198,23 +198,17 @@ class ClusterGraph {
   /// weights (materialize_scale false); later seals keep stored weights
   /// in the cache, and SealedCopy(true) bakes the scale into its copy.
   /// InvalidArgument otherwise, leaving the graph unchanged. A no-op on a
-  /// frozen graph or when `end` is not past the settled intervals.
+  /// sealed copy or when `end` is not past the settled intervals.
   Status ReleaseSettled(uint32_t end);
 
   /// Intervals settled by ReleaseSettled.
   uint32_t settled_intervals() const { return settled_intervals_; }
 
-  /// Freezes the graph: sorts all children lists by descending stored
-  /// weight (stable order: weight desc, then target asc), parents by
-  /// source id, and compacts the adjacency into immutable chunks (reusing
-  /// any chunk already sealed and untouched). Idempotent.
-  void SortChildren();
-
-  /// Build-phase (streaming) variant of SortChildren: re-sorts only the
-  /// adjacency lists touched by AddEdge since the last sort, into the same
-  /// total order the freeze would produce, without compacting — the graph
-  /// stays extendable. Queries between ingests rely on this; a no-op on a
-  /// frozen graph. O(touched lists) per call.
+  /// Re-sorts the adjacency lists touched by AddEdge since the last sort:
+  /// children by descending stored weight (stable order: weight desc,
+  /// then target asc), parents by source id. The graph stays extendable;
+  /// queries between ingests and SealedCopy() rely on this order.
+  /// O(touched lists) per call.
   void SortTouched();
 
   /// Accepts weights outside (0, 1]: AddEdge then only requires a
@@ -234,18 +228,19 @@ class ClusterGraph {
   /// covering nodes untouched since the previous SealedCopy() are shared
   /// by pointer with it; only dirtied chunks are rebuilt. Requires the
   /// adjacency lists to be in sorted order (SortTouched after the last
-  /// AddEdge batch). With `materialize_scale` the rebuilt chunks store
-  /// min(weight * weight_scale(), 1.0) and the copy reads at scale 1 (the
-  /// eager-normalization baseline: a scale change dirties every chunk;
-  /// after ReleaseSettled every chunk of the copy is baked afresh);
-  /// otherwise chunks keep stored weights and the copy inherits the
-  /// scale. On an already-frozen graph this is a cheap pointer-sharing
-  /// copy. `stats`, when non-null, receives the shared/copied counts.
+  /// AddEdge batch). Chunks keep stored weights and the copy inherits the
+  /// scale; with `materialize_scale` the rebuilt chunks instead store
+  /// min(weight * weight_scale(), 1.0) and the copy reads at scale 1 (a
+  /// scale change then dirties every chunk, and after ReleaseSettled
+  /// every chunk of the copy is baked afresh). The engine never
+  /// materializes; the flag stays for the layer replay in benchmark/.
+  /// Sealing a sealed copy shares every chunk (or bakes fresh ones when
+  /// materializing a scale). `stats`, when non-null, receives the
+  /// shared/copied counts.
   ClusterGraph SealedCopy(bool materialize_scale = false,
                           SealStats* stats = nullptr);
 
-  /// True once SortChildren() has compacted the adjacency (or this graph
-  /// was produced by SealedCopy()).
+  /// True when this graph was produced by SealedCopy().
   bool frozen() const { return frozen_; }
 
   uint32_t interval_count() const { return interval_count_; }
@@ -261,20 +256,17 @@ class ClusterGraph {
   }
 
   EdgeSpan Children(NodeId n) const {
-    return AdjSpan(frozen_ ? child_chunks_ : sealed_children_,
-                   build_children_, n, weight_scale_);
+    return AdjSpan(sealed_children_, build_children_, n, weight_scale_);
   }
   EdgeSpan Parents(NodeId n) const {
-    return AdjSpan(frozen_ ? parent_chunks_ : sealed_parents_,
-                   build_parents_, n, weight_scale_);
+    return AdjSpan(sealed_parents_, build_parents_, n, weight_scale_);
   }
   /// Parents at *stored* weights (scale 1, no cap), bypassing the
   /// read-time normalization: raw weights above 1 read as stored. The
   /// durability log serializes these so replaying AddEdge reproduces the
   /// stored bits — and the running-max scale — exactly.
   EdgeSpan StoredParents(NodeId n) const {
-    return AdjSpan(frozen_ ? parent_chunks_ : sealed_parents_,
-                   build_parents_, n, 1.0,
+    return AdjSpan(sealed_parents_, build_parents_, n, 1.0,
                    std::numeric_limits<double>::infinity());
   }
 
@@ -300,14 +292,13 @@ class ClusterGraph {
   /// setting shares them across every live snapshot).
   size_t MemoryBytes() const;
 
-  // Chunk introspection (frozen graphs), for the chunk-sharing tests and
-  // the engine's publish accounting.
-  size_t chunk_count() const { return child_chunks_.size(); }
+  // Chunk introspection (sealed copies), for the chunk-sharing tests.
+  size_t chunk_count() const { return sealed_children_.size(); }
   std::shared_ptr<const AdjChunk> child_chunk(size_t chunk) const {
-    return child_chunks_[chunk];
+    return sealed_children_[chunk];
   }
   std::shared_ptr<const AdjChunk> parent_chunk(size_t chunk) const {
-    return parent_chunks_[chunk];
+    return sealed_parents_[chunk];
   }
 
  private:
@@ -319,12 +310,12 @@ class ClusterGraph {
 
   using AdjLists = std::deque<std::vector<ClusterGraphEdge>>;
 
-  // Node n's adjacency: from `chunks` (the frozen chunks, or the seal
-  // cache for a released node) or from its live build-phase list.
+  // Node n's adjacency: from the seal `chunks` for a released node (every
+  // node of a sealed copy) or from its live build-phase list.
   EdgeSpan AdjSpan(const std::vector<AdjChunkPtr>& chunks,
                    const AdjLists& lists, NodeId n, double scale,
                    double cap = 1.0) const {
-    if (frozen_ || n < live_base_) {
+    if (n < live_base_) {
       const AdjChunk& c = *chunks[n >> kChunkShift];
       const uint32_t i = static_cast<uint32_t>(n & kChunkMask);
       return EdgeSpan(c.edges.data() + c.offsets[i],
@@ -378,7 +369,7 @@ class ClusterGraph {
   std::vector<uint8_t> owned_interval_;
   std::vector<uint32_t> owned_intervals_;
 
-  // ---- build-phase state (cleared by the terminal freeze) ----
+  // ---- build-phase state (empty in a sealed copy) ----
   // Adjacency lists of the live nodes [live_base_, node_count_), indexed
   // from live_base_; released nodes read the seal cache instead.
   AdjLists build_children_;
@@ -394,18 +385,14 @@ class ClusterGraph {
   std::vector<uint8_t> parent_touched_flag_;
 
   // ---- seal cache: the chunks of the last SealedCopy, shared with every
-  // epoch that still pins them; per-chunk dirty bits track what the next
-  // seal must rebuild. ----
+  // epoch that still pins them (a sealed copy's own adjacency); per-chunk
+  // dirty bits track what the next seal must rebuild. ----
   std::vector<AdjChunkPtr> sealed_children_;
   std::vector<AdjChunkPtr> sealed_parents_;
   std::vector<uint8_t> seal_child_dirty_;
   std::vector<uint8_t> seal_parent_dirty_;
   bool sealed_materialized_ = false;
   double sealed_scale_ = 1.0;
-
-  // ---- frozen (chunked CSR) state ----
-  std::vector<AdjChunkPtr> child_chunks_;
-  std::vector<AdjChunkPtr> parent_chunks_;
 };
 
 }  // namespace stabletext

@@ -143,7 +143,8 @@ Result<uint32_t> ResolvePathLength(FinderMode mode, uint32_t l, uint32_t m);
 ///
 /// Validates the (algorithm, mode) combination, dispatches, and applies the
 /// diversification post-pass when requested. The graph's children lists
-/// must be sorted (ClusterGraph::SortTouched or SortChildren).
+/// must be sorted (ClusterGraph::SortTouched after the last AddEdge; a
+/// sealed copy of a sorted graph is sorted).
 Result<StableFinderResult> RunFinder(const ClusterGraph& graph,
                                      const FinderQuery& query);
 

@@ -69,16 +69,23 @@ Status WalWriter::WriteAll(const void* data, size_t size,
   return Status::OK();
 }
 
-Status WalWriter::Append(const void* payload, size_t size) {
+Status WalWriter::FrameHeader(const void* payload, size_t size,
+                              uint8_t header[8]) {
   if (fd_ < 0) return Status::InvalidArgument("wal not open");
   if (size > UINT32_MAX) {
     return Status::InvalidArgument("wal record too large");
   }
-  uint8_t header[8];
   const uint32_t len = static_cast<uint32_t>(size);
   const uint32_t crc = Crc32(payload, size);
   std::memcpy(header, &len, 4);
   std::memcpy(header + 4, &crc, 4);
+  return Status::OK();
+}
+
+Status WalWriter::Append(const void* payload, size_t size) {
+  uint8_t header[8];
+  ST_RETURN_IF_ERROR(FrameHeader(payload, size, header));
+  ST_RETURN_IF_ERROR(WriteBatch());
   // Header first, payload second: a crash between the two leaves a
   // length that runs past EOF, which the scan detects as a torn tail.
   ST_RETURN_IF_ERROR(WriteAll(header, sizeof(header), "wal record header"));
@@ -88,8 +95,31 @@ Status WalWriter::Append(const void* payload, size_t size) {
   return Status::OK();
 }
 
+Status WalWriter::AppendBatched(const void* payload, size_t size) {
+  uint8_t header[8];
+  ST_RETURN_IF_ERROR(FrameHeader(payload, size, header));
+  batch_.append(reinterpret_cast<const char*>(header), sizeof(header));
+  batch_.append(static_cast<const char*>(payload), size);
+  bytes_appended_.fetch_add(sizeof(header) + size,
+                            std::memory_order_relaxed);
+  const size_t whole = batch_.size() - batch_.size() % kWriteChunk;
+  if (whole == 0) return Status::OK();
+  const Status written = WriteAll(batch_.data(), whole, "wal batch write");
+  batch_.erase(0, whole);
+  return written;
+}
+
+Status WalWriter::WriteBatch() {
+  if (batch_.empty()) return Status::OK();
+  const Status written =
+      WriteAll(batch_.data(), batch_.size(), "wal batch write");
+  batch_.clear();
+  return written;
+}
+
 Status WalWriter::Sync() {
   if (fd_ < 0) return Status::InvalidArgument("wal not open");
+  ST_RETURN_IF_ERROR(WriteBatch());
   if (faults_ != nullptr) ST_RETURN_IF_ERROR(faults_->Charge("wal fsync"));
   if (::fsync(fd_) != 0) {
     return Status::IOError(Errno("fsync failed for " + path_));

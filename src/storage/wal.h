@@ -55,7 +55,9 @@ struct FaultInjector {
 /// Writes go through the OS in bounded chunks (one charged physical op
 /// per chunk), so fault injection can kill an append mid-record — the
 /// torn tail this leaves behind is exactly what WalScanAndTruncate must
-/// cope with.
+/// cope with. AppendBatched frames records into a write batch instead,
+/// for logs written in one go (checkpoints): the same bytes, in whole
+/// 4 KiB writes.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -76,10 +78,20 @@ class WalWriter {
   Status OpenForAppend(const std::string& path, FaultInjector* faults,
                        IoStats* stats);
 
-  /// Appends one length-prefixed, CRC32-checksummed record.
+  /// Appends one length-prefixed, CRC32-checksummed record: a header
+  /// write, then the payload in chunks. Writes out any batched records
+  /// first.
   Status Append(const void* payload, size_t size);
 
-  /// fsyncs the log file.
+  /// Appends one record like Append, through a write batch: framed
+  /// records accumulate in memory and go out in whole 4 KiB writes, so a
+  /// run of small records costs one physical op per 4 KiB rather than a
+  /// header write plus payload chunks each. The file ends up with the
+  /// bytes Append would write. Sync() writes out the partial last piece;
+  /// Close() without a Sync() drops it, as a crash would.
+  Status AppendBatched(const void* payload, size_t size);
+
+  /// Writes out any batched records, then fsyncs the log file.
   Status Sync();
 
   /// Closes the file. Idempotent; surfaces the close(2) error.
@@ -94,11 +106,18 @@ class WalWriter {
 
  private:
   Status WriteAll(const void* data, size_t size, const char* what);
+  // Checks a record and returns its [len][crc] header.
+  Status FrameHeader(const void* payload, size_t size, uint8_t header[8]);
+  // Writes out the whole batch, partial last piece included.
+  Status WriteBatch();
 
   int fd_ = -1;
   std::string path_;
   FaultInjector* faults_ = nullptr;
   IoStats* stats_ = nullptr;
+  // Framed records AppendBatched has not written yet (under 4 KiB after
+  // each call).
+  std::string batch_;
   std::atomic<uint64_t> bytes_appended_{0};
 };
 

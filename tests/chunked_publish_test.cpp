@@ -1,8 +1,8 @@
 // Chunked copy-on-write epoch publication: the invariants behind the
 // O(delta) publish path. Untouched adjacency chunks must be shared by
 // pointer across epochs, pinned old epochs must stay byte-stable while
-// the writer keeps committing, and lazy read-time renormalization must
-// equal the eager materialized baseline byte-for-byte for every finder.
+// the writer keeps committing, and read-time renormalization must answer
+// every finder exactly like a graph that stores the normalized weights.
 
 #include <gtest/gtest.h>
 
@@ -74,6 +74,31 @@ std::string PathsFingerprint(const QueryResult& result) {
     out += StringPrintf(" w=%.17g len=%u\n", chain.path.weight,
                         chain.path.length);
   }
+  return out;
+}
+
+std::string PathsFingerprint(const std::vector<StablePath>& paths) {
+  QueryResult result;
+  for (const StablePath& path : paths) {
+    result.chains.emplace_back();
+    result.chains.back().path = path;
+  }
+  return PathsFingerprint(result);
+}
+
+// A plain graph (scale 1) storing `graph`'s read-time weights: what
+// materializing the running-max normalization into every edge would give.
+ClusterGraph RebuildAtReadWeights(const ClusterGraph& graph) {
+  ClusterGraph out(graph.interval_count(), graph.gap());
+  for (NodeId v = 0; v < graph.node_count(); ++v) {
+    EXPECT_EQ(out.AddNode(graph.Interval(v)), v);
+  }
+  for (NodeId v = 0; v < graph.node_count(); ++v) {
+    for (const ClusterGraphEdge& e : graph.Children(v)) {
+      EXPECT_TRUE(out.AddEdge(v, e.target, e.weight).ok());
+    }
+  }
+  out.SortTouched();
   return out;
 }
 
@@ -179,74 +204,61 @@ TEST(ChunkedPublishTest, PinnedEpochByteStableWhile100TicksCommit) {
   EXPECT_EQ(PathsFingerprint(after.value()), answer_before);
 }
 
-// Lazy read-time renormalization must be byte-identical to the eager
-// baseline that materializes scaled weights into every published chunk,
-// for the graph itself and for all five finders, at every tick.
-TEST(ChunkedPublishTest, LazyRenormalizationMatchesEagerAllFinders) {
+// Raw-intersection weights are stored raw and normalized at read time by
+// the snapshot's running-max scale. Every finder on the published
+// snapshot must answer byte-identically to the same finder on a plain
+// graph rebuilt from that snapshot's read weights, at every tick: the
+// scale is applied consistently on every read path. TA needs gap 0, the
+// other finders run at gap 1.
+TEST(ChunkedPublishTest, ReadTimeScaleMatchesRebuiltGraphAllFinders) {
   const auto days = GenerateDays(6);
-  EngineOptions lazy_opt = TestOptions();
-  lazy_opt.affinity.measure = AffinityMeasure::kIntersection;
-  lazy_opt.affinity.theta = 1.5;  // Raw counts: "share > 1 keyword".
-  lazy_opt.lazy_renormalize = true;
-  EngineOptions eager_opt = lazy_opt;
-  eager_opt.lazy_renormalize = false;
-
-  Engine lazy(lazy_opt);
-  Engine eager(eager_opt);
-  const std::vector<FinderAlgorithm> all = {
-      FinderAlgorithm::kBfs, FinderAlgorithm::kDfs, FinderAlgorithm::kTa,
-      FinderAlgorithm::kBruteForce, FinderAlgorithm::kOnline};
-  for (uint32_t day = 0; day < days.size(); ++day) {
-    ASSERT_TRUE(lazy.IngestText(days[day]).ok());
-    ASSERT_TRUE(eager.IngestText(days[day]).ok());
-    EXPECT_EQ(GraphFingerprint(*lazy.snapshot()->graph),
-              GraphFingerprint(*eager.snapshot()->graph))
-        << "tick " << day;
-    for (const FinderAlgorithm algorithm : all) {
-      SCOPED_TRACE(StringPrintf("day=%u algo=%s", day,
-                                FinderAlgorithmName(algorithm)));
-      // TA is gap-0-only; this corpus runs at gap 1, so skip it at the
-      // per-tick loop and let the graph fingerprint cover its inputs.
-      if (algorithm == FinderAlgorithm::kTa) continue;
-      auto l = lazy.Query(MakeQuery(algorithm, 4, 2));
-      auto e = eager.Query(MakeQuery(algorithm, 4, 2));
-      ASSERT_TRUE(l.ok()) << l.status().ToString();
-      ASSERT_TRUE(e.ok()) << e.status().ToString();
-      EXPECT_EQ(PathsFingerprint(l.value()), PathsFingerprint(e.value()));
+  for (const uint32_t gap : {1u, 0u}) {
+    EngineOptions opt = TestOptions();
+    opt.gap = gap;
+    opt.affinity.measure = AffinityMeasure::kIntersection;
+    // Raw counts: "share > 1 keyword"; TA's full paths need any one.
+    opt.affinity.theta = gap == 0 ? 0.5 : 1.5;
+    Engine engine(opt);
+    const std::vector<Query> queries =
+        gap == 0 ? std::vector<Query>{MakeQuery(FinderAlgorithm::kTa, 3, 0)}
+                 : std::vector<Query>{
+                       MakeQuery(FinderAlgorithm::kBfs, 4, 2),
+                       MakeQuery(FinderAlgorithm::kDfs, 4, 2),
+                       MakeQuery(FinderAlgorithm::kBruteForce, 4, 2),
+                       MakeQuery(FinderAlgorithm::kOnline, 4, 2)};
+    size_t answered = 0;
+    for (uint32_t day = 0; day < days.size(); ++day) {
+      ASSERT_TRUE(engine.IngestText(days[day]).ok());
+      const auto snap = engine.snapshot();
+      if (snap->epoch < 3) continue;  // l = 2 needs three intervals.
+      const ClusterGraph rebuilt = RebuildAtReadWeights(*snap->graph);
+      ASSERT_EQ(GraphFingerprint(rebuilt), GraphFingerprint(*snap->graph))
+          << "tick " << day;
+      for (const Query& q : queries) {
+        SCOPED_TRACE(StringPrintf("gap=%u day=%u algo=%s", gap, day,
+                                  FinderAlgorithmName(q.algorithm)));
+        auto served = engine.QueryAt(snap, q);
+        auto plain = RunFinder(rebuilt, q);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+        EXPECT_EQ(PathsFingerprint(served.value()),
+                  PathsFingerprint(plain.value().paths));
+        if (!served.value().chains.empty()) ++answered;
+      }
     }
-  }
-  // Weights must still read in (0, 1] from both engines (the lazy scale
-  // clamps exactly like the eager materialization).
-  for (NodeId v = 0; v < lazy.graph().node_count(); ++v) {
-    for (const ClusterGraphEdge& e : lazy.graph().Children(v)) {
-      ASSERT_GT(e.weight, 0.0);
-      ASSERT_LE(e.weight, 1.0);
+    // The scale was in play (some raw weight above 1), weights read in
+    // (0, 1], and the finders found paths to compare.
+    const ClusterGraph& graph = *engine.snapshot()->graph;
+    EXPECT_LT(graph.weight_scale(), 1.0);
+    EXPECT_GT(graph.edge_count(), 0u);
+    for (NodeId v = 0; v < graph.node_count(); ++v) {
+      for (const ClusterGraphEdge& e : graph.Children(v)) {
+        ASSERT_GT(e.weight, 0.0);
+        ASSERT_LE(e.weight, 1.0);
+      }
     }
+    EXPECT_GT(answered, 0u);
   }
-  EXPECT_GT(lazy.graph().edge_count(), 0u);
-}
-
-// TA needs gap 0: run the lazy/eager equivalence for it separately.
-TEST(ChunkedPublishTest, LazyRenormalizationMatchesEagerTa) {
-  const auto days = GenerateDays(4);
-  EngineOptions lazy_opt = TestOptions();
-  lazy_opt.gap = 0;
-  lazy_opt.affinity.measure = AffinityMeasure::kIntersection;
-  lazy_opt.affinity.theta = 0.5;  // Raw counts: any shared keyword.
-  EngineOptions eager_opt = lazy_opt;
-  eager_opt.lazy_renormalize = false;
-  Engine lazy(lazy_opt);
-  Engine eager(eager_opt);
-  for (const auto& day : days) {
-    ASSERT_TRUE(lazy.IngestText(day).ok());
-    ASSERT_TRUE(eager.IngestText(day).ok());
-  }
-  auto l = lazy.Query(MakeQuery(FinderAlgorithm::kTa, 3, 0));
-  auto e = eager.Query(MakeQuery(FinderAlgorithm::kTa, 3, 0));
-  ASSERT_TRUE(l.ok()) << l.status().ToString();
-  ASSERT_TRUE(e.ok()) << e.status().ToString();
-  EXPECT_EQ(PathsFingerprint(l.value()), PathsFingerprint(e.value()));
-  EXPECT_FALSE(l.value().chains.empty());
 }
 
 // An epoch-0 (empty) snapshot answers every algorithm in the registry

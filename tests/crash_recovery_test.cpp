@@ -1,15 +1,16 @@
 // Fault-injected crash recovery. The claim under test: a durable engine
 // killed at ANY physical-op boundary (WAL chunk write, WAL fsync,
-// checkpoint record write/fsync/rename, log rotation) recovers to the epoch
+// checkpoint 4 KiB write/fsync/rename, log rotation) recovers to the epoch
 // that was published at the crash — or one later, when the crash hit
 // after the WAL fsync but before the publish — and the recovered state is
 // byte-identical to an uninterrupted run at that epoch: same graph bits,
 // same query answers. The sweep advances the injected fault budget one
 // physical op at a time over a 64-tick ingest until a run completes
 // cleanly, so every boundary the workload crosses is a kill point. Plus
-// WAL torn-tail/corrupt-record unit tests, the durability lifecycle
-// contract (Recover-only construction, DataLoss on vanished checkpoints,
-// durable log directory entries, one generation on disk), the checkpoint
+// WAL torn-tail/corrupt-record/batched-append unit tests, the durability
+// lifecycle contract (Recover-only construction, DataLoss on vanished
+// checkpoints, durable log directory entries, one generation on disk),
+// the checkpoint
 // format (records equal to the logged ones, bit rot is DataLoss, a short
 // or torn checkpoint is Corruption, the retired paged layout is named)
 // and hostile counts (WAL records, checkpoint record lengths) that must
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -212,6 +214,53 @@ TEST(WalTest, CorruptRecordEndsTheScan) {
   EXPECT_EQ(records[0], rec1);
 }
 
+// A batched log holds the bytes Append writes, in whole 4 KiB writes:
+// one charged op per piece, the partial last piece at Sync, then the
+// fsync. An Append after batched records writes them out first.
+TEST(WalTest, BatchedAppendWritesAppendBytesInWholePieces) {
+  TempDir dir("wal");
+  std::vector<std::string> records;
+  size_t framed = 0;
+  for (const size_t size : {10, 3000, 9000, 1, 4088, 700}) {
+    records.push_back(std::string(size, static_cast<char>('a' + size % 26)));
+    framed += 8 + size;
+  }
+  // A budget no run reaches: the injector only counts ops.
+  auto write = [&](const std::string& path, size_t batched,
+                   uint64_t* ops) {
+    FaultInjector faults;
+    faults.fail_after_physical_ops = 1000000;
+    WalWriter writer;
+    ASSERT_TRUE(writer.Create(path, &faults, nullptr).ok());
+    for (size_t i = 0; i < records.size(); ++i) {
+      const std::string& r = records[i];
+      ASSERT_TRUE((i < batched ? writer.AppendBatched(r.data(), r.size())
+                               : writer.Append(r.data(), r.size()))
+                      .ok());
+    }
+    ASSERT_TRUE(writer.Sync().ok());
+    ASSERT_TRUE(writer.Close().ok());
+    *ops = faults.ops;
+  };
+  auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  uint64_t plain_ops = 0;
+  uint64_t batched_ops = 0;
+  uint64_t mixed_ops = 0;
+  write(dir.FilePath("plain"), 0, &plain_ops);
+  write(dir.FilePath("batched"), records.size(), &batched_ops);
+  write(dir.FilePath("mixed"), records.size() - 1, &mixed_ops);
+  const std::string expected = bytes(dir.FilePath("plain"));
+  ASSERT_EQ(expected.size(), 8 + framed);
+  EXPECT_EQ(bytes(dir.FilePath("batched")), expected);
+  EXPECT_EQ(bytes(dir.FilePath("mixed")), expected);
+  // Magic, ceil(framed / 4 KiB) pieces, fsync.
+  EXPECT_EQ(batched_ops, 1 + (framed + 4095) / 4096 + 1);
+  EXPECT_LT(batched_ops, plain_ops);
+}
+
 TEST(WalTest, TornHeaderReportsNotFound) {
   TempDir dir("wal");
   const std::string path = dir.FilePath("wal-0");
@@ -401,32 +450,47 @@ TEST(CrashRecoveryTest, OneGenerationStaysOnDisk) {
 }
 
 // A checkpoint is the log re-sealed: record i is byte-for-byte the
-// record the WAL logged when interval i committed.
+// record the WAL logged when interval i committed. At gaps 0 and 2 the
+// writer has released settled nodes by then, so their records are read
+// back from the seal; raw intersection weights go through the running-max
+// scale.
 TEST(CrashRecoveryTest, CheckpointRecordsEqualTheLoggedRecords) {
   constexpr uint32_t kInterval = 16;
   const auto ticks = GenerateTicks();
-  TempDir dir("durable");
-  TempDir saved("saved");
-  EngineOptions opt = DurableOptions(dir.path(), 0);
-  opt.durability.checkpoint_interval = kInterval;
-  {
-    auto created = Engine::Recover(opt);
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    for (uint32_t t = 0; t < kInterval; ++t) {
-      if (t == kInterval - 1) {
-        // A second name for wal-0 that the checkpoint's prune does not
-        // remove; the last interval's record still lands in it.
-        fs::create_hard_link(dir.FilePath("wal-0"), saved.FilePath("wal-0"));
+  for (const uint32_t gap : {0u, 2u}) {
+    for (const AffinityMeasure measure :
+         {AffinityMeasure::kJaccard, AffinityMeasure::kIntersection}) {
+      SCOPED_TRACE(StringPrintf("gap %u measure %d", gap,
+                                static_cast<int>(measure)));
+      TempDir dir("durable");
+      TempDir saved("saved");
+      EngineOptions opt = DurableOptions(dir.path(), 0);
+      opt.gap = gap;
+      opt.affinity.measure = measure;
+      opt.durability.checkpoint_interval = kInterval;
+      {
+        auto created = Engine::Recover(opt);
+        ASSERT_TRUE(created.ok()) << created.status().ToString();
+        for (uint32_t t = 0; t < kInterval; ++t) {
+          if (t == kInterval - 1) {
+            // A second name for wal-0 that the checkpoint's prune does
+            // not remove; the last interval's record still lands in it.
+            fs::create_hard_link(dir.FilePath("wal-0"),
+                                 saved.FilePath("wal-0"));
+          }
+          ASSERT_TRUE(created.value()->IngestText(ticks[t]).ok());
+        }
+        EXPECT_GT(created.value()->graph().settled_intervals(), 0u);
       }
-      ASSERT_TRUE(created.value()->IngestText(ticks[t]).ok());
+      ASSERT_FALSE(fs::exists(dir.FilePath("wal-0")));
+      const std::vector<std::string> logged =
+          ReadRecords(saved.FilePath("wal-0"));
+      const std::vector<std::string> checkpoint =
+          ReadRecords(dir.FilePath("checkpoint-16"));
+      ASSERT_EQ(logged.size(), kInterval);
+      EXPECT_EQ(checkpoint, logged);
     }
   }
-  ASSERT_FALSE(fs::exists(dir.FilePath("wal-0")));
-  const std::vector<std::string> logged = ReadRecords(saved.FilePath("wal-0"));
-  const std::vector<std::string> checkpoint =
-      ReadRecords(dir.FilePath("checkpoint-16"));
-  ASSERT_EQ(logged.size(), kInterval);
-  EXPECT_EQ(checkpoint, logged);
 }
 
 // A record's length field precedes its CRC check; a length the file

@@ -1,8 +1,8 @@
 // Engine API: incremental ingest ≡ batch build. Intervals ingested one at
 // a time with interleaved queries must leave the engine in a state
-// byte-identical to ingesting everything up front (and to an IngestTicks
-// batch frozen by Compact), for every algorithm in the registry and for 1
-// and 4 worker threads. Plus lifecycle validation, registry reachability
+// byte-identical to ingesting everything up front (and to one IngestTicks
+// batch), for every algorithm in the registry and for 1 and 4 worker
+// threads. Plus lifecycle validation, registry reachability
 // (TA, brute-force, online, diversified), the IngestTicks batch contract
 // (per-tick callbacks, aborts) and the corpus-file ingest contract.
 
@@ -124,17 +124,16 @@ TEST(EngineEquivalenceTest, IncrementalMatchesBatchAllAlgorithms) {
       ASSERT_TRUE(batch.IngestText(days[day]).ok());
     }
 
-    // One IngestTicks batch, then frozen.
-    Engine compacted(TestOptions(/*gap=*/1, threads));
-    auto ingested = compacted.IngestTicks(days);
+    // One IngestTicks batch.
+    Engine ticked(TestOptions(/*gap=*/1, threads));
+    auto ingested = ticked.IngestTicks(days);
     ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
     EXPECT_EQ(ingested.value(), kDays);
-    ASSERT_TRUE(compacted.Compact().ok());
 
     EXPECT_EQ(GraphFingerprint(incremental.graph()),
               GraphFingerprint(batch.graph()));
     EXPECT_EQ(GraphFingerprint(incremental.graph()),
-              GraphFingerprint(compacted.graph()));
+              GraphFingerprint(ticked.graph()));
 
     for (const FinderAlgorithm algorithm :
          {FinderAlgorithm::kBfs, FinderAlgorithm::kDfs,
@@ -162,14 +161,14 @@ TEST(EngineEquivalenceTest, IncrementalMatchesBatchAllAlgorithms) {
     EXPECT_EQ(PathsFingerprint(inc_norm.value()),
               PathsFingerprint(bat_norm.value()));
 
-    // And the frozen engine answers like the live ones.
+    // And the batch-ingested engine answers like the tick-by-tick one.
     for (const FinderAlgorithm algorithm :
          {FinderAlgorithm::kBfs, FinderAlgorithm::kDfs}) {
-      auto frozen = compacted.Query(MakeQuery(algorithm, 4, 2));
+      auto batched = ticked.Query(MakeQuery(algorithm, 4, 2));
       auto live = incremental.Query(MakeQuery(algorithm, 4, 2));
-      ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
       ASSERT_TRUE(live.ok());
-      EXPECT_EQ(PathsFingerprint(frozen.value()),
+      EXPECT_EQ(PathsFingerprint(batched.value()),
                 PathsFingerprint(live.value()));
     }
   }
@@ -282,58 +281,6 @@ TEST(EngineTest, ValidationAndUnsupportedCombinations) {
                 .status()
                 .code(),
             StatusCode::kNotSupported);
-
-  // Compact freezes: queries keep working, ingest fails.
-  ASSERT_TRUE(engine.Compact().ok());
-  EXPECT_TRUE(engine.compacted());
-  EXPECT_TRUE(engine.Query(MakeQuery(FinderAlgorithm::kBfs, 3, 0)).ok());
-  EXPECT_FALSE(engine.IngestText({"too late"}).ok());
-}
-
-// The post-compact online contract (previously undefined: a stale warm
-// online finder could outlive the freeze): warm state survives into
-// the final snapshot only when caught up with the final epoch, so a
-// post-compact online query — same configuration or any other — answers
-// exactly like a replay of the frozen graph, i.e. like BFS.
-TEST(EngineTest, CompactDefinesPostCompactOnlineBehavior) {
-  const auto days = GenerateWeek();
-  Engine engine(TestOptions(/*gap=*/1, /*threads=*/1));
-  ASSERT_TRUE(engine.IngestText(days[0]).ok());
-  ASSERT_TRUE(engine.IngestText(days[1]).ok());
-  // Warm the (3, 2) configuration: the cold query hints the writer, the
-  // next ingests keep it warm.
-  ASSERT_TRUE(engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, 2)).ok());
-  ASSERT_TRUE(engine.IngestText(days[2]).ok());
-  ASSERT_TRUE(engine.IngestText(days[3]).ok());
-
-  auto pre = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, 2));
-  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
-  ASSERT_FALSE(pre.value().chains.empty());
-
-  ASSERT_TRUE(engine.Compact().ok());
-  EXPECT_TRUE(engine.compacted());
-
-  // Same configuration: identical answer across the freeze.
-  auto post = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, 2));
-  ASSERT_TRUE(post.ok()) << post.status().ToString();
-  EXPECT_EQ(PathsFingerprint(pre.value()), PathsFingerprint(post.value()));
-
-  // Any other configuration replays the frozen graph and agrees with
-  // BFS — no stale warm state can leak into it.
-  auto online_other =
-      engine.Query(MakeQuery(FinderAlgorithm::kOnline, 2, 3));
-  auto bfs_other = engine.Query(MakeQuery(FinderAlgorithm::kBfs, 2, 3));
-  ASSERT_TRUE(online_other.ok()) << online_other.status().ToString();
-  ASSERT_TRUE(bfs_other.ok());
-  EXPECT_FALSE(online_other.value().chains.empty());
-  EXPECT_EQ(PathsFingerprint(online_other.value()),
-            PathsFingerprint(bfs_other.value()));
-
-  // And the compacted epoch is what queries serve: ingest is rejected,
-  // the published snapshot is frozen CSR.
-  EXPECT_FALSE(engine.IngestText({"too late"}).ok());
-  EXPECT_TRUE(engine.snapshot()->graph->frozen());
-  EXPECT_EQ(engine.snapshot()->epoch, 4u);
 }
 
 // A reader's online length is not bounded by the stream: the warm sweep

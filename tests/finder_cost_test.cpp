@@ -40,8 +40,8 @@ ClusterGraph MakeSparseGraph(uint32_t m, uint32_t n, uint32_t d, uint32_t g,
       EXPECT_TRUE(graph.AddEdge(id_of[v], id_of[e.target], e.weight).ok());
     }
   }
-  graph.SortChildren();
-  return graph;
+  graph.SortTouched();
+  return graph.SealedCopy();
 }
 
 // FNV-1a over every path's nodes, length and weight bits, in rank order.

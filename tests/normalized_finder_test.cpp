@@ -47,7 +47,7 @@ TEST(NormalizedBfsTest, RanksByStabilityNotWeight) {
   (void)g2;
   const NodeId d = g.AddNode(1);
   ASSERT_TRUE(g.AddEdge(a, d, 0.9).ok());
-  g.SortChildren();
+  g.SortTouched();
 
   auto result = Normalized(g, /*k=*/2, /*lmin=*/1);
   ASSERT_TRUE(result.ok());
@@ -153,7 +153,7 @@ TEST(Theorem1Test, ReducibleDetection) {
   const NodeId c = g.AddNode(2);
   ASSERT_TRUE(g.AddEdge(a, b, 0.1).ok());
   ASSERT_TRUE(g.AddEdge(b, c, 0.9).ok());
-  g.SortChildren();
+  g.SortTouched();
   StablePath p;
   p.nodes = {a, b, c};
   p.weight = 1.0;
@@ -171,7 +171,7 @@ TEST(Theorem1Test, ReducibleDetection) {
   const NodeId z = h.AddNode(2);
   ASSERT_TRUE(h.AddEdge(x, y, 0.9).ok());
   ASSERT_TRUE(h.AddEdge(y, z, 0.1).ok());
-  h.SortChildren();
+  h.SortTouched();
   StablePath q;
   q.nodes = {x, y, z};
   q.weight = 1.0;

@@ -29,8 +29,8 @@ ClusterGraph Prefix(const ClusterGraph& full, uint32_t last) {
       }
     }
   }
-  prefix.SortChildren();
-  return prefix;
+  prefix.SortTouched();
+  return prefix.SealedCopy();
 }
 
 // Advances a sweep over `graph` interval by interval, checking the

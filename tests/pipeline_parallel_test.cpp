@@ -50,7 +50,7 @@ EngineOptions BaseOptions(size_t threads) {
   return opt;
 }
 
-// Renders everything observable about a compacted engine: per-interval
+// Renders everything observable about an engine: per-interval
 // cluster sets (keywords as text) and the graph's edges.
 std::string Fingerprint(const Engine& engine) {
   std::string out;
@@ -141,7 +141,6 @@ RunOutput RunWithThreads(size_t threads, size_t sort_memory_bytes) {
   Engine engine(opt);
   auto ingested = engine.IngestTicks(SmallTicks());
   EXPECT_TRUE(ingested.ok()) << ingested.status().ToString();
-  EXPECT_TRUE(engine.Compact().ok());
   return RunOutput{Fingerprint(engine), ChainFingerprint(engine),
                    SummaryFingerprint(engine)};
 }

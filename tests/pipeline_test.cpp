@@ -2,7 +2,7 @@
 // clusters -> cluster graph -> stable clusters. Ground truth: the planted
 // events must be recovered as clusters and as stable paths; query
 // refinement must surface co-event keywords. Every case drives the one
-// public front door: Engine ingest, Compact, then Query.
+// public front door: Engine ingest, then Query.
 
 #include <gtest/gtest.h>
 
@@ -86,7 +86,6 @@ class PipelineIntegrationTest : public ::testing::Test {
     for (uint32_t day = 0; day < 7; ++day) {
       ASSERT_TRUE(engine_->IngestText(gen.GenerateDay(day)).ok());
     }
-    ASSERT_TRUE(engine_->Compact().ok());
   }
   static void TearDownTestSuite() {
     delete engine_;
@@ -263,7 +262,6 @@ TEST_P(PipelineAffinityTest, BuildsValidGraphAndAnswers) {
   for (uint32_t day = 0; day < 4; ++day) {
     ASSERT_TRUE(engine.IngestText(gen.GenerateDay(day)).ok());
   }
-  ASSERT_TRUE(engine.Compact().ok());
   const ClusterGraph& graph = engine.graph();
   for (NodeId v = 0; v < graph.node_count(); ++v) {
     for (const ClusterGraphEdge& e : graph.Children(v)) {

@@ -27,7 +27,7 @@ TEST(TaFinderTest, PaperFigure5TopPath) {
                      {3, 6, 0.7}, {4, 6, 0.7}, {3, 7, 0.4}, {4, 8, 0.9},
                      {5, 8, 0.4}};
   for (const E& e : edges) ASSERT_TRUE(g.AddEdge(e.a, e.b, e.w).ok());
-  g.SortChildren();
+  g.SortTouched();
 
   TaFinderOptions opt;
   opt.k = 2;
@@ -110,7 +110,7 @@ TEST(TaFinderTest, EarlyTerminationScansFewerEdgesOnSkewedWeights) {
     }
     ASSERT_TRUE(g.AddEdge(heavy[i], heavy[i + 1], 1.0).ok());
   }
-  g.SortChildren();
+  g.SortTouched();
   TaFinderOptions opt;
   opt.k = 1;
   auto result = TaStableFinder(opt).Find(g);
@@ -166,7 +166,7 @@ TEST(TaFinderTest, GraphWithNoFullPathsReturnsEmpty) {
   const NodeId b = g.AddNode(1);
   g.AddNode(2);
   ASSERT_TRUE(g.AddEdge(a, b, 0.5).ok());
-  g.SortChildren();
+  g.SortTouched();
   auto result = TaStableFinder().Find(g);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().paths.empty());

@@ -55,8 +55,8 @@ inline ClusterGraph MakePaperFigure5Graph() {
     Status s = graph.AddEdge(e.a, e.b, e.w);
     (void)s;
   }
-  graph.SortChildren();
-  return graph;
+  graph.SortTouched();
+  return graph.SealedCopy();
 }
 
 inline std::vector<double> Weights(const std::vector<StablePath>& paths) {
