@@ -1,15 +1,18 @@
 // Microbenchmarks (google-benchmark) for the core primitives: statistics,
-// stemming, heaps, biconnected decomposition, external sorting, and the
-// similarity join. Not tied to a paper figure; used for regression
-// tracking of the building blocks every harness depends on.
+// stemming, heaps, the BFS and DFS finders, biconnected decomposition,
+// external sorting, and the similarity join. Not tied to a paper figure;
+// used for regression tracking of the building blocks every harness
+// depends on.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "affinity/similarity_join.h"
 #include "cluster/cluster_extractor.h"
+#include "gen/cluster_graph_generator.h"
 #include "graph/chi_square.h"
 #include "graph/correlation.h"
+#include "stable/finder.h"
 #include "stable/topk_heap.h"
 #include "storage/external_sorter.h"
 #include "text/porter_stemmer.h"
@@ -63,6 +66,46 @@ void BM_TopKHeapOffer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_TopKHeapOffer)->Arg(5)->Arg(50);
+
+// One finder query through the registry, the finder layer of a cold
+// query: BFS or DFS, kl-stable (k 5, l 3) or normalized (k 5, lmin 2), on
+// a fixed generated graph of 128 intervals whose nodes are three quarters
+// edge-less, like the engine's.
+void BM_RunFinder(benchmark::State& state) {
+  static const ClusterGraph graph = [] {
+    ClusterGraphGenOptions opt;
+    opt.m = 128;
+    opt.n = 7;
+    opt.d = 1;
+    opt.isolated = 3;
+    opt.seed = 7;
+    return ClusterGraphGenerator::Generate(opt);
+  }();
+  FinderQuery query;
+  query.algorithm =
+      state.range(0) == 0 ? FinderAlgorithm::kBfs : FinderAlgorithm::kDfs;
+  query.mode = state.range(1) == 0 ? FinderMode::kKlStable
+                                   : FinderMode::kNormalized;
+  query.k = 5;
+  query.l = query.mode == FinderMode::kKlStable ? 3 : 2;
+  for (auto _ : state) {
+    auto result = RunFinder(graph, query);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result.value().paths.data());
+  }
+  state.SetLabel(std::string(FinderAlgorithmName(query.algorithm)) + " " +
+                 FinderModeName(query.mode));
+}
+BENCHMARK(BM_RunFinder)
+    ->ArgNames({"dfs", "normalized"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Biconnected(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace stabletext {
 
@@ -11,8 +12,13 @@ ClusterGraph ClusterGraphGenerator::Generate(
   ClusterGraph graph(options.m, options.g);
   Rng rng(options.seed);
 
+  // nodes[i][j] is the j-th edge-carrying node of interval i.
+  std::vector<std::vector<NodeId>> nodes(options.m);
   for (uint32_t i = 0; i < options.m; ++i) {
-    for (uint32_t j = 0; j < options.n; ++j) graph.AddNode(i);
+    for (uint32_t j = 0; j < options.n; ++j) {
+      for (uint32_t x = 0; x < options.isolated; ++x) graph.AddNode(i);
+      nodes[i].push_back(graph.AddNode(i));
+    }
   }
 
   auto draw_weight = [&]() {
@@ -29,7 +35,7 @@ ClusterGraph ClusterGraphGenerator::Generate(
     const uint32_t reach =
         std::min(options.m - 1, i + options.g + 1);
     for (uint32_t j = i + 1; j <= reach; ++j) {
-      for (NodeId from : graph.IntervalNodes(i)) {
+      for (NodeId from : nodes[i]) {
         const uint32_t out_degree = static_cast<uint32_t>(
             rng.UniformInt(1, 2 * static_cast<int64_t>(options.d)));
         const uint32_t take =
@@ -37,7 +43,7 @@ ClusterGraph ClusterGraphGenerator::Generate(
         std::vector<size_t> picks =
             rng.SampleWithoutReplacement(options.n, take);
         for (size_t pick : picks) {
-          const NodeId to = graph.IntervalNodes(j)[pick];
+          const NodeId to = nodes[j][pick];
           Status s = graph.AddEdge(from, to, draw_weight());
           assert(s.ok());
           (void)s;

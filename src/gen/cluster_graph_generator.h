@@ -26,6 +26,11 @@ struct ClusterGraphGenOptions {
   /// (0, 1]). Exact binary fractions make path-weight sums associativity-
   /// independent, which the cross-algorithm equality tests rely on.
   uint32_t weight_quantum = 0;
+  /// Edge-less nodes added before each of the n nodes of every interval,
+  /// so that a fraction isolated / (isolated + 1) of the nodes has no
+  /// edge, as in the engine's cluster graphs. The edges, and the random
+  /// draws that make them, are those of isolated = 0.
+  uint32_t isolated = 0;
 };
 
 /// \brief Generates synthetic cluster graphs for the performance study.

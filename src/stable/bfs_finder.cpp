@@ -1,45 +1,52 @@
 #include "stable/bfs_finder.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "stable/normalized.h"
 
 namespace stabletext {
-
-size_t IntervalSweep::Annotation::MemoryBytes(size_t heap_count) const {
-  // A node with no parents holds no heaps; it is charged the empty ones
-  // the paper's annotation would have.
-  if (heaps.empty()) return sizeof(*this) + heap_count * sizeof(TopKHeap<>);
-  size_t bytes = sizeof(*this);
-  for (const auto& h : heaps) bytes += h.MemoryBytes();
-  return bytes;
-}
 
 size_t IntervalSweep::HeapCount(uint32_t interval) const {
   if (full_paths_) return interval >= 1 ? 1 : 0;
   return size_t{std::min(l_, interval)} + 1;
 }
 
-TopKHeap<>* IntervalSweep::HeapFor(Annotation& a, uint32_t interval,
-                                   uint32_t length) const {
-  if (full_paths_) {
-    return length == interval && !a.heaps.empty() ? &a.heaps[0] : nullptr;
-  }
-  if (length == 0 || length >= a.heaps.size()) return nullptr;
-  return &a.heaps[length];
+size_t IntervalSweep::AnnotationBytes(uint32_t interval,
+                                      size_t path_bytes) const {
+  // The paper's annotation is a vector of HeapCount heaps.
+  return sizeof(std::vector<TopKHeap<>>) +
+         HeapCount(interval) * TopKHeap<>::kEmptyBytes + path_bytes;
 }
 
-IntervalSweep::Annotation& IntervalSweep::Of(const ClusterGraph& graph,
-                                             NodeId n) {
-  const uint32_t interval = graph.Interval(n);
-  assert(interval >= window_begin_ &&
-         interval - window_begin_ < window_.size());
-  // Node ids are assigned in increasing order, so every interval's node
-  // list is sorted and the annotation index is the node's rank in it.
-  const std::vector<NodeId>& nodes = graph.IntervalNodes(interval);
-  const auto it = std::lower_bound(nodes.begin(), nodes.end(), n);
-  return window_[interval - window_begin_][it - nodes.begin()];
+void IntervalSweep::OfferToNode(const StablePath& path, uint32_t interval) {
+  // Full-path mode keeps only paths from interval 0.
+  if (full_paths_ ? path.length != interval : path.length > l_) return;
+  if (path.length >= node_heap_.size()) {
+    node_heap_.resize(size_t{path.length} + 1, kNoHeap);
+  }
+  uint32_t& heap = node_heap_[path.length];
+  if (heap == kNoHeap) {
+    if (k_ == 0) return;  // Would admit nothing.
+    if (free_.empty()) {
+      heap = static_cast<uint32_t>(pool_.size());
+      pool_.emplace_back(k_);
+    } else {
+      heap = free_.back();
+      free_.pop_back();
+    }
+    node_lengths_.push_back(path.length);
+  }
+  pool_[heap].Offer(path);
+}
+
+void IntervalSweep::CloseNode(IntervalAnnotations& built) {
+  std::sort(node_lengths_.begin(), node_lengths_.end());
+  for (uint32_t length : node_lengths_) {
+    built.refs.push_back(HeapRef{length, node_heap_[length]});
+    node_heap_[length] = kNoHeap;
+  }
+  node_lengths_.clear();
+  built.first.push_back(static_cast<uint32_t>(built.refs.size()));
 }
 
 Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
@@ -52,6 +59,7 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
   }
   if (interval == 0) {
     gap_ = graph.gap();
+    window_.assign(size_t{gap_} + 2, IntervalAnnotations{});
   } else if (graph.gap() != gap_) {
     return Status::InvalidArgument("graph gap changed mid-sweep");
   }
@@ -59,98 +67,116 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
   const std::vector<NodeId>& nodes = graph.IntervalNodes(i);
   if (i > 0) {
     // Read the g+1 window from disk (the only annotations ever needed).
-    for (const IntervalAnnotations& w : window_) {
-      cost_.io.page_reads += w.size();
+    for (uint32_t w = window_begin(); w < i; ++w) {
+      cost_.io.page_reads += Slot(w).node_count();
     }
     cost_.io.page_reads += nodes.size();
   }
 
-  // Paths reach a node's heaps only through a parent edge, so a node
-  // without parents gets none.
-  IntervalAnnotations& built = window_.emplace_back(nodes.size());
-  for (size_t j = 0; j < nodes.size(); ++j) {
-    if (!graph.Parents(nodes[j]).empty()) {
-      built[j].heaps.assign(HeapCount(i), TopKHeap<>(k_));
-    }
-  }
+  // The slot last held interval i - g - 2, whose heaps are back in the
+  // pool; its vectors keep their capacity.
+  IntervalAnnotations& built = Slot(i);
+  built.first.assign(1, 0);
+  built.refs.clear();
   auto offer_global = [&](const StablePath& path) {
     if (path.length < lmin_ || path.length > l_) return;
     ++cost_.heap_offers;
     global_.Offer(path);
   };
-  for (size_t j = 0; j < nodes.size(); ++j) {
-    const NodeId c = nodes[j];
+  for (const NodeId c : nodes) {
+    // Paths reach a node's heaps only through a parent edge, so a node
+    // without parents gets none.
     for (const ClusterGraphEdge& pe : graph.Parents(c)) {
       const NodeId p = pe.target;
       const uint32_t parent_interval = graph.Interval(p);
       const uint32_t len = i - parent_interval;
       // Bare edge as a path of length len.
-      {
-        StablePath path;
-        path.nodes = {p, c};
-        path.weight = pe.weight;
-        path.length = len;
-        ++cost_.heap_offers;
-        if (TopKHeap<>* h = HeapFor(built[j], i, len)) h->Offer(path);
-        offer_global(path);
-      }
+      scratch_.nodes.assign({p, c});
+      scratch_.weight = pe.weight;
+      scratch_.length = len;
+      ++cost_.heap_offers;
+      OfferToNode(scratch_, i);
+      offer_global(scratch_);
       // An edge spanning l or more intervals ends no longer subpath.
       if (len >= l_) continue;
       // Extensions of subpaths ending at p. A path ending at p is at
       // most Interval(p) long, which bounds the loop however large l is.
-      Annotation& parent = Of(graph, p);
+      // Node ids are assigned in increasing order, so every interval's
+      // node list is sorted and p's rank is its annotation's index.
+      const IntervalAnnotations& parent = Slot(parent_interval);
+      const std::vector<NodeId>& peers = graph.IntervalNodes(parent_interval);
+      const size_t rank = static_cast<size_t>(
+          std::lower_bound(peers.begin(), peers.end(), p) - peers.begin());
       const uint32_t x_hi = std::min(l_ - len, parent_interval);
-      for (uint32_t x = 1; x <= x_hi; ++x) {
-        const TopKHeap<>* src = HeapFor(parent, parent_interval, x);
-        if (src == nullptr) continue;
-        for (const StablePath& pi : src->paths()) {
+      for (uint32_t r = parent.first[rank]; r < parent.first[rank + 1]; ++r) {
+        if (parent.refs[r].length > x_hi) break;
+        for (const StablePath& pi : pool_[parent.refs[r].heap].paths()) {
           if (theorem1_pruning_ && Theorem1Reducible(pi, graph, lmin_)) {
             continue;  // Extensions dominated by the reduced suffix's.
           }
-          StablePath extended = pi;
-          extended.nodes.push_back(c);
-          extended.weight += pe.weight;
-          extended.length += len;
+          scratch_.nodes.assign(pi.nodes.begin(), pi.nodes.end());
+          scratch_.nodes.push_back(c);
+          scratch_.weight = pi.weight + pe.weight;
+          scratch_.length = pi.length + len;
           ++cost_.heap_offers;
-          if (TopKHeap<>* h = HeapFor(built[j], i, extended.length)) {
-            h->Offer(extended);
-          }
-          offer_global(extended);
+          OfferToNode(scratch_, i);
+          offer_global(scratch_);
         }
       }
     }
+    CloseNode(built);
   }
+  // The interval's modelled bytes, summed once: it is final now.
+  size_t path_bytes = 0;
+  for (const HeapRef& ref : built.refs) {
+    path_bytes += pool_[ref.heap].PathBytes();
+  }
+  built.bytes = nodes.size() * AnnotationBytes(i, 0) + path_bytes;
   // Save the interval's annotations to disk (line 17 of Algorithm 2).
   if (i > 0) cost_.io.page_writes += nodes.size();
 
   ++next_interval_;
-  // Interval i+1 reads [i-g, i]; older annotations are never read again.
-  while (window_.size() > size_t{gap_} + 1) {
-    window_.pop_front();
-    ++window_begin_;
+  // Interval i+1 reads [i-g, i]; older annotations are never read again,
+  // so their heaps go back to the pool.
+  if (i >= gap_ + 1) {
+    IntervalAnnotations& old = Slot(i - gap_ - 1);
+    for (const HeapRef& ref : old.refs) {
+      pool_[ref.heap].Clear();
+      free_.push_back(ref.heap);
+    }
+    old.first.clear();
+    old.refs.clear();
+    old.bytes = 0;
   }
   return Status::OK();
 }
 
 std::vector<size_t> IntervalSweep::WindowAnnotationBytes() const {
   std::vector<size_t> bytes;
-  for (size_t j = 0; j < window_.size(); ++j) {
-    const size_t heap_count = HeapCount(window_begin_ + j);
-    for (const Annotation& a : window_[j]) {
-      bytes.push_back(a.MemoryBytes(heap_count));
+  for (uint32_t w = window_begin(); w < next_interval_; ++w) {
+    const IntervalAnnotations& a = Slot(w);
+    for (size_t rank = 0; rank < a.node_count(); ++rank) {
+      size_t path_bytes = 0;
+      for (uint32_t r = a.first[rank]; r < a.first[rank + 1]; ++r) {
+        path_bytes += pool_[a.refs[r].heap].PathBytes();
+      }
+      bytes.push_back(AnnotationBytes(w, path_bytes));
     }
+  }
+  return bytes;
+}
+
+size_t IntervalSweep::WindowBytes() const {
+  size_t bytes = 0;
+  for (uint32_t w = window_begin(); w < next_interval_; ++w) {
+    bytes += Slot(w).bytes;
   }
   return bytes;
 }
 
 size_t IntervalSweep::FrontierBytes() const {
   size_t bytes = global_.MemoryBytes();
-  if (!window_.empty()) {
-    const size_t heap_count = HeapCount(next_interval_ - 1);
-    for (const Annotation& a : window_.back()) {
-      bytes += a.MemoryBytes(heap_count);
-    }
-  }
+  if (next_interval_ > 0) bytes += Slot(next_interval_ - 1).bytes;
   return bytes;
 }
 
@@ -175,19 +201,24 @@ Result<StableFinderResult> BfsStableFinder::Find(
     // independent of offer order. So the step runs once and the
     // partition decides only the accounting: the passes, one re-read of
     // interval i per extra pass, and the largest chunk resident at once.
-    size_t chunks = 0;
-    size_t acc = 0;
-    size_t largest = 0;
-    for (size_t bytes : sweep.WindowAnnotationBytes()) {
-      if (chunks == 0 ||
-          (acc + bytes > options_.memory_budget_bytes && acc > 0)) {
-        ++chunks;
-        acc = 0;
+    // A window that fits is one chunk, and only one that does not is
+    // split annotation by annotation.
+    size_t chunks = 1;
+    size_t largest = sweep.WindowBytes();
+    if (largest > options_.memory_budget_bytes) {
+      chunks = 0;
+      largest = 0;
+      size_t acc = 0;
+      for (size_t bytes : sweep.WindowAnnotationBytes()) {
+        if (chunks == 0 ||
+            (acc + bytes > options_.memory_budget_bytes && acc > 0)) {
+          ++chunks;
+          acc = 0;
+        }
+        acc += bytes;
+        largest = std::max(largest, acc);
       }
-      acc += bytes;
-      largest = std::max(largest, acc);
     }
-    chunks = std::max<size_t>(chunks, 1);  // Empty window.
     ST_RETURN_IF_ERROR(sweep.Advance(graph, i));
     result.passes = std::max(result.passes, chunks);
     result.io.page_reads += (chunks - 1) * graph.IntervalNodes(i).size();

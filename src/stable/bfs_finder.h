@@ -14,12 +14,16 @@
 // length) weight-optimal substructure keeps that ranking exact; Theorem 1
 // pruning (stable/normalized.h) is an option.
 //
-// Only a node with at least one parent holds heaps: a path reaches a
-// node's heaps through a parent edge, so a parentless node's heaps would
-// stay empty. The cost model still charges every node the heaps the
-// paper's annotation has (empty ones for a parentless node), so io and
-// the memory figures (window bytes, block-nested-loop passes, peak) are
-// those of Algorithm 2 as written.
+// Storage follows the paths, not the annotation. A heap h^x_ij exists
+// only once a path of length x ending at cij is admitted to it, so a node
+// without parents holds none. Each interval's annotations are a flat
+// index by (node rank, length) into a pool of heaps; the heaps of an
+// interval that leaves the window go back to the pool with their path
+// buffers, and candidates are built in one reused scratch path. The cost
+// model still charges every node the heaps the paper's annotation has
+// (empty ones where nothing is held), so io and the memory figures
+// (window bytes, block-nested-loop passes, peak) are those of Algorithm 2
+// as written. Window and frontier bytes are summed once per interval.
 //
 // It also serves both settings. Batch BFS (Section 4.2) advances a sweep
 // over every interval of a finished graph. The online setting (Section
@@ -86,6 +90,9 @@ class IntervalSweep {
   /// order: the g+1-interval window the next Advance reads.
   std::vector<size_t> WindowAnnotationBytes() const;
 
+  /// Bytes of the whole window: the sum of WindowAnnotationBytes().
+  size_t WindowBytes() const;
+
   /// Bytes of the last integrated interval's annotations plus the global
   /// heap: the resident state besides the window.
   size_t FrontierBytes() const;
@@ -105,27 +112,50 @@ class IntervalSweep {
         full_paths_(full_paths),
         global_(k, GlobalOrder{normalized}) {}
 
-  // heaps[x] holds the top-k paths of length x ending at the node
-  // ([0] unused); full-path mode keeps one heap, for length == interval.
-  // Empty for a node with no parents: no path ends there.
-  struct Annotation {
-    std::vector<TopKHeap<>> heaps;
+  static constexpr uint32_t kNoHeap = UINT32_MAX;
 
-    // Bytes of the paper's annotation, which has `heap_count` heaps
-    // whether or not this node holds them.
-    size_t MemoryBytes(size_t heap_count) const;
+  // A held heap h^length of some node: an index into pool_.
+  struct HeapRef {
+    uint32_t length;
+    uint32_t heap;
   };
-  using IntervalAnnotations = std::vector<Annotation>;
+  // The annotations of one interval's nodes. The node of rank r holds the
+  // heaps refs[first[r], first[r + 1]), in length order: one for each
+  // length that has a path ending there (in full-path mode, only length
+  // == interval). A length without a path holds no heap, and a node
+  // without parents holds none at all.
+  struct IntervalAnnotations {
+    std::vector<uint32_t> first;
+    std::vector<HeapRef> refs;
+    size_t bytes = 0;  // Modelled bytes of all the interval's annotations.
 
-  // Heaps in the annotation of a node of `interval`.
+    size_t node_count() const { return first.empty() ? 0 : first.size() - 1; }
+  };
+
+  // Heaps in the paper's annotation of a node of `interval`.
   size_t HeapCount(uint32_t interval) const;
-
-  // The heap of `a` (a node of interval `interval`) for paths of
-  // `length`, or null when the node keeps none.
-  TopKHeap<>* HeapFor(Annotation& a, uint32_t interval,
-                      uint32_t length) const;
-  // The annotation of node `n`, which must lie in the window.
-  Annotation& Of(const ClusterGraph& graph, NodeId n);
+  // Modelled bytes of a node annotation of `interval` whose heaps hold
+  // `path_bytes` of paths. The paper's annotation has HeapCount heaps
+  // whether or not this node holds them.
+  size_t AnnotationBytes(uint32_t interval, size_t path_bytes) const;
+  // The annotations of `interval`, which must be in the window or being
+  // built: one ring slot per interval of the g+1 window plus the next.
+  IntervalAnnotations& Slot(uint32_t interval) {
+    return window_[interval % window_.size()];
+  }
+  const IntervalAnnotations& Slot(uint32_t interval) const {
+    return window_[interval % window_.size()];
+  }
+  // The first interval of the window the next Advance reads.
+  uint32_t window_begin() const {
+    return next_interval_ > gap_ + 1 ? next_interval_ - (gap_ + 1) : 0;
+  }
+  // Offers `path`, a path ending at the node being built, to the node's
+  // heap for its length; the heap is taken from the pool when it admits
+  // its first path.
+  void OfferToNode(const StablePath& path, uint32_t interval);
+  // Moves the node's heaps, in length order, into `built`.
+  void CloseNode(IntervalAnnotations& built);
 
   size_t k_;
   // The global heap takes paths of length in [lmin_, l_]; node heaps keep
@@ -136,9 +166,18 @@ class IntervalSweep {
   bool full_paths_;
   uint32_t gap_ = 0;
   uint32_t next_interval_ = 0;
-  // window_[j] annotates interval window_begin_ + j.
-  std::deque<IntervalAnnotations> window_;
-  uint32_t window_begin_ = 0;
+  // Ring of g+2 interval annotations; see Slot.
+  std::vector<IntervalAnnotations> window_;
+  // Every heap the sweep has made; free_ lists those no annotation holds.
+  // A deque, so a heap stays put while new ones are made.
+  std::deque<TopKHeap<>> pool_;
+  std::vector<uint32_t> free_;
+  // The node being built: its heap per length (kNoHeap if none yet) and
+  // the lengths that have one.
+  std::vector<uint32_t> node_heap_;
+  std::vector<uint32_t> node_lengths_;
+  // The candidate path being offered.
+  StablePath scratch_;
   TopKHeap<GlobalOrder> global_;
   StableFinderResult cost_;
 };

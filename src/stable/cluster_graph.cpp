@@ -11,6 +11,7 @@ ClusterGraph::ClusterGraph(uint32_t interval_count, uint32_t gap)
 }
 
 uint32_t ClusterGraph::AddInterval() {
+  if (frozen_) return kInvalidInterval;
   interval_nodes_.push_back(std::make_shared<std::vector<NodeId>>());
   owned_interval_.push_back(1);
   owned_intervals_.push_back(interval_count_);

@@ -40,6 +40,9 @@
 
 namespace stabletext {
 
+/// Sentinel interval index: what a sealed copy's AddInterval returns.
+inline constexpr uint32_t kInvalidInterval = UINT32_MAX;
+
 /// A directed edge to `target` with affinity `weight`.
 struct ClusterGraphEdge {
   NodeId target;
@@ -171,7 +174,8 @@ class ClusterGraph {
 
   /// Appends a new (empty) temporal interval and returns its index. The
   /// streaming entry point: a graph constructed with interval_count 0
-  /// grows one interval per ingested tick.
+  /// grows one interval per ingested tick. A sealed copy refuses: it
+  /// returns kInvalidInterval and stays unchanged.
   uint32_t AddInterval();
 
   /// Adds a node to interval `interval` (0-based). Returns its id, or

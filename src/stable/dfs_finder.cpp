@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <deque>
 #include <limits>
+#include <memory_resource>
 
 #include "stable/normalized.h"
 
@@ -11,27 +14,28 @@ namespace stabletext {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr uint32_t kNone = UINT32_MAX;
 
-// On-disk (simulated) annotation of one node: visited flag, the best known
-// weight of a length-x path ending here (maxweight, a row of the finder's
-// flat array), and the top-k paths of each feasible length starting here
-// (bestpaths).
-struct NodeState {
-  bool visited = false;
-  // Index x in [0, feasible_max]; empty for a node with no children.
+// The node annotation the memory model charges, as Algorithm 3 keeps it
+// on disk: a visited flag, a vector of bestpaths heaps and its size. The
+// node's maxweight row and each of its heaps, held or not, are charged on
+// top.
+struct ModelledNodeState {
+  bool visited;
   std::vector<TopKHeap<>> bestpaths;
-  size_t cached_bytes = 0;
+  size_t bytes;
+};
 
-  // Bytes of the paper's annotation: a maxweight row of `row` doubles,
-  // charged as a per-node array (header and elements), and `heap_count`
-  // bestpaths heaps, charged empty when the node holds none.
-  size_t ComputeBytes(size_t heap_count, size_t row) const {
-    size_t bytes =
-        sizeof(*this) + sizeof(std::vector<double>) + row * sizeof(double);
-    if (bestpaths.empty()) return bytes + heap_count * sizeof(TopKHeap<>);
-    for (const auto& h : bestpaths) bytes += h.MemoryBytes();
-    return bytes;
-  }
+// A bestpaths heap. Its path vector comes from the query's arena.
+using BestPaths =
+    TopKHeap<PathBetter, std::pmr::polymorphic_allocator<StablePath>>;
+
+// One held bestpaths heap: a node's heap for paths of `length`, linked to
+// the node's next one in length order.
+struct HeldHeap {
+  uint32_t length;
+  uint32_t next;
+  BestPaths heap;
 };
 
 // DFS stack frame. entry_* describe the tree edge used to reach the node
@@ -96,23 +100,33 @@ Result<StableFinderResult> DfsStableFinder::Find(
   // only, since only CanPrune reads it.
   const size_t row = normalized ? 0 : size_t{l} + 1;
   std::vector<double> maxweight(n * row, kNegInf);
-  // bestpaths(v, x) exists for the start lengths x that fit before the
-  // horizon.
+  if (!normalized) {
+    // A length-l path may *start* at v iff it fits before the horizon.
+    for (NodeId v = 0; v < n; ++v) {
+      if (graph.Interval(v) + l <= m - 1) maxweight[v * row] = 0;
+    }
+  }
+  // The paper's annotation has bestpaths(v, x) for the start lengths x
+  // that fit before the horizon.
   auto heap_count = [&](NodeId v) -> size_t {
     return std::min<uint32_t>(lmax, (m - 1) - graph.Interval(v)) + 1;
   };
-  std::vector<NodeState> states(n);
+  // Node annotations, as flat arrays. A bestpaths heap is held only once
+  // it has a path: v's heaps are heaps[h] for h on the list from
+  // first_heap[v], in length order. Paths reach v's bestpaths only
+  // through a child edge, so a childless node holds none. bytes[v] is the
+  // modelled size of v's annotation: every heap the paper's annotation
+  // has, empty or not, and the paths held.
+  std::vector<uint8_t> visited(n, 0);
+  std::vector<uint32_t> first_heap(n, kNone);
+  std::vector<size_t> bytes(n);
+  // The held heaps and their path vectors live in one arena, freed with
+  // the query; a deque, so a heap stays put while others are made.
+  std::pmr::monotonic_buffer_resource arena;
+  std::pmr::deque<HeldHeap> heaps(&arena);
   for (NodeId v = 0; v < n; ++v) {
-    NodeState& st = states[v];
-    // A length-l path may *start* at v iff it fits before the horizon.
-    if (!normalized && graph.Interval(v) + l <= m - 1) {
-      maxweight[v * row] = 0;
-    }
-    // Paths reach v's bestpaths only through a child edge.
-    if (!graph.Children(v).empty()) {
-      st.bestpaths.assign(heap_count(v), TopKHeap<>(k));
-    }
-    st.cached_bytes = st.ComputeBytes(heap_count(v), row);
+    bytes[v] = sizeof(ModelledNodeState) + sizeof(std::vector<double>) +
+               row * sizeof(double) + heap_count(v) * TopKHeap<>::kEmptyBytes;
   }
 
   TopKHeap<GlobalOrder> global(k, GlobalOrder{normalized});
@@ -125,62 +139,72 @@ Result<StableFinderResult> DfsStableFinder::Find(
                         global.MemoryBytes();
     result.peak_memory_bytes = std::max(result.peak_memory_bytes, live);
   };
-  auto refresh_bytes = [&](NodeId v) {
-    const size_t now = states[v].ComputeBytes(heap_count(v), row);
-    resident_state_bytes += now - states[v].cached_bytes;
-    states[v].cached_bytes = now;
-  };
 
   auto offer_global = [&](const StablePath& path) {
     if (path.length < lmin || path.length > lmax) return;
     ++result.heap_offers;
     global.Offer(path);
   };
-  // Offers a path to a node heap and to H when it has a sought length.
-  auto offer = [&](NodeState& st, const StablePath& path) {
+  // Offers a path starting at stacked node v to v's heap for its length
+  // (taking the heap when it admits its first path) and to H when it has
+  // a sought length.
+  auto offer = [&](NodeId v, const StablePath& path) {
     ++result.heap_offers;
-    if (path.length < st.bestpaths.size()) {
-      st.bestpaths[path.length].Offer(path);
+    if (path.length < heap_count(v) && k > 0) {
+      uint32_t prev = kNone;
+      uint32_t h = first_heap[v];
+      while (h != kNone && heaps[h].length < path.length) {
+        prev = h;
+        h = heaps[h].next;
+      }
+      if (h == kNone || heaps[h].length != path.length) {
+        const uint32_t fresh = static_cast<uint32_t>(heaps.size());
+        heaps.push_back(
+            HeldHeap{path.length, h, BestPaths(k, PathBetter(), &arena)});
+        (prev == kNone ? first_heap[v] : heaps[prev].next) = fresh;
+        h = fresh;
+      }
+      // v is stacked, so its annotation is resident.
+      BestPaths& heap = heaps[h].heap;
+      bytes[v] -= heap.PathBytes();
+      resident_state_bytes -= heap.PathBytes();
+      heap.Offer(path);
+      bytes[v] += heap.PathBytes();
+      resident_state_bytes += heap.PathBytes();
     }
     offer_global(path);
   };
 
   // Folds a finished/visited child c2 into parent c1's bestpaths through
   // edge e (c1 -> c2). Covers the bare edge and all extendable suffixes.
+  StablePath scratch;  // The candidate being offered.
   auto update_bestpaths = [&](NodeId c1, const ClusterGraphEdge& e) {
-    NodeState& st = states[c1];
     const NodeId c2 = e.target;
     const uint32_t len = graph.EdgeLength(c1, c2);
-    {
-      StablePath bare;
-      bare.nodes = {c1, c2};
-      bare.weight = e.weight;
-      bare.length = len;
-      offer(st, bare);
-    }
-    const NodeState& child = states[c2];
-    for (uint32_t x = 1; x + len <= lmax && x < child.bestpaths.size();
-         ++x) {
-      for (const StablePath& pi : child.bestpaths[x].paths()) {
-        StablePath extended;
-        extended.nodes.reserve(pi.nodes.size() + 1);
-        extended.nodes.push_back(c1);
-        extended.nodes.insert(extended.nodes.end(), pi.nodes.begin(),
-                              pi.nodes.end());
-        extended.weight = e.weight + pi.weight;
-        extended.length = len + pi.length;
+    scratch.nodes.assign({c1, c2});
+    scratch.weight = e.weight;
+    scratch.length = len;
+    offer(c1, scratch);
+    for (uint32_t h = first_heap[c2];
+         h != kNone && heaps[h].length + len <= lmax; h = heaps[h].next) {
+      for (const StablePath& pi : heaps[h].heap.paths()) {
+        scratch.nodes.clear();
+        scratch.nodes.push_back(c1);
+        scratch.nodes.insert(scratch.nodes.end(), pi.nodes.begin(),
+                             pi.nodes.end());
+        scratch.weight = e.weight + pi.weight;
+        scratch.length = len + pi.length;
         // Paths grow leftwards here, so Theorem 1 cuts the right end.
-        if (theorem1 && Theorem1Reducible(extended, graph, lmin,
+        if (theorem1 && Theorem1Reducible(scratch, graph, lmin,
                                           Theorem1Cut::kSuffix)) {
           // Still ranked itself; only kept out of the node heap, so it is
           // never extended further.
-          offer_global(extended);
+          offer_global(scratch);
           continue;
         }
-        offer(st, extended);
+        offer(c1, scratch);
       }
     }
-    refresh_bytes(c1);
   };
 
   auto can_prune = [&](NodeId c2) {
@@ -216,12 +240,12 @@ Result<StableFinderResult> DfsStableFinder::Find(
       ++result.io.page_reads;
       ++result.io.random_seeks;
 
-      if (states[c2].visited) {
+      if (visited[c2]) {
         if (!at_source) update_bestpaths(top.node, e);
         continue;
       }
       // Push c2.
-      states[c2].visited = true;
+      visited[c2] = 1;
       ++result.nodes_pushed;
       const uint32_t len = at_source ? 0 : graph.EdgeLength(top.node, c2);
       // Update maxweight(c2, .) from the parent's maxweight (line 16).
@@ -234,7 +258,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
         }
       }
       stack.push_back(Frame{c2, 0, e.weight, len});
-      resident_state_bytes += states[c2].cached_bytes;
+      resident_state_bytes += bytes[c2];
       note_peak(stack.size());
 
       if (options_.enable_pruning && !normalized && can_prune(c2)) {
@@ -242,10 +266,10 @@ Result<StableFinderResult> DfsStableFinder::Find(
         // Unmark the visited flag of every stacked node including c2
         // (their subtrees are no longer guaranteed fully considered).
         for (const Frame& f : stack) {
-          if (f.node != kInvalidNode) states[f.node].visited = false;
+          if (f.node != kInvalidNode) visited[f.node] = 0;
         }
         stack.pop_back();
-        resident_state_bytes -= states[c2].cached_bytes;
+        resident_state_bytes -= bytes[c2];
         // Save c2 back to disk (line 20).
         ++result.io.page_writes;
         ++result.io.random_seeks;
@@ -262,7 +286,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
     const Frame finished = stack.back();
     stack.pop_back();
     if (finished.node != kInvalidNode) {
-      resident_state_bytes -= states[finished.node].cached_bytes;
+      resident_state_bytes -= bytes[finished.node];
       ++result.io.page_writes;
       ++result.io.random_seeks;
       if (!stack.empty() && stack.back().node != kInvalidNode) {

@@ -17,12 +17,16 @@
 // exactly l. Theorem 1 pruning (stable/normalized.h) is an option; the DFS
 // grows paths by prepending, so it cuts from the right end.
 //
-// Only a node with at least one child holds bestpaths heaps: a path enters
-// a node's bestpaths through a child edge, so a childless node's would
-// stay empty. kl-stable maxweight is one flat n x (l+1) array per query.
-// The cost model still charges every node the annotation the paper
-// describes (its maxweight row and all its bestpaths heaps), so io and
-// peak memory are those of Algorithm 3 as written.
+// Storage follows the paths, not the annotation. Node state is flat
+// per-node arrays (visited flag, modelled bytes, first held heap), and a
+// bestpaths heap exists only once a path of its length starting at its
+// node is admitted, so a childless node holds none. The held heaps come
+// from one arena per query, and kl-stable maxweight is one flat
+// n x (l+1) array. The cost model still charges every node the
+// annotation the paper describes (its maxweight row and all its
+// bestpaths heaps, empty where nothing is held), updated by the bytes
+// each offer adds, so io and peak memory are those of Algorithm 3 as
+// written.
 
 #ifndef STABLETEXT_STABLE_DFS_FINDER_H_
 #define STABLETEXT_STABLE_DFS_FINDER_H_

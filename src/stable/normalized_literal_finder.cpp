@@ -25,6 +25,15 @@ StablePath Theorem1Reduce(StablePath path, const ClusterGraph& graph,
   return path;
 }
 
+// IsSubpath(sub, super) for two paths that end at the same node. A node
+// occurs at most once on a path (intervals increase along it), so such a
+// contiguous occurrence is a suffix, compared back to front.
+bool IsSuffixSubpath(const StablePath& sub, const StablePath& super) {
+  return !sub.nodes.empty() && sub.nodes.size() <= super.nodes.size() &&
+         std::equal(sub.nodes.rbegin(), sub.nodes.rend(),
+                    super.nodes.rbegin());
+}
+
 }  // namespace
 
 Result<StableFinderResult> NormalizedLiteralFinder::Find(
@@ -59,14 +68,15 @@ Result<StableFinderResult> NormalizedLiteralFinder::Find(
     offer_global(path);  // Rank before pruning, as in the paper.
     path = Theorem1Reduce(std::move(path), graph, lmin);
     // Subpath rule: drop the incoming path if it is a subpath of a kept
-    // one; drop kept ones that are subpaths of the incoming path.
+    // one; drop kept ones that are subpaths of the incoming path. All of
+    // them end at c.
     auto& list = bestpaths[c];
     for (const StablePath& kept : list) {
-      if (kept == path || IsSubpath(path, kept)) return;
+      if (kept == path || IsSuffixSubpath(path, kept)) return;
     }
     list.erase(std::remove_if(list.begin(), list.end(),
                               [&](const StablePath& kept) {
-                                return IsSubpath(kept, path);
+                                return IsSuffixSubpath(kept, path);
                               }),
                list.end());
     list.push_back(std::move(path));

@@ -85,8 +85,8 @@ TEST(ClusterGraphTest, SealedCopyRejectsNodesAndEdges) {
   EXPECT_TRUE(sealed.frozen());
   EXPECT_FALSE(g.frozen());
   EXPECT_EQ(sealed.AddNode(1), kInvalidNode);
-  EXPECT_EQ(sealed.AddInterval(), 2u);
-  EXPECT_EQ(sealed.AddNode(2), kInvalidNode);
+  EXPECT_EQ(sealed.AddInterval(), kInvalidInterval);
+  EXPECT_EQ(sealed.interval_count(), 2u);
   EXPECT_EQ(sealed.AddEdge(a, b, 0.25).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(sealed.node_count(), 2u);
   EXPECT_EQ(sealed.edge_count(), 1u);
