@@ -237,6 +237,37 @@ void PrintChains(const Engine& engine, const QueryResult& result) {
   }
 }
 
+// Prints every EngineStats field: in-process for `stats`, over the wire
+// (STATS_RESULT carries the same struct) for `client stats`.
+void PrintEngineStats(const EngineStats& stats) {
+  std::printf("intervals:      %u\n", stats.intervals);
+  std::printf("clusters:       %zu\n", stats.clusters);
+  std::printf("edges:          %zu\n", stats.edges);
+  std::printf("keywords:       %zu\n", stats.keywords);
+  std::printf("graph bytes:    %zu\n", stats.graph_bytes);
+  std::printf("resident bytes: %zu (epoch estimate)\n",
+              stats.resident_bytes);
+  std::printf("last publish:   %.1f us (%zu chunks shared, %zu copied)\n",
+              stats.publish_ns / 1e3, stats.shared_chunk_count,
+              stats.copied_chunk_count);
+  std::printf("ingest io:      %s\n", stats.io.ToString().c_str());
+  std::printf("query cache:    %llu hit(s), %llu miss(es)\n",
+              static_cast<unsigned long long>(stats.query_cache_hits),
+              static_cast<unsigned long long>(stats.query_cache_misses));
+  std::printf("durability:     %llu WAL bytes, last checkpoint %.1f ms, "
+              "recovered epoch %llu\n",
+              static_cast<unsigned long long>(stats.wal_bytes),
+              stats.checkpoint_ns / 1e6,
+              static_cast<unsigned long long>(stats.recovered_epoch));
+  std::printf("serving:        %llu subscription(s), %llu push(es), "
+              "%llu served, %llu rejected, %llu failed\n",
+              static_cast<unsigned long long>(stats.subscriptions_active),
+              static_cast<unsigned long long>(stats.pushes_sent),
+              static_cast<unsigned long long>(stats.queries_served),
+              static_cast<unsigned long long>(stats.queries_rejected),
+              static_cast<unsigned long long>(stats.queries_failed));
+}
+
 int CmdGen(int argc, char** argv) {
   if (argc < 1) return 2;
   // The optional operands are all strict decimals; a garbled one is a
@@ -405,7 +436,7 @@ int ServeNetwork(Engine& engine, const CliArgs& args) {
   std::printf(
       "served %llu queries (%llu shed, %llu failed), pushed %llu deltas "
       "to %llu subscriptions\n",
-      static_cast<unsigned long long>(server.queries_served()),
+      static_cast<unsigned long long>(stats.queries_served),
       static_cast<unsigned long long>(stats.queries_rejected),
       static_cast<unsigned long long>(stats.queries_failed),
       static_cast<unsigned long long>(stats.pushes_sent),
@@ -520,30 +551,7 @@ int CmdClient(int argc, char** argv) {
   if (action == "stats") {
     auto stats = client.Stats();
     if (!stats.ok()) return Fail(stats.status());
-    const net::WireStats& s = stats.value();
-    std::printf("epoch:                %llu\n",
-                static_cast<unsigned long long>(s.epoch));
-    std::printf("clusters:             %llu\n",
-                static_cast<unsigned long long>(s.clusters));
-    std::printf("edges:                %llu\n",
-                static_cast<unsigned long long>(s.edges));
-    std::printf("keywords:             %llu\n",
-                static_cast<unsigned long long>(s.keywords));
-    std::printf("resident bytes:       %llu\n",
-                static_cast<unsigned long long>(s.resident_bytes));
-    std::printf("cache hits/misses:    %llu / %llu\n",
-                static_cast<unsigned long long>(s.query_cache_hits),
-                static_cast<unsigned long long>(s.query_cache_misses));
-    std::printf("queries served:       %llu\n",
-                static_cast<unsigned long long>(s.queries_served));
-    std::printf("queries rejected:     %llu\n",
-                static_cast<unsigned long long>(s.queries_rejected));
-    std::printf("queries failed:       %llu\n",
-                static_cast<unsigned long long>(s.queries_failed));
-    std::printf("subscriptions active: %llu\n",
-                static_cast<unsigned long long>(s.subscriptions_active));
-    std::printf("pushes sent:          %llu\n",
-                static_cast<unsigned long long>(s.pushes_sent));
+    PrintEngineStats(stats.value());
     return 0;
   }
 
@@ -599,26 +607,6 @@ int CmdClient(int argc, char** argv) {
 
   std::fprintf(stderr, "unknown client action: %s\n", action.c_str());
   return 2;
-}
-
-void PrintEngineStats(const EngineStats& stats) {
-  std::printf("intervals:      %u\n", stats.intervals);
-  std::printf("clusters:       %zu\n", stats.clusters);
-  std::printf("edges:          %zu\n", stats.edges);
-  std::printf("keywords:       %zu\n", stats.keywords);
-  std::printf("graph bytes:    %zu\n", stats.graph_bytes);
-  std::printf("resident bytes: %zu (epoch estimate)\n",
-              stats.resident_bytes);
-  std::printf("last publish:   %.1f us (%zu chunks shared, %zu copied)\n",
-              stats.publish_ns / 1e3, stats.shared_chunk_count,
-              stats.copied_chunk_count);
-  std::printf("ingest io:      %s\n", stats.io.ToString().c_str());
-  std::printf("serving:        %llu subscription(s), %llu push(es), "
-              "%llu rejected, %llu failed\n",
-              static_cast<unsigned long long>(stats.subscriptions_active),
-              static_cast<unsigned long long>(stats.pushes_sent),
-              static_cast<unsigned long long>(stats.queries_rejected),
-              static_cast<unsigned long long>(stats.queries_failed));
 }
 
 int CmdStats(int argc, char** argv) {

@@ -12,7 +12,8 @@
 // rotate.
 //
 // Engine state has one on-disk format, the WAL's CRC record log
-// (storage/wal.h). Directory layout:
+// (storage/wal.h), whose records the engine encodes with util/bytes.h,
+// the record codec the wire protocol shares. Directory layout:
 //   checkpoint-<E>   a sealed record log holding exactly E records, the
 //                    delta of intervals 0..E-1 in order (written as .tmp
 //                    in whole 4 KiB writes, fsynced, then renamed). Each

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <map>
 
 #include "text/corpus.h"
+#include "util/bytes.h"
 #include "util/timer.h"
 
 namespace stabletext {
@@ -18,79 +18,6 @@ namespace {
 uint64_t PackOnlineHint(size_t k, uint32_t l) {
   if (k == 0 || k > UINT32_MAX) return 0;
   return (static_cast<uint64_t>(k) << 32) | l;
-}
-
-// Interval-delta (de)serialization for the durability log. Host-endian,
-// like every file the storage layer writes; doubles are copied bit-exact
-// (replay must reproduce weights to the last bit).
-class ByteWriter {
- public:
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-  void Raw(const void* p, size_t n) {
-    out_.append(static_cast<const char*>(p), n);
-  }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& data) : data_(data) {}
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool F64(double* v) { return Raw(v, sizeof(*v)); }
-  bool Str(std::string* s) {
-    uint32_t len = 0;
-    if (!U32(&len)) return false;
-    if (len > data_.size() - offset_) return false;
-    s->assign(data_.data() + offset_, len);
-    offset_ += len;
-    return true;
-  }
-  bool Raw(void* p, size_t n) {
-    if (n > data_.size() - offset_) return false;
-    std::memcpy(p, data_.data() + offset_, n);
-    offset_ += n;
-    return true;
-  }
-  bool AtEnd() const { return offset_ == data_.size(); }
-  size_t remaining() const { return data_.size() - offset_; }
-
- private:
-  const std::string& data_;
-  size_t offset_ = 0;
-};
-
-void WriteIoStats(ByteWriter* w, const IoStats& io) {
-  w->U64(io.page_reads);
-  w->U64(io.page_writes);
-  w->U64(io.logical_reads);
-  w->U64(io.random_seeks);
-  w->U64(io.bytes_read);
-  w->U64(io.bytes_written);
-  w->U64(io.fsyncs);
-  w->U64(io.sort_runs_spilled);
-  w->U64(io.sort_merge_passes);
-  w->U64(io.sort_in_memory_sorts);
-  w->U64(io.sort_tail_records);
-}
-
-bool ReadIoStats(ByteReader* r, IoStats* io) {
-  return r->U64(&io->page_reads) && r->U64(&io->page_writes) &&
-         r->U64(&io->logical_reads) && r->U64(&io->random_seeks) &&
-         r->U64(&io->bytes_read) && r->U64(&io->bytes_written) &&
-         r->U64(&io->fsyncs) && r->U64(&io->sort_runs_spilled) &&
-         r->U64(&io->sort_merge_passes) &&
-         r->U64(&io->sort_in_memory_sorts) &&
-         r->U64(&io->sort_tail_records);
 }
 
 }  // namespace
@@ -301,40 +228,41 @@ Result<std::unique_ptr<Engine>> Engine::Recover(EngineOptions options) {
 }
 
 std::string Engine::SerializeIntervalDelta(uint32_t interval) const {
-  ByteWriter w;
-  w.U32(interval);
+  std::string out;
+  ByteWriter w(&out);
+  w.Put<uint32_t>(interval);
   const uint64_t vocab_before =
       interval == 0 ? 0 : slots_[interval - 1]->vocab_size;
   const uint64_t vocab_after = slots_[interval]->vocab_size;
-  w.U64(vocab_before);
-  w.U64(vocab_after);
+  w.Put<uint64_t>(vocab_before);
+  w.Put<uint64_t>(vocab_after);
   // Words this interval interned. Replay re-interns them in id order, so
   // a recovered dictionary assigns every id exactly as the original run.
   for (uint64_t id = vocab_before; id < vocab_after; ++id) {
-    w.Str(dict_.Word(static_cast<KeywordId>(id)));
+    w.PutString(dict_.Word(static_cast<KeywordId>(id)));
   }
   const IntervalResult& res = slots_[interval]->result;
-  w.U64(res.graph_summary.document_count);
-  w.U64(res.graph_summary.keyword_count);
-  w.U64(res.graph_summary.raw_edge_count);
-  w.U64(res.graph_summary.prune.input_edges);
-  w.U64(res.graph_summary.prune.failed_support);
-  w.U64(res.graph_summary.prune.failed_chi_square);
-  w.U64(res.graph_summary.prune.failed_rho);
-  w.U64(res.graph_summary.prune.surviving_edges);
-  w.U64(res.biconnected.components);
-  w.U64(res.biconnected.articulation_points);
-  w.U64(res.biconnected.max_stack_entries);
-  w.U64(res.biconnected.spilled_entries);
-  w.U64(res.clusters.size());
+  w.Put<uint64_t>(res.graph_summary.document_count);
+  w.Put<uint64_t>(res.graph_summary.keyword_count);
+  w.Put<uint64_t>(res.graph_summary.raw_edge_count);
+  w.Put<uint64_t>(res.graph_summary.prune.input_edges);
+  w.Put<uint64_t>(res.graph_summary.prune.failed_support);
+  w.Put<uint64_t>(res.graph_summary.prune.failed_chi_square);
+  w.Put<uint64_t>(res.graph_summary.prune.failed_rho);
+  w.Put<uint64_t>(res.graph_summary.prune.surviving_edges);
+  w.Put<uint64_t>(res.biconnected.components);
+  w.Put<uint64_t>(res.biconnected.articulation_points);
+  w.Put<uint64_t>(res.biconnected.max_stack_entries);
+  w.Put<uint64_t>(res.biconnected.spilled_entries);
+  w.Put<uint64_t>(res.clusters.size());
   for (const Cluster& cluster : res.clusters) {
-    w.U32(static_cast<uint32_t>(cluster.keywords.size()));
-    for (KeywordId kw : cluster.keywords) w.U32(kw);
-    w.U32(static_cast<uint32_t>(cluster.edges.size()));
+    w.Put<uint32_t>(cluster.keywords.size());
+    for (KeywordId kw : cluster.keywords) w.Put<uint32_t>(kw);
+    w.Put<uint32_t>(cluster.edges.size());
     for (const WeightedEdge& e : cluster.edges) {
-      w.U32(e.u);
-      w.U32(e.v);
-      w.F64(e.weight);
+      w.Put<uint32_t>(e.u);
+      w.Put<uint32_t>(e.v);
+      w.Put<double>(e.weight);
     }
   }
   WriteIoStats(&w, slots_[interval]->io);
@@ -347,15 +275,15 @@ std::string Engine::SerializeIntervalDelta(uint32_t interval) const {
   for (NodeId c : graph_.IntervalNodes(interval)) {
     edge_count += graph_.StoredParents(c).size();
   }
-  w.U64(edge_count);
+  w.Put<uint64_t>(edge_count);
   for (NodeId c : graph_.IntervalNodes(interval)) {
     for (const ClusterGraphEdge e : graph_.StoredParents(c)) {
-      w.U32(e.target);  // from
-      w.U32(c);         // to
-      w.F64(e.weight);
+      w.Put<uint32_t>(e.target);  // from
+      w.Put<uint32_t>(c);         // to
+      w.Put<double>(e.weight);
     }
   }
-  return w.Take();
+  return out;
 }
 
 Status Engine::ReplayInterval(const std::string& blob) {
@@ -363,24 +291,21 @@ Status Engine::ReplayInterval(const std::string& blob) {
     return Status::Corruption(std::string("interval delta: ") + what);
   };
   ByteReader r(blob);
-  // Every count below is checked against the bytes left before it sizes
-  // anything: a CRC-valid record with an absurd count is Corruption, not
-  // a length_error or an allocation of the count.
-  auto fits = [&r](uint64_t count, size_t min_encoded_bytes) {
-    return count <= r.remaining() / min_encoded_bytes;
-  };
+  // Every count below is checked with Fits before it sizes anything: a
+  // CRC-valid record with an absurd count is Corruption, not a
+  // length_error or an allocation of the count.
   uint32_t interval = 0;
-  if (!r.U32(&interval)) return corrupt("truncated header");
+  if (!r.Get(&interval)) return corrupt("truncated header");
   if (interval != slots_.size()) {
     return corrupt("interval out of order");
   }
   uint64_t vocab_before = 0;
   uint64_t vocab_after = 0;
-  if (!r.U64(&vocab_before) || !r.U64(&vocab_after) ||
+  if (!r.Get(&vocab_before) || !r.Get(&vocab_after) ||
       vocab_after < vocab_before) {
     return corrupt("bad vocabulary watermarks");
   }
-  if (!fits(vocab_after - vocab_before, sizeof(uint32_t))) {
+  if (!r.Fits(vocab_after - vocab_before, sizeof(uint32_t))) {
     return corrupt("keyword count exceeds the record");
   }
   if (vocab_before != dict_.size()) {
@@ -388,7 +313,7 @@ Status Engine::ReplayInterval(const std::string& blob) {
   }
   for (uint64_t id = vocab_before; id < vocab_after; ++id) {
     std::string word;
-    if (!r.Str(&word)) return corrupt("truncated keyword");
+    if (!r.GetString(&word)) return corrupt("truncated keyword");
     if (dict_.Intern(word) != id) {
       return corrupt("keyword id diverged during replay");
     }
@@ -398,68 +323,72 @@ Status Engine::ReplayInterval(const std::string& blob) {
   IntervalResult& res = slot->result;
   res.interval = interval;
   uint64_t cluster_count = 0;
-  if (!r.U64(&res.graph_summary.document_count) ||
-      !r.U64(&res.graph_summary.keyword_count) ||
-      !r.U64(&res.graph_summary.raw_edge_count) ||
-      !r.U64(&res.graph_summary.prune.input_edges) ||
-      !r.U64(&res.graph_summary.prune.failed_support) ||
-      !r.U64(&res.graph_summary.prune.failed_chi_square) ||
-      !r.U64(&res.graph_summary.prune.failed_rho) ||
-      !r.U64(&res.graph_summary.prune.surviving_edges) ||
-      !r.U64(&res.biconnected.components) ||
-      !r.U64(&res.biconnected.articulation_points) ||
-      !r.U64(&res.biconnected.max_stack_entries) ||
-      !r.U64(&res.biconnected.spilled_entries) || !r.U64(&cluster_count)) {
+  if (!r.Get(&res.graph_summary.document_count) ||
+      !r.Get(&res.graph_summary.keyword_count) ||
+      !r.Get(&res.graph_summary.raw_edge_count) ||
+      !r.Get(&res.graph_summary.prune.input_edges) ||
+      !r.Get(&res.graph_summary.prune.failed_support) ||
+      !r.Get(&res.graph_summary.prune.failed_chi_square) ||
+      !r.Get(&res.graph_summary.prune.failed_rho) ||
+      !r.Get(&res.graph_summary.prune.surviving_edges) ||
+      !r.Get(&res.biconnected.components) ||
+      !r.Get(&res.biconnected.articulation_points) ||
+      !r.Get(&res.biconnected.max_stack_entries) ||
+      !r.Get(&res.biconnected.spilled_entries) || !r.Get(&cluster_count)) {
     return corrupt("truncated interval summary");
   }
   // A cluster encodes at least its two u32 counts; a keyword is a u32;
   // an edge (member or adjacency) is two u32 ids and an f64 weight.
   constexpr size_t kEdgeBytes = 2 * sizeof(uint32_t) + sizeof(double);
-  if (!fits(cluster_count, 2 * sizeof(uint32_t))) {
+  if (!r.Fits(cluster_count, 2 * sizeof(uint32_t))) {
     return corrupt("cluster count exceeds the record");
   }
   res.clusters.reserve(cluster_count);
   for (uint64_t j = 0; j < cluster_count; ++j) {
     Cluster cluster;
     uint32_t kw_count = 0;
-    if (!r.U32(&kw_count)) return corrupt("truncated cluster");
-    if (!fits(kw_count, sizeof(uint32_t))) {
+    if (!r.Get(&kw_count)) return corrupt("truncated cluster");
+    if (!r.Fits(kw_count, sizeof(uint32_t))) {
       return corrupt("cluster keyword count exceeds the record");
     }
     cluster.keywords.resize(kw_count);
     for (uint32_t i = 0; i < kw_count; ++i) {
-      if (!r.U32(&cluster.keywords[i])) return corrupt("truncated cluster");
+      if (!r.Get(&cluster.keywords[i])) return corrupt("truncated cluster");
       if (cluster.keywords[i] >= vocab_after) {
         return corrupt("cluster keyword beyond watermark");
       }
     }
     uint32_t member_edges = 0;
-    if (!r.U32(&member_edges)) return corrupt("truncated cluster");
-    if (!fits(member_edges, kEdgeBytes)) {
+    if (!r.Get(&member_edges)) return corrupt("truncated cluster");
+    if (!r.Fits(member_edges, kEdgeBytes)) {
       return corrupt("cluster edge count exceeds the record");
     }
     cluster.edges.resize(member_edges);
     for (uint32_t i = 0; i < member_edges; ++i) {
-      if (!r.U32(&cluster.edges[i].u) || !r.U32(&cluster.edges[i].v) ||
-          !r.F64(&cluster.edges[i].weight)) {
+      if (!r.Get(&cluster.edges[i].u) || !r.Get(&cluster.edges[i].v) ||
+          !r.Get(&cluster.edges[i].weight)) {
         return corrupt("truncated cluster edge");
+      }
+      if (cluster.edges[i].u >= vocab_after ||
+          cluster.edges[i].v >= vocab_after) {
+        return corrupt("cluster edge beyond watermark");
       }
     }
     res.clusters.push_back(std::move(cluster));
   }
   if (!ReadIoStats(&r, &slot->io)) return corrupt("truncated io stats");
   uint64_t edge_count = 0;
-  if (!r.U64(&edge_count)) return corrupt("truncated edge count");
-  if (!fits(edge_count, kEdgeBytes)) {
+  if (!r.Get(&edge_count)) return corrupt("truncated edge count");
+  if (!r.Fits(edge_count, kEdgeBytes)) {
     return corrupt("adjacency edge count exceeds the record");
   }
   std::vector<IntervalEdge> edges(edge_count);
   for (IntervalEdge& e : edges) {
-    if (!r.U32(&e.from) || !r.U32(&e.to) || !r.F64(&e.weight)) {
+    if (!r.Get(&e.from) || !r.Get(&e.to) || !r.Get(&e.weight)) {
       return corrupt("truncated adjacency edge");
     }
   }
-  if (!r.AtEnd()) return corrupt("trailing bytes");
+  if (!r.Done()) return corrupt("trailing bytes");
 
   // Adopt — the mirror of CommitInterval, with the logged deltas
   // standing in for clustering and the affinity joins. Warm online state
@@ -471,7 +400,10 @@ Status Engine::ReplayInterval(const std::string& blob) {
         sizeof(Cluster) + cluster.keywords.size() * sizeof(KeywordId);
   }
   slots_.push_back(std::move(slot));
-  return GrowGraph(interval, cluster_count, edges);
+  // An edge the graph refuses (an endpoint out of range, a backward or
+  // over-gap edge, a bad weight) can only come from a corrupt record.
+  const Status grown = GrowGraph(interval, cluster_count, edges);
+  return grown.ok() ? grown : corrupt(grown.message().c_str());
 }
 
 Result<uint32_t> Engine::IngestTicks(

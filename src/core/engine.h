@@ -290,17 +290,19 @@ class Engine {
   // Serializes committed interval `interval`'s delta — new keywords
   // since the previous watermark, clusters, per-tick I/O, and its
   // adjacency edges at stored weights — into the blob ReplayInterval
-  // consumes. Used for both the per-commit WAL record and the
+  // consumes, with util/bytes.h (the record codec the wire protocol
+  // shares). Used for both the per-commit WAL record and the
   // checkpoint's record for that interval, which are byte-identical
   // (the adjacency is read back from the graph, so nothing per-tick
   // needs retaining).
   std::string SerializeIntervalDelta(uint32_t interval) const
       REQUIRES(writer_role_);
   // Replays one serialized delta: re-interns the words (validating id
-  // assignment and every count against the bytes left), adopts the slot
-  // and hands the logged edges to GrowGraph — the same tail the commit
-  // runs, so a replayed graph matches by construction. The write-side
-  // mirror of CommitInterval minus durability, warm-online and publish.
+  // assignment and, with ByteReader::Fits, every count against the bytes
+  // left), adopts the slot and hands the logged edges to GrowGraph — the
+  // same tail the commit runs, so a replayed graph matches by
+  // construction. The write-side mirror of CommitInterval minus
+  // durability, warm-online and publish.
   Status ReplayInterval(const std::string& blob) REQUIRES(writer_role_);
 
   // The writer-thread capability: held (via AssumeRole) by whichever

@@ -59,7 +59,9 @@ struct QueryResult {
 };
 
 /// Aggregate engine state for monitoring endpoints. Captured at publish
-/// time, so concurrent readers see a consistent point-in-time view.
+/// time, so concurrent readers see a consistent point-in-time view. The
+/// one stats record: the STATS_RESULT frame carries it as is
+/// (net::EncodeStatsBody) and `stabletext_cli stats` prints it.
 struct EngineStats {
   uint32_t intervals = 0;
   size_t clusters = 0;       ///< Graph nodes.
@@ -97,6 +99,7 @@ struct EngineStats {
   uint64_t subscriptions_active = 0;  ///< Standing queries registered.
   uint64_t pushes_sent = 0;           ///< Per-epoch DELTA frames pushed.
   uint64_t queries_rejected = 0;      ///< Admission-control RETRYs.
+  uint64_t queries_served = 0;        ///< One-shot queries answered.
   uint64_t queries_failed = 0;        ///< Queries that errored or whose
                                       ///< worker died mid-query.
 };

@@ -185,14 +185,14 @@ Status Client::Unsubscribe(uint64_t subscription_id) {
   return Status::OK();
 }
 
-Result<WireStats> Client::Stats() {
+Result<EngineStats> Client::Stats() {
   auto frame = Call(MsgType::kStats, "");
   if (!frame.ok()) return frame.status();
   if (frame.value().type != MsgType::kStatsResult) {
     Close();
     return Status::Corruption("unexpected response to STATS");
   }
-  WireStats stats;
+  EngineStats stats;
   ST_RETURN_IF_ERROR(DecodeStatsBody(frame.value().body, &stats));
   return stats;
 }

@@ -15,6 +15,7 @@
 #include <deque>
 #include <string>
 
+#include "core/snapshot.h"
 #include "net/protocol.h"
 #include "stable/finder.h"
 #include "util/status.h"
@@ -55,7 +56,8 @@ class Client {
 
   Status Unsubscribe(uint64_t subscription_id);
 
-  Result<WireStats> Stats();
+  /// The server's EngineStats, serving counters included.
+  Result<EngineStats> Stats();
 
   /// Round-trip liveness probe; returns the server's latest epoch.
   Result<uint64_t> Ping();

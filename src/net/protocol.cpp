@@ -1,7 +1,10 @@
 #include "net/protocol.h"
 
-#include <cstring>
+#include <iterator>
+#include <type_traits>
 
+#include "core/snapshot.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace stabletext {
@@ -9,62 +12,16 @@ namespace net {
 
 namespace {
 
-// Append/consume helpers. Fixed-width fields are memcpy'd host-endian —
-// the same machine-local discipline as the storage layer (see the header
-// comment).
-
-template <typename T>
-void PutPod(std::string* out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Bounds-checked sequential reader over a decoded body.
-class BodyReader {
- public:
-  explicit BodyReader(const std::string& body) : body_(body) {}
-
-  template <typename T>
-  bool Get(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (body_.size() - off_ < sizeof(T)) return false;
-    std::memcpy(value, body_.data() + off_, sizeof(T));
-    off_ += sizeof(T);
-    return true;
-  }
-
-  bool GetString(std::string* s) {
-    uint32_t len = 0;
-    if (!Get(&len)) return false;
-    if (body_.size() - off_ < len) return false;
-    s->assign(body_.data() + off_, len);
-    off_ += len;
-    return true;
-  }
-
-  bool Done() const { return off_ == body_.size(); }
-  size_t remaining() const { return body_.size() - off_; }
-
- private:
-  const std::string& body_;
-  size_t off_ = 0;
-};
-
 Status Malformed(const char* what) {
   return Status::Corruption(std::string("malformed ") + what + " body");
 }
 
-void PutChain(std::string* out, const WireChain& chain) {
-  PutPod<uint32_t>(out, static_cast<uint32_t>(chain.nodes.size()));
-  for (const NodeId node : chain.nodes) PutPod<uint32_t>(out, node);
-  PutPod<double>(out, chain.weight);
-  PutPod<uint32_t>(out, chain.length);
-  PutString(out, chain.rendered);
+void PutChain(ByteWriter* w, const WireChain& chain) {
+  w->Put<uint32_t>(chain.nodes.size());
+  for (const NodeId node : chain.nodes) w->Put<uint32_t>(node);
+  w->Put<double>(chain.weight);
+  w->Put<uint32_t>(chain.length);
+  w->PutString(chain.rendered);
 }
 
 // Smallest encoding of one chain: node count, weight, length and the
@@ -72,10 +29,9 @@ void PutChain(std::string* out, const WireChain& chain) {
 constexpr size_t kMinChainBytes =
     sizeof(uint32_t) + sizeof(double) + sizeof(uint32_t) + sizeof(uint32_t);
 
-bool GetChain(BodyReader* in, WireChain* chain) {
+bool GetChain(ByteReader* in, WireChain* chain) {
   uint32_t n = 0;
-  if (!in->Get(&n)) return false;
-  if (n > kMaxFramePayload / sizeof(NodeId)) return false;
+  if (!in->Get(&n) || !in->Fits(n, sizeof(NodeId))) return false;
   chain->nodes.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (!in->Get(&chain->nodes[i])) return false;
@@ -84,19 +40,41 @@ bool GetChain(BodyReader* in, WireChain* chain) {
          in->GetString(&chain->rendered);
 }
 
+// STATS_RESULT: EngineStats in declaration order — the u32 `intervals`,
+// these counters, `io`, then the rest. Every size_t counter is a u64.
+static_assert(std::is_same_v<size_t, uint64_t>);
+constexpr uint64_t EngineStats::*kStatsBeforeIo[] = {
+    &EngineStats::clusters, &EngineStats::edges, &EngineStats::keywords,
+    &EngineStats::graph_bytes};
+constexpr uint64_t EngineStats::*kStatsAfterIo[] = {
+    &EngineStats::query_cache_hits,     &EngineStats::query_cache_misses,
+    &EngineStats::publish_ns,           &EngineStats::shared_chunk_count,
+    &EngineStats::copied_chunk_count,   &EngineStats::resident_bytes,
+    &EngineStats::wal_bytes,            &EngineStats::checkpoint_ns,
+    &EngineStats::recovered_epoch,      &EngineStats::subscriptions_active,
+    &EngineStats::pushes_sent,          &EngineStats::queries_rejected,
+    &EngineStats::queries_served,       &EngineStats::queries_failed};
+static_assert(sizeof(EngineStats) ==
+                  sizeof(uint64_t) * (1 + std::size(kStatsBeforeIo) +
+                                      std::size(kStatsAfterIo)) +
+                      sizeof(IoStats),
+              "the STATS_RESULT codec must carry every EngineStats field");
+
 }  // namespace
 
 std::string EncodeFrame(MsgType type, uint64_t request_id,
                         const std::string& body) {
   std::string payload;
   payload.reserve(1 + 8 + body.size());
-  PutPod<uint8_t>(&payload, static_cast<uint8_t>(type));
-  PutPod<uint64_t>(&payload, request_id);
+  ByteWriter p(&payload);
+  p.Put<uint8_t>(static_cast<uint8_t>(type));
+  p.Put<uint64_t>(request_id);
   payload.append(body);
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  PutPod<uint32_t>(&frame, static_cast<uint32_t>(payload.size()));
-  PutPod<uint32_t>(&frame, Crc32(payload.data(), payload.size()));
+  ByteWriter f(&frame);
+  f.Put<uint32_t>(payload.size());
+  f.Put<uint32_t>(Crc32(payload.data(), payload.size()));
   frame.append(payload);
   return frame;
 }
@@ -111,25 +89,24 @@ void FrameReader::Feed(const void* data, size_t size) {
 }
 
 Status FrameReader::Next(Frame* frame) {
-  if (buffered() < kFrameHeaderBytes) {
-    return Status::NotFound("need more bytes");
-  }
+  ByteReader in(std::string_view(buf_).substr(off_));
   uint32_t len = 0;
   uint32_t crc = 0;
-  std::memcpy(&len, buf_.data() + off_, sizeof(len));
-  std::memcpy(&crc, buf_.data() + off_ + 4, sizeof(crc));
+  if (!in.Get(&len) || !in.Get(&crc)) {
+    return Status::NotFound("need more bytes");
+  }
   if (len < 9 || len > kMaxFramePayload) {
     return Status::Corruption("bad frame length");
   }
-  if (buffered() < kFrameHeaderBytes + len) {
-    return Status::NotFound("need more bytes");
-  }
+  if (in.remaining() < len) return Status::NotFound("need more bytes");
   const char* payload = buf_.data() + off_ + kFrameHeaderBytes;
   if (Crc32(payload, len) != crc) {
     return Status::Corruption("frame checksum mismatch");
   }
-  frame->type = static_cast<MsgType>(static_cast<uint8_t>(payload[0]));
-  std::memcpy(&frame->request_id, payload + 1, sizeof(uint64_t));
+  uint8_t type = 0;
+  in.Get(&type);
+  in.Get(&frame->request_id);
+  frame->type = static_cast<MsgType>(type);
   frame->body.assign(payload + 9, len - 9);
   off_ += kFrameHeaderBytes + len;
   return Status::OK();
@@ -137,23 +114,24 @@ Status FrameReader::Next(Frame* frame) {
 
 std::string EncodeQueryBody(const FinderQuery& query, uint8_t flags) {
   std::string body;
-  PutPod<uint8_t>(&body, static_cast<uint8_t>(query.algorithm));
-  PutPod<uint8_t>(&body, static_cast<uint8_t>(query.mode));
-  PutPod<uint64_t>(&body, query.k);
-  PutPod<uint32_t>(&body, query.l);
-  PutPod<uint32_t>(&body, query.diversify_prefix);
-  PutPod<uint32_t>(&body, query.diversify_suffix);
-  PutPod<uint64_t>(&body, query.diversify_candidates);
-  PutPod<uint64_t>(&body, query.memory_budget_bytes);
-  PutPod<uint8_t>(&body, query.theorem1_pruning ? 1 : 0);
-  PutPod<uint64_t>(&body, query.max_probes);
-  PutPod<uint8_t>(&body, flags);
+  ByteWriter w(&body);
+  w.Put<uint8_t>(static_cast<uint8_t>(query.algorithm));
+  w.Put<uint8_t>(static_cast<uint8_t>(query.mode));
+  w.Put<uint64_t>(query.k);
+  w.Put<uint32_t>(query.l);
+  w.Put<uint32_t>(query.diversify_prefix);
+  w.Put<uint32_t>(query.diversify_suffix);
+  w.Put<uint64_t>(query.diversify_candidates);
+  w.Put<uint64_t>(query.memory_budget_bytes);
+  w.Put<uint8_t>(query.theorem1_pruning ? 1 : 0);
+  w.Put<uint64_t>(query.max_probes);
+  w.Put<uint8_t>(flags);
   return body;
 }
 
 Status DecodeQueryBody(const std::string& body, FinderQuery* query,
                        uint8_t* flags) {
-  BodyReader in(body);
+  ByteReader in(body);
   uint8_t algorithm = 0;
   uint8_t mode = 0;
   uint64_t k = 0;
@@ -186,19 +164,20 @@ Status DecodeQueryBody(const std::string& body, FinderQuery* query,
 
 std::string EncodeResultBody(const WireResult& result) {
   std::string body;
-  PutPod<uint64_t>(&body, result.epoch);
-  PutPod<uint8_t>(&body, result.warm_online ? 1 : 0);
-  PutPod<uint32_t>(&body, static_cast<uint32_t>(result.chains.size()));
-  for (const WireChain& chain : result.chains) PutChain(&body, chain);
+  ByteWriter w(&body);
+  w.Put<uint64_t>(result.epoch);
+  w.Put<uint8_t>(result.warm_online ? 1 : 0);
+  w.Put<uint32_t>(result.chains.size());
+  for (const WireChain& chain : result.chains) PutChain(&w, chain);
   return body;
 }
 
 Status DecodeResultBody(const std::string& body, WireResult* result) {
-  BodyReader in(body);
+  ByteReader in(body);
   uint8_t warm = 0;
   uint32_t n = 0;
   if (!in.Get(&result->epoch) || !in.Get(&warm) || !in.Get(&n) ||
-      n > in.remaining() / kMinChainBytes) {
+      !in.Fits(n, kMinChainBytes)) {
     return Malformed("result");
   }
   result->warm_online = warm != 0;
@@ -211,23 +190,24 @@ Status DecodeResultBody(const std::string& body, WireResult* result) {
 
 std::string EncodeDeltaBody(const WireDelta& delta) {
   std::string body;
-  PutPod<uint64_t>(&body, delta.subscription_id);
-  PutPod<uint64_t>(&body, delta.epoch);
-  PutPod<uint32_t>(&body, delta.new_size);
-  PutPod<uint32_t>(&body, static_cast<uint32_t>(delta.changes.size()));
+  ByteWriter w(&body);
+  w.Put<uint64_t>(delta.subscription_id);
+  w.Put<uint64_t>(delta.epoch);
+  w.Put<uint32_t>(delta.new_size);
+  w.Put<uint32_t>(delta.changes.size());
   for (const auto& [rank, chain] : delta.changes) {
-    PutPod<uint32_t>(&body, rank);
-    PutChain(&body, chain);
+    w.Put<uint32_t>(rank);
+    PutChain(&w, chain);
   }
   return body;
 }
 
 Status DecodeDeltaBody(const std::string& body, WireDelta* delta) {
-  BodyReader in(body);
+  ByteReader in(body);
   uint32_t n = 0;
   if (!in.Get(&delta->subscription_id) || !in.Get(&delta->epoch) ||
       !in.Get(&delta->new_size) || !in.Get(&n) ||
-      n > in.remaining() / (sizeof(uint32_t) + kMinChainBytes)) {
+      !in.Fits(n, sizeof(uint32_t) + kMinChainBytes)) {
     return Malformed("delta");
   }
   delta->changes.resize(n);
@@ -240,49 +220,35 @@ Status DecodeDeltaBody(const std::string& body, WireDelta* delta) {
   return in.Done() ? Status::OK() : Malformed("delta");
 }
 
-std::string EncodeStatsBody(const WireStats& stats) {
+std::string EncodeStatsBody(const EngineStats& stats) {
   std::string body;
-  PutPod<uint64_t>(&body, stats.epoch);
-  PutPod<uint32_t>(&body, stats.intervals);
-  PutPod<uint64_t>(&body, stats.clusters);
-  PutPod<uint64_t>(&body, stats.edges);
-  PutPod<uint64_t>(&body, stats.keywords);
-  PutPod<uint64_t>(&body, stats.resident_bytes);
-  PutPod<uint64_t>(&body, stats.query_cache_hits);
-  PutPod<uint64_t>(&body, stats.query_cache_misses);
-  PutPod<uint64_t>(&body, stats.subscriptions_active);
-  PutPod<uint64_t>(&body, stats.pushes_sent);
-  PutPod<uint64_t>(&body, stats.queries_rejected);
-  PutPod<uint64_t>(&body, stats.queries_served);
-  PutPod<uint64_t>(&body, stats.queries_failed);
+  ByteWriter w(&body);
+  w.Put<uint32_t>(stats.intervals);
+  for (const auto field : kStatsBeforeIo) w.Put<uint64_t>(stats.*field);
+  WriteIoStats(&w, stats.io);
+  for (const auto field : kStatsAfterIo) w.Put<uint64_t>(stats.*field);
   return body;
 }
 
-Status DecodeStatsBody(const std::string& body, WireStats* stats) {
-  BodyReader in(body);
-  if (!in.Get(&stats->epoch) || !in.Get(&stats->intervals) ||
-      !in.Get(&stats->clusters) || !in.Get(&stats->edges) ||
-      !in.Get(&stats->keywords) || !in.Get(&stats->resident_bytes) ||
-      !in.Get(&stats->query_cache_hits) ||
-      !in.Get(&stats->query_cache_misses) ||
-      !in.Get(&stats->subscriptions_active) ||
-      !in.Get(&stats->pushes_sent) || !in.Get(&stats->queries_rejected) ||
-      !in.Get(&stats->queries_served) || !in.Get(&stats->queries_failed) ||
-      !in.Done()) {
-    return Malformed("stats");
-  }
-  return Status::OK();
+Status DecodeStatsBody(const std::string& body, EngineStats* stats) {
+  ByteReader in(body);
+  bool ok = in.Get(&stats->intervals);
+  for (const auto field : kStatsBeforeIo) ok = ok && in.Get(&(stats->*field));
+  ok = ok && ReadIoStats(&in, &stats->io);
+  for (const auto field : kStatsAfterIo) ok = ok && in.Get(&(stats->*field));
+  return ok && in.Done() ? Status::OK() : Malformed("stats");
 }
 
 std::string EncodeRetryBody(const WireRetry& retry) {
   std::string body;
-  PutPod<uint32_t>(&body, retry.inflight);
-  PutPod<uint32_t>(&body, retry.queued);
+  ByteWriter w(&body);
+  w.Put<uint32_t>(retry.inflight);
+  w.Put<uint32_t>(retry.queued);
   return body;
 }
 
 Status DecodeRetryBody(const std::string& body, WireRetry* retry) {
-  BodyReader in(body);
+  ByteReader in(body);
   if (!in.Get(&retry->inflight) || !in.Get(&retry->queued) ||
       !in.Done()) {
     return Malformed("retry");
@@ -292,62 +258,33 @@ Status DecodeRetryBody(const std::string& body, WireRetry* retry) {
 
 std::string EncodeErrorBody(const Status& status) {
   std::string body;
-  PutPod<uint8_t>(&body, static_cast<uint8_t>(status.code()));
-  PutString(&body, status.message());
+  ByteWriter w(&body);
+  w.Put<uint8_t>(static_cast<uint8_t>(status.code()));
+  w.PutString(status.message());
   return body;
 }
 
 Status DecodeErrorBody(const std::string& body, Status* status) {
-  BodyReader in(body);
+  ByteReader in(body);
   uint8_t code = 0;
   std::string message;
   if (!in.Get(&code) || !in.GetString(&message) || !in.Done() ||
       code > static_cast<uint8_t>(StatusCode::kResourceExhausted)) {
     return Malformed("error");
   }
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      *status = Status::OK();
-      break;
-    case StatusCode::kInvalidArgument:
-      *status = Status::InvalidArgument(std::move(message));
-      break;
-    case StatusCode::kNotFound:
-      *status = Status::NotFound(std::move(message));
-      break;
-    case StatusCode::kIOError:
-      *status = Status::IOError(std::move(message));
-      break;
-    case StatusCode::kOutOfMemoryBudget:
-      *status = Status::OutOfMemoryBudget(std::move(message));
-      break;
-    case StatusCode::kCorruption:
-      *status = Status::Corruption(std::move(message));
-      break;
-    case StatusCode::kNotSupported:
-      *status = Status::NotSupported(std::move(message));
-      break;
-    case StatusCode::kInternal:
-      *status = Status::Internal(std::move(message));
-      break;
-    case StatusCode::kDataLoss:
-      *status = Status::DataLoss(std::move(message));
-      break;
-    case StatusCode::kResourceExhausted:
-      *status = Status::ResourceExhausted(std::move(message));
-      break;
-  }
+  *status =
+      Status::FromCode(static_cast<StatusCode>(code), std::move(message));
   return Status::OK();
 }
 
 std::string EncodeU64Body(uint64_t value) {
   std::string body;
-  PutPod<uint64_t>(&body, value);
+  ByteWriter(&body).Put<uint64_t>(value);
   return body;
 }
 
 Status DecodeU64Body(const std::string& body, uint64_t* value) {
-  BodyReader in(body);
+  ByteReader in(body);
   if (!in.Get(value) || !in.Done()) return Malformed("u64");
   return Status::OK();
 }

@@ -5,7 +5,8 @@
 //
 // Frame layout (multi-byte fields host-endian, like every other byte
 // stream this codebase writes — the protocol is machine-local; clients
-// and servers are expected to share an architecture):
+// and servers are expected to share an architecture). Frames and bodies
+// are encoded with util/bytes.h, the codec the WAL uses:
 //
 //   [u32 payload_len][u32 crc32(payload)][payload]
 //   payload = [u8 MsgType][u64 request_id][body]
@@ -16,8 +17,9 @@
 //
 // Request types: PING, QUERY, SUBSCRIBE, UNSUBSCRIBE, STATS.
 // Response types: PONG, RESULT, RETRY (admission control shed the
-// request), ERROR, SUBSCRIBED, UNSUBSCRIBED, STATS_RESULT, and the
-// pushed DELTA / BYE frames.
+// request), ERROR, SUBSCRIBED, UNSUBSCRIBED, STATS_RESULT (an
+// EngineStats; field order at EncodeStatsBody), and the pushed
+// DELTA / BYE frames.
 
 #ifndef STABLETEXT_NET_PROTOCOL_H_
 #define STABLETEXT_NET_PROTOCOL_H_
@@ -32,6 +34,9 @@
 #include "util/status.h"
 
 namespace stabletext {
+
+struct EngineStats;
+
 namespace net {
 
 /// Upper bound on one frame's payload; a peer announcing more is corrupt
@@ -96,7 +101,8 @@ class FrameReader {
 
 // ---------------------------------------------------------------------
 // Message bodies. Every Decode* validates bounds and enum ranges and
-// returns kCorruption on a malformed body.
+// returns kCorruption on a malformed body; a decoded count must fit in
+// the bytes left (ByteReader::Fits) before it sizes an allocation.
 
 /// One top-k entry as it travels over the wire: the path plus an
 /// optional server-rendered text (kFlagRender).
@@ -132,26 +138,6 @@ struct WireDelta {
   std::vector<std::pair<uint32_t, WireChain>> changes;  ///< (rank, entry).
 };
 
-/// STATS_RESULT body: the served engine's point-in-time stats plus the
-/// serving layer's admission/push counters.
-struct WireStats {
-  uint64_t epoch = 0;
-  uint32_t intervals = 0;
-  uint64_t clusters = 0;
-  uint64_t edges = 0;
-  uint64_t keywords = 0;
-  uint64_t resident_bytes = 0;
-  uint64_t query_cache_hits = 0;
-  uint64_t query_cache_misses = 0;
-  uint64_t subscriptions_active = 0;
-  uint64_t pushes_sent = 0;
-  uint64_t queries_rejected = 0;
-  uint64_t queries_served = 0;
-  /// Queries that errored or whose worker died mid-query (ReaderFleet
-  /// failures + per-query error replies).
-  uint64_t queries_failed = 0;
-};
-
 /// RETRY body: queue diagnostics at rejection time.
 struct WireRetry {
   uint32_t inflight = 0;
@@ -168,8 +154,19 @@ Status DecodeResultBody(const std::string& body, WireResult* result);
 std::string EncodeDeltaBody(const WireDelta& delta);
 Status DecodeDeltaBody(const std::string& body, WireDelta* delta);
 
-std::string EncodeStatsBody(const WireStats& stats);
-Status DecodeStatsBody(const std::string& body, WireStats* stats);
+/// STATS_RESULT body: an EngineStats (core/snapshot.h), the same struct
+/// in-process monitoring reads, with the serving counters filled in by
+/// Server::FillServingStats. Fields in declaration order, every counter
+/// a u64 except the leading u32:
+///   intervals, clusters, edges, keywords, graph_bytes,
+///   io (the 11 IoStats counters, see WriteIoStats),
+///   query_cache_hits, query_cache_misses, publish_ns,
+///   shared_chunk_count, copied_chunk_count, resident_bytes,
+///   wal_bytes, checkpoint_ns, recovered_epoch,
+///   subscriptions_active, pushes_sent, queries_rejected,
+///   queries_served, queries_failed.
+std::string EncodeStatsBody(const EngineStats& stats);
+Status DecodeStatsBody(const std::string& body, EngineStats* stats);
 
 std::string EncodeRetryBody(const WireRetry& retry);
 Status DecodeRetryBody(const std::string& body, WireRetry* retry);

@@ -116,7 +116,9 @@ void Server::FillServingStats(EngineStats* stats) const {
   stats->pushes_sent = pushes_sent_.load(std::memory_order_relaxed);
   stats->queries_rejected =
       queries_rejected_.load(std::memory_order_relaxed);
-  stats->queries_failed = queries_failed();
+  stats->queries_served = queries_served_.load(std::memory_order_relaxed);
+  stats->queries_failed = queries_errored_.load(std::memory_order_relaxed) +
+                          (workers_ ? workers_->failed() : 0);
 }
 
 void Server::RunLoop() {
@@ -261,23 +263,8 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
             EncodeU64Body(engine_->snapshot()->epoch));
       return;
     case MsgType::kStats: {
-      const EngineStats engine_stats = engine_->stats();
-      WireStats stats;
-      stats.epoch = engine_->snapshot()->epoch;
-      stats.intervals = engine_stats.intervals;
-      stats.clusters = engine_stats.clusters;
-      stats.edges = engine_stats.edges;
-      stats.keywords = engine_stats.keywords;
-      stats.resident_bytes = engine_stats.resident_bytes;
-      stats.query_cache_hits = engine_stats.query_cache_hits;
-      stats.query_cache_misses = engine_stats.query_cache_misses;
-      stats.subscriptions_active = registry_.size();
-      stats.pushes_sent = pushes_sent_.load(std::memory_order_relaxed);
-      stats.queries_rejected =
-          queries_rejected_.load(std::memory_order_relaxed);
-      stats.queries_served =
-          queries_served_.load(std::memory_order_relaxed);
-      stats.queries_failed = queries_failed();
+      EngineStats stats = engine_->stats();
+      FillServingStats(&stats);
       Reply(conn, MsgType::kStatsResult, frame.request_id,
             EncodeStatsBody(stats));
       return;

@@ -86,21 +86,12 @@ class Server {
   bool running() const { return running_.load(std::memory_order_acquire); }
   uint16_t port() const { return port_; }
 
-  // Serving-layer counters (live).
-  uint64_t pushes_sent() const { return pushes_sent_.load(); }
-  uint64_t queries_rejected() const { return queries_rejected_.load(); }
-  uint64_t queries_served() const { return queries_served_.load(); }
-  /// Queries that returned an error reply plus workers that died
-  /// mid-query (ReaderFleet::failed — their query never got a reply).
-  uint64_t queries_failed() const {
-    return queries_errored_.load(std::memory_order_relaxed) +
-           (workers_ ? workers_->failed() : 0);
-  }
-  size_t subscriptions_active() const { return registry_.size(); }
-
-  /// Folds the serving-layer counters into an EngineStats (the fields
-  /// engine-side code leaves zero). Used by the STATS handler and the
-  /// CLI.
+  /// Folds the live serving-layer counters into an EngineStats (the
+  /// fields engine-side code leaves zero). The one place they are read:
+  /// the STATS handler replies with engine stats() plus these, and the
+  /// CLI prints the same. queries_failed counts error replies plus
+  /// workers that died mid-query (ReaderFleet::failed — their query
+  /// never got a reply).
   void FillServingStats(EngineStats* stats) const;
 
  private:

@@ -1,37 +1,48 @@
 #include "storage/io_stats.h"
 
+#include <iterator>
+
+#include "util/bytes.h"
 #include "util/strings.h"
 
 namespace stabletext {
 
+namespace {
+
+// Every counter, in declaration order: the one list that summing,
+// differencing and the byte codec walk.
+constexpr uint64_t IoStats::*kCounters[] = {
+    &IoStats::page_reads,        &IoStats::page_writes,
+    &IoStats::logical_reads,     &IoStats::random_seeks,
+    &IoStats::bytes_read,        &IoStats::bytes_written,
+    &IoStats::fsyncs,            &IoStats::sort_runs_spilled,
+    &IoStats::sort_merge_passes, &IoStats::sort_in_memory_sorts,
+    &IoStats::sort_tail_records,
+};
+static_assert(std::size(kCounters) == sizeof(IoStats) / sizeof(uint64_t),
+              "kCounters must list every IoStats counter");
+
+}  // namespace
+
 IoStats& IoStats::operator+=(const IoStats& other) {
-  page_reads += other.page_reads;
-  page_writes += other.page_writes;
-  logical_reads += other.logical_reads;
-  random_seeks += other.random_seeks;
-  bytes_read += other.bytes_read;
-  bytes_written += other.bytes_written;
-  fsyncs += other.fsyncs;
-  sort_runs_spilled += other.sort_runs_spilled;
-  sort_merge_passes += other.sort_merge_passes;
-  sort_in_memory_sorts += other.sort_in_memory_sorts;
-  sort_tail_records += other.sort_tail_records;
+  for (const auto counter : kCounters) this->*counter += other.*counter;
   return *this;
 }
 
 IoStats operator-(IoStats a, const IoStats& b) {
-  a.page_reads -= b.page_reads;
-  a.page_writes -= b.page_writes;
-  a.logical_reads -= b.logical_reads;
-  a.random_seeks -= b.random_seeks;
-  a.bytes_read -= b.bytes_read;
-  a.bytes_written -= b.bytes_written;
-  a.fsyncs -= b.fsyncs;
-  a.sort_runs_spilled -= b.sort_runs_spilled;
-  a.sort_merge_passes -= b.sort_merge_passes;
-  a.sort_in_memory_sorts -= b.sort_in_memory_sorts;
-  a.sort_tail_records -= b.sort_tail_records;
+  for (const auto counter : kCounters) a.*counter -= b.*counter;
   return a;
+}
+
+void WriteIoStats(ByteWriter* w, const IoStats& io) {
+  for (const auto counter : kCounters) w->Put<uint64_t>(io.*counter);
+}
+
+bool ReadIoStats(ByteReader* r, IoStats* io) {
+  for (const auto counter : kCounters) {
+    if (!r->Get(&(io->*counter))) return false;
+  }
+  return true;
 }
 
 std::string IoStats::ToString() const {

@@ -12,6 +12,9 @@
 
 namespace stabletext {
 
+class ByteReader;  // util/bytes.h
+class ByteWriter;
+
 /// \brief Counters for physical storage operations.
 ///
 /// "Physical" means the operation missed every cache in front of it and
@@ -46,6 +49,12 @@ struct IoStats {
 /// Element-wise difference: counters are monotonic, so subtracting an
 /// earlier snapshot yields the cost of the span between them.
 IoStats operator-(IoStats a, const IoStats& b);
+
+/// Encodes the 11 counters as u64s, in declaration order. The WAL
+/// interval delta and the STATS_RESULT body both carry IoStats this way.
+void WriteIoStats(ByteWriter* w, const IoStats& io);
+/// The inverse of WriteIoStats; false when the input is too short.
+bool ReadIoStats(ByteReader* r, IoStats* io);
 
 }  // namespace stabletext
 

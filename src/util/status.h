@@ -69,6 +69,11 @@ class [[nodiscard]] Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
+  /// `code` with `msg`, for decoders of a serialized status; kOk drops
+  /// the message. The caller checks `code` is a StatusCode value.
+  static Status FromCode(StatusCode code, std::string msg) {
+    return code == StatusCode::kOk ? Status() : Status(code, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }

@@ -26,22 +26,15 @@ namespace {
 // isolated / (isolated + 1) of the nodes has no parent and no child.
 ClusterGraph MakeSparseGraph(uint32_t m, uint32_t n, uint32_t d, uint32_t g,
                              uint64_t seed, uint32_t isolated) {
-  const ClusterGraph dense = MakeRandomGraph(m, n, d, g, seed);
-  ClusterGraph graph(m, g);
-  std::vector<NodeId> id_of(dense.node_count());
-  for (uint32_t i = 0; i < m; ++i) {
-    for (NodeId v : dense.IntervalNodes(i)) {
-      for (uint32_t x = 0; x < isolated; ++x) graph.AddNode(i);
-      id_of[v] = graph.AddNode(i);
-    }
-  }
-  for (NodeId v = 0; v < dense.node_count(); ++v) {
-    for (const ClusterGraphEdge& e : dense.Children(v)) {
-      EXPECT_TRUE(graph.AddEdge(id_of[v], id_of[e.target], e.weight).ok());
-    }
-  }
-  graph.SortTouched();
-  return graph.SealedCopy();
+  ClusterGraphGenOptions opt;
+  opt.m = m;
+  opt.n = n;
+  opt.d = d;
+  opt.g = g;
+  opt.seed = seed;
+  opt.weight_quantum = 1024;  // As MakeRandomGraph.
+  opt.isolated = isolated;
+  return ClusterGraphGenerator::Generate(opt);
 }
 
 // FNV-1a over every path's nodes, length and weight bits, in rank order.

@@ -25,6 +25,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "storage/temp_dir.h"
 
 namespace stabletext {
 namespace net {
@@ -183,6 +184,57 @@ void ResetClose(int fd) {
   ::close(fd);
 }
 
+// The server's live serving counters, as STATS reports them.
+EngineStats ServingStats(const Server& server) {
+  EngineStats stats;
+  server.FillServingStats(&stats);
+  return stats;
+}
+
+// Every u64 (or size_t) counter of an EngineStats, in declaration order
+// — all of its fields except `intervals`.
+std::vector<uint64_t*> StatsCounters(EngineStats* s) {
+  return {&s->clusters,
+          &s->edges,
+          &s->keywords,
+          &s->graph_bytes,
+          &s->io.page_reads,
+          &s->io.page_writes,
+          &s->io.logical_reads,
+          &s->io.random_seeks,
+          &s->io.bytes_read,
+          &s->io.bytes_written,
+          &s->io.fsyncs,
+          &s->io.sort_runs_spilled,
+          &s->io.sort_merge_passes,
+          &s->io.sort_in_memory_sorts,
+          &s->io.sort_tail_records,
+          &s->query_cache_hits,
+          &s->query_cache_misses,
+          &s->publish_ns,
+          &s->shared_chunk_count,
+          &s->copied_chunk_count,
+          &s->resident_bytes,
+          &s->wal_bytes,
+          &s->checkpoint_ns,
+          &s->recovered_epoch,
+          &s->subscriptions_active,
+          &s->pushes_sent,
+          &s->queries_rejected,
+          &s->queries_served,
+          &s->queries_failed};
+}
+
+// Field-by-field equality of two EngineStats.
+void ExpectSameStats(EngineStats got, EngineStats want) {
+  EXPECT_EQ(got.intervals, want.intervals);
+  const std::vector<uint64_t*> g = StatsCounters(&got);
+  const std::vector<uint64_t*> w = StatsCounters(&want);
+  for (size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(*g[i], *w[i]) << "counter " << i;
+  }
+}
+
 // --------------------------------------------------------------- codec
 
 TEST(NetProtocolTest, FrameRoundTripsOneByteAtATime) {
@@ -260,26 +312,15 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
   EXPECT_TRUE(decoded_result.warm_online);
   EXPECT_TRUE(SameChains(decoded_result.chains, result.chains));
 
-  WireStats stats;
-  stats.epoch = 9;
+  // Every field distinct, so a swapped pair in the codec shows.
+  EngineStats stats;
+  uint64_t next = 1;
+  for (uint64_t* field : StatsCounters(&stats)) *field = next++;
   stats.intervals = 9;
-  stats.clusters = 100;
-  stats.edges = 200;
-  stats.keywords = 300;
-  stats.resident_bytes = 4096;
-  stats.query_cache_hits = 5;
-  stats.query_cache_misses = 6;
-  stats.subscriptions_active = 1;
-  stats.pushes_sent = 2;
-  stats.queries_rejected = 3;
-  stats.queries_served = 4;
-  WireStats decoded_stats;
+  EngineStats decoded_stats;
   ASSERT_TRUE(
       DecodeStatsBody(EncodeStatsBody(stats), &decoded_stats).ok());
-  EXPECT_EQ(decoded_stats.pushes_sent, 2u);
-  EXPECT_EQ(decoded_stats.queries_rejected, 3u);
-  EXPECT_EQ(decoded_stats.subscriptions_active, 1u);
-  EXPECT_EQ(decoded_stats.resident_bytes, 4096u);
+  ExpectSameStats(decoded_stats, stats);
 
   WireRetry retry{17, 5};
   WireRetry decoded_retry;
@@ -456,7 +497,7 @@ TEST(NetServerTest, ConcurrentClientsMatchDirectQueries) {
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(server.queries_served(), 12u);
+  EXPECT_GE(ServingStats(server).queries_served, 12u);
   server.Shutdown();
 }
 
@@ -532,7 +573,7 @@ TEST(NetServerTest, SubscriptionDeltasMatchSerialReplay) {
       client.Connect("127.0.0.1", server.port(), /*attempts=*/5).ok());
   auto sub = client.Subscribe(query, /*render=*/false);
   ASSERT_TRUE(sub.ok()) << sub.status().ToString();
-  EXPECT_EQ(server.subscriptions_active(), 1u);
+  EXPECT_EQ(ServingStats(server).subscriptions_active, 1u);
 
   std::vector<std::shared_ptr<const GraphSnapshot>> published;
   for (const auto& day : Days()) {
@@ -578,8 +619,8 @@ TEST(NetServerTest, SubscriptionDeltasMatchSerialReplay) {
   }
 
   ASSERT_TRUE(client.Unsubscribe(sub.value()).ok());
-  EXPECT_EQ(server.subscriptions_active(), 0u);
-  EXPECT_GE(server.pushes_sent(), kDays);
+  EXPECT_EQ(ServingStats(server).subscriptions_active, 0u);
+  EXPECT_GE(ServingStats(server).pushes_sent, kDays);
   server.Shutdown();
 }
 
@@ -663,9 +704,9 @@ TEST(NetServerTest, OverloadShedsDeterministically) {
   EXPECT_EQ(seen_ids.size(), static_cast<size_t>(kTotal));
   for (const auto& [id, count] : seen_ids) EXPECT_EQ(count, 1) << id;
 
-  EXPECT_EQ(server.queries_rejected(),
+  EXPECT_EQ(ServingStats(server).queries_rejected,
             static_cast<uint64_t>(kTotal) - options.max_inflight);
-  EXPECT_EQ(server.queries_served(), options.max_inflight);
+  EXPECT_EQ(ServingStats(server).queries_served, options.max_inflight);
 
   ::close(fd.value());
   server.Shutdown();
@@ -771,7 +812,8 @@ TEST(NetServerTest, ShutdownSurvivesResetClients) {
   EXPECT_TRUE(is_bye);
   closer.join();
   EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.queries_served() + server.queries_failed(),
+  const EngineStats serving = ServingStats(server);
+  EXPECT_EQ(serving.queries_served + serving.queries_failed,
             static_cast<uint64_t>(kResetClients));
 }
 
@@ -799,7 +841,6 @@ TEST(NetServerTest, PingAndStatsRoundTrip) {
 
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().epoch, 1u);
   EXPECT_EQ(stats.value().intervals, 1u);
   EXPECT_EQ(stats.value().subscriptions_active, 1u);
   EXPECT_GE(stats.value().queries_served, 1u);
@@ -811,6 +852,62 @@ TEST(NetServerTest, PingAndStatsRoundTrip) {
   server.FillServingStats(&merged);
   EXPECT_EQ(merged.subscriptions_active, 1u);
   EXPECT_GE(merged.queries_rejected, 0u);
+  server.Shutdown();
+}
+
+// On a quiescent server (no ingest, no query in flight) a STATS reply is
+// exactly the engine's stats() plus the serving counters, field by field.
+// A durable engine, reopened and checkpointed, makes the durability
+// counters nonzero too.
+TEST(NetServerTest, StatsReplyIsEngineStatsPlusServingCounters) {
+  TempDir dir("stats");
+  EngineOptions opt = TestOptions();
+  opt.durability.enabled = true;
+  opt.durability.dir = dir.path();
+  opt.durability.checkpoint_interval = 1;
+  opt.durability.fsync = false;
+  {
+    auto first = Engine::Recover(opt);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(first.value()->IngestText(Days()[0]).ok());
+  }
+  auto reopened = Engine::Recover(opt);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  Engine& engine = *reopened.value();
+  ASSERT_TRUE(engine.IngestText(Days()[1]).ok());
+  net::Server server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", server.port(), /*attempts=*/5).ok());
+  ASSERT_TRUE(client
+                  .Subscribe(MakeQuery(FinderAlgorithm::kBfs, 3, 1),
+                             /*render=*/false)
+                  .ok());
+  for (int i = 0; i < 2; ++i) {  // A miss, then a cache hit.
+    ASSERT_TRUE(
+        client.QueryWithRetry(MakeQuery(FinderAlgorithm::kBfs, 3, 1), false)
+            .ok());
+  }
+  bool retry = false;
+  EXPECT_FALSE(
+      client.Query(MakeQuery(FinderAlgorithm::kBfs, 0, 1), false, &retry)
+          .ok());
+
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EngineStats expected = engine.stats();
+  server.FillServingStats(&expected);
+  ExpectSameStats(stats.value(), expected);
+  EXPECT_EQ(stats.value().intervals, 2u);
+  EXPECT_EQ(stats.value().recovered_epoch, 1u);
+  EXPECT_GT(stats.value().wal_bytes, 0u);
+  EXPECT_GT(stats.value().checkpoint_ns, 0u);
+  EXPECT_EQ(stats.value().query_cache_hits, 1u);
+  EXPECT_EQ(stats.value().subscriptions_active, 1u);
+  EXPECT_EQ(stats.value().queries_served, 2u);
+  EXPECT_EQ(stats.value().queries_failed, 1u);
   server.Shutdown();
 }
 
