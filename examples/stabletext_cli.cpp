@@ -456,9 +456,7 @@ int ServeLocal(Engine& engine, const CliArgs& args) {
   WallTimer timer;
   ReaderFleet fleet(args.readers, [&](size_t reader) {
     // Rotate the requested query with a different *algorithm* (same
-    // k/l) so the fleet exercises both the warm streaming path and cold
-    // finder runs. Rotating online configurations instead would thrash
-    // the single warm-online slot and force a full sweep per tick.
+    // k/l) so the fleet exercises two finders against every epoch.
     Query alt = args.query;
     alt.algorithm = args.query.algorithm == FinderAlgorithm::kBfs
                         ? FinderAlgorithm::kDfs
@@ -558,9 +556,8 @@ int CmdClient(int argc, char** argv) {
   if (action == "query") {
     auto result = client.QueryWithRetry(args.query, args.render);
     if (!result.ok()) return Fail(result.status());
-    std::printf("epoch %llu%s:\n",
-                static_cast<unsigned long long>(result.value().epoch),
-                result.value().warm_online ? " (warm online)" : "");
+    std::printf("epoch %llu:\n",
+                static_cast<unsigned long long>(result.value().epoch));
     for (const net::WireChain& chain : result.value().chains) {
       std::printf("  weight %.4f length %u\n", chain.weight, chain.length);
       if (!chain.rendered.empty()) {

@@ -1,10 +1,12 @@
 // streaming_monitor: the Section 4.6 online scenario, end to end. Posts
 // arrive one interval at a time (as from the BlogScope crawler); every
-// tick is committed with Engine::IngestText and the current top-k stable
-// clusters are re-reported immediately with an online Query — no batch
-// rebuild, no barrier. The warm BFS interval sweep inside the engine only
-// touches the g+1-interval window per tick (Section 4.6), so each
-// report costs the marginal work of the newest interval.
+// tick is committed with Engine::IngestText, and the monitor advances its
+// own BFS interval sweep (IntervalSweep) by the new interval over the
+// published snapshot's sealed graph and re-reports the sweep's top-k
+// stable clusters — no batch rebuild, no barrier. A step touches only the
+// g+1-interval window (Section 4.6), so each report costs the marginal
+// work of the newest interval. As a check, every tick's top-k must equal
+// a batch BFS query at the same epoch; the example exits 1 otherwise.
 //
 // While the week streams in, a small fleet of concurrent readers keeps
 // polling the same engine from other threads — the serving scenario.
@@ -18,6 +20,7 @@
 
 #include "core/engine.h"
 #include "gen/corpus_generator.h"
+#include "stable/bfs_finder.h"
 #include "util/thread_pool.h"
 
 using namespace stabletext;
@@ -52,8 +55,9 @@ int main() {
       "after each arrival\n\n",
       corpus_options.days, query.k, query.l);
 
-  // The concurrent reader fleet: polls bfs and online queries against
-  // whatever epoch is currently published, the whole time ingest runs.
+  // The concurrent reader fleet: polls one-shot online and bfs queries
+  // against whatever epoch is currently published, the whole time ingest
+  // runs.
   std::atomic<bool> done{false};
   std::atomic<uint64_t> reader_queries{0};
   std::atomic<uint64_t> reader_epochs_seen{0};
@@ -91,23 +95,46 @@ int main() {
     return 1;
   };
 
+  // The online sweep, advanced one interval per tick. Jaccard weights
+  // never rescale; under the intersection measure a changed
+  // weight_scale() would call for a fresh sweep.
+  IntervalSweep sweep(query.k, query.l);
+  Query bfs = query;
+  bfs.algorithm = FinderAlgorithm::kBfs;
+  std::shared_ptr<const GraphSnapshot> snap;
   for (uint32_t day = 0; day < corpus_options.days; ++day) {
     // A new batch arrives from the crawler; ingest commits it.
     auto tick = monitor.IngestText(generator.GenerateDay(day));
     if (!tick.ok()) return fail("ingest", tick.status());
+    snap = monitor.snapshot();
+    Status step = sweep.Advance(*snap->graph, tick.value());
+    if (!step.ok()) return fail("sweep", step);
+    const std::vector<StablePath>& top = sweep.TopK();
 
-    auto top = monitor.Query(query);
-    if (!top.ok()) return fail("query", top.status());
+    // The same top-k, node for node and weight for weight, as a batch
+    // BFS over the whole epoch.
+    auto batch = monitor.QueryAt(snap, bfs);
+    if (!batch.ok()) return fail("bfs query", batch.status());
+    const std::vector<StablePath>& want = batch.value().finder.paths;
+    bool same = top.size() == want.size();
+    for (size_t i = 0; same && i < top.size(); ++i) {
+      same = top[i] == want[i] && top[i].weight == want[i].weight;
+    }
+    if (!same) {
+      return fail("online check",
+                  Status::Internal("sweep top-k differs from batch BFS"));
+    }
+
     std::printf("tick %2u: %3zu clusters",
                 tick.value(),
                 monitor.interval_result(day).clusters.size());
-    if (top.value().chains.empty()) {
+    if (top.empty()) {
       std::printf("  (no length-%u chains yet)\n", query.l);
       continue;
     }
     std::printf("  best");
-    for (const StableClusterChain& chain : top.value().chains) {
-      std::printf(" %s", chain.path.ToString().c_str());
+    for (const StablePath& path : top) {
+      std::printf(" %s", path.ToString().c_str());
     }
     std::printf("\n");
   }
@@ -123,10 +150,10 @@ int main() {
   if (!reader_ok.load()) return 1;
 
   // Show the best chain in full at end of week.
-  auto final_top = monitor.Query(query);
-  if (final_top.ok() && !final_top.value().chains.empty()) {
+  auto final_top = snap->ToChains(sweep.TopK());
+  if (final_top.ok() && !final_top.value().empty()) {
     std::printf("\nbest stable chain at end of week:\n%s",
-                monitor.RenderChain(final_top.value().chains[0]).c_str());
+                snap->RenderChain(final_top.value()[0]).c_str());
   }
 
   const EngineStats stats = monitor.stats();

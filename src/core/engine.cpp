@@ -10,18 +10,6 @@
 
 namespace stabletext {
 
-namespace {
-
-// A reader's warm-online request, packed for the lock-free hint slot:
-// k in the high 32 bits, l in the low 32. 0 = no hint (k is validated
-// positive before packing).
-uint64_t PackOnlineHint(size_t k, uint32_t l) {
-  if (k == 0 || k > UINT32_MAX) return 0;
-  return (static_cast<uint64_t>(k) << 32) | l;
-}
-
-}  // namespace
-
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)), graph_(0, options_.gap),
       cache_(std::make_unique<QueryCache>(options_.query_cache)) {
@@ -159,7 +147,6 @@ Result<uint32_t> Engine::CommitInterval(
   }
   slots_.push_back(std::move(slot));  // Immutable from here on.
   Status commit = ExtendGraph(interval);
-  if (commit.ok()) commit = AdvanceWarmOnline(interval);
   if (commit.ok() && durability_ != nullptr) {
     // Log before publish: an epoch readers can observe is always
     // recoverable. The converse tail case — record synced, publish
@@ -391,9 +378,7 @@ Status Engine::ReplayInterval(const std::string& blob) {
   if (!r.Done()) return corrupt("trailing bytes");
 
   // Adopt — the mirror of CommitInterval, with the logged deltas
-  // standing in for clustering and the affinity joins. Warm online state
-  // is deliberately not rebuilt (it is reader-visible cache, recreated
-  // on demand).
+  // standing in for clustering and the affinity joins.
   io_ += slot->io;
   for (const Cluster& cluster : res.clusters) {
     clusters_bytes_ +=
@@ -543,11 +528,6 @@ Status Engine::GrowGraph(uint32_t interval, size_t cluster_count,
       tick_max = std::max(tick_max, e.weight);
     }
     if (tick_max > running_max_affinity_) {
-      if (running_max_affinity_ > 0) {
-        // The warm online sweep holds paths built from the old scale;
-        // rebuild it at the new scale before the next publish.
-        online_rescale_needed_ = true;
-      }
       running_max_affinity_ = tick_max;
       graph_.set_weight_scale(1.0 / running_max_affinity_);
     }
@@ -557,32 +537,6 @@ Status Engine::GrowGraph(uint32_t interval, size_t cluster_count,
         e.from, e.to, raw_weights ? e.weight : std::min(e.weight, 1.0)));
   }
   graph_.SortTouched();
-  return Status::OK();
-}
-
-Status Engine::AdvanceWarmOnline(uint32_t interval) {
-  if (online_ != nullptr && online_rescale_needed_) {
-    // Weights were rescaled: the warm paths are at the old scale. Rebuild
-    // from interval 0 at the current scale (one full sweep, then marginal
-    // cost again).
-    online_ = std::make_unique<IntervalSweep>(online_->k(), online_->l());
-  }
-  online_rescale_needed_ = false;
-  // Adopt a reader's requested configuration (set when an online query
-  // missed the published warm state).
-  const uint64_t hint =
-      online_hint_.exchange(0, std::memory_order_relaxed);
-  if (hint != 0) {
-    const size_t k = static_cast<size_t>(hint >> 32);
-    const uint32_t l = static_cast<uint32_t>(hint & 0xffffffffULL);
-    if (online_ == nullptr || online_->k() != k || online_->l() != l) {
-      online_ = std::make_unique<IntervalSweep>(k, l);
-    }
-  }
-  if (online_ == nullptr) return Status::OK();
-  for (uint32_t iv = online_->next_interval(); iv <= interval; ++iv) {
-    ST_RETURN_IF_ERROR(online_->Advance(graph_, iv));
-  }
   return Status::OK();
 }
 
@@ -616,12 +570,6 @@ void Engine::Publish() {
   for (; words_counted_ < vocab; ++words_counted_) {
     words_bytes_ += sizeof(std::string) +
                     dict_.Word(static_cast<KeywordId>(words_counted_)).size();
-  }
-  if (online_ != nullptr && online_->next_interval() == snap->epoch) {
-    snap->has_online = true;
-    snap->online_k = online_->k();
-    snap->online_l = online_->l();
-    snap->online_topk = online_->TopK();
   }
   snap->stats.intervals = static_cast<uint32_t>(snap->epoch);
   snap->stats.clusters = graph_.node_count();
@@ -672,11 +620,10 @@ Result<QueryResult> Engine::Query(const stabletext::Query& query) const {
   const uint64_t epoch = published_epoch_.load(std::memory_order_acquire);
   QueryResult hit;
   if (cache_->Lookup(QueryCacheKey{epoch, query}, &hit)) return hit;
-  const std::shared_ptr<const GraphSnapshot> snap = snapshot();
-  // The pin is the latest epoch by construction. When a publish landed
-  // since the lookup, the finder answers at the newer epoch without a
-  // second lookup, so the call still counts exactly one miss.
-  return AnswerMiss(*snap, query, /*snap_is_latest=*/true);
+  // When a publish landed since the lookup, the finder answers at the
+  // newer epoch without a second lookup, so the call still counts
+  // exactly one miss.
+  return AnswerMiss(*snapshot(), query);
 }
 
 Result<QueryResult> Engine::QueryAt(
@@ -690,37 +637,14 @@ Result<QueryResult> Engine::QueryAt(
   }
   QueryResult hit;
   if (cache_->Lookup(QueryCacheKey{snap->epoch, query}, &hit)) return hit;
-  // Whether `snap` is the live epoch is decided *before* the finder
-  // runs: a publish racing a long cold query must not make the warm-up
-  // hint un-storable, or the warm path could never engage under
-  // continuous ingest.
-  return AnswerMiss(*snap, query, snap == snapshot());
+  return AnswerMiss(*snap, query);
 }
 
 Result<QueryResult> Engine::AnswerMiss(const GraphSnapshot& snap,
-                                       const stabletext::Query& query,
-                                       bool snap_is_latest) const {
+                                       const stabletext::Query& query) const {
   auto r = QuerySnapshot(snap, query);
   if (!r.ok()) return r.status();
   QueryResult out = std::move(r).value();
-  const bool diversify =
-      query.diversify_prefix > 0 || query.diversify_suffix > 0;
-  if (query.algorithm == FinderAlgorithm::kOnline &&
-      query.mode == FinderMode::kKlStable && !diversify &&
-      !out.warm_online && query.l != 0 && query.l < snap.epoch &&
-      snap_is_latest) {
-    // Cold online query: ask the writer to keep this configuration warm
-    // from the next tick on (lock-free; last writer wins). Not for
-    // l = 0 ("full length") queries — their effective l changes every
-    // epoch, so warming one value would force a full replay per tick —
-    // not for l >= epoch, which answers empty, and not from stale pinned
-    // snapshots, which must not evict the configuration serving live
-    // readers.
-    const uint64_t hint = PackOnlineHint(query.k, query.l);
-    if (hint != 0) {
-      online_hint_.store(hint, std::memory_order_relaxed);
-    }
-  }
   if (cache_->enabled()) {
     cache_->Insert(QueryCacheKey{snap.epoch, query}, out);
   }

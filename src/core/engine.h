@@ -5,7 +5,7 @@
 // (Section 3), affinity-joins the new clusters against the gap-window
 // frontier (Section 4.1), extends the cluster graph in place, and then
 // publishes an immutable GraphSnapshot (chunked CSR adjacency + interval
-// metadata + the warm online sweep's top-k) with an atomic shared_ptr swap.
+// metadata) with an atomic shared_ptr swap.
 // Publishing is O(delta): only the adjacency chunks the tick touched are
 // sealed; every untouched chunk is shared by shared_ptr with the previous
 // epoch, and raw-intersection weights renormalize lazily through a
@@ -48,7 +48,6 @@
 #include "core/interval_clusterer.h"
 #include "core/query_cache.h"
 #include "core/snapshot.h"
-#include "stable/bfs_finder.h"
 #include "stable/cluster_graph.h"
 #include "stable/finder.h"
 #include "text/document.h"
@@ -125,8 +124,7 @@ class Engine {
   /// resumes ingest exactly where the crash left off: the recovered
   /// engine is byte-identical to one that ingested the same intervals
   /// uninterrupted — same keyword ids, clusters, adjacency bits and
-  /// query answers (warm online state is the one deliberate exception:
-  /// it is reader-visible cache, rebuilt on demand, never persisted).
+  /// query answers.
   /// Recovery lands on the epoch that was published at the crash, or one
   /// later when the crash hit between the WAL fsync and the publish.
   /// Requires options.durability.enabled and a directory; this is the
@@ -162,8 +160,9 @@ class Engine {
                                     const TickCallback& on_tick = nullptr);
 
   /// Answers `query` on the latest published epoch. Algorithms: bfs, dfs,
-  /// ta (full paths, gap 0), brute-force, online (kept warm across
-  /// ingests). Modes: kl-stable, normalized. See FinderQuery for the
+  /// ta (full paths, gap 0), brute-force, online (a one-shot online query
+  /// is the batch BFS sweep; net::Server advances a sweep per standing
+  /// query instead). Modes: kl-stable, normalized. See FinderQuery for the
   /// diversification and tuning knobs. Safe to call concurrently with
   /// ingest from any number of threads; the answer's epoch is recorded in
   /// QueryResult::epoch. A query-cache hit is served without pinning the
@@ -174,7 +173,7 @@ class Engine {
   /// Answers `query` on a pinned snapshot (from snapshot(), possibly
   /// several epochs old) — several queries against the same pointer see
   /// one consistent epoch even while ingest advances. Uses the query
-  /// cache and records warm-online hints exactly like Query().
+  /// cache exactly like Query().
   Result<QueryResult> QueryAt(
       const std::shared_ptr<const GraphSnapshot>& snap,
       const stabletext::Query& query) const;
@@ -255,7 +254,7 @@ class Engine {
   std::vector<std::vector<KeywordId>> InternDocuments(
       const std::vector<PackedDocuments>& chunks) REQUIRES(writer_role_);
   // Commits a clustered interval: slot adoption, frontier joins, graph
-  // extension, warm-online sweep step, WAL record, snapshot publish.
+  // extension, WAL record, snapshot publish.
   Result<uint32_t> CommitInterval(std::shared_ptr<SnapshotInterval> slot)
       REQUIRES(writer_role_);
   // A new edge of the cluster graph, by node id. Stored weight: raw for
@@ -276,17 +275,12 @@ class Engine {
   Status GrowGraph(uint32_t interval, size_t cluster_count,
                    const std::vector<IntervalEdge>& edges)
       REQUIRES(writer_role_);
-  // Creates/advances the warm online sweep through `interval` over
-  // graph_ (consuming any reader hint), writer-side.
-  Status AdvanceWarmOnline(uint32_t interval) REQUIRES(writer_role_);
   // Builds and atomically publishes the snapshot for the current state.
   void Publish() REQUIRES(writer_role_);
   // The miss path of Query and QueryAt, after their one cache lookup:
-  // runs the finder on `snap`, stores the warm-online hint when
-  // `snap_is_latest`, and caches the answer.
+  // runs the finder on `snap` and caches the answer.
   Result<QueryResult> AnswerMiss(const GraphSnapshot& snap,
-                                 const stabletext::Query& query,
-                                 bool snap_is_latest) const;
+                                 const stabletext::Query& query) const;
   // Serializes committed interval `interval`'s delta — new keywords
   // since the previous watermark, clusters, per-tick I/O, and its
   // adjacency edges at stored weights — into the blob ReplayInterval
@@ -302,7 +296,7 @@ class Engine {
   // left), adopts the slot and hands the logged edges to GrowGraph — the
   // same tail the commit runs, so a replayed graph matches by
   // construction. The write-side mirror of CommitInterval minus
-  // durability, warm-online and publish.
+  // durability and publish.
   Status ReplayInterval(const std::string& blob) REQUIRES(writer_role_);
 
   // The writer-thread capability: held (via AssumeRole) by whichever
@@ -358,20 +352,6 @@ class Engine {
   // Repeated-query absorber; internally synchronized (sharded).
   mutable std::unique_ptr<QueryCache> cache_;
 
-  // Warm online state (Section 4.6), owned by the writer: one BFS
-  // IntervalSweep for one (k, l), advanced over graph_ as intervals
-  // commit. It holds annotations for the g+1-interval window only, never
-  // a copy of the graph. A reader's online query that misses the
-  // published warm state and has 1 <= l < epoch (any other l answers
-  // empty or changes per epoch) stores its (k, l) here (lock-free hint);
-  // the next ingest adopts it, and from then on every tick pays only the
-  // marginal sweep step while the published snapshot carries the
-  // materialized top-k. 0 = no hint.
-  mutable std::atomic<uint64_t> online_hint_{0};
-  std::unique_ptr<IntervalSweep> online_ GUARDED_BY(writer_role_);
-  // Set when a weight rescale invalidated the warm sweep's paths; the
-  // next ingest rebuilds it from scratch at the new scale.
-  bool online_rescale_needed_ GUARDED_BY(writer_role_) = false;
   // Non-OK after an ingest failed mid-commit: the writer state holds a
   // half-committed interval that must never be published, so further
   // ingest is refused while queries keep serving the last epoch.

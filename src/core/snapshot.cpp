@@ -70,30 +70,6 @@ Result<QueryResult> QuerySnapshot(const GraphSnapshot& snapshot,
   if (query.l != 0 && query.l >= snapshot.epoch) {
     return out;
   }
-  const bool diversify =
-      query.diversify_prefix > 0 || query.diversify_suffix > 0;
-  if (query.algorithm == FinderAlgorithm::kOnline &&
-      query.mode == FinderMode::kKlStable && !diversify) {
-    // The stream simply has no length-l paths yet: an empty answer, not
-    // an error — the monitor keeps polling as intervals arrive.
-    if (snapshot.epoch < 2) return out;
-    const uint32_t l = query.l == 0
-                           ? static_cast<uint32_t>(snapshot.epoch - 1)
-                           : query.l;
-    if (snapshot.has_online && snapshot.online_k == query.k &&
-        snapshot.online_l == l) {
-      // Warm hit: the writer already paid the marginal Section 4.6 work
-      // at ingest; the answer is a copy of the published top-k.
-      out.warm_online = true;
-      out.finder.paths = snapshot.online_topk;
-      ST_ASSIGN_OR_RETURN(out.chains, snapshot.ToChains(out.finder.paths));
-      return out;
-    }
-    // Cold: fall through to the registry's batch BFS below (identical
-    // paths, full sweep cost). Engine records a warm-up hint so the
-    // writer can serve this configuration from its warm state after the
-    // next tick.
-  }
   auto r = RunFinder(*snapshot.graph, query);
   if (!r.ok()) return r.status();
   out.finder = std::move(r).value();

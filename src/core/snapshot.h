@@ -5,12 +5,11 @@
 // are rebuilt; every untouched chunk is shared by shared_ptr with the
 // previous epoch, so publishing costs O(delta), not O(graph)), bundles it
 // with the interval metadata a query answer needs (clusters, keyword
-// table) and the warm online sweep's top-k, and publishes the bundle
-// with an atomic shared_ptr swap. Readers pin an epoch by grabbing the
-// pointer (C++17 shared_ptr atomics use a briefly held pooled lock, never
-// the writer's tick), and nothing the snapshot references is ever mutated
-// afterwards, so any number of queries can run while the next interval
-// commits. Engine::Query pins only on a query-cache miss: a hit is keyed
+// table), and publishes the bundle with an atomic shared_ptr swap.
+// Readers pin an epoch by grabbing the pointer (C++17 shared_ptr atomics
+// use a briefly held pooled lock, never the writer's tick), and nothing
+// the snapshot references is ever mutated afterwards, so any number of
+// queries can run while the next interval commits. Engine::Query pins only on a query-cache miss: a hit is keyed
 // on the published epoch counter and synchronizes on nothing but the
 // cache shard's shared lock (core/query_cache.h).
 //
@@ -53,9 +52,6 @@ struct QueryResult {
   /// Monotone across queries on one Engine; constant for a pinned
   /// snapshot.
   uint64_t epoch = 0;
-  /// True when the answer came from the snapshot's warm online state
-  /// (Section 4.6) instead of a finder run.
-  bool warm_online = false;
 };
 
 /// Aggregate engine state for monitoring endpoints. Captured at publish
@@ -159,14 +155,6 @@ struct GraphSnapshot {
   /// Keyword id -> string, for rendering: the first `words.total` words
   /// of the writer's dictionary, shared with it (see SnapshotWords).
   SnapshotWords words;
-  /// Warm online state (Section 4.6) at this epoch: the top-k of the
-  /// writer's BFS IntervalSweep for one (k, l) configuration, advanced
-  /// one interval per commit. Queries matching the configuration are
-  /// answered from here without running a finder.
-  bool has_online = false;
-  size_t online_k = 0;
-  uint32_t online_l = 0;
-  std::vector<StablePath> online_topk;
   /// Point-in-time stats (cache counters filled in by Engine::stats()).
   EngineStats stats;
 
@@ -195,11 +183,9 @@ struct GraphSnapshot {
 /// shared by Engine::Query and any caller that pinned an epoch.
 ///
 /// Semantics match Engine::Query: asking for chains longer than the
-/// stream is an empty answer (serving grace), warm online state answers
-/// matching streaming queries directly, and everything else dispatches
-/// through the finder registry over the epoch's sealed CSR graph. Does not
-/// consult the query cache or record warm-up hints — Engine layers those
-/// on top.
+/// stream is an empty answer (serving grace), and everything else
+/// dispatches through the finder registry over the epoch's sealed CSR
+/// graph. Does not consult the query cache — Engine layers it on top.
 Result<QueryResult> QuerySnapshot(const GraphSnapshot& snapshot,
                                   const FinderQuery& query);
 

@@ -166,7 +166,6 @@ std::string EncodeResultBody(const WireResult& result) {
   std::string body;
   ByteWriter w(&body);
   w.Put<uint64_t>(result.epoch);
-  w.Put<uint8_t>(result.warm_online ? 1 : 0);
   w.Put<uint32_t>(result.chains.size());
   for (const WireChain& chain : result.chains) PutChain(&w, chain);
   return body;
@@ -174,13 +173,11 @@ std::string EncodeResultBody(const WireResult& result) {
 
 Status DecodeResultBody(const std::string& body, WireResult* result) {
   ByteReader in(body);
-  uint8_t warm = 0;
   uint32_t n = 0;
-  if (!in.Get(&result->epoch) || !in.Get(&warm) || !in.Get(&n) ||
+  if (!in.Get(&result->epoch) || !in.Get(&n) ||
       !in.Fits(n, kMinChainBytes)) {
     return Malformed("result");
   }
-  result->warm_online = warm != 0;
   result->chains.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (!GetChain(&in, &result->chains[i])) return Malformed("result");

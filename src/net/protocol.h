@@ -124,7 +124,6 @@ struct WireChain {
 /// RESULT body: one query's answer.
 struct WireResult {
   uint64_t epoch = 0;
-  bool warm_online = false;
   std::vector<WireChain> chains;
 };
 

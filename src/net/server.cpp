@@ -13,14 +13,14 @@ namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
 
-// Renders a QueryResult for the wire: paths, weights, lengths, plus
+// Renders chains for the wire: paths, weights, lengths, plus
 // snapshot-rendered chain text when `flags` has kFlagRender.
-std::vector<WireChain> ToWireChains(const GraphSnapshot& snapshot,
-                                    const QueryResult& result,
-                                    uint8_t flags) {
+std::vector<WireChain> ToWireChains(
+    const GraphSnapshot& snapshot,
+    const std::vector<StableClusterChain>& chains, uint8_t flags) {
   std::vector<WireChain> out;
-  out.reserve(result.chains.size());
-  for (const StableClusterChain& chain : result.chains) {
+  out.reserve(chains.size());
+  for (const StableClusterChain& chain : chains) {
     WireChain wire;
     wire.nodes = chain.path.nodes;
     wire.weight = chain.path.weight;
@@ -31,6 +31,15 @@ std::vector<WireChain> ToWireChains(const GraphSnapshot& snapshot,
     out.push_back(std::move(wire));
   }
   return out;
+}
+
+// Standing queries the notifier answers with a Section 4.6 sweep: online
+// kl-stable of a fixed length, undiversified. l = 0 means a different
+// length every epoch, so it runs the batch finder like any other query.
+bool AdvancesSweep(const FinderQuery& query) {
+  return query.algorithm == FinderAlgorithm::kOnline &&
+         query.mode == FinderMode::kKlStable && query.l >= 1 &&
+         query.diversify_prefix == 0 && query.diversify_suffix == 0;
 }
 
 }  // namespace
@@ -290,6 +299,12 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
           s = Status::NotSupported(
               std::string(info.name) + " does not support mode " +
               FinderModeName(query.mode));
+        } else if (query.algorithm == FinderAlgorithm::kTa &&
+                   engine_->snapshot()->graph->gap() != 0) {
+          s = Status::NotSupported("ta answers gap-0 graphs only");
+        } else if (query.algorithm == FinderAlgorithm::kTa && query.l != 0) {
+          // TA answers l = m-1 only, which names a different l each epoch.
+          s = Status::NotSupported("a standing ta query needs l = 0");
         }
       }
       if (!s.ok()) {
@@ -397,9 +412,33 @@ Result<WireResult> Server::RunQuery(
   ST_RETURN_IF_ERROR(result.status());
   WireResult wire;
   wire.epoch = result.value().epoch;
-  wire.warm_online = result.value().warm_online;
-  wire.chains = ToWireChains(*snap, result.value(), flags);
+  wire.chains = ToWireChains(*snap, result.value().chains, flags);
   return wire;
+}
+
+Result<std::vector<WireChain>> Server::StandingAnswer(
+    const std::shared_ptr<const GraphSnapshot>& snap, Subscription* sub) const {
+  if (!AdvancesSweep(sub->query)) {
+    ST_ASSIGN_OR_RETURN(WireResult result,
+                        RunQuery(snap, sub->query, sub->flags));
+    return std::move(result.chains);
+  }
+  // No length-l path exists yet, and a sweep for an l beyond the stream
+  // would keep heaps of every length: start it once l fits.
+  if (sub->query.l >= snap->epoch) return std::vector<WireChain>{};
+  const ClusterGraph& graph = *snap->graph;
+  if (sub->sweep == nullptr || sub->sweep_scale != graph.weight_scale()) {
+    // The sweep's paths carry weights at the scale it read them at; a
+    // rescaled graph (intersection measure) restarts it from interval 0.
+    sub->sweep = std::make_unique<IntervalSweep>(sub->query.k, sub->query.l);
+    sub->sweep_scale = graph.weight_scale();
+  }
+  for (uint32_t i = sub->sweep->next_interval(); i < snap->epoch; ++i) {
+    ST_RETURN_IF_ERROR(sub->sweep->Advance(graph, i));
+  }
+  ST_ASSIGN_OR_RETURN(const std::vector<StableClusterChain> chains,
+                      snap->ToChains(sub->sweep->TopK()));
+  return ToWireChains(*snap, chains, sub->flags);
 }
 
 void Server::OnPublish(const std::shared_ptr<const GraphSnapshot>& snap) {
@@ -425,9 +464,9 @@ void Server::NotifierLoop() {
     // Every epoch is processed (never coalesced): subscribers see the
     // exact per-epoch delta sequence a serial replay would compute.
     for (const auto& sub : registry_.Snapshot()) {
-      auto result = RunQuery(snap, sub->query, sub->flags);
+      auto result = StandingAnswer(snap, sub.get());
       if (!result.ok()) continue;  // Validated at SUBSCRIBE.
-      std::vector<WireChain> now = std::move(result.value().chains);
+      std::vector<WireChain> now = std::move(result).value();
       WireDelta delta = DiffTopK(sub->last, now);
       delta.subscription_id = sub->id;
       delta.epoch = snap->epoch;

@@ -22,7 +22,10 @@
 // The query path keeps the engine's lock-freedom intact: workers and the
 // notifier go through Engine::QueryAt on pinned snapshots exactly like
 // in-process readers; the serving layer adds no lock on that path (its
-// queues synchronize only admission and response hand-off).
+// queues synchronize only admission and response hand-off). The one
+// exception is the paper's online setting (Section 4.6): an online
+// kl-stable subscription of fixed l keeps its own interval sweep, which
+// the notifier advances one interval per epoch over the pinned graph.
 
 #ifndef STABLETEXT_NET_SERVER_H_
 #define STABLETEXT_NET_SERVER_H_
@@ -127,6 +130,11 @@ class Server {
   // Answers `query` on the pinned `snap`, rendered for the wire.
   Result<WireResult> RunQuery(const std::shared_ptr<const GraphSnapshot>& snap,
                               const FinderQuery& query, uint8_t flags) const;
+  // The notifier's answer for `sub` at `snap`: RunQuery, or for an
+  // online kl-stable query of fixed l its sweep advanced to `snap`.
+  Result<std::vector<WireChain>> StandingAnswer(
+      const std::shared_ptr<const GraphSnapshot>& snap,
+      Subscription* sub) const;
 
   // Loop-thread-affine handlers and helpers: REQUIRES(loop_.role) makes
   // "only the loop thread touches connection state" compile-checked.

@@ -4,12 +4,16 @@
 // query against the freshly pinned snapshot, diffs the answer against the
 // subscription's last pushed top-k, and pushes one DELTA frame per epoch
 // — server-push instead of client re-poll, riding the same per-epoch
-// snapshot swap the readers use.
+// snapshot swap the readers use. An online kl-stable query of fixed l is
+// the paper's online setting (Section 4.6): its subscription holds a BFS
+// IntervalSweep that the notifier advances by the epoch's new interval,
+// so each push costs the marginal sweep step, not a batch BFS.
 //
 // Threading: Add/Remove/RemoveConnection run on the event-loop thread;
 // Snapshot() and size() may run from any thread. A Subscription's
-// `last` answer is owned by the notifier thread exclusively (the loop
-// never reads it), so the registry's lock only guards the table.
+// `last` answer and its sweep are owned by the notifier thread
+// exclusively (the loop never reads them), so the registry's lock only
+// guards the table.
 
 #ifndef STABLETEXT_NET_SUBSCRIPTION_H_
 #define STABLETEXT_NET_SUBSCRIPTION_H_
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "net/protocol.h"
+#include "stable/bfs_finder.h"
 #include "stable/finder.h"
 #include "util/annotated_mutex.h"
 
@@ -27,13 +32,17 @@ namespace stabletext {
 namespace net {
 
 /// One standing query. `last` is the top-k most recently pushed to the
-/// client, notifier-owned (see header comment).
+/// client; `sweep` (online queries of fixed l, made on first use) and
+/// `sweep_scale`, the graph weight scale it last advanced at. All three
+/// are notifier-owned (see header comment).
 struct Subscription {
   uint64_t id = 0;
   uint64_t connection_id = 0;
   FinderQuery query;
   uint8_t flags = 0;  ///< kFlagRender et al.
   std::vector<WireChain> last;
+  std::unique_ptr<IntervalSweep> sweep;
+  double sweep_scale = 0;
 };
 
 class SubscriptionRegistry {

@@ -30,9 +30,9 @@
 // 4.6) is the same sweep advanced as intervals arrive: a node's heaps are
 // computed once, when its interval arrives, and never revisited, so
 // appending interval m+1 costs exactly the last step of the batch run and
-// no past work is redone. The global top-k grows monotonically. The engine
-// keeps one kl-stable sweep warm over its growing graph and publishes its
-// top-k with every epoch.
+// no past work is redone. The global top-k grows monotonically. The
+// network server's notifier keeps one kl-stable sweep per online
+// subscription and advances it over each published epoch's graph.
 
 #ifndef STABLETEXT_STABLE_BFS_FINDER_H_
 #define STABLETEXT_STABLE_BFS_FINDER_H_

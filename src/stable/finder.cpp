@@ -73,8 +73,8 @@ const std::vector<FinderInfo>& FinderRegistry() {
       {FinderAlgorithm::kTa, "ta", true, false, &RunTa},
       {FinderAlgorithm::kBruteForce, "brute-force", true, true,
        &RunBruteForce},
-      // A cold online query is the kl-stable BFS sweep the engine keeps
-      // warm (IntervalSweep); only the warm answer skips the run.
+      // A one-shot online query is the batch BFS sweep; only a standing
+      // query advances an IntervalSweep incrementally (net::Server).
       {FinderAlgorithm::kOnline, "online", true, false, &RunBfs},
   };
   return registry;

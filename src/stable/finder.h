@@ -48,8 +48,9 @@ enum class FinderAlgorithm {
   kDfs,         ///< Depth-first (Algorithm 3, Sections 4.3 and 4.5).
   kTa,          ///< Threshold algorithm (Section 4.4); full paths, g = 0.
   kBruteForce,  ///< Exhaustive enumeration (testing oracle).
-  /// Online (Section 4.6): the BFS interval sweep, which the engine
-  /// keeps warm across ingests for one (k, l); a cold query runs BFS.
+  /// Online (Section 4.6): the BFS interval sweep. A one-shot query runs
+  /// batch BFS; a standing query (net::Server subscription) advances
+  /// its own sweep one interval per epoch.
   kOnline,
 };
 

@@ -134,7 +134,6 @@ TEST(CodecGoldenTest, WireBodies) {
 
   net::WireResult result;
   result.epoch = 42;
-  result.warm_online = true;
   result.chains = {Chain({3, 1, 4}, 0.25, 2, "interval 0: {a}"),
                    Chain({}, 0, 0, "")};
 
@@ -154,10 +153,10 @@ TEST(CodecGoldenTest, WireBodies) {
        "0201070000000000000003000000020000000100000004000000"
        "00000000000010000000000001e80300000000000001"},
       {"result", net::EncodeResultBody(result),
-       "2a000000000000000102000000030000000300000001000000"
-       "04000000000000000000d03f020000000f000000696e746572"
-       "76616c20303a207b617d0000000000000000000000000000"
-       "000000000000"},
+       "2a000000000000000200000003000000030000000100000004"
+       "000000000000000000d03f020000000f000000696e74657276"
+       "616c20303a207b617d00000000000000000000000000000000"
+       "00000000"},
       {"delta", net::EncodeDeltaBody(delta),
        "0500000000000000090000000000000002000000010000000100"
        "0000020000000700000008000000000000000000f83f0100"

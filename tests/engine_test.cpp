@@ -202,10 +202,10 @@ TEST(EngineEquivalenceTest, TaMatchesOracleOnGapZero) {
   }
 }
 
-// The warm online sweep advanced across ingests must equal a cold batch
-// BFS at every tick, not just the last one. l = 1 on a gap-1 graph has
-// edges longer than l, which the step must skip.
-TEST(EngineEquivalenceTest, OnlineWarmCacheMatchesBfsEveryTick) {
+// A one-shot online query is the batch BFS sweep: it must equal BFS at
+// every tick, not just the last one. l = 1 on a gap-1 graph has edges
+// longer than l, which the sweep must skip.
+TEST(EngineEquivalenceTest, OnlineMatchesBfsEveryTick) {
   const auto days = GenerateWeek();
   for (const uint32_t l : {2u, 1u}) {
     Engine engine(TestOptions(/*gap=*/1, /*threads=*/1));
@@ -252,7 +252,7 @@ TEST(EngineTest, ValidationAndUnsupportedCombinations) {
   Query q = MakeQuery(FinderAlgorithm::kBfs, 0, 0);
   EXPECT_EQ(engine.Query(q).status().code(), StatusCode::kInvalidArgument);
 
-  // k = 0 is rejected uniformly, including on the warm online path.
+  // k = 0 is rejected uniformly, online included.
   q = MakeQuery(FinderAlgorithm::kOnline, 0, 1);
   EXPECT_EQ(engine.Query(q).status().code(), StatusCode::kInvalidArgument);
 
@@ -283,9 +283,9 @@ TEST(EngineTest, ValidationAndUnsupportedCombinations) {
             StatusCode::kNotSupported);
 }
 
-// A reader's online length is not bounded by the stream: the warm sweep
-// it asks for must cost what the graph holds, not what l says, or one
-// remote query with a huge l would stall the writer.
+// A reader's online length is not bounded by the stream: the sweep it
+// runs must cost what the graph holds, not what l says, and ingest must
+// not wait on it.
 TEST(EngineTest, HugeOnlineLengthDoesNotStallIngest) {
   const auto days = GenerateWeek();
   Engine engine(TestOptions(/*gap=*/1, /*threads=*/1));
@@ -304,25 +304,9 @@ TEST(EngineTest, HugeOnlineLengthDoesNotStallIngest) {
     std::abort();
   }
   ASSERT_TRUE(ingest.get().ok());
-  // An l at or past the epoch answers empty, so it stores no hint: the
-  // next snapshot carries no warm state for it.
-  EXPECT_FALSE(engine.snapshot()->has_online);
   r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, UINT32_MAX));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.value().chains.empty());
-  EXPECT_FALSE(r.value().warm_online);
-
-  // A valid l still warms the sweep from the next tick on.
-  r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, 2));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r.value().warm_online);
-  ASSERT_TRUE(engine.IngestText(days[3]).ok());
-  EXPECT_TRUE(engine.snapshot()->has_online);
-  EXPECT_EQ(engine.snapshot()->online_k, 3u);
-  EXPECT_EQ(engine.snapshot()->online_l, 2u);
-  r = engine.Query(MakeQuery(FinderAlgorithm::kOnline, 3, 2));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r.value().warm_online);
 }
 
 TEST(EngineTest, DiversifiedQueryRespectsAffixConstraints) {

@@ -123,7 +123,7 @@ TEST(FinderAllocTest, BfsQueryAllocatesPerIntervalAndPath) {
 
 TEST(FinderAllocTest, WarmSweepStepsAllocateAlmostNothing) {
   // Once the pool has the window's heaps and buffers, a step of the
-  // sweep (the engine's online query) reuses them.
+  // sweep (an online subscription's per-epoch push) reuses them.
   const ClusterGraph graph = SparseGraph();
   const uint32_t m = graph.interval_count();
   IntervalSweep sweep(5, 3);

@@ -103,7 +103,6 @@ WireResult DirectAnswer(const Engine& engine,
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   WireResult wire;
   wire.epoch = result.value().epoch;
-  wire.warm_online = result.value().warm_online;
   wire.chains = ToWireChains(*snap, result.value(), flags);
   return wire;
 }
@@ -298,7 +297,6 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
 
   WireResult result;
   result.epoch = 42;
-  result.warm_online = true;
   WireChain chain;
   chain.nodes = {3, 1, 4};
   chain.weight = 0.25;
@@ -309,7 +307,6 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
   ASSERT_TRUE(
       DecodeResultBody(EncodeResultBody(result), &decoded_result).ok());
   EXPECT_EQ(decoded_result.epoch, 42u);
-  EXPECT_TRUE(decoded_result.warm_online);
   EXPECT_TRUE(SameChains(decoded_result.chains, result.chains));
 
   // Every field distinct, so a swapped pair in the codec shows.
@@ -405,9 +402,8 @@ TEST(NetProtocolTest, DiffTopKThenApplyDeltaReproducesTarget) {
 TEST(NetProtocolTest, InflatedChainCountIsCorruption) {
   std::string result_body;
   AppendPod<uint64_t>(&result_body, 1);  // epoch
-  AppendPod<uint8_t>(&result_body, 0);   // warm_online
   AppendPod<uint32_t>(&result_body, 0xFFFFFFFFu);
-  ASSERT_EQ(result_body.size(), 13u);
+  ASSERT_EQ(result_body.size(), 12u);
   WireResult result;
   EXPECT_EQ(DecodeResultBody(result_body, &result).code(),
             StatusCode::kCorruption);
@@ -488,7 +484,6 @@ TEST(NetServerTest, ConcurrentClientsMatchDirectQueries) {
         const WireResult expect = DirectAnswer(
             engine, snap, query, render ? kFlagRender : uint8_t{0});
         if (got.value().epoch != expect.epoch ||
-            got.value().warm_online != expect.warm_online ||
             !SameChains(got.value().chains, expect.chains)) {
           mismatches.fetch_add(1);
         }
@@ -560,6 +555,61 @@ TEST(NetServerTest, LiveIngestAnswersAreEpochConsistent) {
 
 // --------------------------------------------------------- subscriptions
 
+// Reads `count` pushes from `client`, grouped by subscription id (one
+// connection's subscriptions interleave their pushes).
+std::map<uint64_t, std::vector<WireDelta>> ReadPushes(Client* client,
+                                                      size_t count) {
+  std::map<uint64_t, std::vector<WireDelta>> pushes;
+  for (size_t i = 0; i < count; ++i) {
+    bool is_bye = false;
+    auto push = client->NextPush(/*timeout_ms=*/30000, &is_bye);
+    EXPECT_TRUE(push.ok()) << push.status().ToString();
+    EXPECT_FALSE(is_bye);
+    if (!push.ok() || is_bye) break;
+    pushes[push.value().subscription_id].push_back(std::move(push).value());
+  }
+  return pushes;
+}
+
+// The subscription oracle: `received` holds one delta per `published`
+// epoch, in order, and each is DiffTopK of a cold Engine::QueryAt at its
+// epoch against the previous epoch's answer. Applying the stream
+// reproduces each epoch's exact top-k.
+void ExpectSerialReplay(
+    const Engine& engine,
+    const std::vector<std::shared_ptr<const GraphSnapshot>>& published,
+    const Query& query, uint8_t flags, uint64_t subscription_id,
+    const std::vector<WireDelta>& received) {
+  ASSERT_EQ(received.size(), published.size())
+      << "one frame per published epoch, never coalesced";
+  std::vector<WireChain> last;
+  std::vector<WireChain> applied;
+  for (size_t i = 0; i < published.size(); ++i) {
+    const auto& snap = published[i];
+    auto direct = engine.QueryAt(snap, query);
+    ASSERT_TRUE(direct.ok());
+    const std::vector<WireChain> now =
+        ToWireChains(*snap, direct.value(), flags);
+    const WireDelta expect = DiffTopK(last, now);
+
+    EXPECT_EQ(received[i].subscription_id, subscription_id);
+    EXPECT_EQ(received[i].epoch, snap->epoch) << "delta " << i;
+    EXPECT_EQ(received[i].new_size, expect.new_size);
+    ASSERT_EQ(received[i].changes.size(), expect.changes.size())
+        << "delta " << i << " is not the serial-replay delta";
+    for (size_t c = 0; c < expect.changes.size(); ++c) {
+      EXPECT_EQ(received[i].changes[c].first, expect.changes[c].first);
+      EXPECT_TRUE(
+          received[i].changes[c].second == expect.changes[c].second)
+          << "delta " << i << " change " << c;
+    }
+
+    ASSERT_TRUE(ApplyDelta(&applied, received[i]).ok());
+    EXPECT_TRUE(SameChains(applied, now)) << "replay diverged at " << i;
+    last = now;
+  }
+}
+
 // (b) A subscriber observing epochs e..e+n receives exactly the
 // per-epoch top-k deltas a serial replay of the same snapshots computes.
 TEST(NetServerTest, SubscriptionDeltasMatchSerialReplay) {
@@ -581,47 +631,90 @@ TEST(NetServerTest, SubscriptionDeltasMatchSerialReplay) {
     published.push_back(engine.snapshot());
   }
 
-  // One frame per published epoch, in order, never coalesced.
-  std::vector<WireDelta> received;
-  for (uint32_t i = 0; i < kDays; ++i) {
-    bool is_bye = false;
-    auto push = client.NextPush(/*timeout_ms=*/30000, &is_bye);
-    ASSERT_TRUE(push.ok()) << push.status().ToString();
-    ASSERT_FALSE(is_bye);
-    received.push_back(std::move(push).value());
-  }
-
-  std::vector<WireChain> last;
-  std::vector<WireChain> applied;
-  for (uint32_t i = 0; i < kDays; ++i) {
-    const auto& snap = published[i];
-    auto direct = engine.QueryAt(snap, query);
-    ASSERT_TRUE(direct.ok());
-    const std::vector<WireChain> now =
-        ToWireChains(*snap, direct.value(), 0);
-    const WireDelta expect = DiffTopK(last, now);
-
-    EXPECT_EQ(received[i].subscription_id, sub.value());
-    EXPECT_EQ(received[i].epoch, snap->epoch) << "delta " << i;
-    EXPECT_EQ(received[i].new_size, expect.new_size);
-    ASSERT_EQ(received[i].changes.size(), expect.changes.size())
-        << "delta " << i << " is not the serial-replay delta";
-    for (size_t c = 0; c < expect.changes.size(); ++c) {
-      EXPECT_EQ(received[i].changes[c].first, expect.changes[c].first);
-      EXPECT_TRUE(
-          received[i].changes[c].second == expect.changes[c].second);
-    }
-
-    // Applying the received stream reproduces each epoch's exact top-k.
-    ASSERT_TRUE(ApplyDelta(&applied, received[i]).ok());
-    EXPECT_TRUE(SameChains(applied, now)) << "replay diverged at " << i;
-    last = now;
-  }
+  auto pushes = ReadPushes(&client, kDays);
+  ExpectSerialReplay(engine, published, query, 0, sub.value(),
+                     pushes[sub.value()]);
 
   ASSERT_TRUE(client.Unsubscribe(sub.value()).ok());
   EXPECT_EQ(ServingStats(server).subscriptions_active, 0u);
   EXPECT_GE(ServingStats(server).pushes_sent, kDays);
   server.Shutdown();
+}
+
+// An online subscription of fixed l is Section 4.6's setting: the
+// notifier advances the subscription's own interval sweep by each new
+// epoch instead of running a batch finder. Its deltas must still be the
+// serial replay of cold QueryAt answers. Covered: two online
+// configurations on one server, l = 1 on a gap-1 graph (edges longer
+// than l), an l that answers empty for the first epochs, one that never
+// fits the stream, and the intersection measure, whose growing running
+// maximum rescales every weight and so restarts the sweeps.
+TEST(NetServerTest, OnlineSubscriptionSweepsMatchColdQueries) {
+  for (const AffinityMeasure measure :
+       {AffinityMeasure::kJaccard, AffinityMeasure::kIntersection}) {
+    SCOPED_TRACE(AffinityMeasureName(measure));
+    EngineOptions options = TestOptions();
+    options.gap = 1;
+    options.affinity.measure = measure;
+    CorpusGenOptions corpus = TestCorpus();
+    if (measure == AffinityMeasure::kIntersection) {
+      options.affinity.theta = 0.5;  // Raw counts: "share a keyword".
+      // A smaller vocabulary makes clusters overlap in more keywords, so
+      // the running maximum grows after the sweeps hold paths (at epoch
+      // 4 with this seed).
+      corpus.vocabulary = 600;
+    }
+    CorpusGenerator gen(corpus);
+    Engine engine(options);
+    net::Server server(&engine, ServerOptions{});
+    ASSERT_TRUE(server.Start().ok());
+
+    const std::vector<Query> queries = {
+        MakeQuery(FinderAlgorithm::kOnline, 3, 2),
+        MakeQuery(FinderAlgorithm::kOnline, 4, 1),
+        MakeQuery(FinderAlgorithm::kOnline, 3, 3),
+        MakeQuery(FinderAlgorithm::kOnline, 3, UINT32_MAX),
+    };
+    Client client;
+    ASSERT_TRUE(
+        client.Connect("127.0.0.1", server.port(), /*attempts=*/5).ok());
+    std::vector<uint64_t> ids;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto sub = client.Subscribe(queries[q], /*render=*/q == 0);
+      ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+      ids.push_back(sub.value());
+    }
+
+    std::vector<std::shared_ptr<const GraphSnapshot>> published;
+    size_t rescales = 0;  // Scale changes while the sweeps hold paths.
+    for (uint32_t day = 0; day < kDays; ++day) {
+      ASSERT_TRUE(engine.IngestText(gen.GenerateDay(day)).ok());
+      published.push_back(engine.snapshot());
+      if (published.size() > 2 &&
+          published.back()->graph->weight_scale() !=
+              published[published.size() - 2]->graph->weight_scale()) {
+        ++rescales;
+      }
+    }
+    if (measure == AffinityMeasure::kIntersection) {
+      EXPECT_GT(rescales, 0u) << "no sweep restart was exercised";
+    }
+    // l = 3 answers empty before epoch 4, and not at the end.
+    auto first = engine.QueryAt(published.front(), queries[2]);
+    auto final = engine.QueryAt(published.back(), queries[2]);
+    ASSERT_TRUE(first.ok() && final.ok());
+    EXPECT_TRUE(first.value().chains.empty());
+    EXPECT_FALSE(final.value().chains.empty());
+
+    auto pushes = ReadPushes(&client, queries.size() * kDays);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE("subscription " + std::to_string(q));
+      ExpectSerialReplay(engine, published, queries[q],
+                         q == 0 ? kFlagRender : uint8_t{0}, ids[q],
+                         pushes[ids[q]]);
+    }
+    server.Shutdown();
+  }
 }
 
 TEST(NetServerTest, SubscribeValidatesAndUnsubscribeUnknownFails) {
@@ -635,6 +728,32 @@ TEST(NetServerTest, SubscribeValidatesAndUnsubscribeUnknownFails) {
   auto bad = client.Subscribe(MakeQuery(FinderAlgorithm::kBfs, 0, 2),
                               /*render=*/false);
   EXPECT_FALSE(bad.ok());  // k = 0 is not a standing query.
+
+  // TA answers only l = m-1, a length that moves every epoch: a standing
+  // TA query with a fixed l would fail at every later epoch and never
+  // push. l = 0 (full paths) on a gap-0 engine is a valid one.
+  bad = client.Subscribe(MakeQuery(FinderAlgorithm::kTa, 3, 2),
+                         /*render=*/false);
+  EXPECT_EQ(bad.status().code(), StatusCode::kNotSupported);
+  auto ta = client.Subscribe(MakeQuery(FinderAlgorithm::kTa, 3, 0),
+                             /*render=*/false);
+  EXPECT_TRUE(ta.ok()) << ta.status().ToString();
+
+  // TA refuses gapped graphs outright.
+  EngineOptions gapped_options = TestOptions();
+  gapped_options.gap = 1;
+  Engine gapped(gapped_options);
+  net::Server gapped_server(&gapped, ServerOptions{});
+  ASSERT_TRUE(gapped_server.Start().ok());
+  Client gapped_client;
+  ASSERT_TRUE(gapped_client
+                  .Connect("127.0.0.1", gapped_server.port(),
+                           /*attempts=*/5)
+                  .ok());
+  bad = gapped_client.Subscribe(MakeQuery(FinderAlgorithm::kTa, 3, 0),
+                                /*render=*/false);
+  EXPECT_EQ(bad.status().code(), StatusCode::kNotSupported);
+  gapped_server.Shutdown();
 
   Status unsub = client.Unsubscribe(12345);
   EXPECT_EQ(unsub.code(), StatusCode::kNotFound);
