@@ -27,13 +27,7 @@ void IntervalSweep::OfferToNode(const StablePath& path, uint32_t interval) {
   uint32_t& heap = node_heap_[path.length];
   if (heap == kNoHeap) {
     if (k_ == 0) return;  // Would admit nothing.
-    if (free_.empty()) {
-      heap = static_cast<uint32_t>(pool_.size());
-      pool_.emplace_back(k_);
-    } else {
-      heap = free_.back();
-      free_.pop_back();
-    }
+    heap = pool_.Take(k_);
     node_lengths_.push_back(path.length);
   }
   pool_[heap].Offer(path);
@@ -140,10 +134,7 @@ Status IntervalSweep::Advance(const ClusterGraph& graph, uint32_t interval) {
   // so their heaps go back to the pool.
   if (i >= gap_ + 1) {
     IntervalAnnotations& old = Slot(i - gap_ - 1);
-    for (const HeapRef& ref : old.refs) {
-      pool_[ref.heap].Clear();
-      free_.push_back(ref.heap);
-    }
+    for (const HeapRef& ref : old.refs) pool_.Give(ref.heap);
     old.first.clear();
     old.refs.clear();
     old.bytes = 0;

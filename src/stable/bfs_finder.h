@@ -17,13 +17,14 @@
 // Storage follows the paths, not the annotation. A heap h^x_ij exists
 // only once a path of length x ending at cij is admitted to it, so a node
 // without parents holds none. Each interval's annotations are a flat
-// index by (node rank, length) into a pool of heaps; the heaps of an
-// interval that leaves the window go back to the pool with their path
-// buffers, and candidates are built in one reused scratch path. The cost
-// model still charges every node the heaps the paper's annotation has
-// (empty ones where nothing is held), so io and the memory figures
-// (window bytes, block-nested-loop passes, peak) are those of Algorithm 2
-// as written. Window and frontier bytes are summed once per interval.
+// index by (node rank, length) into a HeapPool (stable/topk_heap.h); the
+// heaps of an interval that leaves the window go back to the pool with
+// their path buffers, and candidates are built in one reused scratch
+// path. The cost model still charges every node the heaps the paper's
+// annotation has (empty ones where nothing is held), so io and the
+// memory figures (window bytes, block-nested-loop passes, peak) are
+// those of Algorithm 2 as written. Window and frontier bytes are summed
+// once per interval.
 //
 // It also serves both settings. Batch BFS (Section 4.2) advances a sweep
 // over every interval of a finished graph. The online setting (Section
@@ -38,7 +39,6 @@
 #define STABLETEXT_STABLE_BFS_FINDER_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "stable/cluster_graph.h"
@@ -168,10 +168,8 @@ class IntervalSweep {
   uint32_t next_interval_ = 0;
   // Ring of g+2 interval annotations; see Slot.
   std::vector<IntervalAnnotations> window_;
-  // Every heap the sweep has made; free_ lists those no annotation holds.
-  // A deque, so a heap stays put while new ones are made.
-  std::deque<TopKHeap<>> pool_;
-  std::vector<uint32_t> free_;
+  // Every heap the sweep has made, held or given back with its buffers.
+  HeapPool pool_;
   // The node being built: its heap per length (kNoHeap if none yet) and
   // the lengths that have one.
   std::vector<uint32_t> node_heap_;

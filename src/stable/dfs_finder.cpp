@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <memory_resource>
 
 #include "stable/normalized.h"
 
@@ -26,17 +24,12 @@ struct ModelledNodeState {
   size_t bytes;
 };
 
-// A bestpaths heap. Its path vector comes from the query's arena.
-using BestPaths =
-    TopKHeap<PathBetter, std::pmr::polymorphic_allocator<StablePath>>;
-
-// One held bestpaths heap: a node's heap for paths of `length`, linked to
-// the node's next one in length order.
-struct HeldHeap {
-  uint32_t length;
-  uint32_t next;
-  BestPaths heap;
-};
+// The bestpaths heaps of this thread's queries, kept with their buffers
+// from one query to the next.
+HeapPool& ThreadPool() {
+  thread_local HeapPool pool;
+  return pool;
+}
 
 // DFS stack frame. entry_* describe the tree edge used to reach the node
 // (needed to update the parent's bestpaths when this node retires).
@@ -48,6 +41,8 @@ struct Frame {
 };
 
 }  // namespace
+
+size_t DfsStableFinder::PooledBytes() { return ThreadPool().RetainedBytes(); }
 
 Result<StableFinderResult> DfsStableFinder::Find(
     const ClusterGraph& graph) const {
@@ -96,14 +91,22 @@ Result<StableFinderResult> DfsStableFinder::Find(
     return by_target.empty() ? graph.Children(v)[idx] : by_target[v][idx];
   };
 
-  // maxweight(v, x) is maxweight[v * row + x], x in [0, l]; kl-stable
-  // only, since only CanPrune reads it.
-  const size_t row = normalized ? 0 : size_t{l} + 1;
+  // maxweight(v, x), kl-stable only, since only CanPrune reads it. A
+  // length-l path through v of interval i has a prefix of length x in
+  // [lo(i), min(l, i)], lo(i) = max(0, l + i - (m-1)): the prefix starts
+  // at or after interval 0 and the rest fits before the horizon. Every
+  // other entry stays -infinity for the whole query, so v's row keeps
+  // only that range, maxweight(v, x) = maxweight[v * row + x - lo(i)]:
+  // min(l, m-1-l) + 1 doubles, one for full paths. The cost model still
+  // charges the paper's l + 1.
+  const size_t row = normalized ? 0 : std::min(l, (m - 1) - l) + 1;
+  const size_t modelled_row = normalized ? 0 : size_t{l} + 1;
+  auto lo = [&](uint32_t i) { return l + i > m - 1 ? l + i - (m - 1) : 0u; };
   std::vector<double> maxweight(n * row, kNegInf);
   if (!normalized) {
     // A length-l path may *start* at v iff it fits before the horizon.
     for (NodeId v = 0; v < n; ++v) {
-      if (graph.Interval(v) + l <= m - 1) maxweight[v * row] = 0;
+      if (lo(graph.Interval(v)) == 0) maxweight[v * row] = 0;
     }
   }
   // The paper's annotation has bestpaths(v, x) for the start lengths x
@@ -112,21 +115,24 @@ Result<StableFinderResult> DfsStableFinder::Find(
     return std::min<uint32_t>(lmax, (m - 1) - graph.Interval(v)) + 1;
   };
   // Node annotations, as flat arrays. A bestpaths heap is held only once
-  // it has a path: v's heaps are heaps[h] for h on the list from
-  // first_heap[v], in length order. Paths reach v's bestpaths only
-  // through a child edge, so a childless node holds none. bytes[v] is the
-  // modelled size of v's annotation: every heap the paper's annotation
-  // has, empty or not, and the paths held.
+  // it has a path: v's heaps are pool[h] for h on the chain from
+  // first_heap[v] through pool.Link(h), in length order, taken from the
+  // thread's pool. Paths reach v's bestpaths only through a child edge,
+  // so a childless node holds none. bytes[v] is the modelled size of v's
+  // annotation: every heap the paper's annotation has, empty or not, and
+  // the paths held.
   std::vector<uint8_t> visited(n, 0);
   std::vector<uint32_t> first_heap(n, kNone);
   std::vector<size_t> bytes(n);
-  // The held heaps and their path vectors live in one arena, freed with
-  // the query; a deque, so a heap stays put while others are made.
-  std::pmr::monotonic_buffer_resource arena;
-  std::pmr::deque<HeldHeap> heaps(&arena);
+  // A query that throws leaves its heaps taken; the next query's
+  // GiveAll() gives them back with its own.
+  HeapPool& pool = ThreadPool();
+  // The length of the paths heap h holds; it holds one at least.
+  auto length_of = [&](uint32_t h) { return pool[h].paths()[0].length; };
   for (NodeId v = 0; v < n; ++v) {
     bytes[v] = sizeof(ModelledNodeState) + sizeof(std::vector<double>) +
-               row * sizeof(double) + heap_count(v) * TopKHeap<>::kEmptyBytes;
+               modelled_row * sizeof(double) +
+               heap_count(v) * TopKHeap<>::kEmptyBytes;
   }
 
   TopKHeap<GlobalOrder> global(k, GlobalOrder{normalized});
@@ -145,27 +151,35 @@ Result<StableFinderResult> DfsStableFinder::Find(
     ++result.heap_offers;
     global.Offer(path);
   };
-  // Offers a path starting at stacked node v to v's heap for its length
-  // (taking the heap when it admits its first path) and to H when it has
-  // a sought length.
-  auto offer = [&](NodeId v, const StablePath& path) {
+  // A place on v's chain of heaps: heap h, after heap prev (kNone for
+  // the chain's start). Offers to v come in nondecreasing length, so each
+  // resumes the walk where the last one left it.
+  struct Cursor {
+    NodeId v;
+    uint32_t prev;
+    uint32_t h;
+  };
+  // Offers a path starting at stacked node cursor.v to its heap for the
+  // path's length (taking the heap when it admits its first path) and to
+  // H when it has a sought length.
+  auto offer = [&](Cursor& cursor, const StablePath& path) {
     ++result.heap_offers;
+    const NodeId v = cursor.v;
     if (path.length < heap_count(v) && k > 0) {
-      uint32_t prev = kNone;
-      uint32_t h = first_heap[v];
-      while (h != kNone && heaps[h].length < path.length) {
+      uint32_t& prev = cursor.prev;
+      uint32_t& h = cursor.h;
+      while (h != kNone && length_of(h) < path.length) {
         prev = h;
-        h = heaps[h].next;
+        h = pool.Link(h);
       }
-      if (h == kNone || heaps[h].length != path.length) {
-        const uint32_t fresh = static_cast<uint32_t>(heaps.size());
-        heaps.push_back(
-            HeldHeap{path.length, h, BestPaths(k, PathBetter(), &arena)});
-        (prev == kNone ? first_heap[v] : heaps[prev].next) = fresh;
+      if (h == kNone || length_of(h) != path.length) {
+        const uint32_t fresh = pool.Take(k);
+        pool.Link(fresh) = h;
+        (prev == kNone ? first_heap[v] : pool.Link(prev)) = fresh;
         h = fresh;
       }
       // v is stacked, so its annotation is resident.
-      BestPaths& heap = heaps[h].heap;
+      TopKHeap<>& heap = pool[h];
       bytes[v] -= heap.PathBytes();
       resident_state_bytes -= heap.PathBytes();
       heap.Offer(path);
@@ -184,10 +198,11 @@ Result<StableFinderResult> DfsStableFinder::Find(
     scratch.nodes.assign({c1, c2});
     scratch.weight = e.weight;
     scratch.length = len;
-    offer(c1, scratch);
+    Cursor cursor{c1, kNone, first_heap[c1]};
+    offer(cursor, scratch);
     for (uint32_t h = first_heap[c2];
-         h != kNone && heaps[h].length + len <= lmax; h = heaps[h].next) {
-      for (const StablePath& pi : heaps[h].heap.paths()) {
+         h != kNone && length_of(h) + len <= lmax; h = pool.Link(h)) {
+      for (const StablePath& pi : pool[h].paths()) {
         scratch.nodes.clear();
         scratch.nodes.push_back(c1);
         scratch.nodes.insert(scratch.nodes.end(), pi.nodes.begin(),
@@ -202,7 +217,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
           offer_global(scratch);
           continue;
         }
-        offer(c1, scratch);
+        offer(cursor, scratch);
       }
     }
   };
@@ -211,15 +226,14 @@ Result<StableFinderResult> DfsStableFinder::Find(
     if (!global.full()) return false;
     const double min_k = global.MinWeight();
     const uint32_t i = graph.Interval(c2);
-    const double* mw = &maxweight[c2 * row];
-    // Feasible prefix lengths x for a length-l path passing through c2:
-    // the remaining l-x intervals must fit before the horizon, and a
-    // prefix cannot be longer than the elapsed intervals. x == l (path
-    // ends here) needs no subtree and is excluded, as in CanPrune.
-    const uint32_t x_lo = (l + i > m - 1) ? (l + i) - (m - 1) : 0;
+    // Feasible prefix lengths x for a length-l path passing through c2
+    // (see maxweight). x == l (path ends here) needs no subtree and is
+    // excluded, as in CanPrune.
+    const uint32_t x_lo = lo(i);
     const uint32_t x_hi = std::min<uint32_t>(l - 1, i);
+    const double* mw = &maxweight[c2 * row];
     for (uint32_t x = x_lo; x <= x_hi; ++x) {
-      if (mw[x] + static_cast<double>(l - x) >= min_k) {
+      if (mw[x - x_lo] + static_cast<double>(l - x) >= min_k) {
         return false;
       }
     }
@@ -244,17 +258,36 @@ Result<StableFinderResult> DfsStableFinder::Find(
         if (!at_source) update_bestpaths(top.node, e);
         continue;
       }
+      if (at_source && degree(c2) == 0 && graph.Parents(c2).empty()) {
+        // An edge-less node: it has nothing to walk and nothing reaches it
+        // later, so it is charged as pushed and at once retired (or
+        // pruned) without either; its visited flag is never read again.
+        ++result.nodes_pushed;
+        resident_state_bytes += bytes[c2];
+        note_peak(stack.size() + 1);
+        resident_state_bytes -= bytes[c2];
+        if (options_.enable_pruning && !normalized && can_prune(c2)) {
+          ++result.prunes;
+        }
+        ++result.io.page_writes;
+        ++result.io.random_seeks;
+        continue;
+      }
       // Push c2.
       visited[c2] = 1;
       ++result.nodes_pushed;
       const uint32_t len = at_source ? 0 : graph.EdgeLength(top.node, c2);
       // Update maxweight(c2, .) from the parent's maxweight (line 16).
       if (!at_source && !normalized) {
+        // pmw[j] is maxweight(parent, p_lo + j), cmw[j] maxweight(c2,
+        // c_lo + j); p_lo + len >= c_lo.
+        const uint32_t p_lo = lo(graph.Interval(top.node));
+        const uint32_t shift = p_lo + len - lo(graph.Interval(c2));
         const double* pmw = &maxweight[top.node * row];
         double* cmw = &maxweight[c2 * row];
-        for (uint32_t x = 0; x + len <= l; ++x) {
-          if (pmw[x] == kNegInf) continue;
-          cmw[x + len] = std::max(cmw[x + len], pmw[x] + e.weight);
+        for (uint32_t j = 0; j < row && p_lo + j + len <= l; ++j) {
+          if (pmw[j] == kNegInf) continue;
+          cmw[j + shift] = std::max(cmw[j + shift], pmw[j] + e.weight);
         }
       }
       stack.push_back(Frame{c2, 0, e.weight, len});
@@ -297,6 +330,7 @@ Result<StableFinderResult> DfsStableFinder::Find(
     }
   }
 
+  pool.GiveAll(kMaxPooledBytes);
   result.paths = global.paths();
   return result;
 }

@@ -20,13 +20,17 @@
 // Storage follows the paths, not the annotation. Node state is flat
 // per-node arrays (visited flag, modelled bytes, first held heap), and a
 // bestpaths heap exists only once a path of its length starting at its
-// node is admitted, so a childless node holds none. The held heaps come
-// from one arena per query, and kl-stable maxweight is one flat
-// n x (l+1) array. The cost model still charges every node the
-// annotation the paper describes (its maxweight row and all its
-// bestpaths heaps, empty where nothing is held), updated by the bytes
-// each offer adds, so io and peak memory are those of Algorithm 3 as
-// written.
+// node is admitted, so a childless node holds none. The held heaps are
+// taken from a HeapPool kept per thread and given back, buffers and all,
+// when the query ends, so a warm thread's query allocates per query, not
+// per held path. kl-stable maxweight is one flat array that keeps, per
+// node, only the prefix lengths a length-l path through it can have:
+// min(l, m-1-l)+1 doubles, one for full paths. An edge-less node is
+// never pushed: the virtual source charges it as a push and a retirement.
+// The cost model still charges every node the annotation the paper
+// describes (its (l+1)-wide maxweight row and all its bestpaths heaps,
+// empty where nothing is held), updated by the bytes each offer adds, so
+// io and peak memory are those of Algorithm 3 as written.
 
 #ifndef STABLETEXT_STABLE_DFS_FINDER_H_
 #define STABLETEXT_STABLE_DFS_FINDER_H_
@@ -58,6 +62,15 @@ struct DfsFinderOptions {
 /// \brief Depth-first stable-cluster finder (Sections 4.3 and 4.5).
 class DfsStableFinder {
  public:
+  /// A thread's pool of bestpaths heaps is released when a query leaves
+  /// it holding more than this many bytes. A server worker's pool keeps
+  /// ~250 KiB on `query_cold` and ~700 KiB on `live_mixed`.
+  static constexpr size_t kMaxPooledBytes = size_t{1} << 20;
+
+  /// Bytes the calling thread's pool of bestpaths heaps keeps between
+  /// queries.
+  static size_t PooledBytes();
+
   explicit DfsStableFinder(DfsFinderOptions options = {})
       : options_(options) {}
 

@@ -9,6 +9,14 @@
 // allocating. The memory model charges the paper's heap (its capacity,
 // order and path vector) plus each held path, kept as a running sum, not
 // the buffers this class keeps spare.
+//
+// HeapPool recycles whole heaps for the finders that make many: the BFS
+// sweep takes a node's heaps as its interval is built and gives them back
+// as the interval leaves the window; the DFS takes a node's bestpaths
+// heaps as paths are admitted and gives them all back when the query
+// ends, and the pool is freed if it would then keep more than the DFS's
+// bound. A heap given back keeps its path vectors and node buffers, so
+// the next heap taken from a warm pool fills without allocating.
 
 #ifndef STABLETEXT_STABLE_TOPK_HEAP_H_
 #define STABLETEXT_STABLE_TOPK_HEAP_H_
@@ -16,8 +24,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "stable/path.h"
@@ -29,12 +38,7 @@ namespace stabletext {
 /// Backed by a sorted vector (best first); k is small in all of the paper's
 /// experiments (top-5), so O(k) inserts beat a real heap in practice and
 /// give deterministic iteration order for free.
-///
-/// `Allocator` serves the path vector (not the paths' node buffers): a
-/// finder that makes many short-lived heaps can draw them all from one
-/// arena.
-template <typename Better = PathBetter,
-          typename Allocator = std::allocator<StablePath>>
+template <typename Better = PathBetter>
 class TopKHeap {
   // What the memory model charges a heap for: its capacity, its order and
   // its path vector.
@@ -48,11 +52,10 @@ class TopKHeap {
   /// Bytes the memory model charges a heap that holds no path.
   static constexpr size_t kEmptyBytes = sizeof(ModelledHeap);
 
-  using PathVector = std::vector<StablePath, Allocator>;
+  using PathVector = std::vector<StablePath>;
 
-  explicit TopKHeap(size_t k = 0, Better better = Better(),
-                    const Allocator& allocator = Allocator())
-      : k_(k), better_(better), paths_(allocator), spare_(allocator) {}
+  explicit TopKHeap(size_t k = 0, Better better = Better())
+      : k_(k), better_(better) {}
 
   /// Offers a path. Returns true if it was admitted (strictly better than
   /// the current k-th or capacity not yet reached, and not a duplicate).
@@ -120,6 +123,27 @@ class TopKHeap {
     path_bytes_ = 0;
   }
 
+  /// Empties the heap and makes its capacity k; buffers are kept.
+  void Reset(size_t k) {
+    Clear();
+    k_ = k;
+  }
+
+  /// Bytes the heap has allocated, held paths and spares alike: its path
+  /// vectors, as Clear() will leave them, and every node buffer.
+  size_t BufferBytes() const {
+    const size_t slots =
+        paths_.capacity() +
+        std::max(spare_.capacity(), spare_.size() + paths_.size());
+    size_t bytes = slots * sizeof(StablePath);
+    for (const PathVector* v : {&paths_, &spare_}) {
+      for (const StablePath& p : *v) {
+        bytes += p.nodes.capacity() * sizeof(NodeId);
+      }
+    }
+    return bytes;
+  }
+
  private:
   // Bytes the memory model charges for holding `path`.
   static size_t BytesOf(const StablePath& path) {
@@ -131,6 +155,81 @@ class TopKHeap {
   PathVector paths_;
   PathVector spare_;       // Emptied slots, buffers kept.
   size_t path_bytes_ = 0;  // Sum of BytesOf over paths_.
+};
+
+/// \brief Recycles TopKHeap<>s of any k, named by index.
+///
+/// Take() hands out the heap given back last, else the next heap not
+/// taken since the last GiveAll(), else a new one; so a holder that takes
+/// heaps in the order it did before GiveAll() gets the same heaps, with
+/// buffers sized for what they held. A heap stays put while others are
+/// taken, so a reference to one stays valid until it is given back.
+class HeapPool {
+ public:
+  /// Takes an empty heap of capacity k.
+  uint32_t Take(size_t k) {
+    uint32_t heap;
+    if (!free_.empty()) {
+      heap = free_.back();
+      free_.pop_back();
+    } else {
+      if (used_ == slots_.size()) slots_.emplace_back();
+      heap = used_++;
+    }
+    slots_[heap].heap.Reset(k);
+    return heap;
+  }
+
+  TopKHeap<>& operator[](uint32_t heap) { return slots_[heap].heap; }
+  const TopKHeap<>& operator[](uint32_t heap) const {
+    return slots_[heap].heap;
+  }
+
+  /// A link that the holder of a taken heap may set, say to chain its
+  /// heaps; the pool does not read it.
+  uint32_t& Link(uint32_t heap) { return slots_[heap].link; }
+
+  /// Gives a taken heap back.
+  void Give(uint32_t heap) {
+    slots_[heap].heap.Clear();
+    free_.push_back(heap);
+  }
+
+  /// Gives every heap back; if the pool would then keep more than
+  /// `max_bytes` of heaps and buffers, frees them all instead.
+  void GiveAll(size_t max_bytes) {
+    for (uint32_t heap = 0; heap < used_; ++heap) {
+      Slot& slot = slots_[heap];
+      retained_ -= slot.bytes;
+      slot.bytes = slot.heap.BufferBytes();
+      retained_ += slot.bytes;
+    }
+    if (RetainedBytes() > max_bytes) {
+      *this = HeapPool();
+      return;
+    }
+    for (uint32_t heap = 0; heap < used_; ++heap) slots_[heap].heap.Clear();
+    used_ = 0;
+    free_.clear();
+  }
+
+  /// Bytes the pool keeps for its heaps and their buffers, as of the last
+  /// GiveAll().
+  size_t RetainedBytes() const {
+    return slots_.size() * sizeof(Slot) + retained_;
+  }
+
+ private:
+  struct Slot {
+    TopKHeap<> heap;
+    size_t bytes = 0;   // heap.BufferBytes() as of the last GiveAll().
+    uint32_t link = 0;  // The holder's.
+  };
+
+  std::deque<Slot> slots_;
+  std::vector<uint32_t> free_;  // Heaps given back since the last GiveAll().
+  uint32_t used_ = 0;           // Heaps taken since the last GiveAll().
+  size_t retained_ = 0;         // Sum of Slot::bytes.
 };
 
 }  // namespace stabletext

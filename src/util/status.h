@@ -149,12 +149,22 @@ class [[nodiscard]] Result {
   } while (0)
 
 /// Assigns the value of a Result expression to lhs or propagates the error.
-#define ST_ASSIGN_OR_RETURN(lhs, expr)          \
-  auto st_r_##__LINE__ = (expr);                \
-  if (!st_r_##__LINE__.ok()) {                  \
-    return st_r_##__LINE__.status();            \
-  }                                             \
-  lhs = std::move(st_r_##__LINE__).value()
+/// Its temporary is named after the line, so uses on different lines of
+/// one scope do not collide.
+#define ST_ASSIGN_OR_RETURN(lhs, expr) \
+  ST_ASSIGN_OR_RETURN_IMPL_(ST_CONCAT_(st_r_, __LINE__), lhs, expr)
+
+#define ST_ASSIGN_OR_RETURN_IMPL_(result, lhs, expr) \
+  auto result = (expr);                              \
+  if (!result.ok()) {                                \
+    return result.status();                          \
+  }                                                  \
+  lhs = std::move(result).value()
+
+// Pastes after expanding its arguments (a bare ## would paste __LINE__
+// itself).
+#define ST_CONCAT_(a, b) ST_CONCAT_INNER_(a, b)
+#define ST_CONCAT_INNER_(a, b) a##b
 
 }  // namespace stabletext
 

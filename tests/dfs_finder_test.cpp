@@ -1,11 +1,17 @@
 // Algorithm 3 (DFS finder): the paper's Table 2 worked example, exact
 // equality with the brute-force oracle and with the BFS finder across
-// randomized sweeps, pruning and children-order ablations.
+// randomized sweeps, pruning and children-order ablations, and queries on
+// concurrent threads answered as a serial run answers them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <thread>
 #include <tuple>
+#include <vector>
 
+#include "gen/cluster_graph_generator.h"
 #include "stable/bfs_finder.h"
 #include "stable/brute_force_finder.h"
 #include "stable/dfs_finder.h"
@@ -218,6 +224,84 @@ TEST(DfsFinderTest, MemoryFootprintBelowBfs) {
   ASSERT_TRUE(bfs.ok());
   EXPECT_LT(dfs.value().peak_memory_bytes,
             bfs.value().peak_memory_bytes);
+}
+
+bool SameResult(const StableFinderResult& a, const StableFinderResult& b) {
+  if (a.paths.size() != b.paths.size()) return false;
+  for (size_t i = 0; i < a.paths.size(); ++i) {
+    if (a.paths[i].nodes != b.paths[i].nodes ||
+        a.paths[i].weight != b.paths[i].weight ||
+        a.paths[i].length != b.paths[i].length) {
+      return false;
+    }
+  }
+  return a.io.page_reads == b.io.page_reads &&
+         a.io.page_writes == b.io.page_writes &&
+         a.io.random_seeks == b.io.random_seeks &&
+         a.peak_memory_bytes == b.peak_memory_bytes &&
+         a.passes == b.passes && a.heap_offers == b.heap_offers &&
+         a.nodes_pushed == b.nodes_pushed && a.prunes == b.prunes;
+}
+
+TEST(DfsFinderTest, ConcurrentThreadsAnswerAsASerialRun) {
+  // Each thread keeps its own pool of heaps across queries. Four threads
+  // run different interleavings of kl-stable and normalized queries of
+  // every size on one sealed graph; each answer and counter must be the
+  // serial run's.
+  ClusterGraphGenOptions gen;
+  gen.m = 12;
+  gen.n = 6;
+  gen.d = 1;
+  gen.g = 1;
+  gen.isolated = 2;
+  gen.seed = 11;
+  const ClusterGraph graph = ClusterGraphGenerator::Generate(gen);
+  ASSERT_TRUE(graph.frozen());
+  std::vector<DfsFinderOptions> queries;
+  for (size_t k : {1, 5, 17, 64}) {
+    for (uint32_t l : {0u, 2u, 3u, 6u}) {
+      DfsFinderOptions kl;
+      kl.k = k;
+      kl.l = l;
+      queries.push_back(kl);
+      if (l == 0) continue;
+      for (bool theorem1 : {false, true}) {
+        DfsFinderOptions normalized = kl;
+        normalized.mode = FinderMode::kNormalized;
+        normalized.theorem1_pruning = theorem1;
+        queries.push_back(normalized);
+      }
+    }
+  }
+  std::vector<StableFinderResult> serial;
+  for (const DfsFinderOptions& opt : queries) {
+    auto result = DfsStableFinder(opt).Find(graph);
+    ASSERT_TRUE(result.ok());
+    serial.push_back(std::move(result).value());
+  }
+  constexpr int kThreads = 4;
+  // mismatches[t]: queries thread t answered otherwise than the serial run.
+  std::vector<std::vector<size_t>> mismatches(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<size_t> order(queries.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), std::mt19937(t + 1));
+      for (size_t q : order) {
+        auto result = DfsStableFinder(queries[q]).Find(graph);
+        if (!result.ok() || !SameResult(result.value(), serial[q])) {
+          mismatches[t].push_back(q);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(mismatches[t].empty())
+        << "thread " << t << " differs on " << mismatches[t].size()
+        << " queries, first " << mismatches[t].front();
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Allocation bounds of the finder kernels, counted by replacing the global
 // operator new in this binary: a full, warm TopKHeap admits without
-// allocating, and a BFS query on a sparse graph of ~3.6k nodes allocates
-// per interval and per admitted path, not per node and path length as one
-// heap object per (node, length) would, nor per candidate path.
+// allocating; a BFS query on a sparse graph of ~3.6k nodes allocates per
+// interval and per admitted path, not per node and path length as one
+// heap object per (node, length) would, nor per candidate path; a DFS
+// query repeated on a thread allocates per query, not per held path,
+// since its heaps come from the thread's pool, which a large query leaves
+// no bigger than DfsStableFinder::kMaxPooledBytes; and a full-path DFS
+// allocates nothing of size nodes x intervals.
 
 #include <gtest/gtest.h>
 
@@ -13,16 +17,23 @@
 
 #include "gen/cluster_graph_generator.h"
 #include "stable/bfs_finder.h"
+#include "stable/dfs_finder.h"
 #include "stable/topk_heap.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<size_t> g_largest{0};  // Largest allocation since a reset.
 }  // namespace
 
 // Out of line, so that GCC does not inline a free() into code it has seen
 // take the pointer from operator new (-Wmismatched-new-delete).
 __attribute__((noinline)) void* operator new(size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -48,11 +59,11 @@ StablePath P(std::vector<NodeId> nodes, double weight) {
   return p;
 }
 
-// The shape of the engine's graphs: 128 intervals of 28 nodes, three of
-// every four without an edge (3,584 nodes, ~1.3k edges).
-ClusterGraph SparseGraph() {
+// The shape of the engine's graphs: m intervals of 28 nodes, three of
+// every four without an edge (3,584 nodes and ~1.3k edges at m = 128).
+ClusterGraph SparseGraph(uint32_t m = 128) {
   ClusterGraphGenOptions opt;
-  opt.m = 128;
+  opt.m = m;
   opt.n = 7;
   opt.d = 1;
   opt.isolated = 3;
@@ -135,6 +146,66 @@ TEST(FinderAllocTest, WarmSweepStepsAllocateAlmostNothing) {
     ASSERT_TRUE(sweep.Advance(graph, i).ok());
   }
   EXPECT_LE(Allocations() - before, (m - m / 2) / 4);
+}
+
+TEST(FinderAllocTest, RepeatedDfsQueryReusesTheThreadsHeaps) {
+  // The first run fills the thread's pool; the second takes its heaps
+  // and buffers back instead of allocating one per held path (6,050 for
+  // the kl-stable query). The normalized query holds paths of every
+  // length up to the horizon: ~70 MB of them on the 128-interval graph,
+  // far past the pool's bound, so it runs on a 12-interval one, whose
+  // heaps keep ~280 KB beside the kl-stable query's.
+  const ClusterGraph graph = SparseGraph();
+  const ClusterGraph short_graph = SparseGraph(12);
+  DfsFinderOptions kl;
+  kl.k = 5;
+  kl.l = 3;
+  DfsFinderOptions normalized = kl;
+  normalized.mode = FinderMode::kNormalized;
+  normalized.l = 2;
+  for (const DfsFinderOptions& opt : {kl, normalized}) {
+    const ClusterGraph& g =
+        opt.mode == FinderMode::kKlStable ? graph : short_graph;
+    const auto first = DfsStableFinder(opt).Find(g);
+    const uint64_t before = Allocations();
+    const auto second = DfsStableFinder(opt).Find(g);
+    const uint64_t allocations = Allocations() - before;
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second.value().paths, first.value().paths);
+    EXPECT_LE(allocations, 64u)
+        << "normalized " << (opt.l == 2) << ", pool keeps "
+        << DfsStableFinder::PooledBytes() << " bytes";
+  }
+}
+
+TEST(FinderAllocTest, LargeDfsQueryLeavesThePoolBounded) {
+  // This normalized query holds ~57k heaps and ~70 MB of paths, far
+  // more than the pool may keep; it ends with the pool within the bound.
+  const ClusterGraph graph = SparseGraph();
+  DfsFinderOptions opt;
+  opt.mode = FinderMode::kNormalized;
+  opt.k = 5;
+  opt.l = 2;
+  const auto result = DfsStableFinder(opt).Find(graph);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.value().paths.size(), 5u);
+  EXPECT_LE(DfsStableFinder::PooledBytes(), DfsStableFinder::kMaxPooledBytes);
+}
+
+TEST(FinderAllocTest, FullPathDfsAllocatesNothingNodesByIntervals) {
+  // maxweight keeps one double per node for full paths, not l + 1.
+  const ClusterGraph graph = SparseGraph();
+  const size_t n = graph.node_count();
+  ASSERT_GE(n, 3500u);
+  DfsFinderOptions opt;
+  opt.k = 5;
+  opt.l = 0;  // Full paths.
+  g_largest.store(0, std::memory_order_relaxed);
+  const auto result = DfsStableFinder(opt).Find(graph);
+  const size_t largest = g_largest.load(std::memory_order_relaxed);
+  ASSERT_TRUE(result.ok());
+  EXPECT_LE(largest, 64 * n);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -245,6 +246,16 @@ Result<StableFinderResult> RunCell(const GoldenRow& c,
   return DfsStableFinder(opt).Find(graph);
 }
 
+bool IsGolden(const GoldenRow& c, const StableFinderResult& r) {
+  return Fingerprint(r.paths) == c.fingerprint && r.paths.size() == c.paths &&
+         r.io.page_reads == c.page_reads &&
+         r.io.page_writes == c.page_writes &&
+         r.io.random_seeks == c.random_seeks &&
+         r.heap_offers == c.heap_offers && r.nodes_pushed == c.nodes_pushed &&
+         r.prunes == c.prunes && r.passes == c.passes &&
+         r.peak_memory_bytes == c.peak_memory_bytes;
+}
+
 std::string Row(const GoldenRow& c, const StableFinderResult& r) {
   auto b = [](bool v) { return std::string(v ? "true" : "false"); };
   auto n = [](uint64_t v) { return std::to_string(v); };
@@ -274,15 +285,24 @@ TEST(FinderGoldenTest, AnswersAndCountersMatchTheGoldenTable) {
     const auto found = RunCell(c, graphs[c.gap]);
     ASSERT_TRUE(found.ok()) << found.status().ToString();
     const StableFinderResult& r = found.value();
-    const bool golden =
-        Fingerprint(r.paths) == c.fingerprint && r.paths.size() == c.paths &&
-        r.io.page_reads == c.page_reads &&
-        r.io.page_writes == c.page_writes &&
-        r.io.random_seeks == c.random_seeks &&
-        r.heap_offers == c.heap_offers && r.nodes_pushed == c.nodes_pushed &&
-        r.prunes == c.prunes && r.passes == c.passes &&
-        r.peak_memory_bytes == c.peak_memory_bytes;
-    EXPECT_TRUE(golden) << "differs; actual row:\n    " << Row(c, r);
+    EXPECT_TRUE(IsGolden(c, r)) << "differs; actual row:\n    " << Row(c, r);
+  }
+}
+
+TEST(FinderGoldenTest, ForwardThenReverseOnOneThreadMatches) {
+  // The finders recycle heaps within a query and across queries on one
+  // thread; no state may carry from one cell into the next.
+  const ClusterGraph graphs[] = {GoldenGraph(0), GoldenGraph(1)};
+  std::vector<const GoldenRow*> order;
+  for (const GoldenRow& c : kGolden) order.push_back(&c);
+  for (auto it = std::rbegin(kGolden); it != std::rend(kGolden); ++it) {
+    order.push_back(&*it);
+  }
+  for (const GoldenRow* c : order) {
+    const auto found = RunCell(*c, graphs[c->gap]);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_TRUE(IsGolden(*c, found.value()))
+        << "differs; actual row:\n    " << Row(*c, found.value());
   }
 }
 

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/memory_tracker.h"
@@ -67,6 +68,22 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::vector<int>> r(std::vector<int>{1, 2, 3});
   std::vector<int> v = std::move(r).value();
   EXPECT_EQ(v.size(), 3u);
+}
+
+// Two uses of ST_ASSIGN_OR_RETURN in one scope.
+Result<std::pair<int, int>> BothValues(Result<int> a, Result<int> b) {
+  ST_ASSIGN_OR_RETURN(const int first, std::move(a));
+  ST_ASSIGN_OR_RETURN(const int second, std::move(b));
+  return std::make_pair(first, second);
+}
+
+TEST(ResultTest, AssignOrReturnTwiceInOneScope) {
+  const auto both = BothValues(7, 9);
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both.value().first, 7);
+  EXPECT_EQ(both.value().second, 9);
+  const auto failed = BothValues(7, Status::NotFound("second"));
+  EXPECT_EQ(failed.status(), Status::NotFound("second"));
 }
 
 TEST(RngTest, DeterministicForEqualSeeds) {
